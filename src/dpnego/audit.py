@@ -7,7 +7,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 GENESIS_HASH = "0" * 64
 
@@ -130,38 +130,26 @@ class AuditLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "AuditLog":
-        records = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        return cls(list(_parse_records(path)))
+
+
+def _parse_records(path: str | Path) -> Iterator[AuditRecord]:
+    """Yield the records of a JSON-lines audit file; a malformed line raises
+    JSONDecodeError, KeyError or TypeError when it is reached."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
                 doc = json.loads(line)
-                records.append(
-                    AuditRecord(
-                        sequence=doc["sequence"],
-                        timestamp=doc["timestamp"],
-                        request_digest=doc["request_digest"],
-                        outcome=doc["outcome"],
-                        explanation_digest=doc["explanation_digest"],
-                        prev_hash=doc["prev_hash"],
-                        record_hash=doc["record_hash"],
-                    )
+                yield AuditRecord(
+                    sequence=doc["sequence"],
+                    timestamp=doc["timestamp"],
+                    request_digest=doc["request_digest"],
+                    outcome=doc["outcome"],
+                    explanation_digest=doc["explanation_digest"],
+                    prev_hash=doc["prev_hash"],
+                    record_hash=doc["record_hash"],
                 )
-        return cls(records)
-
-
-def audit_append(
-    log: AuditLog,
-    request_doc: dict,
-    outcome_doc: dict,
-    explanation_doc: dict,
-    timestamp: float | None = None,
-) -> AuditLog:
-    """Append a chained record; identical inputs and timestamps give
-    identical hashes."""
-    log.append(request_doc, outcome_doc, explanation_doc, timestamp)
-    return log
 
 
 def verify_file(path: str | Path) -> int | None:
@@ -169,25 +157,9 @@ def verify_file(path: str | Path) -> int | None:
 
     A parse failure on line i counts as corruption of record i.
     """
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                records.append(
-                    AuditRecord(
-                        sequence=doc["sequence"],
-                        timestamp=doc["timestamp"],
-                        request_digest=doc["request_digest"],
-                        outcome=doc["outcome"],
-                        explanation_digest=doc["explanation_digest"],
-                        prev_hash=doc["prev_hash"],
-                        record_hash=doc["record_hash"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError):
-                return len(records)
+    records: list[AuditRecord] = []
+    try:
+        records.extend(_parse_records(path))
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return len(records)
     return AuditLog(records).verify()

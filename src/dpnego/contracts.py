@@ -237,23 +237,28 @@ def request_from_json(text: str) -> ContractRequest:
 
 @dataclass(frozen=True)
 class ValidatedRequest:
-    """A request with resolved coefficients from the owner catalog."""
+    """A request with resolved coefficients from the owner catalog.
+
+    Derived values are computed once at construction: ``sensitivity`` is the
+    raw sum of feature coefficients, ``effective_sensitivity`` that sum
+    attenuated at the requested resolution. ``counter_offers`` memoizes
+    ``derive_counter_offer`` by counter factor; this is sound because neither
+    the request nor the catalog changes after construction.
+    """
 
     request: ContractRequest
     features: tuple[FeatureCategory, ...]
     resolution: Resolution
     purpose: Purpose
     catalog: Catalog
+    sensitivity: float = field(init=False, repr=False, compare=False)
+    effective_sensitivity: float = field(init=False, repr=False, compare=False)
+    counter_offers: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
-    @property
-    def sensitivity(self) -> float:
-        """Raw sensitivity: sum of feature coefficients, before attenuation."""
-        return sum(f.alpha for f in self.features)
-
-    @property
-    def effective_sensitivity(self) -> float:
-        """Attenuated sensitivity at the requested resolution."""
-        return self.resolution.attenuation * self.sensitivity
+    def __post_init__(self) -> None:
+        s = sum(f.alpha for f in self.features)
+        object.__setattr__(self, "sensitivity", s)
+        object.__setattr__(self, "effective_sensitivity", self.resolution.attenuation * s)
 
 
 def validate_request(

@@ -4,7 +4,7 @@ feasibility, the counter-offer pipeline, and the owner budget ledger."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -201,23 +201,35 @@ def derive_counter_offer(
     time, then swap features for their aggregate form in descending
     coefficient, then drop features in descending coefficient (never the last
     one). Stops at the first state under the target; None when even the floor
-    state stays above it.
+    state stays above it. The result is memoized on ``req`` per counter factor.
     """
+    memo = req.counter_offers
+    key = cfg.counter_factor
+    if key not in memo:
+        memo[key] = _reduce(req, key)
+    return memo[key]
+
+
+def _reduce(req: ValidatedRequest, counter_factor: float) -> tuple[ValidatedRequest, float] | None:
     original = req.effective_sensitivity
     if original <= 0:
         return None
-    target = cfg.counter_factor * original
+    target = counter_factor * original
     catalog = req.catalog
-    features = list(req.request.features)
-    resolution = req.request.resolution
+    base = req.request
+    features = list(base.features)
+    resolution = base.resolution
 
     def current() -> float:
         att = catalog.attenuations[resolution]
         return att * sum(catalog.alphas[k] for k in features)
 
     def finish() -> tuple[ValidatedRequest, float]:
-        modified = replace(
-            req.request, features=tuple(features), resolution=resolution
+        modified = ContractRequest(
+            requester_id=base.requester_id, owner_id=base.owner_id,
+            features=tuple(features), window_hours=base.window_hours,
+            resolution=resolution, purpose=base.purpose,
+            proposed_epsilon=base.proposed_epsilon, max_noise=base.max_noise, mode=base.mode,
         )
         revalidated = validate_request(modified, catalog)
         return revalidated, revalidated.effective_sensitivity

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -87,19 +87,21 @@ def update_trust(ledger: TrustLedger, event: str, value: float | None = None,
     ``alignment_report`` fold ``value`` into an exponentially weighted average
     so recent behaviour dominates.
     """
+    succ, quality, alignment = ledger.succ_count, ledger.quality, ledger.alignment
     if event == "completed":
-        return replace(ledger, succ_count=ledger.succ_count + 1,
-                       events=ledger.events + 1)
-    if event in ("quality_report", "alignment_report"):
+        succ += 1
+    elif event in ("quality_report", "alignment_report"):
         if value is None or not 0.0 <= value <= 1.0:
             raise OutOfRange(f"{event} value must be in [0,1], got {value}")
         w = cfg.ewma_weight
         if event == "quality_report":
-            new = ledger.quality + w * (value - ledger.quality)
-            return replace(ledger, quality=new, events=ledger.events + 1)
-        new = ledger.alignment + w * (value - ledger.alignment)
-        return replace(ledger, alignment=new, events=ledger.events + 1)
-    raise ValueError(f"unknown trust event: {event!r}")
+            quality += w * (value - quality)
+        else:
+            alignment += w * (value - alignment)
+    else:
+        raise ValueError(f"unknown trust event: {event!r}")
+    return TrustLedger(succ_count=succ, quality=quality, alignment=alignment,
+                       events=ledger.events + 1)
 
 
 @dataclass

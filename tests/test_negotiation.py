@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpnego.config import load_config
+from dpnego.explain import ReplayCase, robustness_probe
 from dpnego.contracts import (
     ContractRequest,
     Decision,
@@ -216,6 +218,100 @@ def test_counter_target_always_met(features, resolution):
     if result is not None:
         _, s_new = result
         assert s_new <= ENGINE.counter_factor * req.effective_sensitivity + 1e-9
+
+
+# --- counter-offer memo on the validated request ------------------------------
+
+def test_counter_memo_repeats_and_matches_fresh_validation():
+    req = validated([FeatureKind.LOCATION, FeatureKind.LOAD_CURVE], ResolutionKind.MIN5)
+    first = derive_counter_offer(req, ENGINE)
+    assert derive_counter_offer(req, ENGINE) is first
+    fresh = validate_request(req.request, CATALOG)
+    assert derive_counter_offer(fresh, ENGINE) == first
+
+
+def test_counter_memo_floor_none_is_remembered():
+    req = validated([FeatureKind.AGGREGATE], ResolutionKind.DAILY)
+    assert derive_counter_offer(req, ENGINE) is None
+    assert req.counter_offers == {ENGINE.counter_factor: None}
+    assert derive_counter_offer(req, ENGINE) is None
+
+
+def test_counter_memo_does_not_leak_between_requests():
+    cfg = EngineConfig(safety_mode="staged")
+    ledger = BudgetLedger(h_max=1.0)
+    outcomes = []
+    for requester, proposed in (("alice", 2.0), ("bob", 3.0)):
+        req = validate_request(
+            ContractRequest(
+                requester_id=requester,
+                owner_id="o",
+                features=(FeatureKind.LOAD_CURVE,),
+                window_hours=24,
+                resolution=ResolutionKind.MIN15,
+                purpose=PurposeKind.BILLING,
+                proposed_epsilon=proposed,
+            ),
+            CATALOG,
+        )
+        modified, _ = derive_counter_offer(req, cfg)
+        assert (modified.request.requester_id, modified.request.proposed_epsilon) == (
+            requester,
+            proposed,
+        )
+        outcomes.append(negotiate(req, ledger, 0.3, cfg))
+    assert [o.decision for o in outcomes] == [Decision.COUNTER_OFFER] * 2
+    assert [o.modified_request.requester_id for o in outcomes] == ["alice", "bob"]
+    assert [o.modified_request.proposed_epsilon for o in outcomes] == [2.0, 3.0]
+
+
+def test_counter_memo_keyed_by_counter_factor():
+    req = validated([FeatureKind.LOCATION, FeatureKind.APPLIANCE_LEVEL], ResolutionKind.MIN5)
+    loose = EngineConfig(counter_factor=0.9)
+    tight = derive_counter_offer(req, ENGINE)
+    relaxed = derive_counter_offer(req, loose)
+    assert set(req.counter_offers) == {ENGINE.counter_factor, 0.9}
+    assert relaxed != tight
+    assert relaxed == derive_counter_offer(validate_request(req.request, CATALOG), loose)
+    assert derive_counter_offer(req, ENGINE) is tight
+
+
+def test_validation_idempotent_with_filled_memo():
+    req = validated([FeatureKind.LOAD_CURVE], ResolutionKind.MIN15)
+    blank = validate_request(req.request, CATALOG)
+    derive_counter_offer(req, ENGINE)
+    assert req.counter_offers and not blank.counter_offers
+    assert req == blank == validate_request(req, CATALOG)
+    assert repr(req) == repr(blank)
+    assert "counter_offers" not in repr(req)
+    assert dataclasses.replace(req).counter_offers == {}
+
+
+def test_probe_unchanged_by_memo():
+    requests = [
+        validated([FeatureKind.LOAD_CURVE], ResolutionKind.MIN5),
+        validated([FeatureKind.LOCATION, FeatureKind.APPLIANCE_LEVEL], ResolutionKind.MIN15),
+        validated([FeatureKind.AGGREGATE], ResolutionKind.DAILY),
+    ]
+    cases = [
+        ReplayCase(request=req, h_remaining=h, trust=t)
+        for req in requests
+        for h in (0.3, 1.59, 4.0)
+        for t in (0.2, 0.85)
+    ]
+
+    def fresh(cases):
+        return [
+            dataclasses.replace(c, request=validate_request(c.request.request, CATALOG))
+            for c in cases
+        ]
+
+    reference = robustness_probe(fresh(cases), 0.3, 5, seed=7, engine_cfg=ENGINE)
+    assert reference.flips > 0
+    for req in requests:
+        derive_counter_offer(req, EngineConfig(counter_factor=0.5))
+    for _ in range(2):
+        assert robustness_probe(cases, 0.3, 5, seed=7, engine_cfg=ENGINE) == reference
 
 
 # --- negotiate -------------------------------------------------------------

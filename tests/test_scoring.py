@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,6 +75,52 @@ def test_update_quality_half_life_one():
 def test_update_alignment_out_of_range():
     with pytest.raises(OutOfRange):
         update_trust(TrustLedger(), "alignment_report", 1.2)
+
+
+def replace_reference(ledger, event, value, cfg):
+    """update_trust written with dataclasses.replace, as the reference."""
+    if event == "completed":
+        return dataclasses.replace(ledger, succ_count=ledger.succ_count + 1,
+                                   events=ledger.events + 1)
+    if value is None or not 0.0 <= value <= 1.0:
+        raise OutOfRange(f"{event} value must be in [0,1], got {value}")
+    w = cfg.ewma_weight
+    if event == "quality_report":
+        new = ledger.quality + w * (value - ledger.quality)
+        return dataclasses.replace(ledger, quality=new, events=ledger.events + 1)
+    new = ledger.alignment + w * (value - ledger.alignment)
+    return dataclasses.replace(ledger, alignment=new, events=ledger.events + 1)
+
+
+@given(
+    half_life=st.integers(min_value=1, max_value=20),
+    events=st.lists(
+        st.tuples(
+            st.sampled_from(["completed", "quality_report", "alignment_report"]),
+            st.one_of(st.none(), st.floats(min_value=-0.5, max_value=1.5)),
+        ),
+        max_size=40,
+    ),
+)
+def test_update_trust_matches_replace_reference(half_life, events):
+    cfg = TrustConfig(half_life_events=half_life)
+    ledger = TrustLedger()
+    for event, value in events:
+        try:
+            expected = replace_reference(ledger, event, value, cfg)
+        except OutOfRange:
+            with pytest.raises(OutOfRange):
+                update_trust(ledger, event, value, cfg)
+            continue
+        ledger = update_trust(ledger, event, value, cfg)
+        assert ledger == expected  # dataclass equality covers events too
+
+
+def test_trust_ledger_range_checks_still_run():
+    with pytest.raises(OutOfRange):
+        TrustLedger(quality=1.5)
+    with pytest.raises(OutOfRange):
+        TrustLedger(succ_count=-1)
 
 
 def test_purpose_table_values():
