@@ -8,11 +8,13 @@ rejection, 3 audit-chain corruption.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import sys
 from pathlib import Path
+from typing import BinaryIO
 
-from .audit import AuditLog, verify_file
+from .audit import AuditLog, ChainCorrupt, verify_file, write_atomic
 from .config import AppConfig, load_config
 from .contracts import (
     Decision,
@@ -62,16 +64,42 @@ def save_owner_state(
             for rid, led in sorted(store.ledgers.items())
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+
+
+def _locked(path: str | Path) -> BinaryIO:
+    """``path`` opened for appending (created if missing) and held under an
+    exclusive ``flock``; closing the file releases the lock."""
+    fh = open(path, "ab")
+    try:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+    except BaseException:
+        fh.close()
+        raise
+    return fh
 
 
 def cmd_negotiate(args, cfg: AppConfig) -> int:
+    """Decide one request. The owner's sidecar ``<owner>.lock`` is held from
+    reading the owner file to settling, so concurrent runs on one owner
+    serialize; the audit log is locked inside it while its tail is read and
+    extended."""
     try:
         with open(args.request, encoding="utf-8") as fh:
             request_doc = json.load(fh)
         request = request_from_dict(request_doc)
-        owner_id, ledger, store = load_owner_state(args.owner, cfg)
+        lock = _locked(f"{args.owner}.lock")
     except (OSError, json.JSONDecodeError, ValidationError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    with lock:
+        return _negotiate_locked(args, cfg, request)
+
+
+def _negotiate_locked(args, cfg: AppConfig, request) -> int:
+    try:
+        owner_id, ledger, store = load_owner_state(args.owner, cfg)
+    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -83,12 +111,20 @@ def cmd_negotiate(args, cfg: AppConfig) -> int:
     outcome = negotiate(validated, ledger, trust, cfg.engine)
     factors = factors_for(validated, ledger, trust, outcome)
     explanation = explain(outcome, factors, ledger, cfg.engine, cfg.explain)
+    if args.audit_log:
+        try:
+            with _locked(args.audit_log):
+                log = AuditLog.open_tail(args.audit_log)
+                log.append(request_to_dict(request), outcome.to_dict(), explanation.to_dict())
+                log.save(args.audit_log)
+        except ChainCorrupt as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
     print(explanation.text)
-    if args.audit_log:
-        log = AuditLog.load(args.audit_log) if Path(args.audit_log).exists() else AuditLog()
-        log.append(request_to_dict(request), outcome.to_dict(), explanation.to_dict())
-        log.save(args.audit_log)
     if args.settle and outcome.decision is Decision.APPROVE:
         ledger.settle(args.contract_id or "cli-contract", outcome.epsilon_star)
         save_owner_state(args.owner, owner_id, ledger, store)
@@ -192,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory for metrics files")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         if name == "simulate":
             p.add_argument("--interactions", type=int)
         if name == "sweep":

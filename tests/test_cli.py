@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,3 +158,78 @@ def test_config_override(tmp_path, capsys):
     doc = json.loads((tmp_path / "baseline_summary.json").read_text())
     assert doc["eps_fix"] == 0.5
     assert doc["exhaustion_index"] == 16  # 8.0 / 0.5
+
+
+def test_negotiate_corrupt_audit_tail_exit_three(tmp_path, capsys):
+    from dpnego.audit import AuditLog
+
+    log = AuditLog()
+    for i in range(5):
+        log.append({"r": i}, {"decision": "approve"}, {"text": "ok"}, timestamp=float(i))
+    path = tmp_path / "audit.jsonl"
+    log.save(path)
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[4])
+    doc["outcome"]["decision"] = "reject"
+    lines[4] = json.dumps(doc, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    log_before = path.read_bytes()
+    req = write_request(tmp_path)
+    owner = write_owner(tmp_path)
+    owner_before = owner.read_bytes()
+
+    code = main([
+        "negotiate", "--request", str(req), "--owner", str(owner),
+        "--audit-log", str(path), "--settle", "--contract-id", "c-1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "audit chain corrupt at record 4" in captured.err
+    assert owner.read_bytes() == owner_before
+    assert path.read_bytes() == log_before
+
+
+def test_negotiate_creates_missing_audit_log(tmp_path, capsys):
+    from dpnego.audit import verify_file
+
+    path = tmp_path / "audit.jsonl"
+    req = write_request(tmp_path)
+    owner = write_owner(tmp_path)
+    for _ in range(2):
+        assert main(["negotiate", "--request", str(req), "--owner", str(owner),
+                     "--audit-log", str(path)]) == 0
+    assert path.read_text().count("\n") == 2
+    assert verify_file(path) is None
+
+
+def test_concurrent_settles_lose_no_grant(tmp_path):
+    """Two processes settle on one owner whose budget fits the first grant
+    whole but not two; each must see the other's grant."""
+    h_max = 3.0
+    owner = write_owner(tmp_path, h_max=h_max)
+    req = write_request(tmp_path)
+    log = tmp_path / "audit.jsonl"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "dpnego.cli", "negotiate", "--request", str(req),
+             "--owner", str(owner), "--audit-log", str(log), "--settle",
+             "--contract-id", f"c-{k}"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for k in range(2)
+    ]
+    approved = []
+    for k, proc in enumerate(procs):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode in (0, 2), err
+        outcome, _ = json.JSONDecoder().raw_decode(out)
+        if outcome["decision"] == "approve":
+            approved.append([f"c-{k}", outcome["epsilon_star"]])
+    granted = json.loads(owner.read_text())["granted"]
+    assert sorted(granted) == sorted(approved)
+    assert len(approved) == 2
+    assert sum(e for _, e in granted) <= h_max + 1e-9
+    assert log.read_text().count("\n") == 2
