@@ -183,8 +183,8 @@ class AuditLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "AuditLog":
-        """Every record of a JSON-lines audit file; a malformed record i
-        raises ChainCorrupt(i)."""
+        """Every record of a JSON-lines audit file. A malformed record i
+        raises ChainCorrupt at the first bad record of 0..i."""
         log = cls()
         with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             log._size = os.fstat(fh.fileno()).st_size
@@ -193,7 +193,8 @@ class AuditLog:
                     try:
                         log.records.append(_record(line))
                     except _MALFORMED:
-                        raise ChainCorrupt(len(log.records)) from None
+                        bad = log.verify()
+                        raise ChainCorrupt(len(log.records) if bad is None else bad) from None
         log._path = os.path.realpath(path)
         log._stored = len(log.records)
         return log

@@ -27,7 +27,6 @@ from .explain import explain, factors_for
 from .negotiation import BudgetLedger, negotiate
 from .scoring import TrustLedger, TrustStore, trust_score
 from .secretshare import reconstruct, shares_from_json, shares_to_json, split
-from . import simulate
 
 
 def load_owner_state(path: str | Path, cfg: AppConfig) -> tuple[str, BudgetLedger, TrustStore]:
@@ -132,6 +131,7 @@ def _negotiate_locked(args, cfg: AppConfig, request) -> int:
 
 
 def cmd_simulate(args, cfg: AppConfig) -> int:
+    from . import simulate
     metrics = simulate.run_full_sim(
         cfg, interactions=args.interactions, seed=args.seed, outdir=args.out
     )
@@ -142,6 +142,7 @@ def cmd_simulate(args, cfg: AppConfig) -> int:
 
 
 def cmd_sweep(args, cfg: AppConfig) -> int:
+    from . import simulate
     result = simulate.run_sweep(
         cfg, seed=args.seed, interactions=args.interactions, outdir=args.out
     )
@@ -150,6 +151,7 @@ def cmd_sweep(args, cfg: AppConfig) -> int:
 
 
 def cmd_baseline(args, cfg: AppConfig) -> int:
+    from . import simulate
     metrics = simulate.run_baseline_fixed(
         cfg, eps_fix=args.eps_fix, requests=args.requests, seed=args.seed, outdir=args.out
     )
@@ -158,6 +160,7 @@ def cmd_baseline(args, cfg: AppConfig) -> int:
 
 
 def cmd_adversary(args, cfg: AppConfig) -> int:
+    from . import simulate
     result = simulate.run_adversary(cfg, seed=args.seed, outdir=args.out)
     printable = {k: v for k, v in result.items() if k != "trust_trace"}
     print(json.dumps(printable, indent=2, sort_keys=True))
@@ -165,6 +168,7 @@ def cmd_adversary(args, cfg: AppConfig) -> int:
 
 
 def cmd_bench(args, cfg: AppConfig) -> int:
+    from . import simulate
     result = simulate.bench_latency(
         cfg, iterations=args.iterations, seed=args.seed, outdir=args.out
     )
@@ -270,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.fn(args, cfg)
-    except simulate.MissingDataset as exc:
+    except FileNotFoundError as exc:  # such as simulate.MissingDataset
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,10 +17,43 @@ from .contracts import (
     ResolutionKind,
 )
 from .explain import ExplainConfig
-from .ingest import CityProfile, EcosystemConfig
 from .negotiation import EngineConfig, EpsMinRule
-from .release import DpConfig
 from .scoring import TrustConfig
+
+
+@dataclass(frozen=True)
+class EcosystemConfig:
+    n_prosumers: int = 100
+    days: int = 60
+    initial_budget: float = 8.0
+    start_epoch: int = 1704067200  # 2024-01-01T00:00:00Z
+    base_kw: tuple[float, float] = (0.25, 0.65)
+    diurnal_amp_kw: tuple[float, float] = (0.3, 0.9)
+    heating_coeff_kw_per_degc: tuple[float, float] = (0.02, 0.08)
+    heating_setpoint_c: float = 15.0
+    appliance_events_per_day: tuple[float, float] = (1.0, 4.0)
+    appliance_kw: tuple[float, float] = (0.5, 2.0)
+    temp_mean_c: float = 2.0
+    temp_daily_amp_c: float = 6.0
+    temp_noise_sd_c: float = 2.5
+
+
+@dataclass(frozen=True)
+class CityProfile:
+    """Climate-scale parameters for a synthetic city-level series."""
+
+    name: str
+    base_kw: float
+    seasonal_amp_kw: float
+    diurnal_amp_kw: float
+    noise_sd_kw: float
+
+
+@dataclass(frozen=True)
+class DpConfig:
+    gaussian_delta: float = 1e-5
+    max_plan_steps: int = 32
+    default_output_cap: int = 4
 
 
 @dataclass(frozen=True)

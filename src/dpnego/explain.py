@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .contracts import (
     ContractRequest,
     Decision,
@@ -21,7 +19,6 @@ from .contracts import (
 from .negotiation import (
     BudgetLedger,
     EngineConfig,
-    NegotiationEngine,
     NonPositiveEpsilon,
     derive_counter_offer,
     engine_for,
@@ -57,25 +54,13 @@ def privacy_utility_score(
         raise NonPositiveEpsilon("eps_star must be positive")
     l1, l2, l3, l4 = explain_cfg.pu_lambdas
     emax = engine_cfg.eps_max
-    x = min(eps_star, emax) / emax
     if engine_cfg.objective == "experimental":
-        r_hat = x**1.7 if sensitivity > 0 else 0.0
-        u_hat = math.sqrt(x)
-        c_hat = x
+        x = min(eps_star, emax) / emax
     else:
-        engine = engine_for(engine_cfg)
-        grid = engine._grid
-        u = (engine_cfg.utility_fn or (lambda e: 2.0 * np.sqrt(e)))(grid)
-        c = (engine_cfg.cost_fn or (lambda e: 0.15 * e))(grid)
-        r = (engine_cfg.risk_fn or (lambda e, s: 1.8 * s * e**1.7))(grid, sensitivity)
-        u_max, c_max, r_max = float(np.max(u)), float(np.max(c)), float(np.max(r))
-        uf = engine_cfg.utility_fn or (lambda e: 2.0 * math.sqrt(e))
-        cf = engine_cfg.cost_fn or (lambda e: 0.15 * e)
-        rf = engine_cfg.risk_fn or (lambda e, s: 1.8 * s * e**1.7)
-        u_hat = float(uf(eps_star)) / u_max if u_max > 0 else 0.0
-        c_hat = float(cf(eps_star)) / c_max if c_max > 0 else 0.0
-        r_hat = float(rf(eps_star, sensitivity)) / r_max if r_max > 0 else 0.0
-    return l1 * (1.0 - r_hat) + l2 * u_hat + l3 * trust - l4 * c_hat
+        # every component rises with e, so it peaks at the top grid point
+        x = eps_star / (engine_cfg.grid_points * engine_cfg.grid_step)
+    r_hat = x**1.7 if sensitivity > 0 else 0.0
+    return l1 * (1.0 - r_hat) + l2 * math.sqrt(x) + l3 * trust - l4 * x
 
 
 @dataclass(frozen=True)
@@ -301,6 +286,8 @@ def robustness_probe(
     S' <= counter_factor*S) changed truth value between the base and the
     perturbed run.
     """
+    import numpy as np  # imported here so that deciding a request never loads it
+
     if not 0.0 <= perturbation < 0.5:
         raise ValueError("perturbation must be in [0, 0.5)")
     engine = engine_for(engine_cfg)

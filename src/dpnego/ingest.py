@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import CityProfile, EcosystemConfig
 from .contracts import Catalog, ResolutionKind
 from .negotiation import BudgetLedger
 from .scoring import TrustConfig, TrustStore
@@ -161,26 +162,6 @@ def normalize_to_household(series: LoadSeries, target_mean_kw: float = 0.8) -> L
     )
 
 
-_EPOCH_2024 = 1704067200  # 2024-01-01T00:00:00Z
-
-
-@dataclass(frozen=True)
-class EcosystemConfig:
-    n_prosumers: int = 100
-    days: int = 60
-    initial_budget: float = 8.0
-    start_epoch: int = _EPOCH_2024
-    base_kw: tuple[float, float] = (0.25, 0.65)
-    diurnal_amp_kw: tuple[float, float] = (0.3, 0.9)
-    heating_coeff_kw_per_degc: tuple[float, float] = (0.02, 0.08)
-    heating_setpoint_c: float = 15.0
-    appliance_events_per_day: tuple[float, float] = (1.0, 4.0)
-    appliance_kw: tuple[float, float] = (0.5, 2.0)
-    temp_mean_c: float = 2.0
-    temp_daily_amp_c: float = 6.0
-    temp_noise_sd_c: float = 2.5
-
-
 @dataclass
 class Prosumer:
     prosumer_id: str
@@ -251,17 +232,6 @@ def gen_ecosystem(
     return Ecosystem(prosumers=prosumers, config=cfg, catalog=catalog)
 
 
-@dataclass(frozen=True)
-class CityProfile:
-    """Climate-scale parameters for a synthetic city-level series."""
-
-    name: str
-    base_kw: float
-    seasonal_amp_kw: float
-    diurnal_amp_kw: float
-    noise_sd_kw: float
-
-
 DEFAULT_CITY_PROFILES = {
     "oslo": CityProfile("oslo", base_kw=1.10, seasonal_amp_kw=0.90, diurnal_amp_kw=0.35, noise_sd_kw=0.08),
     "berlin": CityProfile("berlin", base_kw=0.90, seasonal_amp_kw=0.60, diurnal_amp_kw=0.35, noise_sd_kw=0.08),
@@ -274,7 +244,7 @@ def gen_city_series(
     profile: CityProfile,
     seed: int,
     days: int = 60,
-    start_epoch: int = _EPOCH_2024,
+    start_epoch: int = EcosystemConfig.start_epoch,
 ) -> LoadSeries:
     """Synthetic city-level hourly series over a winter-anchored window; the
     seasonal term peaks mid-winter so colder profiles yield higher means."""

@@ -5,12 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from .contracts import (
-    Catalog,
     ContractRequest,
     Decision,
     FeatureKind,
@@ -55,7 +51,10 @@ class EngineConfig:
 
     ``objective`` selects the scoring form: "experimental" is the fixed
     closed form 2*sqrt(e) - 1.8*S*e^1.7 + 1.0*T + 0.8*P - 0.15*e; "generic"
-    is lambda-weighted pluggable components whose defaults coincide with it.
+    weights the same five terms by ``lambdas`` (l1..l5), so the default
+    lambdas give the same scores. Both are concave in e for S >= 0, which the
+    optimizer relies on. Budgets are granted on the grid k*grid_step in
+    (0, eps_max], plus the interval's upper end.
     ``safety_mode`` places the budget-headroom rule: "upfront" rejects before
     any optimization, "staged" gates each approval path on the sensitivity it
     actually grants (the permissive variant exercised by the low-budget and
@@ -73,9 +72,6 @@ class EngineConfig:
     trusted_max_sensitivity: float = 0.5
     safety_factor: float = 4.0
     safety_mode: str = "upfront"
-    utility_fn: Callable | None = None
-    risk_fn: Callable | None = None
-    cost_fn: Callable | None = None
 
     def __post_init__(self) -> None:
         if not self.eps_max > self.grid_step > 0:
@@ -89,23 +85,16 @@ class EngineConfig:
         if self.safety_mode not in ("upfront", "staged"):
             raise ValueError(f"unknown safety mode: {self.safety_mode}")
 
+    @property
+    def grid_points(self) -> int:
+        """Number of grid points k*grid_step in (0, eps_max]."""
+        return int(math.floor(self.eps_max / self.grid_step + _TOL))
+
     def eps_min(self, sensitivity: float, purpose: str) -> float:
         for rule in self.eps_min_rules:
             if sensitivity <= rule.band_max and rule.purpose in ("*", purpose):
                 return rule.value
         return self.eps_min_default
-
-
-def _default_utility(eps):
-    return 2.0 * np.sqrt(eps)
-
-
-def _default_risk(eps, sensitivity):
-    return 1.8 * sensitivity * eps**1.7
-
-
-def _default_cost(eps):
-    return 0.15 * eps
 
 
 def objective(eps: float, s: float, t: float, p: float, cfg: EngineConfig) -> float:
@@ -115,10 +104,8 @@ def objective(eps: float, s: float, t: float, p: float, cfg: EngineConfig) -> fl
     if cfg.objective == "experimental":
         return 2.0 * math.sqrt(eps) - 1.8 * s * eps**1.7 + 1.0 * t + 0.8 * p - 0.15 * eps
     l1, l2, l3, l4, l5 = cfg.lambdas
-    u = cfg.utility_fn or _default_utility
-    r = cfg.risk_fn or _default_risk
-    c = cfg.cost_fn or _default_cost
-    return float(l1 * u(eps) - l2 * r(eps, s) + l3 * t + l4 * p - l5 * c(eps))
+    u, r, c = 2.0 * math.sqrt(eps), 1.8 * s * eps**1.7, 0.15 * eps
+    return l1 * u - l2 * r + l3 * t + l4 * p - l5 * c
 
 
 @dataclass
@@ -263,7 +250,7 @@ def _reduce(req: ValidatedRequest, counter_factor: float) -> tuple[ValidatedRequ
 
 
 class NegotiationEngine:
-    """Grid-search optimizer with precomputed component arrays.
+    """Exact grid argmax of the objective, found without building the grid.
 
     Pure with respect to its config: identical inputs give identical outputs,
     so (sensitivity, upper-bound) argmax results are memoized.
@@ -271,31 +258,54 @@ class NegotiationEngine:
 
     def __init__(self, cfg: EngineConfig):
         self.cfg = cfg
-        m_max = int(math.floor(cfg.eps_max / cfg.grid_step + _TOL))
-        self._grid = np.arange(1, m_max + 1, dtype=np.float64) * cfg.grid_step
-        if cfg.objective == "experimental":
-            self._util = 2.0 * np.sqrt(self._grid)
-            self._risk_unit = 1.8 * self._grid**1.7
-            self._cost = 0.15 * self._grid
-        else:
-            l1, l2, l3, l4, l5 = cfg.lambdas
-            u = cfg.utility_fn or _default_utility
-            c = cfg.cost_fn or _default_cost
-            self._util = l1 * np.asarray(u(self._grid), dtype=np.float64)
-            self._risk_unit = None
-            self._cost = l5 * np.asarray(c(self._grid), dtype=np.float64)
+        l1, l2, _, _, l5 = cfg.lambdas
+        self._weights = (1.0, 1.0, 1.0) if cfg.objective == "experimental" else (l1, l2, l5)
         self._argmax_cache: dict[tuple[float, float], float | None] = {}
 
-    def _scores(self, m: int, sensitivity: float) -> np.ndarray:
-        if self.cfg.objective == "experimental":
-            return self._util[:m] - sensitivity * self._risk_unit[:m] - self._cost[:m]
-        l2 = self.cfg.lambdas[1]
-        r = self.cfg.risk_fn or _default_risk
-        risk = l2 * np.asarray(r(self._grid[:m], sensitivity), dtype=np.float64)
-        return self._util[:m] - risk - self._cost[:m]
+    def _stationary(self, sensitivity: float) -> float:
+        """Root of f'(e) = l1/sqrt(e) - 1.7*l2*1.8*S*e^0.7 - 0.15*l5.
 
-    def _point_score(self, eps: float, sensitivity: float) -> float:
-        return objective(eps, sensitivity, 0.0, 0.0, self.cfg)
+        Times sqrt(e), the root solves a*e^1.2 + c*e^0.5 = l1. For S >= 0 the
+        left side rises and is convex in ln(e), so Newton's method on ln(e)
+        started above the root falls to it without overshooting. 0 when f
+        never rises, inf when it never falls.
+        """
+        l1, l2, l5 = self._weights
+        a = 1.7 * l2 * 1.8 * sensitivity
+        c = 0.15 * l5
+        if l1 <= 0:
+            return 0.0
+        # each term alone reaching l1 bounds the root from above
+        e = min((l1 / a) ** (1 / 1.2) if a > 0 else math.inf,
+                (l1 / c) ** 2 if c > 0 else math.inf)
+        while e < math.inf:
+            p, q = a * e**1.2, c * math.sqrt(e)
+            step = (p + q - l1) / (1.2 * p + 0.5 * q)
+            e *= math.exp(-step)
+            if step <= 1e-12:
+                break
+        return e
+
+    def _grid_argmax(self, m: int, sensitivity: float) -> tuple[int, float]:
+        """(k, score) of the first maximum over grid points 1..m.
+
+        Starts at the grid point nearest the stationary point and climbs: down
+        while the left neighbour is at least as high, else up while the right
+        one is higher, which keeps the smaller epsilon on ties.
+        """
+        step, cfg = self.cfg.grid_step, self.cfg
+
+        def score(k: int) -> float:
+            return objective(k * step, sensitivity, 0.0, 0.0, cfg)
+
+        # an infinite root starts at m; nan (the risk term overflowed) at 1
+        k = round(min(m, max(1, self._stationary(sensitivity) / step)))
+        here = score(k)
+        while k > 1 and (left := score(k - 1)) >= here:
+            k, here = k - 1, left
+        while k < m and (right := score(k + 1)) > here:
+            k, here = k + 1, right
+        return k, here
 
     def optimize(self, sensitivity: float, upper: float) -> float | None:
         """Argmax over the grid in (0, min(eps_max, upper)].
@@ -311,21 +321,18 @@ class NegotiationEngine:
         cached = self._argmax_cache.get(key, _MISS)
         if cached is not _MISS:
             return cached
-        m = min(
-            int(math.floor(upper / self.cfg.grid_step + _TOL)), len(self._grid)
-        )
+        step = self.cfg.grid_step
+        m = min(int(math.floor(upper / step + _TOL)), self.cfg.grid_points)
         # float rounding may push the top grid point one ulp past the bound
-        if m >= 1 and float(self._grid[m - 1]) > upper:
+        if m >= 1 and m * step > upper:
             m -= 1
         best: float | None = None
         best_score = -math.inf
         if m >= 1:
-            scores = self._scores(m, sensitivity)
-            i = int(np.argmax(scores))
-            best = float(self._grid[i])
-            best_score = float(scores[i])
-        if m == 0 or upper > float(self._grid[m - 1]) + _TOL:
-            end_score = self._point_score(upper, sensitivity)
+            k, best_score = self._grid_argmax(m, sensitivity)
+            best = k * step
+        if m == 0 or upper > m * step + _TOL:
+            end_score = objective(upper, sensitivity, 0.0, 0.0, self.cfg)
             if end_score > best_score:
                 best = upper
         if len(self._argmax_cache) > 65536:
@@ -444,7 +451,7 @@ def engine_for(cfg: EngineConfig) -> NegotiationEngine:
 def optimize_epsilon(
     s: float, t: float, p: float, cfg: EngineConfig, h_remaining: float
 ) -> float | None:
-    """Grid-search the budget maximizing the objective over
+    """The grid budget maximizing the objective over
     (0, min(eps_max, h_remaining)].
 
     Trust and purpose enter the objective without epsilon dependence, so they

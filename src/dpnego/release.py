@@ -12,6 +12,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .config import DpConfig
 from .contracts import FeatureKind, RESOLUTION_ORDER, ResolutionKind, ValidatedRequest
 from .ingest import LoadSeries, RESOLUTION_SECONDS
 from .negotiation import NonPositiveEpsilon
@@ -54,13 +55,6 @@ class Mechanism(Enum):
     LAPLACE = "laplace"
     GAUSSIAN = "gaussian"
     RANDOMIZED_ROUNDING = "randomized_rounding"
-
-
-@dataclass(frozen=True)
-class DpConfig:
-    gaussian_delta: float = 1e-5
-    max_plan_steps: int = 32
-    default_output_cap: int = 4
 
 
 WHITELISTED_OPS = ("select", "window", "resample", "clip", "aggregate")

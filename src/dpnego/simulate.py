@@ -25,7 +25,6 @@ from .contracts import (
 )
 from .explain import ExplainConfig, ReplayCase, explain, factors_for, robustness_probe
 from .ingest import (
-    DEFAULT_CITY_PROFILES,
     Ecosystem,
     LoadSeries,
     gen_city_series,
@@ -33,7 +32,7 @@ from .ingest import (
     load_csv,
     normalize_to_household,
 )
-from .negotiation import BudgetLedger, EngineConfig, engine_for, negotiate, settle
+from .negotiation import BudgetLedger, EngineConfig, negotiate, settle
 from .release import QueryPlan, execute_plan
 from .scoring import TrustStore
 
@@ -630,7 +629,6 @@ def bench_latency(
     idx = rng.choice(len(validated), size=n, p=profile.weights())
     trusts = rng.uniform(profile.trust_lo, profile.trust_hi, size=n)
     ledger = BudgetLedger(h_max=8.0)
-    engine_for(cfg.engine)  # warm the grid
 
     def timed_negotiations(count: int) -> np.ndarray:
         stamps = np.empty(count)

@@ -213,6 +213,18 @@ def test_malformed_tail_raises_at_its_index(tmp_path):
     assert exc.value.index == 4 == verify_file(path)
 
 
+def test_malformed_line_reports_an_earlier_bad_record(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    build_log(6).save(path)
+    tamper_line(path, 2, epsilon_star=9.9)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = lines[4][: len(lines[4]) // 2] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ChainCorrupt) as exc:
+        AuditLog.load(path)
+    assert exc.value.index == 2 == verify_file(path)
+
+
 def test_tail_log_never_truncates_the_file(tmp_path):
     path = tmp_path / "audit.jsonl"
     build_log(6).save(path)

@@ -9,6 +9,9 @@ import pytest
 from dpnego.cli import main
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
 
 
 def write_request(tmp_path, **overrides):
@@ -138,6 +141,17 @@ def test_audit_verify_missing_file(tmp_path):
     assert main(["audit", "verify", str(tmp_path / "nope.jsonl")]) == 1
 
 
+def test_missing_dataset_exit_one(monkeypatch, capsys):
+    from dpnego import simulate
+
+    def missing(*args, **kwargs):
+        raise simulate.MissingDataset("dataset file missing: data/uci_household.csv")
+
+    monkeypatch.setattr(simulate, "run_sweep", missing)
+    assert main(["sweep"]) == 1
+    assert "dataset file missing" in capsys.readouterr().err
+
+
 def test_tss_split_reconstruct_round_trip(tmp_path, capsys):
     code = main(["tss", "split", "424242", "--seed", "3"])
     shares_json = capsys.readouterr().out
@@ -209,15 +223,12 @@ def test_concurrent_settles_lose_no_grant(tmp_path):
     owner = write_owner(tmp_path, h_max=h_max)
     req = write_request(tmp_path)
     log = tmp_path / "audit.jsonl"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     procs = [
         subprocess.Popen(
             [sys.executable, "-m", "dpnego.cli", "negotiate", "--request", str(req),
              "--owner", str(owner), "--audit-log", str(log), "--settle",
              "--contract-id", f"c-{k}"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
         )
         for k in range(2)
     ]
@@ -233,3 +244,25 @@ def test_concurrent_settles_lose_no_grant(tmp_path):
     assert len(approved) == 2
     assert sum(e for _, e in granted) <= h_max + 1e-9
     assert log.read_text().count("\n") == 2
+
+
+NUMPY_PROBE = """
+import json, sys
+from dpnego.cli import main
+codes = [main(sys.argv[1:-1]), main(["audit", "verify", sys.argv[-1]])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_negotiate_and_verify_never_import_numpy(tmp_path):
+    req, owner, log = write_request(tmp_path), write_owner(tmp_path), tmp_path / "audit.jsonl"
+    negotiate = ["negotiate", "--request", str(req), "--owner", str(owner),
+                 "--audit-log", str(log), "--settle"]
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *negotiate, str(log)],
+                         capture_output=True, text=True, env=CHILD_ENV, timeout=120, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == {"codes": [0, 0], "numpy": False}
+    assert len(json.loads(owner.read_text())["granted"]) == 1
+
+    out = subprocess.run([sys.executable, "-c", "import sys, dpnego; print('numpy' in sys.modules)"],
+                         capture_output=True, text=True, env=CHILD_ENV, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

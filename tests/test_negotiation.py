@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from dpnego.negotiation import (
     BudgetLedger,
     BudgetOverdraft,
     EngineConfig,
+    NegotiationEngine,
     NonPositiveEpsilon,
     check_feasibility,
     derive_counter_offer,
@@ -119,6 +121,96 @@ def test_optimize_matches_finer_oracle_sample():
             fine = upper
         assert coarse is not None
         assert abs(coarse - fine) <= step + 1e-12
+
+
+class GridOracle:
+    """Reference argmax: every grid point k*grid_step up to the bound scored
+    in numpy, np.argmax's first maximum, then the interval end if higher."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        m_max = int(math.floor(cfg.eps_max / cfg.grid_step + 1e-9))
+        self.grid = np.arange(1, m_max + 1, dtype=np.float64) * cfg.grid_step
+        self.root = np.sqrt(self.grid)
+        self.power = self.grid**1.7
+
+    def __call__(self, s, upper):
+        cfg, grid = self.cfg, self.grid
+        upper = min(cfg.eps_max, upper)
+        if upper <= 0:
+            return None
+        m = min(int(math.floor(upper / cfg.grid_step + 1e-9)), len(grid))
+        if m >= 1 and grid[m - 1] > upper:
+            m -= 1
+        g, root, power = grid[:m], self.root[:m], self.power[:m]
+        if cfg.objective == "experimental":
+            scores = 2.0 * root - s * (1.8 * power) - 0.15 * g
+        else:
+            l1, l2, _, _, l5 = cfg.lambdas
+            scores = l1 * (2.0 * root) - l2 * (1.8 * s * power) - l5 * (0.15 * g)
+        best, best_score = None, -math.inf
+        if m >= 1:
+            i = int(np.argmax(scores))
+            best, best_score = float(grid[i]), float(scores[i])
+        if m == 0 or upper > grid[m - 1] + 1e-9:
+            if objective(upper, s, 0.0, 0.0, cfg) > best_score:
+                best = upper
+        return best
+
+
+ORACLE_CONFIGS = [
+    ENGINE,
+    EngineConfig(objective="generic"),
+    EngineConfig(objective="generic", lambdas=(0.0, 1.0, 1.0, 0.8, 1.0)),
+    EngineConfig(objective="generic", lambdas=(1.0, 0.0, 1.0, 0.8, 1.0)),
+    EngineConfig(objective="generic", lambdas=(1.0, 1.0, 1.0, 0.8, 0.0)),
+    EngineConfig(objective="generic", lambdas=(0.0, 0.0, 0.0, 0.0, 0.0)),
+    EngineConfig(objective="generic", lambdas=(2.5, 0.3, 0.0, 0.0, 0.7), eps_max=7.3, grid_step=0.01),
+]
+
+
+def catalog_sensitivities():
+    """Every effective sensitivity of a request of up to three features."""
+    values = set()
+    for n in range(1, 4):
+        for kinds in itertools.combinations_with_replacement(list(FeatureKind), n):
+            for res in ResolutionKind:
+                values.add(validated(kinds, res).effective_sensitivity)
+    return sorted(values)
+
+
+def midpoint_sensitivities(cfg, rng, n):
+    """Sensitivities whose unbounded optimum lies halfway between two grid
+    points, where the nearest grid point need not be the argmax."""
+    generic = cfg.objective == "generic"
+    l1, l2, _, _, l5 = cfg.lambdas if generic else (1.0, 1.0, 1.0, 1.0, 1.0)
+    if l2 == 0:
+        return []
+    e = (rng.integers(1, cfg.grid_points, n) + 0.5) * cfg.grid_step
+    s = (l1 / np.sqrt(e) - 0.15 * l5) / (1.7 * 1.8 * l2 * e**0.7)
+    return [float(x) for x in s if x > 0]
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=lambda c: f"{c.objective}-{c.lambdas}")
+def test_optimize_equals_numpy_grid_oracle(cfg):
+    """Exact equality with the full-grid argmax: bounds on, 1e-12 around and
+    between grid points, next to the unbounded optimum and above eps_max."""
+    rng = np.random.default_rng(11)
+    engine, oracle = NegotiationEngine(cfg), GridOracle(cfg)
+    step, m_max = cfg.grid_step, cfg.grid_points
+    sensitivities = [0.0, *catalog_sensitivities(), *rng.uniform(0.0, 3.0, 10),
+                     *midpoint_sensitivities(cfg, rng, 40)]
+    mismatches = []
+    for s in sensitivities:
+        k_star = round(oracle(s, math.inf) / step)
+        uppers = [cfg.eps_max + float(rng.uniform(0.0, 5.0))]
+        for k in (int(rng.integers(1, m_max + 1)), max(1, k_star - 1), k_star, k_star + 1):
+            uppers += [k * step, k * step - 1e-12, k * step + 1e-12,
+                       (k + float(rng.uniform())) * step]
+        for upper in uppers:
+            if engine.optimize(s, upper) != oracle(s, upper):
+                mismatches.append((s, upper))
+    assert not mismatches
 
 
 @given(
