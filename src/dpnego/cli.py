@@ -11,6 +11,7 @@ import argparse
 import fcntl
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import BinaryIO
 
@@ -110,23 +111,27 @@ def _negotiate_locked(args, cfg: AppConfig, request) -> int:
     outcome = negotiate(validated, ledger, trust, cfg.engine)
     factors = factors_for(validated, ledger, trust, outcome)
     explanation = explain(outcome, factors, ledger, cfg.engine, cfg.explain)
-    if args.audit_log:
-        try:
-            with _locked(args.audit_log):
+    # The tail check runs before anything is written, and the grant is settled
+    # before its record is: a crash in between leaves the epsilon spent with
+    # no record, never a recorded approval the ledger does not hold.
+    try:
+        with _locked(args.audit_log) if args.audit_log else nullcontext():
+            if args.audit_log:
                 log = AuditLog.open_tail(args.audit_log)
                 log.append(request_to_dict(request), outcome.to_dict(), explanation.to_dict())
+            if args.settle and outcome.decision is Decision.APPROVE:
+                ledger.settle(args.contract_id or "cli-contract", outcome.epsilon_star)
+                save_owner_state(args.owner, owner_id, ledger, store)
+            if args.audit_log:
                 log.save(args.audit_log)
-        except ChainCorrupt as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    except ChainCorrupt as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
     print(explanation.text)
-    if args.settle and outcome.decision is Decision.APPROVE:
-        ledger.settle(args.contract_id or "cli-contract", outcome.epsilon_star)
-        save_owner_state(args.owner, owner_id, ledger, store)
     return 0 if outcome.decision in (Decision.APPROVE, Decision.COUNTER_OFFER) else 2
 
 

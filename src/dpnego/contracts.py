@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable
 
@@ -114,6 +115,9 @@ class Purpose:
             raise ValueError(f"purpose score must be in [0,1], got {self.score}")
 
 
+MEMO_LIMIT = 4096  # entries a per-catalog memo holds before it is cleared
+
+
 @dataclass(frozen=True)
 class Catalog:
     """The owner-side lookup tables: feature coefficients, resolution
@@ -121,11 +125,17 @@ class Catalog:
 
     Immutable after construction; unknown entries are hard errors rather than
     defaults so that every score in a decision traces back to this table.
+    Two memos rely on that immutability, one per request shape: ``_resolved``
+    for ``validate_request`` and ``_reductions`` for the counter-offer search.
+    Requesters may repeat features, so shapes are unbounded and each memo is
+    cleared at ``MEMO_LIMIT`` entries. Neither takes part in eq, hash or repr.
     """
 
     alphas: dict[FeatureKind, float]
     attenuations: dict[ResolutionKind, float]
     purpose_scores: dict[PurposeKind, float]
+    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def feature(self, kind: FeatureKind) -> FeatureCategory:
         if kind not in self.alphas:
@@ -162,8 +172,9 @@ class ContractRequest:
     mode: RequestMode = RequestMode.ONE_SHOT
 
     def __post_init__(self) -> None:
-        if self.proposed_epsilon is not None and self.proposed_epsilon <= 0:
-            raise ValidationError("proposed_epsilon must be positive when present")
+        pe = self.proposed_epsilon
+        if pe is not None and not 0 < pe < math.inf:
+            raise ValidationError("proposed_epsilon must be positive and finite when present")
 
 
 REQUEST_FIELDS = (
@@ -214,6 +225,9 @@ def request_from_dict(doc: dict[str, Any]) -> ContractRequest:
     window = doc.get("window_hours")
     if not isinstance(window, int) or isinstance(window, bool):
         raise ValidationError("window_hours must be an integer")
+    eps = doc.get("proposed_epsilon")
+    if eps is not None and (not isinstance(eps, (int, float)) or isinstance(eps, bool)):
+        raise ValidationError(f"proposed_epsilon must be a number, got {eps!r}")
     return ContractRequest(
         requester_id=str(doc.get("requester_id", "")),
         owner_id=str(doc.get("owner_id", "")),
@@ -221,7 +235,7 @@ def request_from_dict(doc: dict[str, Any]) -> ContractRequest:
         window_hours=window,
         resolution=resolution,
         purpose=purpose,
-        proposed_epsilon=doc.get("proposed_epsilon"),
+        proposed_epsilon=eps,
         max_noise=doc.get("max_noise"),
         mode=mode,
     )
@@ -267,7 +281,8 @@ def validate_request(
     """Resolve a proposal against the catalog.
 
     Idempotent: validating an already-validated request yields an identical
-    result as long as the catalog is unchanged.
+    result as long as the catalog is unchanged. Entries are looked up once per
+    (features, resolution, purpose); a failed lookup is not memoized.
     """
     if isinstance(req, ValidatedRequest):
         req = req.request
@@ -275,14 +290,17 @@ def validate_request(
         raise EmptyFeatureSet("request must name at least one feature")
     if req.window_hours < 1:
         raise NonPositiveWindow(f"window_hours must be >= 1, got {req.window_hours}")
-    features = tuple(catalog.feature(k) for k in req.features)
-    return ValidatedRequest(
-        request=req,
-        features=features,
-        resolution=catalog.resolution(req.resolution),
-        purpose=catalog.purpose(req.purpose),
-        catalog=catalog,
-    )
+    key = (req.features, req.resolution, req.purpose)
+    resolved = catalog._resolved.get(key)
+    if resolved is None:
+        if len(catalog._resolved) >= MEMO_LIMIT:
+            catalog._resolved.clear()
+        resolved = catalog._resolved[key] = (
+            tuple(catalog.feature(k) for k in req.features),
+            catalog.resolution(req.resolution),
+            catalog.purpose(req.purpose),
+        )
+    return ValidatedRequest(req, *resolved, catalog)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ import math
 from dataclasses import dataclass, field
 
 from .contracts import (
+    MEMO_LIMIT,
+    RESOLUTION_ORDER,
+    Catalog,
     ContractRequest,
     Decision,
     FeatureKind,
     NegotiationOutcome,
-    RESOLUTION_ORDER,
+    ResolutionKind,
     ValidatedRequest,
     validate_request,
 )
@@ -188,7 +191,12 @@ def derive_counter_offer(
     time, then swap features for their aggregate form in descending
     coefficient, then drop features in descending coefficient (never the last
     one). Stops at the first state under the target; None when even the floor
-    state stays above it. The result is memoized on ``req`` per counter factor.
+    state stays above it.
+
+    Memoized at two levels: the result on ``req`` per counter factor, and the
+    search, which depends only on the request's shape, on the catalog per
+    (features, resolution, counter_factor). A new request of a known shape
+    only builds and validates its own modified request (its ids, proposal).
     """
     memo = req.counter_offers
     key = cfg.counter_factor
@@ -198,37 +206,44 @@ def derive_counter_offer(
 
 
 def _reduce(req: ValidatedRequest, counter_factor: float) -> tuple[ValidatedRequest, float] | None:
-    original = req.effective_sensitivity
-    if original <= 0:
+    base, catalog = req.request, req.catalog
+    key = (base.features, base.resolution, counter_factor)
+    shape = catalog._reductions.get(key, _MISS)
+    if shape is _MISS:
+        if len(catalog._reductions) >= MEMO_LIMIT:
+            catalog._reductions.clear()
+        shape = catalog._reductions[key] = _reduce_shape(catalog, *key)
+    if shape is None:
         return None
-    target = counter_factor * original
-    catalog = req.catalog
-    base = req.request
-    features = list(base.features)
-    resolution = base.resolution
+    modified = ContractRequest(
+        requester_id=base.requester_id, owner_id=base.owner_id,
+        features=shape[0], window_hours=base.window_hours,
+        resolution=shape[1], purpose=base.purpose,
+        proposed_epsilon=base.proposed_epsilon, max_noise=base.max_noise, mode=base.mode,
+    )
+    revalidated = validate_request(modified, catalog)
+    return revalidated, revalidated.effective_sensitivity
+
+
+def _reduce_shape(
+    catalog: Catalog, features: tuple[FeatureKind, ...], resolution: ResolutionKind, factor: float
+) -> tuple[tuple[FeatureKind, ...], ResolutionKind] | None:
+    """The counter-offer search on a request's shape: the reduced (features,
+    resolution), or None."""
+    features = list(features)
 
     def current() -> float:
-        att = catalog.attenuations[resolution]
-        return att * sum(catalog.alphas[k] for k in features)
+        return catalog.attenuations[resolution] * sum(catalog.alphas[k] for k in features)
 
-    def finish() -> tuple[ValidatedRequest, float]:
-        modified = ContractRequest(
-            requester_id=base.requester_id, owner_id=base.owner_id,
-            features=tuple(features), window_hours=base.window_hours,
-            resolution=resolution, purpose=base.purpose,
-            proposed_epsilon=base.proposed_epsilon, max_noise=base.max_noise, mode=base.mode,
-        )
-        revalidated = validate_request(modified, catalog)
-        return revalidated, revalidated.effective_sensitivity
+    original = current()
+    if original <= 0:
+        return None
+    target = factor * original
 
-    if current() <= target + _TOL:
-        return finish()
-
-    order = list(RESOLUTION_ORDER)
-    for step in order[order.index(resolution) + 1 :]:
+    for step in RESOLUTION_ORDER[RESOLUTION_ORDER.index(resolution) :]:
         resolution = step
         if current() <= target + _TOL:
-            return finish()
+            return tuple(features), resolution
 
     by_alpha_desc = sorted(
         range(len(features)), key=lambda i: (-catalog.alphas[features[i]], i)
@@ -238,13 +253,13 @@ def _reduce(req: ValidatedRequest, counter_factor: float) -> tuple[ValidatedRequ
             continue
         features[i] = FeatureKind.AGGREGATE
         if current() <= target + _TOL:
-            return finish()
+            return tuple(features), resolution
 
     while len(features) > 1:
         drop = max(range(len(features)), key=lambda i: (catalog.alphas[features[i]], -i))
         del features[drop]
         if current() <= target + _TOL:
-            return finish()
+            return tuple(features), resolution
 
     return None
 

@@ -203,6 +203,50 @@ def test_negotiate_corrupt_audit_tail_exit_three(tmp_path, capsys):
     assert path.read_bytes() == log_before
 
 
+def test_negotiate_settles_before_the_audit_write(tmp_path, capsys, monkeypatch):
+    """A failed audit write after an approval leaves the grant settled and no
+    record: the epsilon stays spent rather than grantable again."""
+    from dpnego.audit import AuditLog
+
+    def fail(self, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(AuditLog, "save", fail)
+    path = tmp_path / "audit.jsonl"
+    req = write_request(tmp_path)
+    owner = write_owner(tmp_path)
+    code = main([
+        "negotiate", "--request", str(req), "--owner", str(owner),
+        "--audit-log", str(path), "--settle", "--contract-id", "c-7",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: disk full" in captured.err
+    assert captured.out == ""
+    granted = json.loads(owner.read_text())["granted"]
+    assert [c for c, _ in granted] == ["c-7"] and granted[0][1] > 0
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("raw", ['"abc"', "NaN", "Infinity", "-Infinity", "true", "[2.0]"])
+def test_negotiate_malformed_proposed_epsilon_exit_one(tmp_path, capsys, raw):
+    req = tmp_path / "request.json"
+    req.write_text(write_request(tmp_path).read_text().replace("2.0", raw))
+    owner = write_owner(tmp_path)
+    owner_before = owner.read_bytes()
+    path = tmp_path / "audit.jsonl"
+    code = main([
+        "negotiate", "--request", str(req), "--owner", str(owner),
+        "--audit-log", str(path), "--settle",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert owner.read_bytes() == owner_before
+    assert not path.exists()
+
+
 def test_negotiate_creates_missing_audit_log(tmp_path, capsys):
     from dpnego.audit import verify_file
 

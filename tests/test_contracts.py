@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,11 +20,13 @@ from dpnego.contracts import (
     UnknownFeature,
     UnknownField,
     UnknownPurpose,
+    ValidationError,
     request_from_dict,
     request_from_json,
     request_to_json,
     validate_request,
 )
+from dpnego.negotiation import EngineConfig, derive_counter_offer
 
 
 CATALOG = load_config().catalog
@@ -192,3 +197,138 @@ def test_serialization_round_trip_property(features, window, resolution, purpose
         proposed_epsilon=epsilon,
     )
     assert request_from_json(request_to_json(req)) == req
+
+
+def request_doc(**overrides):
+    doc = {
+        "requester_id": "r",
+        "owner_id": "o",
+        "features": ["load_curve"],
+        "window_hours": 24,
+        "resolution": "hour1",
+        "purpose": "billing",
+    }
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("bad", ["abc", "1.5", True, False, [1.0], {}, math.nan, math.inf, -1.0, 0])
+def test_malformed_proposed_epsilon_rejected(bad):
+    with pytest.raises(ValidationError):
+        request_from_dict(request_doc(proposed_epsilon=bad))
+
+
+def test_numeric_proposed_epsilon_accepted():
+    assert request_from_dict(request_doc(proposed_epsilon=2)).proposed_epsilon == 2
+    assert request_from_dict(request_doc(proposed_epsilon=0.5)).proposed_epsilon == 0.5
+    assert request_from_dict(request_doc(proposed_epsilon=None)).proposed_epsilon is None
+    assert request_from_dict(request_doc()).proposed_epsilon is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+def test_contract_request_rejects_non_positive_or_non_finite_epsilon(bad):
+    with pytest.raises(ValidationError):
+        make_request(proposed_epsilon=bad)
+
+
+# --- per-catalog validation memo ---------------------------------------------
+
+def config_feature_tuples(raw):
+    """Every feature list named anywhere in the config (bundles, presets)."""
+    found = []
+    if isinstance(raw, dict):
+        if isinstance(raw.get("features"), list):
+            found.append(tuple(FeatureKind(f) for f in raw["features"]))
+        for value in raw.values():
+            found += config_feature_tuples(value)
+    elif isinstance(raw, list):
+        for value in raw:
+            found += config_feature_tuples(value)
+    return found
+
+
+def shapes_with_repeats(seed=11, count=40):
+    rng = random.Random(seed)
+    kinds = list(FeatureKind)
+    return [tuple(rng.choice(kinds) for _ in range(rng.randint(1, 6))) for _ in range(count)]
+
+
+def test_warm_catalog_matches_a_cold_one(cfg):
+    """Validation and counter-offers through a catalog whose memos are filled
+    equal those through a fresh catalog, to the bit."""
+    engines = (cfg.engine, EngineConfig(counter_factor=0.5))
+    warm = load_config().catalog
+    bundles = config_feature_tuples(cfg.raw)
+    assert len(bundles) > 20
+    shapes = bundles + shapes_with_repeats()
+    assert any(len(set(f)) < len(f) for f in shapes)
+    for _ in range(2):
+        for features in shapes:
+            cold = load_config().catalog
+            for resolution in ResolutionKind:
+                for purpose in PurposeKind:
+                    req = make_request(features=features, resolution=resolution, purpose=purpose)
+                    got = validate_request(req, warm)
+                    want = validate_request(req, cold)
+                    assert got == want
+                    assert got.sensitivity.hex() == want.sensitivity.hex()
+                    assert got.effective_sensitivity.hex() == want.effective_sensitivity.hex()
+                    reference = warm.attenuations[resolution] * sum(warm.alphas[k] for k in features)
+                    assert got.effective_sensitivity.hex() == reference.hex()
+                    for engine in engines:
+                        offer, cold_offer = (derive_counter_offer(v, engine) for v in (got, want))
+                        assert offer == cold_offer
+                        if offer is not None:
+                            assert offer[1].hex() == cold_offer[1].hex()
+                            assert offer[0].request == dataclasses.replace(
+                                req, features=offer[0].request.features,
+                                resolution=offer[0].request.resolution,
+                            )
+    assert warm._resolved and warm._reductions
+
+
+def test_failed_lookups_raise_every_time(cfg):
+    catalog = dataclasses.replace(
+        cfg.catalog,
+        alphas={k: v for k, v in cfg.catalog.alphas.items() if k is not FeatureKind.LOCATION},
+        purpose_scores={
+            k: v for k, v in cfg.catalog.purpose_scores.items() if k is not PurposeKind.PROFILING
+        },
+    )
+    validate_request(make_request(), catalog)
+    for _ in range(3):
+        with pytest.raises(UnknownFeature):
+            validate_request(make_request(features=(FeatureKind.LOCATION,)), catalog)
+        with pytest.raises(UnknownPurpose):
+            validate_request(make_request(purpose=PurposeKind.PROFILING), catalog)
+        with pytest.raises(UnknownFeature):  # features are resolved before the purpose
+            validate_request(
+                make_request(features=(FeatureKind.LOCATION,), purpose=PurposeKind.PROFILING),
+                catalog,
+            )
+        with pytest.raises(EmptyFeatureSet):
+            validate_request(make_request(features=()), catalog)
+        with pytest.raises(NonPositiveWindow):
+            validate_request(make_request(window_hours=0), catalog)
+    assert len(catalog._resolved) == 1
+
+
+def test_replaced_catalog_starts_with_empty_memos(cfg):
+    warm = load_config().catalog
+    req = make_request()
+    before = validate_request(req, warm)
+    assert warm._resolved
+    changed = dataclasses.replace(warm, alphas={**warm.alphas, FeatureKind.LOAD_CURVE: 0.9})
+    assert changed._resolved == {} and changed._reductions == {}
+    after = validate_request(req, changed)
+    assert before.sensitivity == pytest.approx(0.4)
+    assert after.sensitivity == pytest.approx(0.9)
+    assert validate_request(req, warm).sensitivity == pytest.approx(0.4)
+
+
+def test_memos_leave_catalog_eq_and_repr_alone(cfg):
+    warm, cold = load_config().catalog, load_config().catalog
+    validate_request(make_request(), warm)
+    assert warm == cold
+    assert repr(warm) == repr(cold)
+    assert "_resolved" not in repr(warm)

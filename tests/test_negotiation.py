@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from dpnego.config import load_config
 from dpnego.explain import ReplayCase, robustness_probe
 from dpnego.contracts import (
+    MEMO_LIMIT,
     ContractRequest,
     Decision,
     FeatureKind,
     PurposeKind,
+    RequestMode,
     ResolutionKind,
     feature_multiset,
     validate_request,
@@ -330,30 +332,36 @@ def test_counter_memo_floor_none_is_remembered():
 
 
 def test_counter_memo_does_not_leak_between_requests():
+    # one shape, so the second request reuses the catalog's reduction
     cfg = EngineConfig(safety_mode="staged")
     ledger = BudgetLedger(h_max=1.0)
     outcomes = []
-    for requester, proposed in (("alice", 2.0), ("bob", 3.0)):
+    for requester, owner, proposed, window, mode in (
+        ("alice", "o1", 2.0, 24, RequestMode.ONE_SHOT),
+        ("bob", "o2", 3.0, 48, RequestMode.PERIODIC),
+    ):
         req = validate_request(
             ContractRequest(
                 requester_id=requester,
-                owner_id="o",
+                owner_id=owner,
                 features=(FeatureKind.LOAD_CURVE,),
-                window_hours=24,
+                window_hours=window,
                 resolution=ResolutionKind.MIN15,
                 purpose=PurposeKind.BILLING,
                 proposed_epsilon=proposed,
+                max_noise=window / 10,
+                mode=mode,
             ),
             CATALOG,
         )
         modified, _ = derive_counter_offer(req, cfg)
-        assert (modified.request.requester_id, modified.request.proposed_epsilon) == (
-            requester,
-            proposed,
-        )
+        got = modified.request
+        assert (got.requester_id, got.owner_id, got.proposed_epsilon) == (requester, owner, proposed)
+        assert (got.window_hours, got.max_noise, got.mode) == (window, window / 10, mode)
         outcomes.append(negotiate(req, ledger, 0.3, cfg))
     assert [o.decision for o in outcomes] == [Decision.COUNTER_OFFER] * 2
     assert [o.modified_request.requester_id for o in outcomes] == ["alice", "bob"]
+    assert [o.modified_request.owner_id for o in outcomes] == ["o1", "o2"]
     assert [o.modified_request.proposed_epsilon for o in outcomes] == [2.0, 3.0]
 
 
@@ -366,6 +374,26 @@ def test_counter_memo_keyed_by_counter_factor():
     assert relaxed != tight
     assert relaxed == derive_counter_offer(validate_request(req.request, CATALOG), loose)
     assert derive_counter_offer(req, ENGINE) is tight
+
+
+def test_catalog_memos_stay_bounded():
+    catalog = dataclasses.replace(CATALOG)
+    shapes = [
+        features
+        for n in range(1, 7)
+        for features in itertools.product(list(FeatureKind), repeat=n)
+    ]
+    assert len(shapes) > MEMO_LIMIT
+    for features in shapes:
+        req = validate_request(
+            ContractRequest("r", "o", features, 24, ResolutionKind.MIN5, PurposeKind.BILLING),
+            catalog,
+        )
+        derive_counter_offer(req, ENGINE)
+        assert len(catalog._resolved) <= MEMO_LIMIT
+        assert len(catalog._reductions) <= MEMO_LIMIT
+    fresh = validate_request(req.request, CATALOG)
+    assert derive_counter_offer(fresh, ENGINE) == req.counter_offers[ENGINE.counter_factor]
 
 
 def test_validation_idempotent_with_filled_memo():
