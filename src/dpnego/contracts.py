@@ -158,7 +158,9 @@ class ContractRequest:
     ``features`` is an ordered collection; repeated categories are permitted
     and each entry contributes its own coefficient to the sensitivity sum
     (a counter-offer may aggregate several distinct streams, each of which
-    stays a separate aggregate product).
+    stays a separate aggregate product). ``proposed_epsilon`` and
+    ``max_noise`` are None or an int or float in (0, inf); the constructor
+    checks both, so no request, counter-offers included, carries a bad one.
     """
 
     requester_id: str
@@ -172,9 +174,15 @@ class ContractRequest:
     mode: RequestMode = RequestMode.ONE_SHOT
 
     def __post_init__(self) -> None:
-        pe = self.proposed_epsilon
-        if pe is not None and not 0 < pe < math.inf:
-            raise ValidationError("proposed_epsilon must be positive and finite when present")
+        for name in ("proposed_epsilon", "max_noise"):
+            value = getattr(self, name)
+            if value is not None and (
+                not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not 0 < value < math.inf
+            ):
+                raise ValidationError(
+                    f"{name} must be a positive finite number when present, got {value!r}"
+                )
 
 
 REQUEST_FIELDS = (
@@ -206,11 +214,16 @@ def request_to_dict(req: ContractRequest) -> dict[str, Any]:
 
 def request_from_dict(doc: dict[str, Any]) -> ContractRequest:
     """Parse the canonical request document. Unknown fields are rejected."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"a request must be a JSON object, got {doc!r}")
     unknown = set(doc) - set(REQUEST_FIELDS)
     if unknown:
         raise UnknownField(f"unknown request fields: {sorted(unknown)}")
+    names = doc.get("features", [])
+    if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
+        raise ValidationError(f"features must be a list of strings, got {names!r}")
     try:
-        features = tuple(FeatureKind(f) for f in doc.get("features", []))
+        features = tuple(FeatureKind(f) for f in names)
     except ValueError as exc:
         raise UnknownFeature(str(exc)) from None
     try:
@@ -225,9 +238,7 @@ def request_from_dict(doc: dict[str, Any]) -> ContractRequest:
     window = doc.get("window_hours")
     if not isinstance(window, int) or isinstance(window, bool):
         raise ValidationError("window_hours must be an integer")
-    eps = doc.get("proposed_epsilon")
-    if eps is not None and (not isinstance(eps, (int, float)) or isinstance(eps, bool)):
-        raise ValidationError(f"proposed_epsilon must be a number, got {eps!r}")
+    # the constructor checks proposed_epsilon and max_noise by type and range
     return ContractRequest(
         requester_id=str(doc.get("requester_id", "")),
         owner_id=str(doc.get("owner_id", "")),
@@ -235,7 +246,7 @@ def request_from_dict(doc: dict[str, Any]) -> ContractRequest:
         window_hours=window,
         resolution=resolution,
         purpose=purpose,
-        proposed_epsilon=eps,
+        proposed_epsilon=doc.get("proposed_epsilon"),
         max_noise=doc.get("max_noise"),
         mode=mode,
     )

@@ -268,7 +268,8 @@ class NegotiationEngine:
     """Exact grid argmax of the objective, found without building the grid.
 
     Pure with respect to its config: identical inputs give identical outputs,
-    so (sensitivity, upper-bound) argmax results are memoized.
+    so (sensitivity, upper-bound) argmax results are memoized, and so are the
+    frozen APPROVE outcomes per granted epsilon (cleared at ``MEMO_LIMIT``).
     """
 
     def __init__(self, cfg: EngineConfig):
@@ -276,6 +277,7 @@ class NegotiationEngine:
         l1, l2, _, _, l5 = cfg.lambdas
         self._weights = (1.0, 1.0, 1.0) if cfg.objective == "experimental" else (l1, l2, l5)
         self._argmax_cache: dict[tuple[float, float], float | None] = {}
+        self._approvals: dict[float, NegotiationOutcome] = {}
 
     def _stationary(self, sensitivity: float) -> float:
         """Root of f'(e) = l1/sqrt(e) - 1.7*l2*1.8*S*e^0.7 - 0.15*l5.
@@ -369,7 +371,19 @@ class NegotiationEngine:
             purpose=req.purpose.name.value,
         )
         if label is Decision.APPROVE:
-            return NegotiationOutcome(Decision.APPROVE, epsilon_star=eps_star)
+            # outcomes are frozen, so an approval is shared per float grant;
+            # an int or float-subclass grant is built afresh to keep its type
+            if type(eps_star) is not float:
+                return NegotiationOutcome(Decision.APPROVE, epsilon_star=eps_star)
+            approvals = self._approvals
+            outcome = approvals.get(eps_star)
+            if outcome is None:
+                if len(approvals) >= MEMO_LIMIT:
+                    approvals.clear()
+                outcome = approvals[eps_star] = NegotiationOutcome(
+                    Decision.APPROVE, epsilon_star=eps_star
+                )
+            return outcome
         if label is Decision.COUNTER_OFFER:
             assert counter is not None
             return NegotiationOutcome(
@@ -377,7 +391,7 @@ class NegotiationEngine:
                 epsilon_star=eps_star,
                 modified_request=counter[0].request,
             )
-        return NegotiationOutcome(Decision.REJECT, violated=violated)
+        return _REJECTIONS[violated]
 
     def _decide(
         self,
@@ -403,10 +417,9 @@ class NegotiationEngine:
         if safety_ok or want_predicates:
             eps1 = self.optimize(s_eff, upper)
 
-        def predicates() -> tuple[bool, ...] | None:
-            if not want_predicates:
-                return None
-            return (
+        predicates = None
+        if want_predicates:
+            predicates = (
                 eps1 is not None and eps1 >= eps_min - _TOL,
                 eps1 is not None and eps1 <= h_remaining + _TOL,
                 safety_ok,
@@ -415,7 +428,7 @@ class NegotiationEngine:
             )
 
         if cfg.safety_mode == "upfront" and not safety_ok:
-            return Decision.REJECT, None, False, SAFETY_CONDITION, predicates()
+            return Decision.REJECT, None, False, SAFETY_CONDITION, predicates
 
         if safety_ok or cfg.safety_mode == "upfront":
             if eps1 is None:
@@ -423,7 +436,7 @@ class NegotiationEngine:
             elif eps1 < eps_min - _TOL:
                 violated = BELOW_MINIMUM
             else:
-                return Decision.APPROVE, eps1, False, None, predicates()
+                return Decision.APPROVE, eps1, False, None, predicates
         else:
             violated = SAFETY_CONDITION
 
@@ -437,7 +450,7 @@ class NegotiationEngine:
             elif eps2 < cfg.eps_min(counter_s, purpose) - _TOL:
                 violated = BELOW_MINIMUM
             else:
-                return Decision.COUNTER_OFFER, eps2, True, None, predicates()
+                return Decision.COUNTER_OFFER, eps2, True, None, predicates
 
         if (
             trust >= cfg.trusted_min_trust
@@ -445,21 +458,34 @@ class NegotiationEngine:
             and eps_min <= h_remaining + _TOL
             and (eps_cap is None or eps_cap >= eps_min - _TOL)
         ):
-            return Decision.APPROVE, eps_min, False, None, predicates()
+            return Decision.APPROVE, eps_min, False, None, predicates
 
-        return Decision.REJECT, None, False, violated or SAFETY_CONDITION, predicates()
+        return Decision.REJECT, None, False, violated or SAFETY_CONDITION, predicates
 
 
 _MISS = object()
+# one shared, frozen rejection per violated constraint
+_REJECTIONS = {
+    v: NegotiationOutcome(Decision.REJECT, violated=v)
+    for v in (SAFETY_CONDITION, BELOW_MINIMUM, BUDGET_EXCEEDED)
+}
 _ENGINES: dict[EngineConfig, NegotiationEngine] = {}
+_last_engine: NegotiationEngine | None = None
 
 
 def engine_for(cfg: EngineConfig) -> NegotiationEngine:
+    """The shared engine for ``cfg``. A repeat of the last config object is
+    matched by identity, which skips hashing every field of the config."""
+    global _last_engine
+    engine = _last_engine
+    if engine is not None and engine.cfg is cfg:
+        return engine
     engine = _ENGINES.get(cfg)
     if engine is None:
         if len(_ENGINES) > 64:
             _ENGINES.clear()
         engine = _ENGINES[cfg] = NegotiationEngine(cfg)
+    _last_engine = engine
     return engine
 
 

@@ -253,7 +253,12 @@ def laplace_scale(delta_q: float, eps: float) -> float:
 
 
 def gaussian_sigma(delta_q: float, eps: float, delta: float = 1e-5) -> float:
-    """Analytic Gaussian sigma = delta_q * sqrt(2 ln(1.25/delta)) / eps."""
+    """Classic Gaussian-mechanism sigma = delta_q * sqrt(2 ln(1.25/delta)) / eps.
+
+    This is the bound of Dwork & Roth (Theorem A.1), proven only for eps < 1;
+    it is not the analytic Gaussian mechanism of Balle & Wang, and the engine
+    grants budgets above 1.
+    """
     if eps <= 0:
         raise NonPositiveEpsilon("epsilon must be positive")
     if delta_q <= 0:

@@ -30,12 +30,15 @@ class TrustConfig:
 
     ``beta`` must sum to 1 so the clamped score stays a convex combination;
     ``n_sat`` saturates the completed-contract count; ``half_life_events``
-    sets the decay of the quality/alignment moving averages.
+    sets the decay of the quality/alignment moving averages, whose weight
+    ``ewma_weight`` is derived from it once at construction.
     """
 
     beta: tuple[float, float, float] = (0.4, 0.3, 0.3)
     n_sat: int = 10
     half_life_events: int = 5
+    # weight 0.5 at half-life 1, approaching 0 as the half-life grows
+    ewma_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(b < 0 for b in self.beta):
@@ -46,11 +49,7 @@ class TrustConfig:
             raise ValueError("n_sat must be >= 1")
         if self.half_life_events < 1:
             raise ValueError("half_life_events must be >= 1")
-
-    @property
-    def ewma_weight(self) -> float:
-        # weight 0.5 at half-life 1, approaching 0 as the half-life grows
-        return 1.0 - 2.0 ** (-1.0 / self.half_life_events)
+        object.__setattr__(self, "ewma_weight", 1.0 - 2.0 ** (-1.0 / self.half_life_events))
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,9 @@ class TrustLedger:
             raise OutOfRange("quality must be in [0,1]")
         if not 0.0 <= self.alignment <= 1.0:
             raise OutOfRange("alignment must be in [0,1]")
+
+
+_BLANK = TrustLedger()  # frozen, so one instance serves every unseen requester
 
 
 def trust_score(ledger: TrustLedger, cfg: TrustConfig) -> float:
@@ -117,7 +119,7 @@ class TrustStore:
     log: list[dict] = field(default_factory=list)
 
     def ledger(self, requester_id: str) -> TrustLedger:
-        return self.ledgers.get(requester_id, TrustLedger())
+        return self.ledgers.get(requester_id, _BLANK)
 
     def score(self, requester_id: str) -> float:
         return trust_score(self.ledger(requester_id), self.cfg)

@@ -220,15 +220,15 @@ def run_sweep(
     profile = parse_stream(exp["stream"])
     validated = _validated_bundles(profile, cfg)
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(validated), size=n, p=profile.weights()) if n else np.array([], dtype=int)
-    trusts = rng.uniform(profile.trust_lo, profile.trust_hi, size=n)
+    idx = rng.choice(len(validated), size=n, p=profile.weights()).tolist() if n else []
+    trusts = rng.uniform(profile.trust_lo, profile.trust_hi, size=n).tolist()
 
     rows = []
     for eps0 in levels:
         ledger = BudgetLedger(h_max=float(eps0))
         metrics = ScenarioMetrics(interactions=n)
         for i in range(n):
-            outcome = negotiate(validated[idx[i]], ledger, float(trusts[i]), cfg.engine)
+            outcome = negotiate(validated[idx[i]], ledger, trusts[i], cfg.engine)
             if outcome.decision is Decision.APPROVE:
                 metrics.accepts += 1
                 metrics.total_granted += outcome.epsilon_star
@@ -282,25 +282,26 @@ def run_full_sim(
         ecosystem = gen_ecosystem(seed + 1, cfg.catalog, cfg.ecosystem, cfg.trust)
     prosumers = ecosystem.prosumers
     n_req = int(exp.get("requesters", 30))
+    names = [f"req-{r:03d}" for r in range(n_req)]
     rng = np.random.default_rng(seed)
 
     # heterogeneous starting reputations
     for prosumer in prosumers:
-        for r in range(n_req):
+        for name in names:
             completions = int(rng.integers(0, 12))
             for _ in range(completions):
-                prosumer.trust.record(f"req-{r:03d}", "completed")
+                prosumer.trust.record(name, "completed")
             if completions:
-                prosumer.trust.record(f"req-{r:03d}", "quality_report", float(rng.uniform(0.5, 1.0)))
-                prosumer.trust.record(f"req-{r:03d}", "alignment_report", float(rng.uniform(0.5, 1.0)))
+                prosumer.trust.record(name, "quality_report", float(rng.uniform(0.5, 1.0)))
+                prosumer.trust.record(name, "alignment_report", float(rng.uniform(0.5, 1.0)))
 
     metrics = ScenarioMetrics(interactions=n)
-    owners = rng.integers(0, len(prosumers), size=n)
-    requesters = rng.integers(0, n_req, size=n)
-    draws = rng.choice(len(validated), size=n, p=profile.weights()) if n else np.array([], dtype=int)
+    owners = rng.integers(0, len(prosumers), size=n).tolist()
+    requesters = rng.integers(0, n_req, size=n).tolist()
+    draws = rng.choice(len(validated), size=n, p=profile.weights()).tolist() if n else []
     for i in range(n):
         prosumer = prosumers[owners[i]]
-        requester = f"req-{requesters[i]:03d}"
+        requester = names[requesters[i]]
         trust = prosumer.trust.score(requester)
         outcome = negotiate(validated[draws[i]], prosumer.ledger, trust, cfg.engine)
         if outcome.decision is Decision.APPROVE:
@@ -451,12 +452,12 @@ def run_cross_dataset(
                     profile, validated, cfg.engine, owner_budget,
                     risk_mode, risk_factor, tilt,
                 )
-                idx = rng.choice(len(validated), size=n, p=weights)
-                trusts = rng.uniform(profile.trust_lo, profile.trust_hi, size=n)
+                idx = rng.choice(len(validated), size=n, p=weights).tolist()
+                trusts = rng.uniform(profile.trust_lo, profile.trust_hi, size=n).tolist()
                 ledger = BudgetLedger(h_max=owner_budget)
                 metrics = ScenarioMetrics(interactions=n)
                 for i in range(n):
-                    outcome = negotiate(validated[idx[i]], ledger, float(trusts[i]), cfg.engine)
+                    outcome = negotiate(validated[idx[i]], ledger, trusts[i], cfg.engine)
                     if outcome.decision is Decision.APPROVE:
                         metrics.accepts += 1
                         metrics.total_granted += outcome.epsilon_star

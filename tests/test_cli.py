@@ -228,10 +228,13 @@ def test_negotiate_settles_before_the_audit_write(tmp_path, capsys, monkeypatch)
     assert path.read_bytes() == b""
 
 
-@pytest.mark.parametrize("raw", ['"abc"', "NaN", "Infinity", "-Infinity", "true", "[2.0]"])
-def test_negotiate_malformed_proposed_epsilon_exit_one(tmp_path, capsys, raw):
+def assert_malformed_request_exits_one(tmp_path, capsys, old, new):
+    """``negotiate --settle`` on the standard request with ``old`` replaced by
+    ``new`` exits 1 with an error line and writes nothing."""
     req = tmp_path / "request.json"
-    req.write_text(write_request(tmp_path).read_text().replace("2.0", raw))
+    text = write_request(tmp_path).read_text()
+    assert old in text
+    req.write_text(text.replace(old, new))
     owner = write_owner(tmp_path)
     owner_before = owner.read_bytes()
     path = tmp_path / "audit.jsonl"
@@ -245,6 +248,27 @@ def test_negotiate_malformed_proposed_epsilon_exit_one(tmp_path, capsys, raw):
     assert captured.out == ""
     assert owner.read_bytes() == owner_before
     assert not path.exists()
+
+
+@pytest.mark.parametrize("raw", ['"abc"', "NaN", "Infinity", "-Infinity", "true", "[2.0]"])
+def test_negotiate_malformed_proposed_epsilon_exit_one(tmp_path, capsys, raw):
+    assert_malformed_request_exits_one(tmp_path, capsys, "2.0", raw)
+
+
+@pytest.mark.parametrize("raw", ["5", '"aggregate"', "null", "[5]", '{"aggregate": 1}'])
+def test_negotiate_malformed_features_exit_one(tmp_path, capsys, raw):
+    assert_malformed_request_exits_one(tmp_path, capsys, '["aggregate"]', raw)
+
+
+@pytest.mark.parametrize("raw", ['"abc"', "NaN", "Infinity", "-1", "0", "true"])
+def test_negotiate_malformed_max_noise_exit_one(tmp_path, capsys, raw):
+    assert_malformed_request_exits_one(tmp_path, capsys, '"max_noise": null', f'"max_noise": {raw}')
+
+
+@pytest.mark.parametrize("raw", ["5", "null", '"request"', "[1]"])
+def test_negotiate_request_not_an_object_exit_one(tmp_path, capsys, raw):
+    text = write_request(tmp_path).read_text()
+    assert_malformed_request_exits_one(tmp_path, capsys, text, raw)
 
 
 def test_negotiate_creates_missing_audit_log(tmp_path, capsys):

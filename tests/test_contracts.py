@@ -231,6 +231,45 @@ def test_contract_request_rejects_non_positive_or_non_finite_epsilon(bad):
         make_request(proposed_epsilon=bad)
 
 
+@pytest.mark.parametrize(
+    "bad", [5, "aggregate", None, {"aggregate": 1}, [5], ["aggregate", 1], [None], ("aggregate",)]
+)
+def test_features_must_be_a_list_of_strings(bad):
+    with pytest.raises(ValidationError):
+        request_from_dict(request_doc(features=bad))
+
+
+def test_feature_list_of_strings_accepted():
+    got = request_from_dict(request_doc(features=["aggregate", "load_curve"]))
+    assert got.features == (FeatureKind.AGGREGATE, FeatureKind.LOAD_CURVE)
+    doc = request_doc()
+    del doc["features"]
+    assert request_from_dict(doc).features == ()  # validate_request then rejects it
+
+
+@pytest.mark.parametrize(
+    "bad", ["abc", "1.5", True, False, [1.0], {}, math.nan, math.inf, -math.inf, -1, 0, 0.0]
+)
+def test_malformed_max_noise_rejected(bad):
+    with pytest.raises(ValidationError):
+        request_from_dict(request_doc(max_noise=bad))
+
+
+def test_numeric_max_noise_accepted():
+    assert request_from_dict(request_doc(max_noise=3)).max_noise == 3
+    assert request_from_dict(request_doc(max_noise=0.25)).max_noise == 0.25
+    assert request_from_dict(request_doc(max_noise=None)).max_noise is None
+    assert request_from_dict(request_doc()).max_noise is None
+
+
+@pytest.mark.parametrize("bad", ["abc", True, math.nan, math.inf, 0.0, -2.0])
+def test_contract_request_rejects_bad_max_noise(bad):
+    # the constructor is the gate, so a counter-offer built from a request
+    # can never carry a bad value either
+    with pytest.raises(ValidationError):
+        make_request(max_noise=bad)
+
+
 # --- per-catalog validation memo ---------------------------------------------
 
 def config_feature_tuples(raw):

@@ -31,6 +31,7 @@ from dpnego.negotiation import (
     check_feasibility,
     derive_counter_offer,
     effective_sensitivity,
+    engine_for,
     negotiate,
     objective,
     optimize_epsilon,
@@ -564,3 +565,86 @@ def test_budget_safety_over_any_sequence(grants):
                 settle(ledger, f"c{i}", eps)
         assert ledger.h_remaining >= 0.0
         assert ledger.spent <= ledger.h_max + 1e-9
+
+
+# --- shared outcomes and the engine lookup -------------------------------------
+
+@given(
+    features=st.lists(st.sampled_from(list(FeatureKind)), min_size=1, max_size=3),
+    resolution=st.sampled_from(list(ResolutionKind)),
+    h=st.sampled_from([0.2, 0.5, 1.0, 1.5, 3.0, 8.0]),
+    trust=st.sampled_from([0.3, 0.9]),
+    proposed=st.sampled_from([None, 0.12, 0.7, 2.0]),
+    mode=st.sampled_from(["upfront", "staged"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_shared_outcomes_equal_freshly_built_ones(features, resolution, h, trust, proposed, mode):
+    cfg = EngineConfig(safety_mode=mode)
+    req = validated(features, resolution, proposed=proposed)
+    ledger = BudgetLedger(h_max=h)
+    shared = negotiate(req, ledger, trust, cfg)  # the engine_for engine, memo warm
+    fresh = NegotiationEngine(cfg).negotiate(req, ledger, trust)
+    assert shared == fresh
+    assert repr(shared) == repr(fresh)  # same field types too
+    assert shared.to_dict() == fresh.to_dict()
+    if shared.decision is not Decision.COUNTER_OFFER:
+        assert negotiate(req, ledger, trust, cfg) is shared
+
+
+def test_approvals_are_not_shared_between_engines():
+    other = dataclasses.replace(ENGINE, trusted_min_trust=0.95)
+    req = validated([FeatureKind.AGGREGATE], ResolutionKind.HOUR1)
+    ledger = BudgetLedger(h_max=1.5)
+    mine = negotiate(req, ledger, 0.9, ENGINE)
+    theirs = negotiate(req, ledger, 0.9, other)
+    assert mine.decision is Decision.APPROVE
+    assert mine == theirs and mine is not theirs
+    assert negotiate(req, ledger, 0.9, ENGINE) is mine
+    assert negotiate(req, ledger, 0.9, other) is theirs
+
+
+def test_approval_memo_keeps_the_grant_type():
+    # off-grid caps make the interval endpoint the grant, in the cap's own
+    # type: an int grant must not come back as an equal float one
+    engine = NegotiationEngine(EngineConfig(grid_step=0.3))
+    ledger = BudgetLedger(h_max=8.0)
+    as_float = engine.negotiate(
+        validated([FeatureKind.AGGREGATE], ResolutionKind.HOUR1, proposed=2.0), ledger, 0.5)
+    as_int = engine.negotiate(
+        validated([FeatureKind.AGGREGATE], ResolutionKind.DAILY, proposed=2), ledger, 0.5)
+    assert as_float.decision is as_int.decision is Decision.APPROVE
+    assert type(as_float.epsilon_star) is float and as_float.epsilon_star == 2.0
+    assert type(as_int.epsilon_star) is int and as_int.epsilon_star == 2
+
+
+def test_approval_memo_stays_bounded():
+    engine = NegotiationEngine(ENGINE)
+    ledger = BudgetLedger(h_max=8.0)
+    largest = 0
+    for i in range(MEMO_LIMIT + 300):
+        # caps below the optimum are off the grid, so each grant is new
+        cap = 0.1 + i * 1e-5 + 3e-6
+        outcome = engine.negotiate(
+            validated([FeatureKind.AGGREGATE], ResolutionKind.HOUR1, proposed=cap), ledger, 0.5)
+        assert outcome.epsilon_star == cap
+        largest = max(largest, len(engine._approvals))
+        assert len(engine._approvals) <= MEMO_LIMIT
+    assert largest == MEMO_LIMIT
+
+
+def test_engine_for_alternating_configs():
+    upfront, staged = EngineConfig(), EngineConfig(safety_mode="staged")
+    upfront_copy = dataclasses.replace(upfront)
+    first_upfront, first_staged = engine_for(upfront), engine_for(staged)
+    assert first_upfront.cfg == upfront and first_staged.cfg == staged
+    assert first_upfront is not first_staged
+    # a request only the staged engine approves (its trusted-minimal path)
+    req = validated([FeatureKind.AGGREGATE], ResolutionKind.DAILY)
+    ledger = BudgetLedger(h_max=0.2)
+    for _ in range(3):
+        assert engine_for(upfront) is first_upfront
+        assert engine_for(staged) is first_staged
+        assert engine_for(upfront_copy) is first_upfront
+        assert negotiate(req, ledger, 0.9, upfront).decision is Decision.REJECT
+        assert negotiate(req, ledger, 0.9, staged).decision is Decision.APPROVE
+        assert negotiate(req, ledger, 0.9, upfront_copy).decision is Decision.REJECT

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+from dpnego import scoring
 from dpnego.config import load_config
 from dpnego.contracts import FeatureCategory, FeatureKind, PurposeKind
 from dpnego.scoring import (
@@ -181,3 +182,64 @@ def test_event_sequence_deterministic():
         store.record("r", "quality_report", 0.9)
         store.record("r", "alignment_report", 0.7)
     assert a.score("r") == b.score("r")
+
+
+# --- shared blank ledger and cached EWMA weight ------------------------------
+
+def fresh_reference(events, cfg):
+    """TrustStore.record/score written with a fresh TrustLedger() per unseen
+    requester, as the reference."""
+    ledgers, log = {}, []
+    for requester, event, value in events:
+        try:
+            updated = update_trust(ledgers.get(requester) or TrustLedger(), event, value, cfg)
+        except OutOfRange:
+            continue
+        ledgers[requester] = updated
+        log.append({"requester": requester, "event": event, "value": value})
+    return ledgers, log
+
+
+@given(
+    half_life=st.integers(min_value=1, max_value=20),
+    events=st.lists(
+        st.tuples(
+            st.sampled_from(["req-a", "req-b", "req-c"]),
+            st.sampled_from(["completed", "quality_report", "alignment_report"]),
+            st.one_of(st.none(), st.floats(min_value=-0.5, max_value=1.5)),
+        ),
+        max_size=40,
+    ),
+)
+def test_store_with_shared_blank_matches_fresh_ledgers(half_life, events):
+    cfg = TrustConfig(half_life_events=half_life)
+    store = TrustStore(cfg=cfg)
+    for requester, event, value in events:
+        try:
+            store.record(requester, event, value)
+        except OutOfRange:
+            continue
+    ledgers, log = fresh_reference(events, cfg)
+    assert store.ledgers == ledgers
+    assert store.log == log
+    for requester in ("req-a", "req-b", "req-c", "req-unseen"):
+        expected = trust_score(ledgers.get(requester) or TrustLedger(), cfg)
+        assert store.score(requester) == expected
+    assert scoring._BLANK == TrustLedger()
+    assert store.ledger("req-unseen") == TrustLedger()
+
+
+@pytest.mark.parametrize("half_life", [1, 2, 3, 5, 7, 10, 64, 1000])
+def test_cached_ewma_weight_is_bit_exact(half_life):
+    cfg = TrustConfig(half_life_events=half_life)
+    assert cfg.ewma_weight.hex() == (1 - 2 ** (-1 / half_life)).hex()
+    replaced = dataclasses.replace(cfg, half_life_events=half_life + 1)
+    assert replaced.ewma_weight.hex() == (1 - 2 ** (-1 / (half_life + 1))).hex()
+
+
+def test_cached_ewma_weight_stays_out_of_eq_hash_and_repr():
+    cfg = TrustConfig()
+    assert "ewma_weight" not in repr(cfg)
+    assert cfg == TrustConfig() and hash(cfg) == hash(TrustConfig())
+    with pytest.raises(TypeError):
+        TrustConfig(ewma_weight=0.5)
