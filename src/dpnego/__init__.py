@@ -23,14 +23,11 @@ from .negotiation import (
     EngineConfig,
     check_feasibility,
     derive_counter_offer,
-    effective_sensitivity,
     negotiate,
     objective,
-    optimize_epsilon,
-    settle,
 )
 from .explain import Explanation, explain, factors_for, privacy_utility_score
-from .scoring import TrustConfig, TrustLedger, sensitivity_score, trust_score, update_trust
+from .scoring import TrustConfig, TrustLedger, trust_score, update_trust
 
 __version__ = "0.1.0"
 
@@ -51,16 +48,12 @@ __all__ = [
     "ValidatedRequest",
     "check_feasibility",
     "derive_counter_offer",
-    "effective_sensitivity",
     "explain",
     "factors_for",
     "load_config",
     "negotiate",
     "objective",
-    "optimize_epsilon",
     "privacy_utility_score",
-    "sensitivity_score",
-    "settle",
     "trust_score",
     "update_trust",
     "validate_request",

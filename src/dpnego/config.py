@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .contracts import (
-    Catalog,
-    ContractPreset,
-    FeatureKind,
-    PurposeKind,
-    RequestMode,
-    ResolutionKind,
-)
+from .contracts import Catalog, FeatureKind, PurposeKind, ResolutionKind
 from .explain import ExplainConfig
 from .negotiation import EngineConfig, EpsMinRule
 from .scoring import TrustConfig
@@ -74,7 +67,6 @@ class AppConfig:
     explain: ExplainConfig
     dp: DpConfig
     tss: TssConfig
-    presets: dict[str, ContractPreset]
     ecosystem: EcosystemConfig
     cities: dict[str, CityProfile]
     experiments: dict[str, Any]
@@ -105,13 +97,17 @@ def _build_catalog(doc: dict) -> Catalog:
 
 
 def build_engine_config(doc: dict) -> EngineConfig:
+    """The engine section as an ``EngineConfig``; a key that names no field
+    is an error rather than silently ignored."""
+    unknown = set(doc) - {f.name for f in fields(EngineConfig)}
+    if unknown:
+        raise ValueError(f"unknown engine keys: {sorted(unknown)}")
     rules = tuple(
         EpsMinRule(float(r["band_max"]), str(r["purpose"]), float(r["value"]))
         for r in doc.get("eps_min_rules", [])
     )
     return EngineConfig(
         lambdas=tuple(float(x) for x in doc["lambdas"]),
-        objective=doc["objective"],
         eps_max=float(doc["eps_max"]),
         grid_step=float(doc["grid_step"]),
         eps_min_default=float(doc["eps_min_default"]),
@@ -122,21 +118,6 @@ def build_engine_config(doc: dict) -> EngineConfig:
         safety_factor=float(doc["safety_factor"]),
         safety_mode=doc["safety_mode"],
     )
-
-
-def _build_presets(doc: dict) -> dict[str, ContractPreset]:
-    presets = {}
-    for name, p in doc.items():
-        presets[name] = ContractPreset(
-            name=name,
-            features=tuple(FeatureKind(f) for f in p["features"]),
-            resolution=ResolutionKind(p["resolution"]),
-            window_hours=int(p["window_hours"]),
-            epsilon=float(p["epsilon"]),
-            purpose=PurposeKind(p["purpose"]),
-            mode=RequestMode(p["mode"]),
-        )
-    return presets
 
 
 def from_document(doc: dict) -> AppConfig:
@@ -166,7 +147,6 @@ def from_document(doc: dict) -> AppConfig:
             n=int(doc["tss"]["n"]),
             prime=int(doc["tss"]["prime_hex"], 16),
         ),
-        presets=_build_presets(doc["presets"]),
         ecosystem=EcosystemConfig(
             n_prosumers=int(eco_doc["n_prosumers"]),
             days=int(eco_doc["days"]),

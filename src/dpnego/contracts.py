@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -238,10 +237,16 @@ def request_from_dict(doc: dict[str, Any]) -> ContractRequest:
     window = doc.get("window_hours")
     if not isinstance(window, int) or isinstance(window, bool):
         raise ValidationError("window_hours must be an integer")
+    # an id is a trust-history key, so it is never coerced (null is not "None")
+    requester_id, owner_id = doc.get("requester_id", ""), doc.get("owner_id", "")
+    if not isinstance(requester_id, str) or not isinstance(owner_id, str):
+        raise ValidationError(
+            f"requester_id and owner_id must be strings, got {requester_id!r}, {owner_id!r}"
+        )
     # the constructor checks proposed_epsilon and max_noise by type and range
     return ContractRequest(
-        requester_id=str(doc.get("requester_id", "")),
-        owner_id=str(doc.get("owner_id", "")),
+        requester_id=requester_id,
+        owner_id=owner_id,
         features=features,
         window_hours=window,
         resolution=resolution,
@@ -250,14 +255,6 @@ def request_from_dict(doc: dict[str, Any]) -> ContractRequest:
         max_noise=doc.get("max_noise"),
         mode=mode,
     )
-
-
-def request_to_json(req: ContractRequest) -> str:
-    return json.dumps(request_to_dict(req), sort_keys=True)
-
-
-def request_from_json(text: str) -> ContractRequest:
-    return request_from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -312,31 +309,6 @@ def validate_request(
             catalog.purpose(req.purpose),
         )
     return ValidatedRequest(req, *resolved, catalog)
-
-
-@dataclass(frozen=True)
-class ContractPreset:
-    """A named request template."""
-
-    name: str
-    features: tuple[FeatureKind, ...]
-    resolution: ResolutionKind
-    window_hours: int
-    epsilon: float
-    purpose: PurposeKind
-    mode: RequestMode
-
-    def request(self, requester_id: str, owner_id: str) -> ContractRequest:
-        return ContractRequest(
-            requester_id=requester_id,
-            owner_id=owner_id,
-            features=self.features,
-            window_hours=self.window_hours,
-            resolution=self.resolution,
-            purpose=self.purpose,
-            proposed_epsilon=self.epsilon,
-            mode=self.mode,
-        )
 
 
 @dataclass(frozen=True)

@@ -54,11 +54,7 @@ def privacy_utility_score(
         raise NonPositiveEpsilon("eps_star must be positive")
     l1, l2, l3, l4 = explain_cfg.pu_lambdas
     emax = engine_cfg.eps_max
-    if engine_cfg.objective == "experimental":
-        x = min(eps_star, emax) / emax
-    else:
-        # every component rises with e, so it peaks at the top grid point
-        x = eps_star / (engine_cfg.grid_points * engine_cfg.grid_step)
+    x = min(eps_star, emax) / emax
     r_hat = x**1.7 if sensitivity > 0 else 0.0
     return l1 * (1.0 - r_hat) + l2 * math.sqrt(x) + l3 * trust - l4 * x
 

@@ -232,14 +232,6 @@ def gen_ecosystem(
     return Ecosystem(prosumers=prosumers, config=cfg, catalog=catalog)
 
 
-DEFAULT_CITY_PROFILES = {
-    "oslo": CityProfile("oslo", base_kw=1.10, seasonal_amp_kw=0.90, diurnal_amp_kw=0.35, noise_sd_kw=0.08),
-    "berlin": CityProfile("berlin", base_kw=0.90, seasonal_amp_kw=0.60, diurnal_amp_kw=0.35, noise_sd_kw=0.08),
-    "paris": CityProfile("paris", base_kw=0.85, seasonal_amp_kw=0.50, diurnal_amp_kw=0.32, noise_sd_kw=0.07),
-    "rome": CityProfile("rome", base_kw=0.70, seasonal_amp_kw=0.25, diurnal_amp_kw=0.30, noise_sd_kw=0.07),
-}
-
-
 def gen_city_series(
     profile: CityProfile,
     seed: int,

@@ -52,12 +52,12 @@ class EpsMinRule:
 class EngineConfig:
     """All knobs of the negotiation engine.
 
-    ``objective`` selects the scoring form: "experimental" is the fixed
-    closed form 2*sqrt(e) - 1.8*S*e^1.7 + 1.0*T + 0.8*P - 0.15*e; "generic"
-    weights the same five terms by ``lambdas`` (l1..l5), so the default
-    lambdas give the same scores. Both are concave in e for S >= 0, which the
-    optimizer relies on. Budgets are granted on the grid k*grid_step in
-    (0, eps_max], plus the interval's upper end.
+    The objective weights five terms by ``lambdas`` (l1..l5):
+    l1*2*sqrt(e) - l2*1.8*S*e^1.7 + l3*T + l4*P - l5*0.15*e. The defaults
+    (1, 1, 1, 0.8, 1) give 2*sqrt(e) - 1.8*S*e^1.7 + T + 0.8*P - 0.15*e.
+    Non-negative lambdas keep it concave in e for S >= 0, which the optimizer
+    relies on. Budgets are granted on the grid k*grid_step in (0, eps_max],
+    plus the interval's upper end.
     ``safety_mode`` places the budget-headroom rule: "upfront" rejects before
     any optimization, "staged" gates each approval path on the sensitivity it
     actually grants (the permissive variant exercised by the low-budget and
@@ -65,7 +65,6 @@ class EngineConfig:
     """
 
     lambdas: tuple[float, float, float, float, float] = (1.0, 1.0, 1.0, 0.8, 1.0)
-    objective: str = "experimental"
     eps_max: float = 10.0
     grid_step: float = 1e-3
     eps_min_default: float = 0.05
@@ -83,8 +82,6 @@ class EngineConfig:
             raise ValueError("counter_factor must be in (0,1)")
         if any(l < 0 for l in self.lambdas):
             raise ValueError("lambdas must be non-negative")
-        if self.objective not in ("experimental", "generic"):
-            raise ValueError(f"unknown objective mode: {self.objective}")
         if self.safety_mode not in ("upfront", "staged"):
             raise ValueError(f"unknown safety mode: {self.safety_mode}")
 
@@ -104,8 +101,6 @@ def objective(eps: float, s: float, t: float, p: float, cfg: EngineConfig) -> fl
     """Score one candidate budget. Raises for non-positive epsilon."""
     if eps <= 0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {eps}")
-    if cfg.objective == "experimental":
-        return 2.0 * math.sqrt(eps) - 1.8 * s * eps**1.7 + 1.0 * t + 0.8 * p - 0.15 * eps
     l1, l2, l3, l4, l5 = cfg.lambdas
     u, r, c = 2.0 * math.sqrt(eps), 1.8 * s * eps**1.7, 0.15 * eps
     return l1 * u - l2 * r + l3 * t + l4 * p - l5 * c
@@ -152,16 +147,6 @@ class BudgetLedger:
         self.granted.append((contract_id, eps_star))
         self._spent += eps_star
         return self
-
-
-def settle(ledger: BudgetLedger, contract_id: str, eps_star: float) -> BudgetLedger:
-    """Deduct an approved grant from the owner's budget."""
-    return ledger.settle(contract_id, eps_star)
-
-
-def effective_sensitivity(req: ValidatedRequest) -> float:
-    """Resolution-attenuated sensitivity; equals the raw sum at the finest tier."""
-    return req.effective_sensitivity
 
 
 def check_feasibility(
@@ -275,8 +260,8 @@ class NegotiationEngine:
     def __init__(self, cfg: EngineConfig):
         self.cfg = cfg
         l1, l2, _, _, l5 = cfg.lambdas
-        self._weights = (1.0, 1.0, 1.0) if cfg.objective == "experimental" else (l1, l2, l5)
-        self._argmax_cache: dict[tuple[float, float], float | None] = {}
+        self._weights = (l1, l2, l5)
+        self._argmax_cache: dict[tuple[float, float, type], float | None] = {}
         self._approvals: dict[float, NegotiationOutcome] = {}
 
     def _stationary(self, sensitivity: float) -> float:
@@ -334,7 +319,9 @@ class NegotiationEngine:
         upper = min(self.cfg.eps_max, upper)
         if upper <= 0:
             return None
-        key = (sensitivity, upper)
+        # the bound's type is part of the key: an endpoint grant is the bound
+        # itself, so an int cap and an equal float cap get their own entries
+        key = (sensitivity, upper, type(upper))
         cached = self._argmax_cache.get(key, _MISS)
         if cached is not _MISS:
             return cached
@@ -489,26 +476,11 @@ def engine_for(cfg: EngineConfig) -> NegotiationEngine:
     return engine
 
 
-def optimize_epsilon(
-    s: float, t: float, p: float, cfg: EngineConfig, h_remaining: float
-) -> float | None:
-    """The grid budget maximizing the objective over
-    (0, min(eps_max, h_remaining)].
-
-    Trust and purpose enter the objective without epsilon dependence, so they
-    never move the argmax; they are accepted for signature completeness.
-    """
-    if h_remaining < 0:
-        raise ValueError("h_remaining must be non-negative")
-    del t, p
-    return engine_for(cfg).optimize(s, h_remaining)
-
-
 def negotiate(
     req: ValidatedRequest, ledger: BudgetLedger, trust: float, cfg: EngineConfig
 ) -> NegotiationOutcome:
     """Run the full decision pipeline for one validated request.
 
-    Never mutates the ledger; call settle() once the grant is accepted.
+    Never mutates the ledger; call ``ledger.settle`` once the grant is accepted.
     """
     return engine_for(cfg).negotiate(req, ledger, trust)

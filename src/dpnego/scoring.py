@@ -1,27 +1,14 @@
-"""Scalar negotiation inputs: sensitivity, trust, and purpose compatibility."""
+"""Trust scoring: per-requester evidence ledgers and the normalized score."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
-
-from .contracts import Catalog, FeatureCategory, PurposeKind
 
 
 class OutOfRange(ValueError):
     pass
-
-
-def sensitivity_score(features: Iterable[FeatureCategory]) -> float:
-    """Sum of feature risk coefficients. Empty collections sum to zero."""
-    return float(sum(f.alpha for f in features))
-
-
-def purpose_score(purpose: PurposeKind, catalog: Catalog) -> float:
-    """Fixed compatibility-table lookup; total over the purpose enum."""
-    return catalog.purpose(purpose).score
 
 
 @dataclass(frozen=True)

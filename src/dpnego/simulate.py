@@ -17,6 +17,7 @@ from .contracts import (
     ContractRequest,
     Decision,
     FeatureKind,
+    NegotiationOutcome,
     PurposeKind,
     RequestMode,
     ResolutionKind,
@@ -32,7 +33,7 @@ from .ingest import (
     load_csv,
     normalize_to_household,
 )
-from .negotiation import BudgetLedger, EngineConfig, negotiate, settle
+from .negotiation import BudgetLedger, EngineConfig, negotiate
 from .release import QueryPlan, execute_plan
 from .scoring import TrustStore
 
@@ -128,6 +129,16 @@ class ScenarioMetrics:
     exhaustion_index: int | None = None
     decision_log: str | None = None
 
+    def tally(self, outcome: NegotiationOutcome) -> None:
+        """Count one decision; an approval adds its grant to ``total_granted``."""
+        if outcome.decision is Decision.APPROVE:
+            self.accepts += 1
+            self.total_granted += outcome.epsilon_star
+        elif outcome.decision is Decision.REJECT:
+            self.rejects += 1
+        else:
+            self.counters += 1
+
     @property
     def rates_defined(self) -> bool:
         return self.interactions > 0
@@ -163,27 +174,25 @@ class ScenarioMetrics:
         }
 
 
-def _ensure_outdir(outdir: str | Path | None) -> Path | None:
+def _write_outputs(
+    outdir: str | Path | None,
+    name: str,
+    summary: Any,
+    header: Sequence[str] | None = None,
+    rows: Sequence[Sequence[Any]] = (),
+) -> None:
+    """Write ``<name>_summary.json`` into ``outdir`` (made if missing), plus
+    ``<name>_rates.csv`` when a header is given. Nothing without an outdir."""
     if outdir is None:
-        return None
-    path = Path(outdir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def write_json(outdir: Path, name: str, payload: Any) -> Path:
-    path = outdir / name
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return path
-
-
-def write_csv(outdir: Path, name: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> Path:
-    path = outdir / name
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+        return
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{name}_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    if header is not None:
+        with open(out / f"{name}_rates.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +237,7 @@ def run_sweep(
         ledger = BudgetLedger(h_max=float(eps0))
         metrics = ScenarioMetrics(interactions=n)
         for i in range(n):
-            outcome = negotiate(validated[idx[i]], ledger, trusts[i], cfg.engine)
-            if outcome.decision is Decision.APPROVE:
-                metrics.accepts += 1
-                metrics.total_granted += outcome.epsilon_star
-            elif outcome.decision is Decision.REJECT:
-                metrics.rejects += 1
-            else:
-                metrics.counters += 1
+            metrics.tally(negotiate(validated[idx[i]], ledger, trusts[i], cfg.engine))
         rows.append(
             {
                 "eps0": eps0,
@@ -247,15 +249,10 @@ def run_sweep(
         )
 
     result = {"seed": seed, "interactions": n, "rows": rows}
-    out = _ensure_outdir(outdir)
-    if out is not None:
-        write_json(out, "sweep_summary.json", result)
-        write_csv(
-            out,
-            "sweep_rates.csv",
-            ["eps0", "accept", "reject", "counter"],
-            [[r["eps0"], r["accept"], r["reject"], r["counter"]] for r in rows],
-        )
+    _write_outputs(
+        outdir, "sweep", result, ["eps0", "accept", "reject", "counter"],
+        [[r["eps0"], r["accept"], r["reject"], r["counter"]] for r in rows],
+    )
     return result
 
 
@@ -304,15 +301,13 @@ def run_full_sim(
         requester = names[requesters[i]]
         trust = prosumer.trust.score(requester)
         outcome = negotiate(validated[draws[i]], prosumer.ledger, trust, cfg.engine)
+        metrics.tally(outcome)
         if outcome.decision is Decision.APPROVE:
-            metrics.accepts += 1
-            settle(prosumer.ledger, f"c{i}", outcome.epsilon_star)
-            metrics.total_granted += outcome.epsilon_star
+            prosumer.ledger.settle(f"c{i}", outcome.epsilon_star)
             prosumer.trust.record(requester, "completed")
             prosumer.trust.record(requester, "quality_report", float(rng.uniform(0.7, 1.0)))
             prosumer.trust.record(requester, "alignment_report", float(rng.uniform(0.7, 1.0)))
         elif outcome.decision is Decision.COUNTER_OFFER:
-            metrics.counters += 1
             takes = (
                 profile.counter_policy == "always"
                 or (
@@ -322,10 +317,8 @@ def run_full_sim(
             )
             if takes:
                 metrics.counters_accepted += 1
-                settle(prosumer.ledger, f"c{i}", outcome.epsilon_star)
+                prosumer.ledger.settle(f"c{i}", outcome.epsilon_star)
                 metrics.total_granted += outcome.epsilon_star
-        else:
-            metrics.rejects += 1
         if prosumer.ledger.exhausted and metrics.exhaustion_index is None:
             metrics.exhaustion_index = i + 1
 
@@ -333,9 +326,7 @@ def run_full_sim(
     metrics.mean_remaining_fraction = float(np.mean(fractions))
     metrics.min_remaining = float(min(p.ledger.h_remaining for p in prosumers))
 
-    out = _ensure_outdir(outdir)
-    if out is not None:
-        write_json(out, "full_sim_summary.json", {"seed": seed, **metrics.to_dict()})
+    _write_outputs(outdir, "full_sim", {"seed": seed, **metrics.to_dict()})
     return metrics
 
 
@@ -457,14 +448,7 @@ def run_cross_dataset(
                 ledger = BudgetLedger(h_max=owner_budget)
                 metrics = ScenarioMetrics(interactions=n)
                 for i in range(n):
-                    outcome = negotiate(validated[idx[i]], ledger, trusts[i], cfg.engine)
-                    if outcome.decision is Decision.APPROVE:
-                        metrics.accepts += 1
-                        metrics.total_granted += outcome.epsilon_star
-                    elif outcome.decision is Decision.REJECT:
-                        metrics.rejects += 1
-                    else:
-                        metrics.counters += 1
+                    metrics.tally(negotiate(validated[idx[i]], ledger, trusts[i], cfg.engine))
                 scenarios.append(
                     {
                         "dataset": dataset,
@@ -485,18 +469,14 @@ def run_cross_dataset(
         "spread": float(np.max(rates) - np.min(rates)),
     }
     result = {"seed": seed, "interactions": n, "aggregate": aggregate, "scenarios": scenarios}
-    out = _ensure_outdir(outdir)
-    if out is not None:
-        write_json(out, "cross_dataset_summary.json", result)
-        write_csv(
-            out,
-            "cross_dataset_rates.csv",
-            ["dataset", "pattern", "risk_mode", "accept", "reject", "counter"],
-            [
-                [s["dataset"], s["pattern"], s["risk_mode"], s["accept_rate"], s["reject_rate"], s["counter_rate"]]
-                for s in scenarios
-            ],
-        )
+    _write_outputs(
+        outdir, "cross_dataset", result,
+        ["dataset", "pattern", "risk_mode", "accept", "reject", "counter"],
+        [
+            [s["dataset"], s["pattern"], s["risk_mode"], s["accept_rate"], s["reject_rate"], s["counter_rate"]]
+            for s in scenarios
+        ],
+    )
     return result
 
 
@@ -522,7 +502,7 @@ def run_baseline_fixed(
     metrics = ScenarioMetrics(interactions=n)
     for i in range(1, n + 1):
         if eps_fix <= ledger.h_remaining + 1e-9:
-            settle(ledger, f"b{i}", eps_fix)
+            ledger.settle(f"b{i}", eps_fix)
             metrics.accepts += 1
             metrics.total_granted += eps_fix
             if ledger.exhausted and metrics.exhaustion_index is None:
@@ -531,13 +511,7 @@ def run_baseline_fixed(
             metrics.rejects += 1
     metrics.mean_remaining_fraction = ledger.h_remaining / ledger.h_max
     metrics.min_remaining = ledger.h_remaining
-    out = _ensure_outdir(outdir)
-    if out is not None:
-        write_json(
-            out,
-            "baseline_summary.json",
-            {"seed": seed, "eps_fix": eps_fix, **metrics.to_dict()},
-        )
+    _write_outputs(outdir, "baseline", {"seed": seed, "eps_fix": eps_fix, **metrics.to_dict()})
     return metrics
 
 
@@ -558,20 +532,8 @@ def run_adversary(
     engine_cfg = build_engine_config(
         _deep_merge(cfg.raw["engine"], exp.get("engine_overrides", {}))
     )
-    bundle = parse_bundle(exp["bundle"])
-    request = validate_request(
-        ContractRequest(
-            requester_id="adversary",
-            owner_id="victim",
-            features=bundle.features,
-            window_hours=bundle.window_hours,
-            resolution=bundle.resolution,
-            purpose=bundle.purpose,
-            proposed_epsilon=exp.get("proposed_epsilon"),
-            mode=bundle.mode,
-        ),
-        cfg.catalog,
-    )
+    bundle = parse_bundle({**exp["bundle"], "proposed_epsilon": exp.get("proposed_epsilon")})
+    request = validate_request(bundle_request(bundle, "adversary", "victim"), cfg.catalog)
     ledger = BudgetLedger(h_max=float(exp.get("owner_budget", 8.0)))
     store = TrustStore(cfg=cfg.trust)
     trace: list[float] = []
@@ -586,7 +548,7 @@ def run_adversary(
         if outcome.decision is Decision.APPROVE:
             accepted += 1
             streak = 0
-            settle(ledger, f"a{i}", outcome.epsilon_star)
+            ledger.settle(f"a{i}", outcome.epsilon_star)
             store.record("adversary", "completed")
             store.record("adversary", "quality_report", 1.0)
             store.record("adversary", "alignment_report", 1.0)
@@ -602,9 +564,7 @@ def run_adversary(
         "trust_final": trace[-1] if trace else 0.0,
         "trust_monotone": all(a <= b + 1e-12 for a, b in zip(trace, trace[1:])),
     }
-    out = _ensure_outdir(outdir)
-    if out is not None:
-        write_json(out, "adversary_summary.json", result)
+    _write_outputs(outdir, "adversary", result)
     return result
 
 
@@ -685,9 +645,7 @@ def bench_latency(
         "volume_large_median_ms": median_large,
         "volume_ratio": median_large / median_small if median_small > 0 else 1.0,
     }
-    out = _ensure_outdir(outdir)
-    if out is not None:
-        write_json(out, "bench_summary.json", result)
+    _write_outputs(outdir, "bench", result)
     return result
 
 
@@ -733,19 +691,16 @@ def run_probe(
     p = float(exp["perturbation"]) if perturbation is None else perturbation
     cases = probe_cases(cfg, seed=seed, replays=replays)
     report = robustness_probe(cases, p, int(exp.get("trials", 1)), seed + 1, cfg.engine)
-    out = _ensure_outdir(outdir)
-    if out is not None:
-        write_json(
-            out,
-            "probe_summary.json",
-            {
-                "seed": seed,
-                "perturbation": p,
-                "replays": report.replays,
-                "stability": report.stability,
-                "flips": report.flips,
-                "flips_at_threshold": report.flips_at_threshold,
-                "mean_eps_drift": report.mean_eps_drift,
-            },
-        )
+    _write_outputs(
+        outdir, "probe",
+        {
+            "seed": seed,
+            "perturbation": p,
+            "replays": report.replays,
+            "stability": report.stability,
+            "flips": report.flips,
+            "flips_at_threshold": report.flips_at_threshold,
+            "mean_eps_drift": report.mean_eps_drift,
+        },
+    )
     return report

@@ -16,7 +16,7 @@ import pytest
 
 from dpnego.config import load_config
 from dpnego import simulate
-from dpnego.negotiation import optimize_epsilon
+from dpnego.negotiation import engine_for
 from dpnego.secretshare import AlreadyAuthorized, ReleaseAuthority, reconstruct, split
 
 CFG = load_config()
@@ -158,11 +158,13 @@ def test_criterion_6_explanation_robustness():
 def test_criterion_7_optimizer_correctness():
     rng = np.random.default_rng(20240808)
     step = CFG.engine.grid_step
+    engine = engine_for(CFG.engine)
     worst = 0.0
     for _ in range(1000):
         s = float(rng.uniform(0.0, 2.5))
         h = float(rng.uniform(0.05, 12.0))
-        coarse = optimize_epsilon(s, rng.uniform(0, 1), rng.uniform(0, 1), CFG.engine, h)
+        rng.uniform(0, 1), rng.uniform(0, 1)  # trust and purpose draws: keep the (s, h) pairs
+        coarse = engine.optimize(s, h)
         upper = min(CFG.engine.eps_max, h)
         fine_grid = np.arange(1, int(upper / (step / 10) + 1e-9) + 1) * (step / 10)
         fine_grid = fine_grid[fine_grid <= upper]
@@ -174,7 +176,7 @@ def test_criterion_7_optimizer_correctness():
         worst = max(worst, abs(coarse - fine))
         assert abs(coarse - fine) <= step + 1e-12
     exact = all(
-        optimize_epsilon(0.0, 0.0, 0.0, CFG.engine, h) == min(CFG.engine.eps_max, h)
+        engine.optimize(0.0, h) == min(CFG.engine.eps_max, h)
         for h in (0.3, 1.0, 4.2, 7.0005, 10.0, 15.0)
     )
     report(

@@ -271,6 +271,31 @@ def test_negotiate_request_not_an_object_exit_one(tmp_path, capsys, raw):
     assert_malformed_request_exits_one(tmp_path, capsys, text, raw)
 
 
+@pytest.mark.parametrize("field,value", [("requester_id", "req-001"), ("owner_id", "owner-1")])
+@pytest.mark.parametrize("raw", ["null", "5", "true", '["o"]'])
+def test_negotiate_non_string_id_exit_one(tmp_path, capsys, field, value, raw):
+    # coercing null to "None" would give every such requester one trust history
+    assert_malformed_request_exits_one(
+        tmp_path, capsys, f'"{field}": "{value}"', f'"{field}": {raw}'
+    )
+
+
+@pytest.mark.parametrize("key", ["objective", "lambda"])
+def test_negotiate_unknown_engine_key_is_a_bad_config(tmp_path, capsys, key):
+    override = tmp_path / "cfg.json"
+    override.write_text(json.dumps({"engine": {key: "generic"}}))
+    req, owner = write_request(tmp_path), write_owner(tmp_path)
+    owner_before = owner.read_bytes()
+    code = main(["--config", str(override), "negotiate", "--request", str(req),
+                 "--owner", str(owner), "--settle"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: bad config")
+    assert key in captured.err
+    assert captured.out == ""
+    assert owner.read_bytes() == owner_before
+
+
 def test_negotiate_creates_missing_audit_log(tmp_path, capsys):
     from dpnego.audit import verify_file
 

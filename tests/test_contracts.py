@@ -22,8 +22,7 @@ from dpnego.contracts import (
     UnknownPurpose,
     ValidationError,
     request_from_dict,
-    request_from_json,
-    request_to_json,
+    request_to_dict,
     validate_request,
 )
 from dpnego.negotiation import EngineConfig, derive_counter_offer
@@ -106,9 +105,13 @@ def test_unknown_json_field_rejected():
         request_from_dict(doc)
 
 
+def json_round_trip(req):
+    return request_from_dict(json.loads(json.dumps(request_to_dict(req), sort_keys=True)))
+
+
 def test_json_round_trip():
     req = make_request(proposed_epsilon=2.5, mode=RequestMode.PERIODIC)
-    assert request_from_json(request_to_json(req)) == req
+    assert json_round_trip(req) == req
 
 
 def test_validation_idempotent(cfg):
@@ -133,15 +136,6 @@ def test_attenuation_strictly_decreasing(cfg):
     values = [cfg.catalog.attenuations[ResolutionKind(r)] for r in order]
     assert values[0] == 1.0
     assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_presets_validate_and_carry_epsilons(cfg):
-    expected_eps = {"base": 4.0, "settlement": 2.0, "forecast": 3.0, "dr": 5.5}
-    assert set(cfg.presets) == set(expected_eps)
-    for name, preset in cfg.presets.items():
-        assert preset.epsilon == expected_eps[name]
-        validated = validate_request(preset.request("r", "o"), cfg.catalog)
-        assert validated.sensitivity > 0
 
 
 def test_outcome_invariants():
@@ -196,7 +190,7 @@ def test_serialization_round_trip_property(features, window, resolution, purpose
         purpose=purpose,
         proposed_epsilon=epsilon,
     )
-    assert request_from_json(request_to_json(req)) == req
+    assert json_round_trip(req) == req
 
 
 def request_doc(**overrides):
@@ -262,6 +256,21 @@ def test_numeric_max_noise_accepted():
     assert request_from_dict(request_doc()).max_noise is None
 
 
+@pytest.mark.parametrize("field", ["requester_id", "owner_id"])
+@pytest.mark.parametrize("bad", [None, 5, 1.5, True, ["o"], {"id": "o"}])
+def test_ids_must_be_strings(field, bad):
+    with pytest.raises(ValidationError):
+        request_from_dict(request_doc(**{field: bad}))
+
+
+def test_ids_are_kept_as_given_or_default_to_empty():
+    assert request_from_dict(request_doc(requester_id="None")).requester_id == "None"
+    doc = request_doc()
+    del doc["requester_id"], doc["owner_id"]
+    got = request_from_dict(doc)
+    assert (got.requester_id, got.owner_id) == ("", "")
+
+
 @pytest.mark.parametrize("bad", ["abc", True, math.nan, math.inf, 0.0, -2.0])
 def test_contract_request_rejects_bad_max_noise(bad):
     # the constructor is the gate, so a counter-offer built from a request
@@ -273,7 +282,7 @@ def test_contract_request_rejects_bad_max_noise(bad):
 # --- per-catalog validation memo ---------------------------------------------
 
 def config_feature_tuples(raw):
-    """Every feature list named anywhere in the config (bundles, presets)."""
+    """Every feature list named anywhere in the config (the stream bundles)."""
     found = []
     if isinstance(raw, dict):
         if isinstance(raw.get("features"), list):
@@ -299,7 +308,8 @@ def test_warm_catalog_matches_a_cold_one(cfg):
     warm = load_config().catalog
     bundles = config_feature_tuples(cfg.raw)
     assert len(bundles) > 20
-    shapes = bundles + shapes_with_repeats()
+    # no bundle names this pair in this order, and the order is part of the memo key
+    shapes = bundles + [(FeatureKind.LOAD_CURVE, FeatureKind.APPLIANCE_LEVEL)] + shapes_with_repeats()
     assert any(len(set(f)) < len(f) for f in shapes)
     for _ in range(2):
         for features in shapes:

@@ -73,11 +73,14 @@ def test_pu_score_rejects_zero_epsilon():
 
 
 def test_pu_score_generic_mode_matches_default():
-    generic = EngineConfig(objective="generic")
-    for eps, s, t in [(1.0, 0.4, 0.8), (3.0, 1.2, 0.3), (0.2, 0.0, 1.0)]:
-        assert privacy_utility_score(eps, s, t, generic) == pytest.approx(
-            privacy_utility_score(eps, s, t, ENGINE), abs=1e-9
-        )
+    # the score normalizes by eps_max alone, so objective lambdas set in code
+    # ("generic") leave it equal to the shipped engine's
+    for lambdas in [(1.0, 1.0, 1.0, 0.8, 1.0), (2.5, 0.3, 0.0, 0.0, 0.7), (0.0,) * 5]:
+        generic = EngineConfig(lambdas=lambdas)
+        for eps, s, t in [(1.0, 0.4, 0.8), (3.0, 1.2, 0.3), (0.2, 0.0, 1.0)]:
+            assert privacy_utility_score(eps, s, t, generic) == pytest.approx(
+                privacy_utility_score(eps, s, t, ENGINE), abs=1e-9
+            )
 
 
 # --- explain dispatch --------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from dpnego.config import load_config
 from dpnego.contracts import ResolutionKind
 from dpnego.ingest import (
-    DEFAULT_CITY_PROFILES,
     EcosystemConfig,
     NonMonotoneTimestamps,
     ParseError,
@@ -130,7 +129,7 @@ def test_ecosystem_shape_and_budgets():
 
 
 def test_city_series_reproducible_and_sized():
-    oslo = DEFAULT_CITY_PROFILES["oslo"]
+    oslo = CFG.cities["oslo"]
     a = gen_city_series(oslo, seed=3)
     b = gen_city_series(oslo, seed=3)
     assert np.array_equal(a.values, b.values)

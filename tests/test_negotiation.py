@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -30,12 +31,9 @@ from dpnego.negotiation import (
     NonPositiveEpsilon,
     check_feasibility,
     derive_counter_offer,
-    effective_sensitivity,
     engine_for,
     negotiate,
     objective,
-    optimize_epsilon,
-    settle,
 )
 
 CFG = load_config()
@@ -75,37 +73,56 @@ def test_objective_rejects_zero_epsilon():
 
 
 def test_generic_mode_coincides_with_experimental():
-    generic = EngineConfig(objective="generic")
+    """The lambda-weighted objective at the default lambdas is, to the bit,
+    the closed form the experiments use."""
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        eps = float(rng.uniform(0.01, 10))
-        s, t, p = rng.uniform(0, 2), rng.uniform(0, 1), rng.uniform(0, 1)
-        assert objective(eps, s, t, p, generic) == pytest.approx(
-            objective(eps, s, t, p, ENGINE), rel=1e-12
-        )
+    for cfg in (ENGINE, EngineConfig()):
+        for _ in range(50):
+            eps = float(rng.uniform(0.01, 10))
+            s, t, p = rng.uniform(0, 2), rng.uniform(0, 1), rng.uniform(0, 1)
+            closed = 2.0 * math.sqrt(eps) - 1.8 * s * eps**1.7 + 1.0 * t + 0.8 * p - 0.15 * eps
+            assert objective(eps, s, t, p, cfg).hex() == closed.hex()
 
 
-# --- optimize_epsilon ------------------------------------------------------
+# --- optimize --------------------------------------------------------------
 
 def test_optimize_zero_sensitivity_clamped_at_budget():
     # objective is increasing for S=0, so the argmax is the right endpoint
     cfg = EngineConfig(eps_max=4.0)
-    assert optimize_epsilon(0.0, 0.5, 1.0, cfg, 8.0) == pytest.approx(4.0)
+    assert engine_for(cfg).optimize(0.0, 8.0) == pytest.approx(4.0)
 
 
 def test_optimize_interior_optimum_pinned():
     # dense 1e-4 oracle over (0, 8] puts the stationary point at ~0.7523
-    got = optimize_epsilon(0.4, 0.8, 0.8, ENGINE, 8.0)
+    got = engine_for(ENGINE).optimize(0.4, 8.0)
     assert got == pytest.approx(0.752, abs=1e-9)
 
 
 def test_optimize_empty_interval():
-    assert optimize_epsilon(0.4, 0.5, 0.5, ENGINE, 0.0) is None
+    assert engine_for(ENGINE).optimize(0.4, 0.0) is None
 
 
 def test_optimize_endpoint_exact_for_fractional_budget():
-    got = optimize_epsilon(0.0, 0.0, 0.0, ENGINE, 7.0005)
+    got = engine_for(ENGINE).optimize(0.0, 7.0005)
     assert got == 7.0005
+
+
+@pytest.mark.parametrize("caps", [(2, 2.0), (2.0, 2)], ids=["int-first", "float-first"])
+def test_equal_int_and_float_caps_keep_their_own_type(caps):
+    """A grant at the interval end is the cap itself, so its type, and the
+    JSON of the outcome, follow the cap whichever came first."""
+    cfg = EngineConfig(grid_step=0.3)  # 2 is not a grid point, so the end wins
+    engine = NegotiationEngine(cfg)
+    for cap in caps:
+        got = engine.optimize(0.0, cap)
+        assert got == cap and type(got) is type(cap)
+    engine = NegotiationEngine(cfg)
+    for cap in caps:
+        req = validated([FeatureKind.AGGREGATE], ResolutionKind.DAILY, proposed=cap)
+        outcome = engine.negotiate(req, BudgetLedger(8.0), 0.5)
+        assert outcome.decision is Decision.APPROVE
+        assert type(outcome.epsilon_star) is type(cap)
+        assert f'"epsilon_star": {cap!r}' in json.dumps(outcome.to_dict())
 
 
 def test_optimize_matches_finer_oracle_sample():
@@ -114,7 +131,7 @@ def test_optimize_matches_finer_oracle_sample():
     for _ in range(50):
         s = float(rng.uniform(0, 2.5))
         h = float(rng.uniform(0.05, 12.0))
-        coarse = optimize_epsilon(s, 0.0, 0.0, ENGINE, h)
+        coarse = engine_for(ENGINE).optimize(s, h)
         upper = min(ENGINE.eps_max, h)
         fine_grid = np.arange(1, int(upper / (step / 10)) + 1) * (step / 10)
         scores = 2 * np.sqrt(fine_grid) - 1.8 * s * fine_grid**1.7 - 0.15 * fine_grid
@@ -146,11 +163,8 @@ class GridOracle:
         if m >= 1 and grid[m - 1] > upper:
             m -= 1
         g, root, power = grid[:m], self.root[:m], self.power[:m]
-        if cfg.objective == "experimental":
-            scores = 2.0 * root - s * (1.8 * power) - 0.15 * g
-        else:
-            l1, l2, _, _, l5 = cfg.lambdas
-            scores = l1 * (2.0 * root) - l2 * (1.8 * s * power) - l5 * (0.15 * g)
+        l1, l2, _, _, l5 = cfg.lambdas
+        scores = l1 * (2.0 * root) - l2 * (1.8 * s * power) - l5 * (0.15 * g)
         best, best_score = None, -math.inf
         if m >= 1:
             i = int(np.argmax(scores))
@@ -163,13 +177,19 @@ class GridOracle:
 
 ORACLE_CONFIGS = [
     ENGINE,
-    EngineConfig(objective="generic"),
-    EngineConfig(objective="generic", lambdas=(0.0, 1.0, 1.0, 0.8, 1.0)),
-    EngineConfig(objective="generic", lambdas=(1.0, 0.0, 1.0, 0.8, 1.0)),
-    EngineConfig(objective="generic", lambdas=(1.0, 1.0, 1.0, 0.8, 0.0)),
-    EngineConfig(objective="generic", lambdas=(0.0, 0.0, 0.0, 0.0, 0.0)),
-    EngineConfig(objective="generic", lambdas=(2.5, 0.3, 0.0, 0.0, 0.7), eps_max=7.3, grid_step=0.01),
+    EngineConfig(),
+    EngineConfig(lambdas=(0.0, 1.0, 1.0, 0.8, 1.0)),
+    EngineConfig(lambdas=(1.0, 0.0, 1.0, 0.8, 1.0)),
+    EngineConfig(lambdas=(1.0, 1.0, 1.0, 0.8, 0.0)),
+    EngineConfig(lambdas=(0.0, 0.0, 0.0, 0.0, 0.0)),
+    EngineConfig(lambdas=(2.5, 0.3, 0.0, 0.0, 0.7), eps_max=7.3, grid_step=0.01),
 ]
+
+
+def oracle_id(cfg):
+    # "experimental": the shipped engine the experiments run on;
+    # "generic": an engine config built in code
+    return f"{'experimental' if cfg is ENGINE else 'generic'}-{cfg.lambdas}"
 
 
 def catalog_sensitivities():
@@ -185,8 +205,7 @@ def catalog_sensitivities():
 def midpoint_sensitivities(cfg, rng, n):
     """Sensitivities whose unbounded optimum lies halfway between two grid
     points, where the nearest grid point need not be the argmax."""
-    generic = cfg.objective == "generic"
-    l1, l2, _, _, l5 = cfg.lambdas if generic else (1.0, 1.0, 1.0, 1.0, 1.0)
+    l1, l2, _, _, l5 = cfg.lambdas
     if l2 == 0:
         return []
     e = (rng.integers(1, cfg.grid_points, n) + 0.5) * cfg.grid_step
@@ -194,7 +213,7 @@ def midpoint_sensitivities(cfg, rng, n):
     return [float(x) for x in s if x > 0]
 
 
-@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=lambda c: f"{c.objective}-{c.lambdas}")
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=oracle_id)
 def test_optimize_equals_numpy_grid_oracle(cfg):
     """Exact equality with the full-grid argmax: bounds on, 1e-12 around and
     between grid points, next to the unbounded optimum and above eps_max."""
@@ -216,34 +235,21 @@ def test_optimize_equals_numpy_grid_oracle(cfg):
     assert not mismatches
 
 
-@given(
-    s=st.floats(min_value=0, max_value=2.5),
-    h=st.floats(min_value=0.01, max_value=12),
-    t1=st.floats(min_value=0, max_value=1),
-    t2=st.floats(min_value=0, max_value=1),
-    p1=st.floats(min_value=0, max_value=1),
-    p2=st.floats(min_value=0, max_value=1),
-)
-@settings(max_examples=60, deadline=None)
-def test_additive_terms_never_move_argmax(s, h, t1, t2, p1, p2):
-    assert optimize_epsilon(s, t1, p1, ENGINE, h) == optimize_epsilon(s, t2, p2, ENGINE, h)
-
-
 # --- effective sensitivity -------------------------------------------------
 
 def test_effective_sensitivity_finest_resolution():
     req = validated([FeatureKind.LOAD_CURVE], ResolutionKind.MIN5)
-    assert effective_sensitivity(req) == pytest.approx(0.4)
+    assert req.effective_sensitivity == pytest.approx(0.4)
 
 
 def test_effective_sensitivity_daily():
     req = validated([FeatureKind.LOAD_CURVE], ResolutionKind.DAILY)
-    assert effective_sensitivity(req) == pytest.approx(0.12)
+    assert req.effective_sensitivity == pytest.approx(0.12)
 
 
 def test_effective_sensitivity_hourly_pair():
     req = validated([FeatureKind.LOCATION, FeatureKind.APPLIANCE_LEVEL], ResolutionKind.HOUR1)
-    assert effective_sensitivity(req) == pytest.approx(1.02)
+    assert req.effective_sensitivity == pytest.approx(1.02)
 
 
 # --- feasibility -----------------------------------------------------------
@@ -533,24 +539,24 @@ def test_monotone_generosity(trust_low, bump, h, features, resolution, mode):
 
 def test_settle_subtracts():
     ledger = BudgetLedger(h_max=8.0)
-    settle(ledger, "c1", 2.0)
+    ledger.settle("c1", 2.0)
     assert ledger.h_remaining == pytest.approx(6.0)
 
 
 def test_settle_guards_overdraft():
     ledger = BudgetLedger(h_max=0.05)
     with pytest.raises(BudgetOverdraft):
-        settle(ledger, "c1", 0.10)
+        ledger.settle("c1", 0.10)
 
 
 def test_eighty_grants_exhaust_then_fail():
     ledger = BudgetLedger(h_max=8.0)
     for i in range(80):
-        settle(ledger, f"c{i}", 0.10)
+        ledger.settle(f"c{i}", 0.10)
     assert ledger.h_remaining == 0.0
     assert ledger.exhausted
     with pytest.raises(BudgetOverdraft):
-        settle(ledger, "c80", 0.10)
+        ledger.settle("c80", 0.10)
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=3.0), max_size=30))
@@ -559,10 +565,10 @@ def test_budget_safety_over_any_sequence(grants):
     ledger = BudgetLedger(h_max=8.0)
     for i, eps in enumerate(grants):
         if eps <= ledger.h_remaining + 1e-9:
-            settle(ledger, f"c{i}", eps)
+            ledger.settle(f"c{i}", eps)
         else:
             with pytest.raises(BudgetOverdraft):
-                settle(ledger, f"c{i}", eps)
+                ledger.settle(f"c{i}", eps)
         assert ledger.h_remaining >= 0.0
         assert ledger.spent <= ledger.h_max + 1e-9
 

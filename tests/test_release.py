@@ -267,7 +267,7 @@ def test_compliance_rejects_over_arity():
 def test_sequential_composition_bounded_by_initial_budget():
     # negotiate -> settle -> authorize -> release, repeatedly against one
     # owner: the sum of charged epsilons never exceeds the initial budget
-    from dpnego.negotiation import BudgetLedger, negotiate, settle
+    from dpnego.negotiation import BudgetLedger, negotiate
     from dpnego.contracts import Decision
 
     ledger = BudgetLedger(h_max=8.0)
@@ -297,7 +297,7 @@ def test_sequential_composition_bounded_by_initial_budget():
         if outcome.decision is not Decision.APPROVE:
             break
         cid = f"seq-{i}"
-        settle(ledger, cid, outcome.epsilon_star)
+        ledger.settle(cid, outcome.epsilon_star)
         shares = authority.enroll(cid, secret=1000 + i, k=3, n=5, seed=i)
         token = authority.authorize_release(cid, list(shares[:3]))
         out = run_release(

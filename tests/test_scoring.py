@@ -5,14 +5,18 @@ from hypothesis import given, strategies as st
 
 from dpnego import scoring
 from dpnego.config import load_config
-from dpnego.contracts import FeatureCategory, FeatureKind, PurposeKind
+from dpnego.contracts import (
+    ContractRequest,
+    FeatureKind,
+    PurposeKind,
+    ResolutionKind,
+    ValidatedRequest,
+)
 from dpnego.scoring import (
     OutOfRange,
     TrustConfig,
     TrustLedger,
     TrustStore,
-    purpose_score,
-    sensitivity_score,
     trust_score,
     update_trust,
 )
@@ -21,27 +25,33 @@ from dpnego.scoring import (
 CATALOG = load_config().catalog
 
 
-def cats(*kinds):
-    return tuple(CATALOG.feature(k) for k in kinds)
+def sensitivity(*kinds):
+    """``ValidatedRequest.sensitivity`` of a request naming ``kinds``, built
+    directly so that an empty set (which validation refuses) has a value."""
+    req = ContractRequest("r", "o", kinds, 24, ResolutionKind.MIN5, PurposeKind.BILLING)
+    return ValidatedRequest(
+        req, tuple(CATALOG.feature(k) for k in kinds), CATALOG.resolution(req.resolution),
+        CATALOG.purpose(req.purpose), CATALOG,
+    ).sensitivity
 
 
 def test_sensitivity_single_load_curve():
-    assert sensitivity_score(cats(FeatureKind.LOAD_CURVE)) == pytest.approx(0.4)
+    assert sensitivity(FeatureKind.LOAD_CURVE) == pytest.approx(0.4)
 
 
 def test_sensitivity_location_plus_appliance():
-    got = sensitivity_score(cats(FeatureKind.LOCATION, FeatureKind.APPLIANCE_LEVEL))
+    got = sensitivity(FeatureKind.LOCATION, FeatureKind.APPLIANCE_LEVEL)
     assert got == pytest.approx(1.7)
 
 
 def test_sensitivity_empty_is_zero():
-    assert sensitivity_score(()) == 0.0
+    assert sensitivity() == 0.0
 
 
 @given(st.lists(st.sampled_from(list(FeatureKind)), max_size=6))
 def test_sensitivity_monotone_under_inclusion(kinds):
-    subset = sensitivity_score(cats(*kinds))
-    superset = sensitivity_score(cats(*kinds, FeatureKind.AGGREGATE))
+    subset = sensitivity(*kinds)
+    superset = sensitivity(*kinds, FeatureKind.AGGREGATE)
     assert superset >= subset
 
 
@@ -125,12 +135,12 @@ def test_trust_ledger_range_checks_still_run():
 
 
 def test_purpose_table_values():
-    assert purpose_score(PurposeKind.BILLING, CATALOG) == 1.0
-    assert purpose_score(PurposeKind.FORECASTING, CATALOG) == 0.8
-    assert purpose_score(PurposeKind.GRID_MONITORING, CATALOG) == 0.75
-    assert purpose_score(PurposeKind.DEMAND_RESPONSE, CATALOG) == 0.7
-    assert purpose_score(PurposeKind.PEER_TRADING, CATALOG) == 0.6
-    assert purpose_score(PurposeKind.PROFILING, CATALOG) == 0.1
+    assert CATALOG.purpose(PurposeKind.BILLING).score == 1.0
+    assert CATALOG.purpose(PurposeKind.FORECASTING).score == 0.8
+    assert CATALOG.purpose(PurposeKind.GRID_MONITORING).score == 0.75
+    assert CATALOG.purpose(PurposeKind.DEMAND_RESPONSE).score == 0.7
+    assert CATALOG.purpose(PurposeKind.PEER_TRADING).score == 0.6
+    assert CATALOG.purpose(PurposeKind.PROFILING).score == 0.1
 
 
 def test_beta_must_sum_to_one():
