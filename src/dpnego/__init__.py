@@ -21,7 +21,6 @@ from .contracts import (
 from .negotiation import (
     BudgetLedger,
     EngineConfig,
-    check_feasibility,
     derive_counter_offer,
     negotiate,
     objective,
@@ -46,7 +45,6 @@ __all__ = [
     "TrustConfig",
     "TrustLedger",
     "ValidatedRequest",
-    "check_feasibility",
     "derive_counter_offer",
     "explain",
     "factors_for",

@@ -237,7 +237,7 @@ TAIL_BLOCK = 4096
 
 def _record(line: str) -> AuditRecord:
     doc = json.loads(line)
-    return AuditRecord(
+    rec = AuditRecord(
         sequence=doc["sequence"],
         timestamp=doc["timestamp"],
         request_digest=doc["request_digest"],
@@ -246,6 +246,14 @@ def _record(line: str) -> AuditRecord:
         prev_hash=doc["prev_hash"],
         record_hash=doc["record_hash"],
     )
+    # A field of the wrong type makes the record malformed. JSON decodes to
+    # exact types, so comparing type() also keeps a bool from passing as a number.
+    if (type(rec.sequence) is not int or type(rec.timestamp) not in (float, int)
+            or type(rec.outcome) is not dict or type(rec.request_digest) is not str
+            or type(rec.explanation_digest) is not str or type(rec.prev_hash) is not str
+            or type(rec.record_hash) is not str):
+        raise ValueError("audit record field of the wrong type")
+    return rec
 
 
 def _line(record: AuditRecord) -> str:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .audit import AuditLog, ChainCorrupt, verify_file, write_atomic
-from .config import AppConfig, load_config
+from .config import AppConfig, BadConfig, load_config
 from .contracts import (
     Decision,
     ValidationError,
@@ -279,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.fn(args, cfg)
+    except BadConfig as exc:
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return 1
     except FileNotFoundError as exc:  # such as simulate.MissingDataset
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,10 @@ from .negotiation import EngineConfig, EpsMinRule
 from .scoring import TrustConfig
 
 
+class BadConfig(ValueError):
+    """A config entry found malformed when a command reads it, after loading."""
+
+
 @dataclass(frozen=True)
 class EcosystemConfig:
     n_prosumers: int = 100

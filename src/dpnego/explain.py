@@ -36,6 +36,10 @@ class ExplainConfig:
     pu_lambdas: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     high_consumption_threshold: float = 0.5
 
+    def __post_init__(self) -> None:
+        if len(self.pu_lambdas) != 4:
+            raise ValueError(f"pu_lambdas must have 4 entries, got {len(self.pu_lambdas)}")
+
 
 def privacy_utility_score(
     eps_star: float,

@@ -80,6 +80,8 @@ class EngineConfig:
             raise ValueError("require eps_max > grid_step > 0")
         if not 0.0 < self.counter_factor < 1.0:
             raise ValueError("counter_factor must be in (0,1)")
+        if len(self.lambdas) != 5:
+            raise ValueError(f"lambdas must have 5 entries, got {len(self.lambdas)}")
         if any(l < 0 for l in self.lambdas):
             raise ValueError("lambdas must be non-negative")
         if self.safety_mode not in ("upfront", "staged"):
@@ -147,23 +149,6 @@ class BudgetLedger:
         self.granted.append((contract_id, eps_star))
         self._spent += eps_star
         return self
-
-
-def check_feasibility(
-    eps_star: float,
-    sensitivity: float,
-    purpose: str,
-    ledger: BudgetLedger,
-    cfg: EngineConfig,
-) -> str | None:
-    """None when both feasibility inequalities hold, else the violated one."""
-    if eps_star <= 0:
-        raise NonPositiveEpsilon("eps_star must be positive")
-    if eps_star < cfg.eps_min(sensitivity, purpose) - _TOL:
-        return BELOW_MINIMUM
-    if eps_star > ledger.h_remaining + _TOL:
-        return BUDGET_EXCEEDED
-    return None
 
 
 def derive_counter_offer(

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Sequence
 
 
 class OutOfRange(ValueError):
@@ -49,12 +52,16 @@ class TrustLedger:
     events: int = 0
 
     def __post_init__(self) -> None:
-        if self.succ_count < 0:
-            raise OutOfRange("succ_count must be non-negative")
-        if not 0.0 <= self.quality <= 1.0:
-            raise OutOfRange("quality must be in [0,1]")
-        if not 0.0 <= self.alignment <= 1.0:
-            raise OutOfRange("alignment must be in [0,1]")
+        _check_bounds(self.succ_count, self.quality, self.alignment)
+
+
+def _check_bounds(succ_count: int, quality: float, alignment: float) -> None:
+    if succ_count < 0:
+        raise OutOfRange("succ_count must be non-negative")
+    if not 0.0 <= quality <= 1.0:
+        raise OutOfRange("quality must be in [0,1]")
+    if not 0.0 <= alignment <= 1.0:
+        raise OutOfRange("alignment must be in [0,1]")
 
 
 _BLANK = TrustLedger()  # frozen, so one instance serves every unseen requester
@@ -68,29 +75,40 @@ def trust_score(ledger: TrustLedger, cfg: TrustConfig) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def update_trust(ledger: TrustLedger, event: str, value: float | None = None,
-                 cfg: TrustConfig = TrustConfig()) -> TrustLedger:
-    """Apply one behavioural event and return the updated ledger.
+def fold_trust(ledger: TrustLedger, events: Iterable[tuple[str, float | None]],
+               cfg: TrustConfig = TrustConfig()) -> TrustLedger:
+    """Apply ``(event, value)`` pairs in order and return the updated ledger.
 
     Events: ``completed`` increments the success count; ``quality_report`` and
     ``alignment_report`` fold ``value`` into an exponentially weighted average
-    so recent behaviour dominates.
+    so recent behaviour dominates. The run is folded as plain numbers, with
+    the value range, the event name and the ledger bounds checked at every
+    event, and one ``TrustLedger`` is built at the end.
     """
     succ, quality, alignment = ledger.succ_count, ledger.quality, ledger.alignment
-    if event == "completed":
-        succ += 1
-    elif event in ("quality_report", "alignment_report"):
-        if value is None or not 0.0 <= value <= 1.0:
-            raise OutOfRange(f"{event} value must be in [0,1], got {value}")
-        w = cfg.ewma_weight
-        if event == "quality_report":
-            quality += w * (value - quality)
+    n = ledger.events
+    w = cfg.ewma_weight
+    for event, value in events:
+        if event == "completed":
+            succ += 1
+        elif event == "quality_report" or event == "alignment_report":
+            if value is None or not 0.0 <= value <= 1.0:
+                raise OutOfRange(f"{event} value must be in [0,1], got {value}")
+            if event == "quality_report":
+                quality += w * (value - quality)
+            else:
+                alignment += w * (value - alignment)
         else:
-            alignment += w * (value - alignment)
-    else:
-        raise ValueError(f"unknown trust event: {event!r}")
-    return TrustLedger(succ_count=succ, quality=quality, alignment=alignment,
-                       events=ledger.events + 1)
+            raise ValueError(f"unknown trust event: {event!r}")
+        _check_bounds(succ, quality, alignment)
+        n += 1
+    return TrustLedger(succ, quality, alignment, n)
+
+
+def update_trust(ledger: TrustLedger, event: str, value: float | None = None,
+                 cfg: TrustConfig = TrustConfig()) -> TrustLedger:
+    """Apply one behavioural event: ``fold_trust`` of a one-event run."""
+    return fold_trust(ledger, ((event, value),), cfg)
 
 
 @dataclass
@@ -112,9 +130,21 @@ class TrustStore:
         return trust_score(self.ledger(requester_id), self.cfg)
 
     def record(self, requester_id: str, event: str, value: float | None = None) -> TrustLedger:
-        updated = update_trust(self.ledger(requester_id), event, value, self.cfg)
+        # extend's one-event case, written out: decisions call it per grant
+        updated = fold_trust(self.ledger(requester_id), ((event, value),), self.cfg)
         self.ledgers[requester_id] = updated
         self.log.append({"requester": requester_id, "event": event, "value": value})
+        return updated
+
+    def extend(self, requester_id: str, events: Sequence[tuple[str, float | None]]) -> TrustLedger:
+        """Fold a run of ``(event, value)`` pairs into one requester's ledger
+        and log each event. All or nothing: if any event is bad, it raises as
+        ``record`` would and the store is left unchanged."""
+        if not events:
+            return self.ledger(requester_id)
+        updated = fold_trust(self.ledger(requester_id), events, self.cfg)
+        self.ledgers[requester_id] = updated
+        self.log += [{"requester": requester_id, "event": e, "value": v} for e, v in events]
         return updated
 
     def save(self, path: str | Path) -> None:
@@ -124,12 +154,11 @@ class TrustStore:
 
     @classmethod
     def load(cls, path: str | Path, cfg: TrustConfig = TrustConfig()) -> "TrustStore":
+        """Replay an event log; each run of one requester's consecutive events
+        goes through one ``extend``."""
         store = cls(cfg=cfg)
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                store.record(entry["requester"], entry["event"], entry["value"])
+            entries = [json.loads(line) for line in fh if line.strip()]
+        for requester, run in groupby(entries, key=itemgetter("requester")):
+            store.extend(requester, [(entry["event"], entry["value"]) for entry in run])
         return store

@@ -12,7 +12,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import AppConfig, _deep_merge, build_engine_config
+from .config import AppConfig, BadConfig, _deep_merge, build_engine_config
 from .contracts import (
     ContractRequest,
     Decision,
@@ -43,75 +43,58 @@ class MissingDataset(FileNotFoundError):
 
 
 @dataclass(frozen=True)
-class StreamBundle:
-    """One request archetype in a stream profile."""
-
-    name: str
-    features: tuple[FeatureKind, ...]
-    resolution: ResolutionKind
-    purpose: PurposeKind
-    weight: float
-    window_hours: int = 24
-    proposed_epsilon: float | None = None
-    mode: RequestMode = RequestMode.ONE_SHOT
-
-
-@dataclass(frozen=True)
 class RequestStreamProfile:
     """Distribution over request archetypes plus requester-side policies."""
 
-    bundles: tuple[StreamBundle, ...]
+    bundles: tuple[ContractRequest, ...]
+    bundle_weights: tuple[float, ...]
     trust_lo: float = 0.2
     trust_hi: float = 0.9
     counter_policy: str = "natural"
     counter_accept_prob: float = 0.5
 
     def weights(self) -> np.ndarray:
-        w = np.array([b.weight for b in self.bundles], dtype=np.float64)
+        w = np.array(self.bundle_weights, dtype=np.float64)
         return w / w.sum()
 
 
-def parse_bundle(doc: dict) -> StreamBundle:
-    return StreamBundle(
-        name=doc["name"],
-        features=tuple(FeatureKind(f) for f in doc["features"]),
-        resolution=ResolutionKind(doc["resolution"]),
-        purpose=PurposeKind(doc["purpose"]),
-        weight=float(doc["weight"]),
-        window_hours=int(doc.get("window_hours", 24)),
-        proposed_epsilon=doc.get("proposed_epsilon"),
-        mode=RequestMode(doc.get("mode", "one_shot")),
-    )
+def parse_bundle(doc: dict, requester: str = "requester", owner: str = "owner") -> ContractRequest:
+    """The request a stream bundle's config entry describes. Its constructor
+    checks ``proposed_epsilon``; a bad entry raises ``BadConfig``."""
+    try:
+        return ContractRequest(
+            requester_id=requester,
+            owner_id=owner,
+            features=tuple(FeatureKind(f) for f in doc["features"]),
+            window_hours=int(doc.get("window_hours", 24)),
+            resolution=ResolutionKind(doc["resolution"]),
+            purpose=PurposeKind(doc["purpose"]),
+            proposed_epsilon=doc.get("proposed_epsilon"),
+            mode=RequestMode(doc.get("mode", "one_shot")),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadConfig(f"stream bundle: {exc}") from exc
 
 
 def parse_stream(doc: dict) -> RequestStreamProfile:
-    trust = doc.get("trust", {})
-    return RequestStreamProfile(
-        bundles=tuple(parse_bundle(b) for b in doc["bundles"]),
-        trust_lo=float(trust.get("lo", 0.2)),
-        trust_hi=float(trust.get("hi", 0.9)),
-        counter_policy=doc.get("counter_policy", "natural"),
-        counter_accept_prob=float(doc.get("counter_accept_prob", 0.5)),
-    )
-
-
-def bundle_request(bundle: StreamBundle, requester: str = "requester", owner: str = "owner") -> ContractRequest:
-    return ContractRequest(
-        requester_id=requester,
-        owner_id=owner,
-        features=bundle.features,
-        window_hours=bundle.window_hours,
-        resolution=bundle.resolution,
-        purpose=bundle.purpose,
-        proposed_epsilon=bundle.proposed_epsilon,
-        mode=bundle.mode,
-    )
+    try:
+        trust = doc.get("trust", {})
+        return RequestStreamProfile(
+            bundles=tuple(parse_bundle(b) for b in doc["bundles"]),
+            bundle_weights=tuple(float(b["weight"]) for b in doc["bundles"]),
+            trust_lo=float(trust.get("lo", 0.2)),
+            trust_hi=float(trust.get("hi", 0.9)),
+            counter_policy=doc.get("counter_policy", "natural"),
+            counter_accept_prob=float(doc.get("counter_accept_prob", 0.5)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadConfig(f"request stream: {exc}") from exc
 
 
 def _validated_bundles(
     profile: RequestStreamProfile, cfg: AppConfig
 ) -> list[ValidatedRequest]:
-    return [validate_request(bundle_request(b), cfg.catalog) for b in profile.bundles]
+    return [validate_request(r, cfg.catalog) for r in profile.bundles]
 
 
 @dataclass
@@ -282,15 +265,17 @@ def run_full_sim(
     names = [f"req-{r:03d}" for r in range(n_req)]
     rng = np.random.default_rng(seed)
 
-    # heterogeneous starting reputations
+    # heterogeneous starting reputations, one folded run per pair; the list
+    # draws integers, then quality, then alignment, as per-event records did
     for prosumer in prosumers:
         for name in names:
             completions = int(rng.integers(0, 12))
-            for _ in range(completions):
-                prosumer.trust.record(name, "completed")
             if completions:
-                prosumer.trust.record(name, "quality_report", float(rng.uniform(0.5, 1.0)))
-                prosumer.trust.record(name, "alignment_report", float(rng.uniform(0.5, 1.0)))
+                prosumer.trust.extend(name, [
+                    *[("completed", None)] * completions,
+                    ("quality_report", float(rng.uniform(0.5, 1.0))),
+                    ("alignment_report", float(rng.uniform(0.5, 1.0))),
+                ])
 
     metrics = ScenarioMetrics(interactions=n)
     owners = rng.integers(0, len(prosumers), size=n).tolist()
@@ -532,8 +517,8 @@ def run_adversary(
     engine_cfg = build_engine_config(
         _deep_merge(cfg.raw["engine"], exp.get("engine_overrides", {}))
     )
-    bundle = parse_bundle({**exp["bundle"], "proposed_epsilon": exp.get("proposed_epsilon")})
-    request = validate_request(bundle_request(bundle, "adversary", "victim"), cfg.catalog)
+    bundle = {**exp["bundle"], "proposed_epsilon": exp.get("proposed_epsilon")}
+    request = validate_request(parse_bundle(bundle, "adversary", "victim"), cfg.catalog)
     ledger = BudgetLedger(h_max=float(exp.get("owner_budget", 8.0)))
     store = TrustStore(cfg=cfg.trust)
     trace: list[float] = []
@@ -661,9 +646,7 @@ def probe_cases(cfg: AppConfig, seed: int | None = None, replays: int | None = N
     n = int(exp["replays"]) if replays is None else replays
     profile = parse_stream(cfg.experiments["sweep"]["stream"])
     validated = _validated_bundles(profile, cfg)
-    boundary = validate_request(
-        bundle_request(parse_bundle(exp["boundary_bundle"])), cfg.catalog
-    )
+    boundary = validate_request(parse_bundle(exp["boundary_bundle"]), cfg.catalog)
     b_weight = float(exp.get("boundary_bundle_weight", 0.15))
     lo, hi = exp.get("h_range", [0.5, 8.0])
     rng = np.random.default_rng(seed)

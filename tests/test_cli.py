@@ -280,10 +280,11 @@ def test_negotiate_non_string_id_exit_one(tmp_path, capsys, field, value, raw):
     )
 
 
-@pytest.mark.parametrize("key", ["objective", "lambda"])
-def test_negotiate_unknown_engine_key_is_a_bad_config(tmp_path, capsys, key):
+def assert_negotiate_bad_config(tmp_path, capsys, override_doc, text):
+    """``negotiate --settle`` under ``override_doc`` exits 1 with a bad-config
+    error naming ``text`` and writes nothing."""
     override = tmp_path / "cfg.json"
-    override.write_text(json.dumps({"engine": {key: "generic"}}))
+    override.write_text(json.dumps(override_doc))
     req, owner = write_request(tmp_path), write_owner(tmp_path)
     owner_before = owner.read_bytes()
     code = main(["--config", str(override), "negotiate", "--request", str(req),
@@ -291,9 +292,96 @@ def test_negotiate_unknown_engine_key_is_a_bad_config(tmp_path, capsys, key):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: bad config")
-    assert key in captured.err
+    assert text in captured.err
     assert captured.out == ""
     assert owner.read_bytes() == owner_before
+
+
+@pytest.mark.parametrize("key", ["objective", "lambda"])
+def test_negotiate_unknown_engine_key_is_a_bad_config(tmp_path, capsys, key):
+    assert_negotiate_bad_config(tmp_path, capsys, {"engine": {key: "generic"}}, key)
+
+
+@pytest.mark.parametrize("section,key,values", [
+    ("engine", "lambdas", [1, 1, 1, 1]),
+    ("engine", "lambdas", [1, 1, 1, 1, 1, 1]),
+    ("explain", "pu_lambdas", [1, 1, 1]),
+    ("explain", "pu_lambdas", [1, 1, 1, 1, 1]),
+])
+def test_negotiate_wrong_lambda_count_is_a_bad_config(tmp_path, capsys, section, key, values):
+    assert_negotiate_bad_config(tmp_path, capsys, {section: {key: values}}, key)
+
+
+@pytest.mark.parametrize("field,raw,text", [
+    ("proposed_epsilon", "abc", "proposed_epsilon"),
+    ("proposed_epsilon", True, "proposed_epsilon"),
+    ("proposed_epsilon", -1, "proposed_epsilon"),
+    ("proposed_epsilon", float("inf"), "proposed_epsilon"),
+    ("features", ["bogus"], "bogus"),
+    ("weight", "x", "'x'"),
+])
+def test_sweep_bad_bundle_is_a_bad_config(tmp_path, capsys, field, raw, text):
+    bundle = {"name": "agg", "features": ["aggregate"], "resolution": "hour1",
+              "purpose": "billing", "weight": 1.0, field: raw}
+    override = tmp_path / "cfg.json"
+    override.write_text(json.dumps({"experiments": {"sweep": {"stream": {"bundles": [bundle]}}}}))
+    code = main(["--config", str(override), "sweep", "--interactions", "5",
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: bad config")
+    assert text in captured.err
+    assert captured.out == ""
+
+
+def write_log_with_bad_field(tmp_path, index, field, value, n=3):
+    """An ``n``-record audit log whose record ``index`` has ``field`` set to
+    ``value`` and its hash recomputed, so only the field's type is wrong."""
+    from dpnego.audit import AuditLog, _digest
+
+    log = AuditLog()
+    for i in range(n):
+        log.append({"r": i}, {"decision": "approve"}, {"text": "ok"}, timestamp=float(i))
+    path = tmp_path / "audit.jsonl"
+    log.save(path)
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[index])
+    doc[field] = value
+    if field != "record_hash":
+        doc["record_hash"] = _digest({k: v for k, v in doc.items() if k != "record_hash"})
+    lines[index] = json.dumps(doc, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+BAD_FIELDS = [
+    ("sequence", "x"), ("sequence", True), ("sequence", 1.0), ("timestamp", "t"),
+    ("timestamp", False), ("request_digest", 5), ("explanation_digest", None),
+    ("prev_hash", 0), ("record_hash", ["h"]), ("outcome", "approve"),
+]
+
+
+@pytest.mark.parametrize("field,value", BAD_FIELDS)
+def test_audit_verify_wrong_field_type_is_corrupt(tmp_path, capsys, field, value):
+    path = write_log_with_bad_field(tmp_path, 1, field, value)
+    code = main(["audit", "verify", str(path)])
+    assert code == 3
+    assert capsys.readouterr().out == "audit chain corrupt at record 1\n"
+
+
+@pytest.mark.parametrize("field,value", BAD_FIELDS)
+def test_negotiate_wrong_field_type_in_tail_exit_three(tmp_path, capsys, field, value):
+    path = write_log_with_bad_field(tmp_path, 2, field, value)
+    log_before = path.read_bytes()
+    req, owner = write_request(tmp_path), write_owner(tmp_path)
+    owner_before = owner.read_bytes()
+    code = main(["negotiate", "--request", str(req), "--owner", str(owner),
+                 "--audit-log", str(path), "--settle", "--contract-id", "c-1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "audit chain corrupt at record 2" in captured.err
+    assert owner.read_bytes() == owner_before
+    assert path.read_bytes() == log_before
 
 
 def test_negotiate_creates_missing_audit_log(tmp_path, capsys):

@@ -29,7 +29,6 @@ from dpnego.negotiation import (
     EngineConfig,
     NegotiationEngine,
     NonPositiveEpsilon,
-    check_feasibility,
     derive_counter_offer,
     engine_for,
     negotiate,
@@ -254,22 +253,35 @@ def test_effective_sensitivity_hourly_pair():
 
 # --- feasibility -----------------------------------------------------------
 
+def decide(s_eff, h_remaining, eps_cap):
+    """``_decide`` for a billing request with no counter-offer and no trust."""
+    return engine_for(ENGINE)._decide(
+        s_eff=s_eff, counter_s=None, trust=0.0, h_remaining=h_remaining,
+        eps_cap=eps_cap, purpose="billing", want_predicates=True,
+    )
+
+
 def test_feasibility_ok():
-    assert check_feasibility(2.0, 0.4, "billing", BudgetLedger(8.0), ENGINE) is None
+    label, eps_star, _, violated, predicates = decide(0.4, 8.0, 2.0)
+    assert label is Decision.APPROVE and violated is None
+    assert 0 < eps_star <= 2.0
+    assert predicates[:2] == (True, True)
 
 
 def test_feasibility_budget_exceeded():
-    assert (
-        check_feasibility(9.0, 0.4, "billing", BudgetLedger(8.0), ENGINE)
-        == BUDGET_EXCEEDED
-    )
+    # a proposal above the remaining budget is capped to it
+    label, eps_star, _, violated, predicates = decide(0.4, 8.0, 9.0)
+    assert label is Decision.APPROVE and eps_star <= 8.0 and predicates[1]
+    # with nothing left no positive grant fits
+    label, eps_star, _, violated, predicates = decide(0.0, 0.0, None)
+    assert (label, eps_star, violated) == (Decision.REJECT, None, BUDGET_EXCEEDED)
+    assert predicates[:2] == (False, False)
 
 
 def test_feasibility_below_minimum():
-    assert (
-        check_feasibility(0.01, 0.4, "billing", BudgetLedger(8.0), ENGINE)
-        == BELOW_MINIMUM
-    )
+    label, eps_star, _, violated, predicates = decide(0.4, 8.0, 0.01)
+    assert (label, eps_star, violated) == (Decision.REJECT, None, BELOW_MINIMUM)
+    assert predicates[:2] == (False, True)
 
 
 def test_eps_min_rules_override():

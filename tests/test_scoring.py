@@ -171,17 +171,20 @@ def test_trust_monotone_in_components(n, q, a):
     assert trust_score(TrustLedger(succ_count=n, quality=bumped_q, alignment=a), cfg) >= base
 
 
-@given(events=st.lists(st.tuples(st.sampled_from(["completed", "quality_report", "alignment_report"]),
+@given(events=st.lists(st.tuples(st.sampled_from(["req-a", "req-b", "req-c"]),
+                                 st.sampled_from(["completed", "quality_report", "alignment_report"]),
                                  st.floats(min_value=0, max_value=1)), max_size=40))
 def test_replay_reconstructs_bit_exactly(tmp_path_factory, events):
     path = tmp_path_factory.mktemp("trust") / "events.jsonl"
     store = TrustStore()
-    for event, value in events:
-        store.record("req-a", event, None if event == "completed" else value)
+    for requester, event, value in events:
+        store.record(requester, event, None if event == "completed" else value)
     store.save(path)
     replayed = TrustStore.load(path)
     assert replayed.ledgers == store.ledgers
-    assert replayed.score("req-a") == store.score("req-a")
+    assert replayed.log == store.log
+    for requester in ("req-a", "req-b", "req-c"):
+        assert replayed.score(requester) == store.score(requester)
 
 
 def test_event_sequence_deterministic():
@@ -253,3 +256,81 @@ def test_cached_ewma_weight_stays_out_of_eq_hash_and_repr():
     assert cfg == TrustConfig() and hash(cfg) == hash(TrustConfig())
     with pytest.raises(TypeError):
         TrustConfig(ewma_weight=0.5)
+
+
+# --- folding a run of events -------------------------------------------------
+
+def ledger_bits(store):
+    return {rid: (led.succ_count, led.quality.hex(), led.alignment.hex(), led.events)
+            for rid, led in store.ledgers.items()}
+
+
+VALID_EVENT = st.tuples(
+    st.sampled_from(["completed", "quality_report", "alignment_report"]),
+    st.floats(min_value=0, max_value=1),
+).map(lambda ev: (ev[0], None if ev[0] == "completed" else ev[1]))
+
+
+def recorded(cfg, seed_events, run):
+    """A store built by one ``record`` per event, as the reference."""
+    store = TrustStore(cfg=cfg)
+    for event, value in seed_events:
+        store.record("req-a", event, value)
+    for event, value in run:
+        store.record("req-a", event, value)
+    return store
+
+
+@given(
+    half_life=st.integers(min_value=1, max_value=20),
+    seed_events=st.lists(VALID_EVENT, max_size=15),
+    run=st.lists(VALID_EVENT, max_size=30),
+)
+def test_extend_matches_one_record_per_event(half_life, seed_events, run):
+    cfg = TrustConfig(half_life_events=half_life)
+    store = recorded(cfg, seed_events, [])
+    returned = store.extend("req-a", run)
+    expected = recorded(cfg, seed_events, run)
+    assert ledger_bits(store) == ledger_bits(expected)
+    assert store.log == expected.log
+    assert returned == store.ledger("req-a")
+
+
+BAD_EVENTS = [("quality_report", 1.5), ("alignment_report", -0.1), ("quality_report", None),
+              ("alignment_report", float("nan")), ("bogus", None), ("completed ", None)]
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+@pytest.mark.parametrize("bad", BAD_EVENTS)
+def test_extend_with_a_bad_event_changes_nothing(seeded, bad):
+    seed_events = [("completed", None), ("quality_report", 0.8)] if seeded else []
+    reference = recorded(TrustConfig(), seed_events, [("completed", None)])
+    with pytest.raises(Exception) as record_error:
+        reference.record("req-a", *bad)
+
+    store = recorded(TrustConfig(), seed_events, [])
+    ledgers, log = dict(store.ledgers), list(store.log)
+    run = [("completed", None), ("alignment_report", 0.5), bad, ("quality_report", 0.9)]
+    with pytest.raises(Exception) as extend_error:
+        store.extend("req-a", run)
+    assert type(extend_error.value) is type(record_error.value)
+    assert store.ledgers == ledgers and store.log == log
+
+
+def test_extend_checks_the_ledger_bounds_at_every_event():
+    # a weight of 2 takes quality 0 -> 2 -> 0: out of range in the middle only
+    cfg = TrustConfig()
+    object.__setattr__(cfg, "ewma_weight", 2.0)
+    run = [("quality_report", 1.0), ("quality_report", 1.0)]
+    with pytest.raises(OutOfRange):
+        TrustStore(cfg=cfg).record("req-a", *run[0])
+    store = TrustStore(cfg=cfg)
+    with pytest.raises(OutOfRange):
+        store.extend("req-a", run)
+    assert store.ledgers == {} and store.log == []
+
+
+def test_extend_of_no_events_changes_nothing():
+    store = TrustStore()
+    assert store.extend("req-a", []) == TrustLedger()
+    assert store.ledgers == {} and store.log == []

@@ -24,7 +24,7 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 def test_stream_weights_normalized():
     profile = parse_stream(CFG.experiments["sweep"]["stream"])
     assert profile.weights().sum() == pytest.approx(1.0)
-    assert all(b.weight > 0 for b in profile.bundles)
+    assert all(w > 0 for w in profile.bundle_weights)
 
 
 def test_zero_interactions_flagged():
@@ -142,3 +142,45 @@ def test_scenario_weight_perturbation_robustness():
         base["aggregate"]["mean_acceptance"] - bumped["aggregate"]["mean_acceptance"]
     )
     assert diff <= 0.05
+
+
+def trust_bits(ecosystem):
+    return [
+        ({rid: (led.succ_count, led.quality.hex(), led.alignment.hex(), led.events)
+          for rid, led in p.trust.ledgers.items()}, p.trust.log)
+        for p in ecosystem.prosumers
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_full_sim_trust_matches_one_record_per_event(seed, monkeypatch):
+    from dpnego.ingest import gen_ecosystem
+    from dpnego.scoring import TrustStore
+
+    def ecosystem():
+        return gen_ecosystem(seed + 1, CFG.catalog, CFG.ecosystem, CFG.trust)
+
+    # seeding alone, against the per-event loop it replaced, draw for draw
+    folded = ecosystem()
+    simulate.run_full_sim(CFG, ecosystem=folded, interactions=0, seed=seed)
+    reference = ecosystem()
+    rng = np.random.default_rng(seed)
+    names = [f"req-{r:03d}" for r in range(int(CFG.experiments["full_sim"].get("requesters", 30)))]
+    for prosumer in reference.prosumers:
+        for name in names:
+            completions = int(rng.integers(0, 12))
+            for _ in range(completions):
+                prosumer.trust.record(name, "completed")
+            if completions:
+                prosumer.trust.record(name, "quality_report", float(rng.uniform(0.5, 1.0)))
+                prosumer.trust.record(name, "alignment_report", float(rng.uniform(0.5, 1.0)))
+    assert trust_bits(folded) == trust_bits(reference)
+
+    # a whole run, against one with every extend replaced by records
+    folded = ecosystem()
+    simulate.run_full_sim(CFG, ecosystem=folded, seed=seed)
+    monkeypatch.setattr(TrustStore, "extend", lambda self, rid, events: [
+        self.record(rid, event, value) for event, value in events])
+    reference = ecosystem()
+    simulate.run_full_sim(CFG, ecosystem=reference, seed=seed)
+    assert trust_bits(folded) == trust_bits(reference)
