@@ -26,7 +26,7 @@ from .negotiation import (
     objective,
 )
 from .explain import Explanation, explain, factors_for, privacy_utility_score
-from .scoring import TrustConfig, TrustLedger, trust_score, update_trust
+from .scoring import TrustConfig, TrustLedger, trust_score
 
 __version__ = "0.1.0"
 
@@ -53,6 +53,5 @@ __all__ = [
     "objective",
     "privacy_utility_score",
     "trust_score",
-    "update_trust",
     "validate_request",
 ]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .contracts import (
@@ -264,7 +264,6 @@ class ProbeReport:
     stability: float
     flips_at_threshold: int
     mean_eps_drift: float
-    flip_details: list[dict] = field(default_factory=list)
 
     @property
     def all_flips_at_threshold(self) -> bool:
@@ -281,10 +280,10 @@ def robustness_probe(
     """Replay negotiations with sensitivity and trust independently scaled by
     uniform factors in [1-p, 1+p] and measure decision-label stability.
 
-    Every flip is attributed: the report records whether at least one of the
-    feasibility predicates (eps >= eps_min, eps <= H, H >= safety*S,
-    S' <= counter_factor*S) changed truth value between the base and the
-    perturbed run.
+    Every flip is attributed: it counts toward ``flips_at_threshold`` when at
+    least one of the feasibility predicates (eps >= eps_min, eps <= H,
+    H >= safety*S, S' <= counter_factor*S) changed truth value between the
+    base and the perturbed run.
     """
     import numpy as np  # imported here so that deciding a request never loads it
 
@@ -296,7 +295,6 @@ def robustness_probe(
     flips = 0
     flips_at_threshold = 0
     eps_drift: list[float] = []
-    details: list[dict] = []
 
     for case in cases:
         s_eff = case.request.effective_sensitivity
@@ -304,14 +302,14 @@ def robustness_probe(
         counter_s = counter[1] if counter else None
         cap = case.request.request.proposed_epsilon
         purpose = case.request.purpose.name.value
-        base_label, base_eps, _, _, base_preds = engine._decide(
+        base_label, base_eps, _, base_preds = engine._decide(
             s_eff, counter_s, case.trust, case.h_remaining, cap, purpose,
             want_predicates=True,
         )
         for _ in range(max(1, trials)):
             u = 1.0 + rng.uniform(-perturbation, perturbation)
             v = 1.0 + rng.uniform(-perturbation, perturbation)
-            label, eps, _, _, preds = engine._decide(
+            label, eps, _, preds = engine._decide(
                 s_eff * u,
                 counter_s * u if counter_s is not None else None,
                 min(1.0, case.trust * v),
@@ -326,20 +324,8 @@ def robustness_probe(
                     eps_drift.append(abs(eps - base_eps))
             else:
                 flips += 1
-                crossed = base_preds != preds
-                if crossed:
+                if base_preds != preds:
                     flips_at_threshold += 1
-                details.append(
-                    {
-                        "s_eff": s_eff,
-                        "scale_s": u,
-                        "scale_t": v,
-                        "h_remaining": case.h_remaining,
-                        "base": base_label.value,
-                        "perturbed": label.value,
-                        "threshold_crossing": crossed,
-                    }
-                )
 
     total = unchanged + flips
     return ProbeReport(
@@ -349,5 +335,4 @@ def robustness_probe(
         stability=unchanged / total if total else 1.0,
         flips_at_threshold=flips_at_threshold,
         mean_eps_drift=float(np.mean(eps_drift)) if eps_drift else 0.0,
-        flip_details=details,
     )

@@ -334,7 +334,7 @@ class NegotiationEngine:
     ) -> NegotiationOutcome:
         s_eff = req.effective_sensitivity
         counter = derive_counter_offer(req, self.cfg)
-        label, eps_star, _, violated, _ = self._decide(
+        label, eps_star, violated, _ = self._decide(
             s_eff=s_eff,
             counter_s=counter[1] if counter else None,
             trust=trust,
@@ -374,10 +374,10 @@ class NegotiationEngine:
         eps_cap: float | None,
         purpose: str,
         want_predicates: bool = False,
-    ) -> tuple[Decision, float | None, bool, str | None, tuple[bool, ...] | None]:
+    ) -> tuple[Decision, float | None, str | None, tuple[bool, ...] | None]:
         """Decision core over scalars, shared with the robustness probe.
 
-        Returns (decision, eps_star, used_counter, violated, predicates).
+        Returns (decision, eps_star, violated, predicates).
         """
         cfg = self.cfg
         upper = h_remaining if eps_cap is None else min(h_remaining, eps_cap)
@@ -400,7 +400,7 @@ class NegotiationEngine:
             )
 
         if cfg.safety_mode == "upfront" and not safety_ok:
-            return Decision.REJECT, None, False, SAFETY_CONDITION, predicates
+            return Decision.REJECT, None, SAFETY_CONDITION, predicates
 
         if safety_ok or cfg.safety_mode == "upfront":
             if eps1 is None:
@@ -408,7 +408,7 @@ class NegotiationEngine:
             elif eps1 < eps_min - _TOL:
                 violated = BELOW_MINIMUM
             else:
-                return Decision.APPROVE, eps1, False, None, predicates
+                return Decision.APPROVE, eps1, None, predicates
         else:
             violated = SAFETY_CONDITION
 
@@ -422,7 +422,7 @@ class NegotiationEngine:
             elif eps2 < cfg.eps_min(counter_s, purpose) - _TOL:
                 violated = BELOW_MINIMUM
             else:
-                return Decision.COUNTER_OFFER, eps2, True, None, predicates
+                return Decision.COUNTER_OFFER, eps2, None, predicates
 
         if (
             trust >= cfg.trusted_min_trust
@@ -430,9 +430,9 @@ class NegotiationEngine:
             and eps_min <= h_remaining + _TOL
             and (eps_cap is None or eps_cap >= eps_min - _TOL)
         ):
-            return Decision.APPROVE, eps_min, False, None, predicates
+            return Decision.APPROVE, eps_min, None, predicates
 
-        return Decision.REJECT, None, False, violated or SAFETY_CONDITION, predicates
+        return Decision.REJECT, None, violated or SAFETY_CONDITION, predicates
 
 
 _MISS = object()

@@ -4,7 +4,6 @@ contract, deterministic evaluation, and calibrated DP noise injection."""
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -79,9 +78,6 @@ class QueryPlan:
             "mechanism": self.mechanism.value,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "QueryPlan":
         return cls(
@@ -90,10 +86,6 @@ class QueryPlan:
             output_arity=int(doc["output_arity"]),
             mechanism=Mechanism(doc.get("mechanism", "laplace")),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "QueryPlan":
-        return cls.from_dict(json.loads(text))
 
 
 def _coarser_or_equal(requested: ResolutionKind, contracted: ResolutionKind) -> bool:
@@ -105,14 +97,12 @@ def validate_plan(
     plan: QueryPlan,
     contract: ValidatedRequest,
     cfg: DpConfig = DpConfig(),
-    output_cap: int | None = None,
-    runtime_budget: int | None = None,
 ) -> None:
     """Static validation: every referenced feature, window, and resolution must
-    sit inside the contract scope, every op must be whitelisted, and the step
-    count must fit the runtime budget."""
-    cap = cfg.default_output_cap if output_cap is None else output_cap
-    budget = cfg.max_plan_steps if runtime_budget is None else runtime_budget
+    sit inside the contract scope, every op must be whitelisted, the step
+    count must fit ``cfg.max_plan_steps`` and the arity
+    ``cfg.default_output_cap``."""
+    cap, budget = cfg.default_output_cap, cfg.max_plan_steps
     if len(plan.ops) > budget:
         raise RuntimeBudgetExceeded(
             f"plan has {len(plan.ops)} steps, budget is {budget}"
@@ -239,9 +229,6 @@ class SanitizedOutput:
             "noise_trace": self.noise_trace,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def laplace_scale(delta_q: float, eps: float) -> float:
     """Per-coordinate Laplace scale b = delta/eps."""
@@ -349,17 +336,14 @@ def run_release(
     token: ReleaseToken,
     seed: int,
     dp_cfg: DpConfig = DpConfig(),
-    output_cap: int | None = None,
     categories: int | None = None,
 ) -> SanitizedOutput:
     """Validate, execute, consume the token, noise, and compliance-check."""
-    validate_plan(plan, contract, dp_cfg, output_cap)
+    validate_plan(plan, contract, dp_cfg)
     raw = execute_plan(plan, data)
     token.consume()
     sanitized = dp_noise(
         raw, eps_star, plan.delta, plan.mechanism, seed, token, dp_cfg, categories
     )
-    compliance_check(
-        sanitized, dp_cfg.default_output_cap if output_cap is None else output_cap
-    )
+    compliance_check(sanitized, dp_cfg.default_output_cap)
     return sanitized

@@ -105,12 +105,6 @@ def fold_trust(ledger: TrustLedger, events: Iterable[tuple[str, float | None]],
     return TrustLedger(succ, quality, alignment, n)
 
 
-def update_trust(ledger: TrustLedger, event: str, value: float | None = None,
-                 cfg: TrustConfig = TrustConfig()) -> TrustLedger:
-    """Apply one behavioural event: ``fold_trust`` of a one-event run."""
-    return fold_trust(ledger, ((event, value),), cfg)
-
-
 @dataclass
 class TrustStore:
     """All trust ledgers held by one owner, with append-only event persistence.

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -14,17 +15,14 @@ import numpy as np
 
 from .config import AppConfig, BadConfig, _deep_merge, build_engine_config
 from .contracts import (
-    ContractRequest,
+    Catalog,
     Decision,
-    FeatureKind,
     NegotiationOutcome,
-    PurposeKind,
-    RequestMode,
-    ResolutionKind,
     ValidatedRequest,
+    request_from_dict,
     validate_request,
 )
-from .explain import ExplainConfig, ReplayCase, explain, factors_for, robustness_probe
+from .explain import ReplayCase, explain, factors_for, robustness_probe
 from .ingest import (
     Ecosystem,
     LoadSeries,
@@ -42,59 +40,49 @@ class MissingDataset(FileNotFoundError):
     pass
 
 
-@dataclass(frozen=True)
-class RequestStreamProfile:
-    """Distribution over request archetypes plus requester-side policies."""
-
-    bundles: tuple[ContractRequest, ...]
-    bundle_weights: tuple[float, ...]
-    trust_lo: float = 0.2
-    trust_hi: float = 0.9
-    counter_policy: str = "natural"
-    counter_accept_prob: float = 0.5
-
-    def weights(self) -> np.ndarray:
-        w = np.array(self.bundle_weights, dtype=np.float64)
-        return w / w.sum()
+STREAM_KEYS = {"bundles", "trust", "counter_accept_prob"}
+TRUST_KEYS = {"lo", "hi"}
 
 
-def parse_bundle(doc: dict, requester: str = "requester", owner: str = "owner") -> ContractRequest:
-    """The request a stream bundle's config entry describes. Its constructor
-    checks ``proposed_epsilon``; a bad entry raises ``BadConfig``."""
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def parse_bundle(doc: dict, catalog: Catalog) -> ValidatedRequest:
+    """The request a bundle's config entry describes, validated against the
+    catalog. The entry without its ``name`` and ``weight`` is read by
+    ``request_from_dict``, as a ``negotiate --request`` document is; a bad
+    entry raises ``BadConfig``."""
     try:
-        return ContractRequest(
-            requester_id=requester,
-            owner_id=owner,
-            features=tuple(FeatureKind(f) for f in doc["features"]),
-            window_hours=int(doc.get("window_hours", 24)),
-            resolution=ResolutionKind(doc["resolution"]),
-            purpose=PurposeKind(doc["purpose"]),
-            proposed_epsilon=doc.get("proposed_epsilon"),
-            mode=RequestMode(doc.get("mode", "one_shot")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        request = request_from_dict({k: v for k, v in doc.items() if k not in ("name", "weight")})
+        return validate_request(request, catalog)
+    except (AttributeError, KeyError, ValueError) as exc:
         raise BadConfig(f"stream bundle: {exc}") from exc
 
 
-def parse_stream(doc: dict) -> RequestStreamProfile:
+def read_stream(doc: dict, cfg: AppConfig) -> tuple[list[ValidatedRequest], np.ndarray]:
+    """A request stream's bundles, validated, and their weights normalized to
+    sum to 1. The runners read ``trust`` (``lo`` and ``hi``, the bounds of
+    each requester's uniform trust draw) and ``counter_accept_prob`` from the
+    stream themselves; this reader checks them. An unknown key in the stream
+    or its ``trust`` block, a bad bundle or a bad number raises ``BadConfig``."""
     try:
-        trust = doc.get("trust", {})
-        return RequestStreamProfile(
-            bundles=tuple(parse_bundle(b) for b in doc["bundles"]),
-            bundle_weights=tuple(float(b["weight"]) for b in doc["bundles"]),
-            trust_lo=float(trust.get("lo", 0.2)),
-            trust_hi=float(trust.get("hi", 0.9)),
-            counter_policy=doc.get("counter_policy", "natural"),
-            counter_accept_prob=float(doc.get("counter_accept_prob", 0.5)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadConfig(f"request stream: {exc}") from exc
-
-
-def _validated_bundles(
-    profile: RequestStreamProfile, cfg: AppConfig
-) -> list[ValidatedRequest]:
-    return [validate_request(r, cfg.catalog) for r in profile.bundles]
+        unknown = (set(doc) - STREAM_KEYS) | (set(doc["trust"]) - TRUST_KEYS)
+        weights = [b["weight"] for b in doc["bundles"]]
+        unit = {"trust.lo": doc["trust"]["lo"], "trust.hi": doc["trust"]["hi"]}
+    except (KeyError, TypeError) as exc:
+        raise BadConfig(f"request stream: missing or malformed {exc}") from exc
+    if unknown:
+        raise BadConfig(f"unknown request stream keys: {sorted(unknown)}")
+    if not weights or not all(_is_number(w) and 0 < w < math.inf for w in weights):
+        raise BadConfig(f"bundle weights must be positive finite numbers, got {weights!r}")
+    if "counter_accept_prob" in doc:
+        unit["counter_accept_prob"] = doc["counter_accept_prob"]
+    for key, value in unit.items():
+        if not _is_number(value) or not 0.0 <= value <= 1.0:
+            raise BadConfig(f"{key} must be a number in [0, 1], got {value!r}")
+    w = np.array(weights, dtype=np.float64)
+    return [parse_bundle(b, cfg.catalog) for b in doc["bundles"]], w / w.sum()
 
 
 @dataclass
@@ -209,11 +197,11 @@ def run_sweep(
     seed = exp["seed"] if seed is None else seed
     n = exp["interactions"] if interactions is None else interactions
     levels = list(exp["eps0_values"] if eps0_values is None else eps0_values)
-    profile = parse_stream(exp["stream"])
-    validated = _validated_bundles(profile, cfg)
+    validated, weights = read_stream(exp["stream"], cfg)
+    trust = exp["stream"]["trust"]
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(validated), size=n, p=profile.weights()).tolist() if n else []
-    trusts = rng.uniform(profile.trust_lo, profile.trust_hi, size=n).tolist()
+    idx = rng.choice(len(validated), size=n, p=weights).tolist() if n else []
+    trusts = rng.uniform(trust["lo"], trust["hi"], size=n).tolist()
 
     rows = []
     for eps0 in levels:
@@ -251,17 +239,17 @@ def run_full_sim(
     outdir: str | Path | None = None,
 ) -> ScenarioMetrics:
     """Sequential negotiations against the prosumer ecosystem with settlement
-    on every accepted grant (counter-offers settle when the requester takes
-    them, per the stream's counter-acceptance policy)."""
+    on every accepted grant; the requester takes each counter-offer with the
+    stream's ``counter_accept_prob``, and a taken one settles too."""
     exp = cfg.experiments["full_sim"]
     seed = exp["seed"] if seed is None else seed
     n = exp["interactions"] if interactions is None else interactions
-    profile = parse_stream(exp["stream"])
-    validated = _validated_bundles(profile, cfg)
+    validated, weights = read_stream(exp["stream"], cfg)
+    accept_prob = exp["stream"]["counter_accept_prob"]
     if ecosystem is None:
         ecosystem = gen_ecosystem(seed + 1, cfg.catalog, cfg.ecosystem, cfg.trust)
     prosumers = ecosystem.prosumers
-    n_req = int(exp.get("requesters", 30))
+    n_req = int(exp["requesters"])
     names = [f"req-{r:03d}" for r in range(n_req)]
     rng = np.random.default_rng(seed)
 
@@ -280,7 +268,7 @@ def run_full_sim(
     metrics = ScenarioMetrics(interactions=n)
     owners = rng.integers(0, len(prosumers), size=n).tolist()
     requesters = rng.integers(0, n_req, size=n).tolist()
-    draws = rng.choice(len(validated), size=n, p=profile.weights()).tolist() if n else []
+    draws = rng.choice(len(validated), size=n, p=weights).tolist() if n else []
     for i in range(n):
         prosumer = prosumers[owners[i]]
         requester = names[requesters[i]]
@@ -292,18 +280,10 @@ def run_full_sim(
             prosumer.trust.record(requester, "completed")
             prosumer.trust.record(requester, "quality_report", float(rng.uniform(0.7, 1.0)))
             prosumer.trust.record(requester, "alignment_report", float(rng.uniform(0.7, 1.0)))
-        elif outcome.decision is Decision.COUNTER_OFFER:
-            takes = (
-                profile.counter_policy == "always"
-                or (
-                    profile.counter_policy in ("probabilistic", "natural")
-                    and rng.random() < profile.counter_accept_prob
-                )
-            )
-            if takes:
-                metrics.counters_accepted += 1
-                prosumer.ledger.settle(f"c{i}", outcome.epsilon_star)
-                metrics.total_granted += outcome.epsilon_star
+        elif outcome.decision is Decision.COUNTER_OFFER and rng.random() < accept_prob:
+            metrics.counters_accepted += 1
+            prosumer.ledger.settle(f"c{i}", outcome.epsilon_star)
+            metrics.total_granted += outcome.epsilon_star
         if prosumer.ledger.exhausted and metrics.exhaustion_index is None:
             metrics.exhaustion_index = i + 1
 
@@ -349,7 +329,7 @@ def load_datasets(cfg: AppConfig, data_dir: str | Path) -> dict[str, LoadSeries]
 
 
 def _scenario_weights(
-    profile: RequestStreamProfile,
+    base: np.ndarray,
     validated: list[ValidatedRequest],
     engine_cfg: EngineConfig,
     owner_budget: float,
@@ -364,7 +344,6 @@ def _scenario_weights(
     sensitive half within each class, stressing the sensitivity mix without
     collapsing the feasible share.
     """
-    base = profile.weights()
     s_eff = np.array([v.effective_sensitivity for v in validated])
     feasible = owner_budget >= engine_cfg.safety_factor * s_eff
     weights = base.copy()
@@ -399,11 +378,11 @@ def run_cross_dataset(
     exp = cfg.experiments["cross_dataset"]
     seed = exp["seed"] if seed is None else seed
     n = exp["interactions"] if interactions is None else interactions
-    profile = parse_stream(exp["stream"])
-    validated = _validated_bundles(profile, cfg)
-    owner_budget = float(exp.get("owner_budget", 8.0))
-    risk_factor = float(exp.get("risk_weight_factor", 1.3))
-    tilt_span = float(exp.get("calibration_tilt", 0.02))
+    validated, base_weights = read_stream(exp["stream"], cfg)
+    trust = exp["stream"]["trust"]
+    owner_budget = float(exp["owner_budget"])
+    risk_factor = float(exp["risk_weight_factor"])
+    tilt_span = float(exp["calibration_tilt"])
 
     names = list(exp["datasets"])
     for name in names:
@@ -425,11 +404,11 @@ def run_cross_dataset(
                 rng = np.random.default_rng(children[k])
                 k += 1
                 weights = _scenario_weights(
-                    profile, validated, cfg.engine, owner_budget,
+                    base_weights, validated, cfg.engine, owner_budget,
                     risk_mode, risk_factor, tilt,
                 )
                 idx = rng.choice(len(validated), size=n, p=weights).tolist()
-                trusts = rng.uniform(profile.trust_lo, profile.trust_hi, size=n).tolist()
+                trusts = rng.uniform(trust["lo"], trust["hi"], size=n).tolist()
                 ledger = BudgetLedger(h_max=owner_budget)
                 metrics = ScenarioMetrics(interactions=n)
                 for i in range(n):
@@ -483,7 +462,7 @@ def run_baseline_fixed(
     seed = exp["seed"] if seed is None else seed
     if eps_fix <= 0:
         raise ValueError("eps_fix must be positive")
-    ledger = BudgetLedger(h_max=float(exp.get("owner_budget", 8.0)))
+    ledger = BudgetLedger(h_max=float(exp["owner_budget"]))
     metrics = ScenarioMetrics(interactions=n)
     for i in range(1, n + 1):
         if eps_fix <= ledger.h_remaining + 1e-9:
@@ -515,17 +494,17 @@ def run_adversary(
     exp = cfg.experiments["adversary"]
     seed = exp["seed"] if seed is None else seed
     engine_cfg = build_engine_config(
-        _deep_merge(cfg.raw["engine"], exp.get("engine_overrides", {}))
+        _deep_merge(cfg.raw["engine"], exp["engine_overrides"])
     )
-    bundle = {**exp["bundle"], "proposed_epsilon": exp.get("proposed_epsilon")}
-    request = validate_request(parse_bundle(bundle, "adversary", "victim"), cfg.catalog)
-    ledger = BudgetLedger(h_max=float(exp.get("owner_budget", 8.0)))
+    bundle = {**exp["bundle"], "proposed_epsilon": exp["proposed_epsilon"]}
+    request = parse_bundle(bundle, cfg.catalog)
+    ledger = BudgetLedger(h_max=float(exp["owner_budget"]))
     store = TrustStore(cfg=cfg.trust)
     trace: list[float] = []
     accepted = 0
     streak = 0
     i = 0
-    while streak < int(exp.get("reject_streak", 5)) and i < int(exp.get("max_requests", 500)):
+    while streak < int(exp["reject_streak"]) and i < int(exp["max_requests"]):
         i += 1
         trust = store.score("adversary")
         trace.append(trust)
@@ -569,11 +548,11 @@ def bench_latency(
     exp = cfg.experiments["bench"]
     n = int(exp["iterations"]) if iterations is None else iterations
     seed = exp["seed"] if seed is None else seed
-    profile = parse_stream(cfg.experiments["sweep"]["stream"])
-    validated = _validated_bundles(profile, cfg)
+    stream = cfg.experiments["sweep"]["stream"]
+    validated, weights = read_stream(stream, cfg)
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(validated), size=n, p=profile.weights())
-    trusts = rng.uniform(profile.trust_lo, profile.trust_hi, size=n)
+    idx = rng.choice(len(validated), size=n, p=weights)
+    trusts = rng.uniform(stream["trust"]["lo"], stream["trust"]["hi"], size=n)
     ledger = BudgetLedger(h_max=8.0)
 
     def timed_negotiations(count: int) -> np.ndarray:
@@ -644,13 +623,12 @@ def probe_cases(cfg: AppConfig, seed: int | None = None, replays: int | None = N
     exp = cfg.experiments["probe"]
     seed = exp["seed"] if seed is None else seed
     n = int(exp["replays"]) if replays is None else replays
-    profile = parse_stream(cfg.experiments["sweep"]["stream"])
-    validated = _validated_bundles(profile, cfg)
-    boundary = validate_request(parse_bundle(exp["boundary_bundle"]), cfg.catalog)
-    b_weight = float(exp.get("boundary_bundle_weight", 0.15))
-    lo, hi = exp.get("h_range", [0.5, 8.0])
+    validated, weights = read_stream(cfg.experiments["sweep"]["stream"], cfg)
+    boundary = parse_bundle(exp["boundary_bundle"], cfg.catalog)
+    b_weight = float(exp["boundary_bundle_weight"])
+    lo, hi = exp["h_range"]
     rng = np.random.default_rng(seed)
-    weights = profile.weights() * (1.0 - b_weight)
+    weights = weights * (1.0 - b_weight)
     pool = validated + [boundary]
     all_weights = np.concatenate([weights, [b_weight]])
     idx = rng.choice(len(pool), size=n, p=all_weights)
@@ -673,7 +651,7 @@ def run_probe(
     seed = exp["seed"] if seed is None else seed
     p = float(exp["perturbation"]) if perturbation is None else perturbation
     cases = probe_cases(cfg, seed=seed, replays=replays)
-    report = robustness_probe(cases, p, int(exp.get("trials", 1)), seed + 1, cfg.engine)
+    report = robustness_probe(cases, p, int(exp["trials"]), seed + 1, cfg.engine)
     _write_outputs(
         outdir, "probe",
         {

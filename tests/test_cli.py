@@ -322,16 +322,57 @@ def test_negotiate_wrong_lambda_count_is_a_bad_config(tmp_path, capsys, section,
 ])
 def test_sweep_bad_bundle_is_a_bad_config(tmp_path, capsys, field, raw, text):
     bundle = {"name": "agg", "features": ["aggregate"], "resolution": "hour1",
-              "purpose": "billing", "weight": 1.0, field: raw}
+              "purpose": "billing", "weight": 1.0, "window_hours": 24, field: raw}
+    assert_stream_bad_config(tmp_path, capsys, "sweep", {"bundles": [bundle]}, text)
+
+
+def assert_stream_bad_config(tmp_path, capsys, command, stream, text):
+    """``command`` (``sweep`` or ``simulate``) under ``stream`` merged over its
+    experiment's request stream exits 1 with a bad-config error naming
+    ``text`` and writes nothing."""
+    experiment = {"sweep": "sweep", "simulate": "full_sim"}[command]
     override = tmp_path / "cfg.json"
-    override.write_text(json.dumps({"experiments": {"sweep": {"stream": {"bundles": [bundle]}}}}))
-    code = main(["--config", str(override), "sweep", "--interactions", "5",
+    override.write_text(json.dumps({"experiments": {experiment: {"stream": stream}}}))
+    code = main(["--config", str(override), command, "--interactions", "5",
                  "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: bad config")
     assert text in captured.err
     assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("stream,text", [
+    ({"counter_policy": "always"}, "counter_policy"),
+    ({"trust": {"dist": "uniform"}}, "dist"),
+    ({"bundle": []}, "bundle"),
+    ({"trust": {"low": 0.1}}, "low"),
+])
+def test_unknown_stream_key_is_a_bad_config(tmp_path, capsys, command, stream, text):
+    assert_stream_bad_config(tmp_path, capsys, command, stream, text)
+
+
+@pytest.mark.parametrize("stream,text", [
+    ({"trust": {"lo": "0.2"}}, "trust.lo"),
+    ({"trust": {"hi": 1.5}}, "trust.hi"),
+    ({"counter_accept_prob": True}, "counter_accept_prob"),
+    ({"bundles": []}, "weights"),
+])
+def test_bad_stream_number_is_a_bad_config(tmp_path, capsys, stream, text):
+    assert_stream_bad_config(tmp_path, capsys, "simulate", stream, text)
+
+
+@pytest.mark.parametrize("window", [None, "24", 24.0, True])
+def test_bundle_window_hours_is_required_and_an_integer(tmp_path, capsys, window):
+    # a bundle is read by request_from_dict, so it states window_hours as a
+    # negotiate --request document does; nothing defaults or coerces it
+    bundle = {"name": "agg", "features": ["aggregate"], "resolution": "hour1",
+              "purpose": "billing", "weight": 1.0}
+    if window is not None:
+        bundle["window_hours"] = window
+    assert_stream_bad_config(tmp_path, capsys, "sweep", {"bundles": [bundle]}, "window_hours")
 
 
 def write_log_with_bad_field(tmp_path, index, field, value, n=3):

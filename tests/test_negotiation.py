@@ -262,7 +262,7 @@ def decide(s_eff, h_remaining, eps_cap):
 
 
 def test_feasibility_ok():
-    label, eps_star, _, violated, predicates = decide(0.4, 8.0, 2.0)
+    label, eps_star, violated, predicates = decide(0.4, 8.0, 2.0)
     assert label is Decision.APPROVE and violated is None
     assert 0 < eps_star <= 2.0
     assert predicates[:2] == (True, True)
@@ -270,16 +270,16 @@ def test_feasibility_ok():
 
 def test_feasibility_budget_exceeded():
     # a proposal above the remaining budget is capped to it
-    label, eps_star, _, violated, predicates = decide(0.4, 8.0, 9.0)
+    label, eps_star, violated, predicates = decide(0.4, 8.0, 9.0)
     assert label is Decision.APPROVE and eps_star <= 8.0 and predicates[1]
     # with nothing left no positive grant fits
-    label, eps_star, _, violated, predicates = decide(0.0, 0.0, None)
+    label, eps_star, violated, predicates = decide(0.0, 0.0, None)
     assert (label, eps_star, violated) == (Decision.REJECT, None, BUDGET_EXCEEDED)
     assert predicates[:2] == (False, False)
 
 
 def test_feasibility_below_minimum():
-    label, eps_star, _, violated, predicates = decide(0.4, 8.0, 0.01)
+    label, eps_star, violated, predicates = decide(0.4, 8.0, 0.01)
     assert (label, eps_star, violated) == (Decision.REJECT, None, BELOW_MINIMUM)
     assert predicates[:2] == (False, True)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,9 @@ def test_runtime_budget_enforced():
     plan = mean_plan(ops=ops)
     with pytest.raises(RuntimeBudgetExceeded):
         validate_plan(plan, contract())
+    validate_plan(plan, contract(), DpConfig(max_plan_steps=33))
+    with pytest.raises(RuntimeBudgetExceeded):
+        validate_plan(mean_plan(ops=ops[-2:]), contract(), DpConfig(max_plan_steps=1))
 
 
 def test_non_whitelisted_op():
@@ -129,12 +134,12 @@ def test_arity_over_cap():
     ops = [{"op": "aggregate", "fn": "mean"}] * 10
     plan = mean_plan(ops=ops, output_arity=10)
     with pytest.raises(ArityExceeded):
-        validate_plan(plan, contract(), DpConfig(), output_cap=4)
+        validate_plan(plan, contract(), DpConfig(default_output_cap=4))
 
 
 def test_plan_json_round_trip():
     plan = mean_plan()
-    assert QueryPlan.from_json(plan.to_json()) == plan
+    assert QueryPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
 
 
 # --- execute_plan --------------------------------------------------------------

@@ -17,8 +17,8 @@ from dpnego.scoring import (
     TrustConfig,
     TrustLedger,
     TrustStore,
+    fold_trust,
     trust_score,
-    update_trust,
 )
 
 
@@ -74,22 +74,27 @@ def test_trust_hand_value():
 
 def test_update_completed_increments():
     ledger = TrustLedger(succ_count=3)
-    assert update_trust(ledger, "completed").succ_count == 4
+    assert fold_trust(ledger, [("completed", None)]).succ_count == 4
 
 
 def test_update_quality_half_life_one():
     cfg = TrustConfig(half_life_events=1)
-    ledger = update_trust(TrustLedger(), "quality_report", 1.0, cfg)
+    ledger = fold_trust(TrustLedger(), [("quality_report", 1.0)], cfg)
     assert ledger.quality == pytest.approx(0.5)
+    assert TrustStore(cfg=cfg).record("r", "quality_report", 1.0) == ledger
 
 
 def test_update_alignment_out_of_range():
     with pytest.raises(OutOfRange):
-        update_trust(TrustLedger(), "alignment_report", 1.2)
+        fold_trust(TrustLedger(), [("alignment_report", 1.2)])
+    store = TrustStore()
+    with pytest.raises(OutOfRange):
+        store.record("r", "alignment_report", 1.2)
+    assert store.ledgers == {} and store.log == []
 
 
 def replace_reference(ledger, event, value, cfg):
-    """update_trust written with dataclasses.replace, as the reference."""
+    """One trust event written with dataclasses.replace, as the reference."""
     if event == "completed":
         return dataclasses.replace(ledger, succ_count=ledger.succ_count + 1,
                                    events=ledger.events + 1)
@@ -113,18 +118,22 @@ def replace_reference(ledger, event, value, cfg):
         max_size=40,
     ),
 )
-def test_update_trust_matches_replace_reference(half_life, events):
+def test_one_event_fold_matches_replace_reference(half_life, events):
     cfg = TrustConfig(half_life_events=half_life)
     ledger = TrustLedger()
+    store = TrustStore(cfg=cfg)
     for event, value in events:
         try:
             expected = replace_reference(ledger, event, value, cfg)
         except OutOfRange:
             with pytest.raises(OutOfRange):
-                update_trust(ledger, event, value, cfg)
+                fold_trust(ledger, [(event, value)], cfg)
+            with pytest.raises(OutOfRange):
+                store.record("r", event, value)
             continue
-        ledger = update_trust(ledger, event, value, cfg)
+        ledger = fold_trust(ledger, [(event, value)], cfg)
         assert ledger == expected  # dataclass equality covers events too
+        assert store.record("r", event, value) == expected
 
 
 def test_trust_ledger_range_checks_still_run():
@@ -205,7 +214,7 @@ def fresh_reference(events, cfg):
     ledgers, log = {}, []
     for requester, event, value in events:
         try:
-            updated = update_trust(ledgers.get(requester) or TrustLedger(), event, value, cfg)
+            updated = fold_trust(ledgers.get(requester) or TrustLedger(), [(event, value)], cfg)
         except OutOfRange:
             continue
         ledgers[requester] = updated

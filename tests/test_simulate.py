@@ -4,13 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpnego.config import load_config
+from dpnego.config import BadConfig, _deep_merge, from_document, load_config
 from dpnego import simulate
 from dpnego.simulate import (
     MissingDataset,
     ScenarioMetrics,
     dataset_volatility,
-    parse_stream,
+    read_stream,
     run_baseline_fixed,
     run_full_sim,
     run_sweep,
@@ -22,9 +22,55 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 
 def test_stream_weights_normalized():
-    profile = parse_stream(CFG.experiments["sweep"]["stream"])
-    assert profile.weights().sum() == pytest.approx(1.0)
-    assert all(w > 0 for w in profile.bundle_weights)
+    for name in ("sweep", "full_sim", "cross_dataset"):
+        stream = CFG.experiments[name]["stream"]
+        validated, weights = read_stream(stream, CFG)
+        raw = np.array([b["weight"] for b in stream["bundles"]])
+        assert len(validated) == len(weights) == len(raw)
+        assert weights.sum() == pytest.approx(1.0)
+        assert all(w > 0 for w in weights)
+        assert weights.tolist() == (raw / raw.sum()).tolist()
+
+
+def test_unknown_stream_key_raises_bad_config():
+    # the CLI tests cover the sweep and full-simulation streams; no command
+    # runs the cross-dataset benchmark, so its stream is checked here
+    stream = CFG.experiments["cross_dataset"]["stream"]
+    for bad in ({**stream, "counter_policy": "natural"},
+                {**stream, "trust": {**stream["trust"], "dist": "uniform"}}):
+        with pytest.raises(BadConfig, match="unknown request stream keys"):
+            read_stream(bad, CFG)
+
+
+def test_stream_bundle_is_read_like_a_request():
+    from dpnego.contracts import request_from_dict, validate_request
+
+    stream = CFG.experiments["full_sim"]["stream"]
+    validated, _ = read_stream(stream, CFG)
+    for bundle, got in zip(stream["bundles"], validated):
+        doc = {k: v for k, v in bundle.items() if k not in ("name", "weight")}
+        assert got == validate_request(request_from_dict(doc), CFG.catalog)
+
+
+def test_full_sim_counter_accept_prob_bounds():
+    # the shipped upfront engine makes no counter-offers, so a staged one is
+    # needed to reach the requester's take-or-leave draw
+    from dpnego.ingest import gen_ecosystem
+
+    runs = {}
+    for prob in (0.0, 1.0):
+        doc = _deep_merge(CFG.raw, {
+            "engine": {"safety_mode": "staged"},
+            "experiments": {"full_sim": {"stream": {"counter_accept_prob": prob}}},
+        })
+        cfg = from_document(doc)
+        eco = gen_ecosystem(6, cfg.catalog, cfg.ecosystem, cfg.trust)
+        metrics = run_full_sim(cfg, ecosystem=eco, interactions=300, seed=5)
+        spent = sum(p.ledger.spent for p in eco.prosumers)
+        assert metrics.total_granted == pytest.approx(spent)
+        runs[prob] = metrics
+    assert runs[0.0].counters > 0 and runs[0.0].counters_accepted == 0
+    assert runs[1.0].counters > 0 and runs[1.0].counters_accepted == runs[1.0].counters
 
 
 def test_zero_interactions_flagged():
