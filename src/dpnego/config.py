@@ -15,7 +15,8 @@ from .scoring import TrustConfig
 
 
 class BadConfig(ValueError):
-    """A config entry found malformed when a command reads it, after loading."""
+    """A malformed config entry: an unknown key or a wrong JSON type, found
+    while merging, or a bad value, found when a command reads it."""
 
 
 @dataclass(frozen=True)
@@ -77,14 +78,40 @@ class AppConfig:
     raw: dict[str, Any] = field(default_factory=dict)
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
+JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+              float: "a number", bool: "a boolean"}
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _deep_merge(base: Any, override: Any, path: str = "") -> Any:
+    """``override`` merged over ``base``, a value from the shipped defaults.
+
+    Every key of ``override`` must exist at the same place in ``base`` and
+    every value must have the JSON type of the default it replaces: an object
+    merges key by key, an array replaces the default whole (each item checked
+    against the default's items when those are not objects), a float default
+    takes any int or float, never a bool, and stores a float, and anything
+    else must have the default's exact type. Any other key or value raises
+    ``BadConfig`` naming its key path."""
+    if type(base) is float and _is_number(override):
+        return float(override)
+    if type(override) is not type(base):
+        where = path or "the top level"
+        raise BadConfig(f"{where} must be {JSON_TYPES[type(base)]}, got {override!r}")
+    if isinstance(base, dict):
+        merged = dict(base)
+        for key, value in override.items():
+            key_path = f"{path}.{key}" if path else key
+            if key not in base:
+                raise BadConfig(f"unknown key {key_path}")
+            merged[key] = _deep_merge(base[key], value, key_path)
+        return merged
+    if isinstance(base, list) and base and not isinstance(base[0], dict):
+        return [_deep_merge(base[0], item, f"{path}[{i}]") for i, item in enumerate(override)]
+    return override
 
 
 def default_document() -> dict:
@@ -94,10 +121,29 @@ def default_document() -> dict:
 
 def _build_catalog(doc: dict) -> Catalog:
     return Catalog(
-        alphas={FeatureKind(k): float(v) for k, v in doc["alphas"].items()},
-        attenuations={ResolutionKind(k): float(v) for k, v in doc["attenuations"].items()},
-        purpose_scores={PurposeKind(k): float(v) for k, v in doc["purpose_scores"].items()},
+        alphas={FeatureKind(k): v for k, v in doc["alphas"].items()},
+        attenuations={ResolutionKind(k): v for k, v in doc["attenuations"].items()},
+        purpose_scores={PurposeKind(k): v for k, v in doc["purpose_scores"].items()},
     )
+
+
+RULE_KEYS = {"band_max", "purpose", "value"}
+RULE_PURPOSES = ("*", *(p.value for p in PurposeKind))
+
+
+def _eps_min_rule(doc: Any, where: str) -> EpsMinRule:
+    """One ``eps_min_rules`` entry: exactly ``band_max`` and ``value``
+    (numbers) and ``purpose`` (``"*"`` or a purpose); else ``BadConfig``."""
+    if not (
+        isinstance(doc, dict) and set(doc) == RULE_KEYS
+        and _is_number(doc["band_max"]) and _is_number(doc["value"])
+        and doc["purpose"] in RULE_PURPOSES
+    ):
+        raise BadConfig(
+            f"{where} must be an object with numbers band_max and value and a purpose "
+            f"from {list(RULE_PURPOSES)}, got {doc!r}"
+        )
+    return EpsMinRule(float(doc["band_max"]), doc["purpose"], float(doc["value"]))
 
 
 def build_engine_config(doc: dict) -> EngineConfig:
@@ -107,72 +153,36 @@ def build_engine_config(doc: dict) -> EngineConfig:
     if unknown:
         raise ValueError(f"unknown engine keys: {sorted(unknown)}")
     rules = tuple(
-        EpsMinRule(float(r["band_max"]), str(r["purpose"]), float(r["value"]))
-        for r in doc.get("eps_min_rules", [])
+        _eps_min_rule(r, f"engine.eps_min_rules[{i}]") for i, r in enumerate(doc["eps_min_rules"])
     )
-    return EngineConfig(
-        lambdas=tuple(float(x) for x in doc["lambdas"]),
-        eps_max=float(doc["eps_max"]),
-        grid_step=float(doc["grid_step"]),
-        eps_min_default=float(doc["eps_min_default"]),
-        eps_min_rules=rules,
-        counter_factor=float(doc["counter_factor"]),
-        trusted_min_trust=float(doc["trusted_min_trust"]),
-        trusted_max_sensitivity=float(doc["trusted_max_sensitivity"]),
-        safety_factor=float(doc["safety_factor"]),
-        safety_mode=doc["safety_mode"],
-    )
+    return EngineConfig(**{**doc, "lambdas": tuple(doc["lambdas"]), "eps_min_rules": rules})
 
 
 def from_document(doc: dict) -> AppConfig:
-    trust_doc = doc["trust"]
-    eco_doc = doc["ecosystem"]
+    """The application config a merged document describes. Keys and types
+    are checked by ``_deep_merge``; the section dataclasses check values."""
     return AppConfig(
         catalog=_build_catalog(doc["catalog"]),
-        trust=TrustConfig(
-            beta=tuple(float(b) for b in trust_doc["beta"]),
-            n_sat=int(trust_doc["n_sat"]),
-            half_life_events=int(trust_doc["half_life_events"]),
-        ),
+        trust=TrustConfig(**{**doc["trust"], "beta": tuple(doc["trust"]["beta"])}),
         engine=build_engine_config(doc["engine"]),
         explain=ExplainConfig(
-            pu_lambdas=tuple(float(x) for x in doc["explain"]["pu_lambdas"]),
-            high_consumption_threshold=float(
-                doc["explain"]["high_consumption_threshold"]
-            ),
+            **{**doc["explain"], "pu_lambdas": tuple(doc["explain"]["pu_lambdas"])}
         ),
-        dp=DpConfig(
-            gaussian_delta=float(doc["dp"]["gaussian_delta"]),
-            max_plan_steps=int(doc["dp"]["max_plan_steps"]),
-            default_output_cap=int(doc["dp"]["default_output_cap"]),
-        ),
+        dp=DpConfig(**doc["dp"]),
         tss=TssConfig(
-            k=int(doc["tss"]["k"]),
-            n=int(doc["tss"]["n"]),
-            prime=int(doc["tss"]["prime_hex"], 16),
+            k=doc["tss"]["k"], n=doc["tss"]["n"], prime=int(doc["tss"]["prime_hex"], 16)
         ),
-        ecosystem=EcosystemConfig(
-            n_prosumers=int(eco_doc["n_prosumers"]),
-            days=int(eco_doc["days"]),
-            initial_budget=float(eco_doc["initial_budget"]),
-        ),
-        cities={
-            name: CityProfile(
-                name=name,
-                base_kw=float(c["base_kw"]),
-                seasonal_amp_kw=float(c["seasonal_amp_kw"]),
-                diurnal_amp_kw=float(c["diurnal_amp_kw"]),
-                noise_sd_kw=float(c["noise_sd_kw"]),
-            )
-            for name, c in doc["cities"].items()
-        },
+        ecosystem=EcosystemConfig(**doc["ecosystem"]),
+        cities={name: CityProfile(name=name, **c) for name, c in doc["cities"].items()},
         experiments=doc["experiments"],
         raw=doc,
     )
 
 
 def load_config(path: str | Path | None = None) -> AppConfig:
-    """Build the application config; a user file deep-merges over defaults."""
+    """Build the application config; a user file merges over the defaults by
+    the rule of ``_deep_merge``, so an unknown key or a wrong JSON type in it
+    raises ``BadConfig``."""
     doc = default_document()
     if path is not None:
         with open(path, encoding="utf-8") as fh:

@@ -7,7 +7,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,23 +69,6 @@ class QueryPlan:
     delta: float
     output_arity: int
     mechanism: Mechanism = Mechanism.LAPLACE
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "ops": list(self.ops),
-            "delta": self.delta,
-            "output_arity": self.output_arity,
-            "mechanism": self.mechanism.value,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "QueryPlan":
-        return cls(
-            ops=tuple(doc["ops"]),
-            delta=float(doc["delta"]),
-            output_arity=int(doc["output_arity"]),
-            mechanism=Mechanism(doc.get("mechanism", "laplace")),
-        )
 
 
 def _coarser_or_equal(requested: ResolutionKind, contracted: ResolutionKind) -> bool:
@@ -220,14 +203,6 @@ class SanitizedOutput:
     mechanism: Mechanism
     epsilon_charged: float
     noise_trace: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "values": list(self.values),
-            "mechanism": self.mechanism.value,
-            "epsilon_charged": self.epsilon_charged,
-            "noise_trace": self.noise_trace,
-        }
 
 
 def laplace_scale(delta_q: float, eps: float) -> float:

@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import AppConfig, BadConfig, _deep_merge, build_engine_config
+from .config import AppConfig, BadConfig, _is_number, build_engine_config
 from .contracts import (
     Catalog,
     Decision,
@@ -40,14 +40,6 @@ class MissingDataset(FileNotFoundError):
     pass
 
 
-STREAM_KEYS = {"bundles", "trust", "counter_accept_prob"}
-TRUST_KEYS = {"lo", "hi"}
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def parse_bundle(doc: dict, catalog: Catalog) -> ValidatedRequest:
     """The request a bundle's config entry describes, validated against the
     catalog. The entry without its ``name`` and ``weight`` is read by
@@ -64,22 +56,20 @@ def read_stream(doc: dict, cfg: AppConfig) -> tuple[list[ValidatedRequest], np.n
     """A request stream's bundles, validated, and their weights normalized to
     sum to 1. The runners read ``trust`` (``lo`` and ``hi``, the bounds of
     each requester's uniform trust draw) and ``counter_accept_prob`` from the
-    stream themselves; this reader checks them. An unknown key in the stream
-    or its ``trust`` block, a bad bundle or a bad number raises ``BadConfig``."""
+    stream themselves; the config merge has checked their keys and types, and
+    this reader checks their range. A bad bundle, weight or range raises
+    ``BadConfig``."""
     try:
-        unknown = (set(doc) - STREAM_KEYS) | (set(doc["trust"]) - TRUST_KEYS)
         weights = [b["weight"] for b in doc["bundles"]]
-        unit = {"trust.lo": doc["trust"]["lo"], "trust.hi": doc["trust"]["hi"]}
     except (KeyError, TypeError) as exc:
         raise BadConfig(f"request stream: missing or malformed {exc}") from exc
-    if unknown:
-        raise BadConfig(f"unknown request stream keys: {sorted(unknown)}")
     if not weights or not all(_is_number(w) and 0 < w < math.inf for w in weights):
         raise BadConfig(f"bundle weights must be positive finite numbers, got {weights!r}")
+    unit = {"trust.lo": doc["trust"]["lo"], "trust.hi": doc["trust"]["hi"]}
     if "counter_accept_prob" in doc:
         unit["counter_accept_prob"] = doc["counter_accept_prob"]
     for key, value in unit.items():
-        if not _is_number(value) or not 0.0 <= value <= 1.0:
+        if not 0.0 <= value <= 1.0:
             raise BadConfig(f"{key} must be a number in [0, 1], got {value!r}")
     w = np.array(weights, dtype=np.float64)
     return [parse_bundle(b, cfg.catalog) for b in doc["bundles"]], w / w.sum()
@@ -184,7 +174,6 @@ def run_sweep(
     cfg: AppConfig,
     seed: int | None = None,
     interactions: int | None = None,
-    eps0_values: Sequence[float] | None = None,
     outdir: str | Path | None = None,
 ) -> dict[str, Any]:
     """Decision rates as a function of the initial budget.
@@ -196,7 +185,6 @@ def run_sweep(
     exp = cfg.experiments["sweep"]
     seed = exp["seed"] if seed is None else seed
     n = exp["interactions"] if interactions is None else interactions
-    levels = list(exp["eps0_values"] if eps0_values is None else eps0_values)
     validated, weights = read_stream(exp["stream"], cfg)
     trust = exp["stream"]["trust"]
     rng = np.random.default_rng(seed)
@@ -204,7 +192,7 @@ def run_sweep(
     trusts = rng.uniform(trust["lo"], trust["hi"], size=n).tolist()
 
     rows = []
-    for eps0 in levels:
+    for eps0 in exp["eps0_values"]:
         ledger = BudgetLedger(h_max=float(eps0))
         metrics = ScenarioMetrics(interactions=n)
         for i in range(n):
@@ -249,7 +237,7 @@ def run_full_sim(
     if ecosystem is None:
         ecosystem = gen_ecosystem(seed + 1, cfg.catalog, cfg.ecosystem, cfg.trust)
     prosumers = ecosystem.prosumers
-    n_req = int(exp["requesters"])
+    n_req = exp["requesters"]
     names = [f"req-{r:03d}" for r in range(n_req)]
     rng = np.random.default_rng(seed)
 
@@ -380,9 +368,7 @@ def run_cross_dataset(
     n = exp["interactions"] if interactions is None else interactions
     validated, base_weights = read_stream(exp["stream"], cfg)
     trust = exp["stream"]["trust"]
-    owner_budget = float(exp["owner_budget"])
-    risk_factor = float(exp["risk_weight_factor"])
-    tilt_span = float(exp["calibration_tilt"])
+    owner_budget = exp["owner_budget"]
 
     names = list(exp["datasets"])
     for name in names:
@@ -398,14 +384,14 @@ def run_cross_dataset(
     scenarios = []
     k = 0
     for dataset in names:
-        tilt = (rank[dataset] / denominator - 0.5) * tilt_span
+        tilt = (rank[dataset] / denominator - 0.5) * exp["calibration_tilt"]
         for pattern in exp["patterns"]:
             for risk_mode in exp["risk_modes"]:
                 rng = np.random.default_rng(children[k])
                 k += 1
                 weights = _scenario_weights(
                     base_weights, validated, cfg.engine, owner_budget,
-                    risk_mode, risk_factor, tilt,
+                    risk_mode, exp["risk_weight_factor"], tilt,
                 )
                 idx = rng.choice(len(validated), size=n, p=weights).tolist()
                 trusts = rng.uniform(trust["lo"], trust["hi"], size=n).tolist()
@@ -457,12 +443,12 @@ def run_baseline_fixed(
 ) -> ScenarioMetrics:
     """Charge a constant epsilon per request while the budget allows."""
     exp = cfg.experiments["baseline"]
-    eps_fix = float(exp["eps_fix"]) if eps_fix is None else eps_fix
-    n = int(exp["requests"]) if requests is None else requests
+    eps_fix = exp["eps_fix"] if eps_fix is None else eps_fix
+    n = exp["requests"] if requests is None else requests
     seed = exp["seed"] if seed is None else seed
     if eps_fix <= 0:
         raise ValueError("eps_fix must be positive")
-    ledger = BudgetLedger(h_max=float(exp["owner_budget"]))
+    ledger = BudgetLedger(h_max=exp["owner_budget"])
     metrics = ScenarioMetrics(interactions=n)
     for i in range(1, n + 1):
         if eps_fix <= ledger.h_remaining + 1e-9:
@@ -493,18 +479,19 @@ def run_adversary(
     accounting still caps total leakage at the initial budget."""
     exp = cfg.experiments["adversary"]
     seed = exp["seed"] if seed is None else seed
-    engine_cfg = build_engine_config(
-        _deep_merge(cfg.raw["engine"], exp["engine_overrides"])
-    )
+    try:
+        engine_cfg = build_engine_config({**cfg.raw["engine"], "safety_mode": exp["safety_mode"]})
+    except ValueError as exc:
+        raise BadConfig(f"experiments.adversary.safety_mode: {exc}") from exc
     bundle = {**exp["bundle"], "proposed_epsilon": exp["proposed_epsilon"]}
     request = parse_bundle(bundle, cfg.catalog)
-    ledger = BudgetLedger(h_max=float(exp["owner_budget"]))
+    ledger = BudgetLedger(h_max=exp["owner_budget"])
     store = TrustStore(cfg=cfg.trust)
     trace: list[float] = []
     accepted = 0
     streak = 0
     i = 0
-    while streak < int(exp["reject_streak"]) and i < int(exp["max_requests"]):
+    while streak < exp["reject_streak"] and i < exp["max_requests"]:
         i += 1
         trust = store.score("adversary")
         trace.append(trust)
@@ -546,7 +533,7 @@ def bench_latency(
     stored-volume check: a fixed-window execute_plan over 60-day and 600-day
     series must take the same time (medians of interleaved block medians)."""
     exp = cfg.experiments["bench"]
-    n = int(exp["iterations"]) if iterations is None else iterations
+    n = exp["iterations"] if iterations is None else iterations
     seed = exp["seed"] if seed is None else seed
     stream = cfg.experiments["sweep"]["stream"]
     validated, weights = read_stream(stream, cfg)
@@ -622,10 +609,10 @@ def probe_cases(cfg: AppConfig, seed: int | None = None, replays: int | None = N
     requests, against owner snapshots across the budget range."""
     exp = cfg.experiments["probe"]
     seed = exp["seed"] if seed is None else seed
-    n = int(exp["replays"]) if replays is None else replays
+    n = exp["replays"] if replays is None else replays
     validated, weights = read_stream(cfg.experiments["sweep"]["stream"], cfg)
     boundary = parse_bundle(exp["boundary_bundle"], cfg.catalog)
-    b_weight = float(exp["boundary_bundle_weight"])
+    b_weight = exp["boundary_bundle_weight"]
     lo, hi = exp["h_range"]
     rng = np.random.default_rng(seed)
     weights = weights * (1.0 - b_weight)
@@ -644,19 +631,17 @@ def run_probe(
     cfg: AppConfig,
     seed: int | None = None,
     replays: int | None = None,
-    perturbation: float | None = None,
     outdir: str | Path | None = None,
 ):
     exp = cfg.experiments["probe"]
     seed = exp["seed"] if seed is None else seed
-    p = float(exp["perturbation"]) if perturbation is None else perturbation
     cases = probe_cases(cfg, seed=seed, replays=replays)
-    report = robustness_probe(cases, p, int(exp["trials"]), seed + 1, cfg.engine)
+    report = robustness_probe(cases, exp["perturbation"], exp["trials"], seed + 1, cfg.engine)
     _write_outputs(
         outdir, "probe",
         {
             "seed": seed,
-            "perturbation": p,
+            "perturbation": exp["perturbation"],
             "replays": report.replays,
             "stability": report.stability,
             "flips": report.flips,

@@ -312,6 +312,50 @@ def test_negotiate_wrong_lambda_count_is_a_bad_config(tmp_path, capsys, section,
     assert_negotiate_bad_config(tmp_path, capsys, {section: {key: values}}, key)
 
 
+@pytest.mark.parametrize("override_doc,text", [
+    ({"experiments": {"sweep": {"interaction": 5}}}, "unknown key experiments.sweep.interaction"),
+    ({"experiments": {"sweep": {"interactions": 5.5}}}, "experiments.sweep.interactions must"),
+    ({"experiments": {"sweep": {"seed": "abc"}}}, "experiments.sweep.seed must"),
+    ({"experiments": {"sweep": {"eps0_values": [1, 2.5]}}}, "experiments.sweep.eps0_values[1] must"),
+    ({"trust": {"n_sat": 2.7}}, "trust.n_sat must"),
+    ({"dp": {"max_plan_step": 3}}, "unknown key dp.max_plan_step"),
+    ({"engine": {"eps_max": True}}, "engine.eps_max must"),
+    ({"engine": {"lambdas": 5}}, "engine.lambdas must"),
+    ({"engine": {"lambdas": ["1", 1, 1, 1, 1]}}, "engine.lambdas[0] must"),
+    ({"cities": {"madrid": {"base_kw": 0.8}}}, "unknown key cities.madrid"),
+    ([1], "the top level must"),
+    ({"experiments": {"adversary": {"engine_overrides": {"safety_mode": "staged"}}}},
+     "unknown key experiments.adversary.engine_overrides"),
+])
+def test_override_outside_the_defaults_is_a_bad_config(tmp_path, capsys, override_doc, text):
+    assert_negotiate_bad_config(tmp_path, capsys, override_doc, text)
+
+
+@pytest.mark.parametrize("rule", [
+    {"band_max": 1.0, "value": 0.5},
+    {"band_max": 1.0, "purpose": "*", "value": 0.5, "note": "extra"},
+    {"band_max": 1.0, "purpose": "profilling", "value": 0.5},
+    {"band_max": "1", "purpose": "*", "value": 0.5},
+    {"band_max": 1.0, "purpose": "*", "value": True},
+    "profiling",
+])
+def test_malformed_eps_min_rule_is_a_bad_config(tmp_path, capsys, rule):
+    assert_negotiate_bad_config(
+        tmp_path, capsys, {"engine": {"eps_min_rules": [rule]}}, "engine.eps_min_rules[0]"
+    )
+
+
+def test_adversary_bad_safety_mode_is_a_bad_config(tmp_path, capsys):
+    override = tmp_path / "cfg.json"
+    override.write_text(json.dumps({"experiments": {"adversary": {"safety_mode": "lenient"}}}))
+    code = main(["--config", str(override), "adversary", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: bad config: experiments.adversary.safety_mode")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field,raw,text", [
     ("proposed_epsilon", "abc", "proposed_epsilon"),
     ("proposed_epsilon", True, "proposed_epsilon"),

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -60,19 +58,12 @@ def series(values, spacing=3600):
     )
 
 
-def mean_plan(**overrides):
-    doc = {
-        "ops": [
-            {"op": "select", "features": ["load_curve"]},
-            {"op": "window", "hours": 24},
-            {"op": "aggregate", "fn": "mean"},
-        ],
-        "delta": 1.0,
-        "output_arity": 1,
-        "mechanism": "laplace",
-    }
-    doc.update(overrides)
-    return QueryPlan.from_dict(doc)
+def mean_plan(ops=(
+    {"op": "select", "features": ["load_curve"]},
+    {"op": "window", "hours": 24},
+    {"op": "aggregate", "fn": "mean"},
+), output_arity=1):
+    return QueryPlan(tuple(ops), delta=1.0, output_arity=output_arity)
 
 
 def consumed_token(contract_id="c-1"):
@@ -135,11 +126,6 @@ def test_arity_over_cap():
     plan = mean_plan(ops=ops, output_arity=10)
     with pytest.raises(ArityExceeded):
         validate_plan(plan, contract(), DpConfig(default_output_cap=4))
-
-
-def test_plan_json_round_trip():
-    plan = mean_plan()
-    assert QueryPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
 
 
 # --- execute_plan --------------------------------------------------------------

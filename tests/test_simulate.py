@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +33,15 @@ def test_stream_weights_normalized():
         assert weights.tolist() == (raw / raw.sum()).tolist()
 
 
-def test_unknown_stream_key_raises_bad_config():
+def test_unknown_stream_key_raises_bad_config(tmp_path):
     # the CLI tests cover the sweep and full-simulation streams; no command
-    # runs the cross-dataset benchmark, so its stream is checked here
-    stream = CFG.experiments["cross_dataset"]["stream"]
-    for bad in ({**stream, "counter_policy": "natural"},
-                {**stream, "trust": {**stream["trust"], "dist": "uniform"}}):
-        with pytest.raises(BadConfig, match="unknown request stream keys"):
-            read_stream(bad, CFG)
+    # runs the cross-dataset benchmark, so its stream is loaded here
+    path = tmp_path / "cfg.json"
+    for stream, key in (({"counter_policy": "natural"}, "counter_policy"),
+                        ({"trust": {"dist": "uniform"}}, "trust.dist")):
+        path.write_text(json.dumps({"experiments": {"cross_dataset": {"stream": stream}}}))
+        with pytest.raises(BadConfig, match=re.escape(f"unknown key experiments.cross_dataset.stream.{key}")):
+            load_config(path)
 
 
 def test_stream_bundle_is_read_like_a_request():
