@@ -3,7 +3,8 @@
 On disk a log is a JSON-lines file, one record per line, that only grows:
 saving a log that came from a file appends the new lines in one fsynced
 write. ``AuditLog.open_tail`` reads just the last two records, which is all
-an append checks; ``AuditLog.load`` and ``verify_file`` read the whole chain.
+an append checks; ``AuditLog.load`` reads the whole chain and checks each
+record as it goes, and ``verify_file`` reports the first that fails.
 """
 
 from __future__ import annotations
@@ -183,18 +184,29 @@ class AuditLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "AuditLog":
-        """Every record of a JSON-lines audit file. A malformed record i
-        raises ChainCorrupt at the first bad record of 0..i."""
+        """Every record of a JSON-lines audit file, each checked as it is read.
+
+        Record i must be well formed (the field types of ``_record``), link to
+        record i-1's hash (the genesis hash for record 0), have a sequence
+        above record i-1's, and carry its own hash (``_stored_hash_ok``). The
+        first record that fails any of these raises ChainCorrupt(i).
+        """
         log = cls()
+        prev, last_seq = GENESIS_HASH, -1
         with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             log._size = os.fstat(fh.fileno()).st_size
             for line in fh:
-                if line.strip():
-                    try:
-                        log.records.append(_record(line))
-                    except _MALFORMED:
-                        bad = log.verify()
-                        raise ChainCorrupt(len(log.records) if bad is None else bad) from None
+                if not line.strip():
+                    continue
+                try:
+                    rec = _record(line)
+                except _MALFORMED:
+                    raise ChainCorrupt(len(log.records)) from None
+                if (rec.prev_hash != prev or rec.sequence <= last_seq
+                        or not _stored_hash_ok(line, rec)):
+                    raise ChainCorrupt(len(log.records))
+                log.records.append(rec)
+                prev, last_seq = rec.record_hash, rec.sequence
         log._path = os.path.realpath(path)
         log._stored = len(log.records)
         return log
@@ -260,6 +272,26 @@ def _line(record: AuditRecord) -> str:
     return json.dumps(record.to_dict(), sort_keys=True) + "\n"
 
 
+def _stored_hash_ok(line: str, rec: AuditRecord) -> bool:
+    """Whether ``rec.record_hash`` is the hash of ``rec``'s body, checked from
+    ``line``, the text ``rec`` was read from.
+
+    A line ``_line`` wrote is the body's canonical encoding with the member
+    ``, "record_hash": "<hash>"`` inserted, so the line without that member
+    hashes to ``record_hash`` and nothing is re-encoded. Any other line (other
+    spacing or key order, non-ASCII text, a tampered byte) falls back to
+    re-encoding the record. A line whose writer hashed its own non-canonical
+    bytes also passes here, where re-encoding would reject it.
+    """
+    member = f', "record_hash": "{rec.record_hash}"'
+    at = line.rfind(member)
+    if at >= 0 and line.isascii():
+        stored = line[:at] + line[at + len(member):].rstrip("\n")
+        if hashlib.sha256(stored.encode()).hexdigest() == rec.record_hash:
+            return True
+    return rec.record_hash == _digest(rec.body())
+
+
 def _last_lines(data: bytes, start: int, want: int) -> list[tuple[int, bytes]]:
     """Up to ``want`` last non-blank lines of ``data``, the file's bytes from
     offset ``start`` to its end, oldest first with their offsets. A line that
@@ -306,9 +338,12 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> int:
 def verify_file(path: str | Path) -> int | None:
     """Verify a JSON-lines audit file; return the first corrupt index or None.
 
-    A parse failure on line i counts as corruption of record i.
+    This is ``AuditLog.load``, which checks each record as it reads it: a
+    malformed line, a broken link, a sequence that does not increase or a
+    wrong hash at record i makes i the answer.
     """
     try:
-        return AuditLog.load(path).verify()
+        AuditLog.load(path)
     except ChainCorrupt as exc:
         return exc.index
+    return None

@@ -183,11 +183,11 @@ def cmd_bench(args, cfg: AppConfig) -> int:
 
 def cmd_audit_verify(args, cfg: AppConfig) -> int:
     del cfg
-    path = Path(args.log)
-    if not path.exists():
-        print(f"error: no such file {path}", file=sys.stderr)
+    try:
+        bad = verify_file(args.log)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    bad = verify_file(path)
     if bad is None:
         print("audit chain ok")
         return 0

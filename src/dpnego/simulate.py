@@ -75,6 +75,28 @@ def read_stream(doc: dict, cfg: AppConfig) -> tuple[list[ValidatedRequest], np.n
     return [parse_bundle(b, cfg.catalog) for b in doc["bundles"]], w / w.sum()
 
 
+# The range of each experiment value that its JSON type does not bound.
+_POSITIVE = ("a positive finite number", lambda v: 0 < v < math.inf)
+EXPERIMENT_RANGES = {
+    "interactions": ("at least 0", lambda v: v >= 0),
+    "requesters": ("at least 1", lambda v: v >= 1),
+    "owner_budget": _POSITIVE,
+    "eps_fix": _POSITIVE,
+    "eps0_values": ("positive numbers", lambda v: all(x > 0 for x in v)),
+}
+
+
+def experiment(cfg: AppConfig, name: str) -> dict[str, Any]:
+    """The config section ``experiments.<name>``. The config merge has
+    checked its keys and types; a value outside its range in
+    ``EXPERIMENT_RANGES`` raises ``BadConfig`` naming its key path."""
+    exp = cfg.experiments[name]
+    for key, (rule, ok) in EXPERIMENT_RANGES.items():
+        if key in exp and not ok(exp[key]):
+            raise BadConfig(f"experiments.{name}.{key} must be {rule}, got {exp[key]!r}")
+    return exp
+
+
 @dataclass
 class ScenarioMetrics:
     """Decision counts and budget aggregates for one scenario run."""
@@ -182,7 +204,7 @@ def run_sweep(
     and the identical request stream is reused at every budget level so the
     acceptance curve is comparable point to point.
     """
-    exp = cfg.experiments["sweep"]
+    exp = experiment(cfg, "sweep")
     seed = exp["seed"] if seed is None else seed
     n = exp["interactions"] if interactions is None else interactions
     validated, weights = read_stream(exp["stream"], cfg)
@@ -229,7 +251,7 @@ def run_full_sim(
     """Sequential negotiations against the prosumer ecosystem with settlement
     on every accepted grant; the requester takes each counter-offer with the
     stream's ``counter_accept_prob``, and a taken one settles too."""
-    exp = cfg.experiments["full_sim"]
+    exp = experiment(cfg, "full_sim")
     seed = exp["seed"] if seed is None else seed
     n = exp["interactions"] if interactions is None else interactions
     validated, weights = read_stream(exp["stream"], cfg)
@@ -363,7 +385,7 @@ def run_cross_dataset(
 ) -> dict[str, Any]:
     """All dataset x pattern x risk-mode scenarios with fresh-owner
     negotiations; per-scenario streams are independently seeded."""
-    exp = cfg.experiments["cross_dataset"]
+    exp = experiment(cfg, "cross_dataset")
     seed = exp["seed"] if seed is None else seed
     n = exp["interactions"] if interactions is None else interactions
     validated, base_weights = read_stream(exp["stream"], cfg)
@@ -442,7 +464,7 @@ def run_baseline_fixed(
     outdir: str | Path | None = None,
 ) -> ScenarioMetrics:
     """Charge a constant epsilon per request while the budget allows."""
-    exp = cfg.experiments["baseline"]
+    exp = experiment(cfg, "baseline")
     eps_fix = exp["eps_fix"] if eps_fix is None else eps_fix
     n = exp["requests"] if requests is None else requests
     seed = exp["seed"] if seed is None else seed
@@ -477,7 +499,7 @@ def run_adversary(
     """A requester that behaves perfectly to inflate its trust score, then
     keeps draining the owner through the trusted-minimal fallback. Cumulative
     accounting still caps total leakage at the initial budget."""
-    exp = cfg.experiments["adversary"]
+    exp = experiment(cfg, "adversary")
     seed = exp["seed"] if seed is None else seed
     try:
         engine_cfg = build_engine_config({**cfg.raw["engine"], "safety_mode": exp["safety_mode"]})

@@ -279,3 +279,109 @@ def test_negotiate_appends_past_a_tampered_middle_record(tmp_path, capsys):
     capsys.readouterr()
     assert main(["audit", "verify", str(path)]) == 3
     assert "audit chain corrupt at record 5000" in capsys.readouterr().out
+
+
+def reference_index(path):
+    """The first corrupt record of ``path`` found by re-encoding every record:
+    parse each line, and on a malformed line report the first bad record of
+    the ones before it, or the line itself."""
+    from dpnego.audit import _MALFORMED, _record
+
+    records = []
+    for line in path.read_bytes().decode("utf-8", "surrogateescape").split("\n"):
+        if line.strip():
+            try:
+                records.append(_record(line))
+            except _MALFORMED:
+                bad = AuditLog(records).verify()
+                return len(records) if bad is None else bad
+    return AuditLog(records).verify()
+
+
+def nested_hash_log():
+    """A log whose record 1 carries a ``record_hash`` member in its outcome."""
+    log = build_log(1)
+    log.append(REQ, {**OUT, "record_hash": "ab" * 32, "z": 0}, EXP, timestamp=2.0)
+    log.append(REQ, OUT, EXP, timestamp=3.0)
+    return log
+
+
+@pytest.mark.parametrize("make_log,target", [(lambda: build_log(4), 2), (nested_hash_log, 1)])
+def test_every_byte_flip_matches_the_re_encoding_reference(tmp_path, make_log, target):
+    path = tmp_path / "audit.jsonl"
+    make_log().save(path)
+    raw = path.read_bytes()
+    start = sum(len(line) + 1 for line in raw.split(b"\n")[:target])
+    end = raw.index(b"\n", start)
+    for pos in range(start, end):
+        for mask in (0x01, 0x20, 0x80):
+            flipped = bytearray(raw)
+            flipped[pos] ^= mask
+            path.write_bytes(bytes(flipped))
+            assert verify_file(path) == reference_index(path), (pos, mask)
+
+
+def rewrite_line(path, index, **dumps_args):
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[index])
+    lines[index] = json.dumps(dict(reversed(doc.items())), **dumps_args)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("dumps_args", [{}, {"separators": (",", ":")}])
+def test_reformatted_line_still_verifies(tmp_path, dumps_args):
+    path = tmp_path / "audit.jsonl"
+    build_log(4).save(path)
+    rewrite_line(path, 2, **dumps_args)
+    assert verify_file(path) is None is reference_index(path)
+    assert len(AuditLog.load(path).records) == 4
+
+
+def test_nested_record_hash_member_gets_the_reference_verdict(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    log = nested_hash_log()
+    log.save(path)
+    assert verify_file(path) is None is reference_index(path)
+    # the outcome gains a member equal to the record's own hash
+    own = log.records[1].record_hash
+    tamper_line(path, 1, record_hash=own)
+    assert verify_file(path) == 1 == reference_index(path)
+
+
+def test_canonical_log_loads_without_re_encoding(tmp_path, monkeypatch):
+    from dpnego import audit
+
+    path = tmp_path / "audit.jsonl"
+    build_log(1000).save(path)
+    calls = []
+    real = audit._digest
+    monkeypatch.setattr(audit, "_digest", lambda payload: calls.append(1) or real(payload))
+    assert len(AuditLog.load(path).records) == 1000
+    assert calls == []
+    rewrite_line(path, 500)
+    assert len(AuditLog.load(path).records) == 1000
+    assert calls == [1]
+
+
+def rehash_line(path, index, **fields):
+    """Set ``fields`` on record ``index`` and give it the hash of its new body,
+    so the line is canonical and carries its own hash."""
+    from dpnego.audit import AuditRecord, _line, _record
+
+    lines = path.read_text().splitlines(keepends=True)
+    lines[index] = _line(AuditRecord.build(**{**_record(lines[index]).body(), **fields}))
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda path: tamper_line(path, 2, epsilon_star=9.9),
+    lambda path: rehash_line(path, 2, prev_hash="1" * 64),
+    lambda path: rehash_line(path, 2, sequence=1),
+], ids=["wrong-hash", "broken-link", "sequence-repeats"])
+def test_load_raises_at_the_first_bad_record(tmp_path, corrupt):
+    path = tmp_path / "audit.jsonl"
+    build_log(5).save(path)
+    corrupt(path)
+    with pytest.raises(ChainCorrupt) as exc:
+        AuditLog.load(path)
+    assert exc.value.index == 2 == verify_file(path) == reference_index(path)

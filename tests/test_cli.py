@@ -141,6 +141,14 @@ def test_audit_verify_missing_file(tmp_path):
     assert main(["audit", "verify", str(tmp_path / "nope.jsonl")]) == 1
 
 
+def test_audit_verify_directory_is_an_error(tmp_path, capsys):
+    code = main(["audit", "verify", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+    assert captured.out == ""
+
+
 def test_missing_dataset_exit_one(monkeypatch, capsys):
     from dpnego import simulate
 
@@ -343,6 +351,27 @@ def test_malformed_eps_min_rule_is_a_bad_config(tmp_path, capsys, rule):
     assert_negotiate_bad_config(
         tmp_path, capsys, {"engine": {"eps_min_rules": [rule]}}, "engine.eps_min_rules[0]"
     )
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("sweep", "sweep", "eps0_values", [0]),
+    ("baseline", "baseline", "owner_budget", -1.0),
+    ("sweep", "sweep", "interactions", -3),
+    ("simulate", "full_sim", "interactions", -3),
+    ("adversary", "adversary", "owner_budget", 0.0),
+    ("baseline", "baseline", "eps_fix", 0.0),
+    ("simulate", "full_sim", "requesters", 0),
+])
+def test_experiment_value_out_of_range_is_a_bad_config(tmp_path, capsys, command, section, key,
+                                                        value):
+    override = tmp_path / "cfg.json"
+    override.write_text(json.dumps({"experiments": {section: {key: value}}}))
+    code = main(["--config", str(override), command, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: bad config: experiments.{section}.{key} must")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_adversary_bad_safety_mode_is_a_bad_config(tmp_path, capsys):
