@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .audit import AuditLog, ChainCorrupt, verify_file, write_atomic
-from .config import AppConfig, BadConfig, load_config
+from .config import AppConfig, BadArgument, BadConfig, load_config
 from .contracts import (
     Decision,
     ValidationError,
@@ -27,7 +27,14 @@ from .contracts import (
 from .explain import explain, factors_for
 from .negotiation import BudgetLedger, negotiate
 from .scoring import TrustLedger, TrustStore, trust_score
-from .secretshare import reconstruct, shares_from_json, shares_to_json, split
+from .secretshare import (
+    InvalidThreshold,
+    SecretOutOfField,
+    reconstruct,
+    shares_from_json,
+    shares_to_json,
+    split,
+)
 
 
 def load_owner_state(path: str | Path, cfg: AppConfig) -> tuple[str, BudgetLedger, TrustStore]:
@@ -196,8 +203,13 @@ def cmd_audit_verify(args, cfg: AppConfig) -> int:
 
 
 def cmd_tss_split(args, cfg: AppConfig) -> int:
-    shares = split(args.secret, args.k or cfg.tss.k, args.n or cfg.tss.n,
-                   seed=args.seed, prime=cfg.tss.prime)
+    k = cfg.tss.k if args.k is None else args.k
+    n = cfg.tss.n if args.n is None else args.n
+    try:
+        shares = split(args.secret, k, n, seed=args.seed, prime=cfg.tss.prime)
+    except (InvalidThreshold, SecretOutOfField) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(shares_to_json(shares))
     return 0
 
@@ -281,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args, cfg)
     except BadConfig as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
+        return 1
+    except BadArgument as exc:  # the runners' arguments are the command's flags
+        print(f"error: --{exc.key.replace('_', '-')} {exc.problem}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:  # such as simulate.MissingDataset
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,16 @@ class BadConfig(ValueError):
     while merging, or a bad value, found when a command reads it."""
 
 
+class BadArgument(ValueError):
+    """A runner argument outside the range of the config key it overrides;
+    ``key`` names the argument and ``problem`` says what is wrong with it."""
+
+    def __init__(self, key: str, problem: str):
+        self.key = key
+        self.problem = problem
+        super().__init__(f"{key} {problem}")
+
+
 @dataclass(frozen=True)
 class EcosystemConfig:
     n_prosumers: int = 100

@@ -114,7 +114,7 @@ class Purpose:
             raise ValueError(f"purpose score must be in [0,1], got {self.score}")
 
 
-MEMO_LIMIT = 4096  # entries a per-catalog memo holds before it is cleared
+MEMO_LIMIT = 4096  # entries every memo, of the catalog or an engine, holds before it is cleared
 
 
 @dataclass(frozen=True)

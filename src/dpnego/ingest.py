@@ -192,10 +192,15 @@ def gen_ecosystem(
 ) -> Ecosystem:
     """Generate the synthetic prosumer ecosystem: per-prosumer hourly load made
     of a base level, a diurnal cycle, temperature-coupled heating, and an
-    appliance spike process. Deterministic per seed."""
+    appliance spike process. Deterministic per seed.
+
+    Every prosumer's series holds the same hourly grid, so they share one
+    read-only timestamps array: a write to it raises ``ValueError`` instead
+    of moving another owner's samples."""
     rng = np.random.default_rng(seed)
     hours = cfg.days * 24
     timestamps = cfg.start_epoch + 3600 * np.arange(hours, dtype=np.int64)
+    timestamps.setflags(write=False)
     temps = _winter_temperatures(rng, hours, cfg)
     prosumers: list[Prosumer] = []
     hour_of_day = np.arange(hours) % 24
@@ -217,7 +222,7 @@ def gen_ecosystem(
         load = np.maximum(load, 0.0)
         series = LoadSeries(
             source_id=f"prosumer-{i:03d}",
-            timestamps=timestamps.copy(),
+            timestamps=timestamps,
             values=load,
             resolution=ResolutionKind.HOUR1,
         )

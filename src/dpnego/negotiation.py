@@ -239,7 +239,8 @@ class NegotiationEngine:
 
     Pure with respect to its config: identical inputs give identical outputs,
     so (sensitivity, upper-bound) argmax results are memoized, and so are the
-    frozen APPROVE outcomes per granted epsilon (cleared at ``MEMO_LIMIT``).
+    frozen APPROVE outcomes per granted epsilon; each memo is cleared at
+    ``MEMO_LIMIT`` entries.
     """
 
     def __init__(self, cfg: EngineConfig):
@@ -324,7 +325,7 @@ class NegotiationEngine:
             end_score = objective(upper, sensitivity, 0.0, 0.0, self.cfg)
             if end_score > best_score:
                 best = upper
-        if len(self._argmax_cache) > 65536:
+        if len(self._argmax_cache) >= MEMO_LIMIT:
             self._argmax_cache.clear()
         self._argmax_cache[key] = best
         return best

@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import AppConfig, BadConfig, _is_number, build_engine_config
+from .config import AppConfig, BadArgument, BadConfig, _is_number, build_engine_config
 from .contracts import (
     Catalog,
     Decision,
@@ -77,8 +77,13 @@ def read_stream(doc: dict, cfg: AppConfig) -> tuple[list[ValidatedRequest], np.n
 
 # The range of each experiment value that its JSON type does not bound.
 _POSITIVE = ("a positive finite number", lambda v: 0 < v < math.inf)
+_COUNT = ("at least 0", lambda v: v >= 0)
 EXPERIMENT_RANGES = {
-    "interactions": ("at least 0", lambda v: v >= 0),
+    "seed": _COUNT,
+    "interactions": _COUNT,
+    "requests": _COUNT,
+    "replays": _COUNT,
+    "iterations": ("at least 1", lambda v: v >= 1),
     "requesters": ("at least 1", lambda v: v >= 1),
     "owner_budget": _POSITIVE,
     "eps_fix": _POSITIVE,
@@ -86,14 +91,20 @@ EXPERIMENT_RANGES = {
 }
 
 
-def experiment(cfg: AppConfig, name: str) -> dict[str, Any]:
-    """The config section ``experiments.<name>``. The config merge has
-    checked its keys and types; a value outside its range in
-    ``EXPERIMENT_RANGES`` raises ``BadConfig`` naming its key path."""
-    exp = cfg.experiments[name]
+def experiment(cfg: AppConfig, name: str, **args: Any) -> dict[str, Any]:
+    """The config section ``experiments.<name>`` with each argument that is
+    not None in place of the key it names: the values the runner uses. The
+    config merge has checked the section's keys and types. A value outside
+    its range in ``EXPERIMENT_RANGES`` raises ``BadArgument`` when it came
+    from an argument, else ``BadConfig`` naming its key path."""
+    given = {key: value for key, value in args.items() if value is not None}
+    exp = {**cfg.experiments[name], **given}
     for key, (rule, ok) in EXPERIMENT_RANGES.items():
         if key in exp and not ok(exp[key]):
-            raise BadConfig(f"experiments.{name}.{key} must be {rule}, got {exp[key]!r}")
+            problem = f"must be {rule}, got {exp[key]!r}"
+            if key in given:
+                raise BadArgument(key, problem)
+            raise BadConfig(f"experiments.{name}.{key} {problem}")
     return exp
 
 
@@ -204,9 +215,8 @@ def run_sweep(
     and the identical request stream is reused at every budget level so the
     acceptance curve is comparable point to point.
     """
-    exp = experiment(cfg, "sweep")
-    seed = exp["seed"] if seed is None else seed
-    n = exp["interactions"] if interactions is None else interactions
+    exp = experiment(cfg, "sweep", seed=seed, interactions=interactions)
+    seed, n = exp["seed"], exp["interactions"]
     validated, weights = read_stream(exp["stream"], cfg)
     trust = exp["stream"]["trust"]
     rng = np.random.default_rng(seed)
@@ -251,9 +261,8 @@ def run_full_sim(
     """Sequential negotiations against the prosumer ecosystem with settlement
     on every accepted grant; the requester takes each counter-offer with the
     stream's ``counter_accept_prob``, and a taken one settles too."""
-    exp = experiment(cfg, "full_sim")
-    seed = exp["seed"] if seed is None else seed
-    n = exp["interactions"] if interactions is None else interactions
+    exp = experiment(cfg, "full_sim", seed=seed, interactions=interactions)
+    seed, n = exp["seed"], exp["interactions"]
     validated, weights = read_stream(exp["stream"], cfg)
     accept_prob = exp["stream"]["counter_accept_prob"]
     if ecosystem is None:
@@ -385,9 +394,8 @@ def run_cross_dataset(
 ) -> dict[str, Any]:
     """All dataset x pattern x risk-mode scenarios with fresh-owner
     negotiations; per-scenario streams are independently seeded."""
-    exp = experiment(cfg, "cross_dataset")
-    seed = exp["seed"] if seed is None else seed
-    n = exp["interactions"] if interactions is None else interactions
+    exp = experiment(cfg, "cross_dataset", seed=seed, interactions=interactions)
+    seed, n = exp["seed"], exp["interactions"]
     validated, base_weights = read_stream(exp["stream"], cfg)
     trust = exp["stream"]["trust"]
     owner_budget = exp["owner_budget"]
@@ -464,12 +472,8 @@ def run_baseline_fixed(
     outdir: str | Path | None = None,
 ) -> ScenarioMetrics:
     """Charge a constant epsilon per request while the budget allows."""
-    exp = experiment(cfg, "baseline")
-    eps_fix = exp["eps_fix"] if eps_fix is None else eps_fix
-    n = exp["requests"] if requests is None else requests
-    seed = exp["seed"] if seed is None else seed
-    if eps_fix <= 0:
-        raise ValueError("eps_fix must be positive")
+    exp = experiment(cfg, "baseline", eps_fix=eps_fix, requests=requests, seed=seed)
+    eps_fix, n, seed = exp["eps_fix"], exp["requests"], exp["seed"]
     ledger = BudgetLedger(h_max=exp["owner_budget"])
     metrics = ScenarioMetrics(interactions=n)
     for i in range(1, n + 1):
@@ -499,8 +503,8 @@ def run_adversary(
     """A requester that behaves perfectly to inflate its trust score, then
     keeps draining the owner through the trusted-minimal fallback. Cumulative
     accounting still caps total leakage at the initial budget."""
-    exp = experiment(cfg, "adversary")
-    seed = exp["seed"] if seed is None else seed
+    exp = experiment(cfg, "adversary", seed=seed)
+    seed = exp["seed"]
     try:
         engine_cfg = build_engine_config({**cfg.raw["engine"], "safety_mode": exp["safety_mode"]})
     except ValueError as exc:
@@ -553,10 +557,10 @@ def bench_latency(
 ) -> dict[str, Any]:
     """Median and p99 wall-clock per negotiate and per explain call, plus a
     stored-volume check: a fixed-window execute_plan over 60-day and 600-day
-    series must take the same time (medians of interleaved block medians)."""
-    exp = cfg.experiments["bench"]
-    n = exp["iterations"] if iterations is None else iterations
-    seed = exp["seed"] if seed is None else seed
+    series must take the same time (medians over interleaved blocks of the
+    mean time per call, one clock read on each side of a block)."""
+    exp = experiment(cfg, "bench", iterations=iterations, seed=seed)
+    n, seed = exp["iterations"], exp["seed"]
     stream = cfg.experiments["sweep"]["stream"]
     validated, weights = read_stream(stream, cfg)
     rng = np.random.default_rng(seed)
@@ -589,24 +593,26 @@ def bench_latency(
         explain(approval, factors, ledger, cfg.engine, cfg.explain)
         exp_ms[i] = (time.perf_counter_ns() - t0) / 1e6
 
-    # volume independence: one fixed window evaluated over owners holding 60
-    # and 600 days, in interleaved blocks so machine drift hits both sides
+    # volume independence: one fixed window evaluated over an owner holding 60
+    # and one holding 600 days, in interleaved blocks so machine drift hits
+    # both sides; prosumer 0 takes the ecosystem's first draws, so a
+    # one-prosumer ecosystem builds the same series
     sides = [
-        gen_ecosystem(seed, cfg.catalog, dc_replace(cfg.ecosystem, days=days)).prosumers[0].series
+        gen_ecosystem(seed, cfg.catalog, dc_replace(cfg.ecosystem, days=days, n_prosumers=1))
+        .prosumers[0].series
         for days in (cfg.ecosystem.days, cfg.ecosystem.days * 10)
     ]
     plan = QueryPlan(({"op": "window", "hours": 24}, {"op": "aggregate", "fn": "sum"}), 1.0, 1)
     block = 100
-    block_medians: tuple[list[float], list[float]] = ([], [])
+    block_means: tuple[list[float], list[float]] = ([], [])
     for b in range(max(2, min(2000, n) // block)):
         for side in ((0, 1) if b % 2 == 0 else (1, 0)):
-            stamps = np.empty(block)
-            for i in range(block):
-                t0 = time.perf_counter_ns()
-                execute_plan(plan, sides[side])
-                stamps[i] = time.perf_counter_ns() - t0
-            block_medians[side].append(float(np.median(stamps)) / 1e6)
-    median_small, median_large = (float(np.median(m)) for m in block_medians)
+            series = sides[side]
+            t0 = time.perf_counter_ns()
+            for _ in range(block):
+                execute_plan(plan, series)
+            block_means[side].append((time.perf_counter_ns() - t0) / block / 1e6)
+    median_small, median_large = (float(np.median(m)) for m in block_means)
 
     result = {
         "iterations": n,
@@ -629,9 +635,8 @@ def bench_latency(
 def probe_cases(cfg: AppConfig, seed: int | None = None, replays: int | None = None) -> list[ReplayCase]:
     """Frozen replay set: the sweep stream plus a slice of boundary-straddling
     requests, against owner snapshots across the budget range."""
-    exp = cfg.experiments["probe"]
-    seed = exp["seed"] if seed is None else seed
-    n = exp["replays"] if replays is None else replays
+    exp = experiment(cfg, "probe", seed=seed, replays=replays)
+    seed, n = exp["seed"], exp["replays"]
     validated, weights = read_stream(cfg.experiments["sweep"]["stream"], cfg)
     boundary = parse_bundle(exp["boundary_bundle"], cfg.catalog)
     b_weight = exp["boundary_bundle_weight"]
@@ -655,8 +660,8 @@ def run_probe(
     replays: int | None = None,
     outdir: str | Path | None = None,
 ):
-    exp = cfg.experiments["probe"]
-    seed = exp["seed"] if seed is None else seed
+    exp = experiment(cfg, "probe", seed=seed)
+    seed = exp["seed"]
     cases = probe_cases(cfg, seed=seed, replays=replays)
     report = robustness_probe(cases, exp["perturbation"], exp["trials"], seed + 1, cfg.engine)
     _write_outputs(

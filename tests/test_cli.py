@@ -172,6 +172,20 @@ def test_tss_split_reconstruct_round_trip(tmp_path, capsys):
     assert out.strip() == "424242"
 
 
+@pytest.mark.parametrize("argv", [
+    ["5", "--k", "0"],
+    ["5", "--n", "0"],
+    ["5", "--k", "3", "--n", "2"],
+    ["-5"],
+])
+def test_tss_split_bad_arguments_are_errors(capsys, argv):
+    code = main(["tss", "split", *argv, "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_config_override(tmp_path, capsys):
     override = tmp_path / "cfg.json"
     override.write_text(json.dumps({"experiments": {"baseline": {"eps_fix": 0.5}}}))
@@ -361,6 +375,9 @@ def test_malformed_eps_min_rule_is_a_bad_config(tmp_path, capsys, rule):
     ("adversary", "adversary", "owner_budget", 0.0),
     ("baseline", "baseline", "eps_fix", 0.0),
     ("simulate", "full_sim", "requesters", 0),
+    ("baseline", "baseline", "requests", -2),
+    ("bench", "bench", "iterations", 0),
+    ("sweep", "sweep", "seed", -1),
 ])
 def test_experiment_value_out_of_range_is_a_bad_config(tmp_path, capsys, command, section, key,
                                                         value):
@@ -372,6 +389,44 @@ def test_experiment_value_out_of_range_is_a_bad_config(tmp_path, capsys, command
     assert captured.err.startswith(f"error: bad config: experiments.{section}.{key} must")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--interactions", "-3"], "--interactions"),
+    (["simulate", "--interactions", "-3"], "--interactions"),
+    (["baseline", "--eps-fix", "-1"], "--eps-fix"),
+    (["baseline", "--requests", "-2"], "--requests"),
+    (["bench", "--iterations", "0"], "--iterations"),
+    (["bench", "--iterations", "-1"], "--iterations"),
+    (["sweep", "--seed", "-1"], "--seed"),
+])
+def test_experiment_flag_out_of_range_is_an_error(tmp_path, capsys, argv, flag):
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {flag} must")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_range_is_checked_on_the_value_used(tmp_path, capsys):
+    # a flag replaces an out-of-range config value, and is what gets checked
+    override = tmp_path / "cfg.json"
+    override.write_text(json.dumps({"experiments": {"sweep": {"interactions": -3}}}))
+    code = main(["--config", str(override), "sweep", "--interactions", "20"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["interactions"] == 20
+
+
+def test_probe_replays_out_of_range_is_a_bad_config(tmp_path):
+    from dpnego import simulate
+    from dpnego.config import BadConfig, load_config
+
+    override = tmp_path / "cfg.json"
+    override.write_text(json.dumps({"experiments": {"probe": {"replays": -1}}}))
+    cfg = load_config(override)
+    with pytest.raises(BadConfig, match=r"^experiments\.probe\.replays must be at least 0"):
+        simulate.run_probe(cfg)
 
 
 def test_adversary_bad_safety_mode_is_a_bad_config(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +130,57 @@ def test_ecosystem_shape_and_budgets():
         assert np.all(p.series.values >= 0)
         assert p.ledger.h_max == 8.0
         assert p.ledger.h_remaining == 8.0
+
+
+def test_ecosystem_shares_one_read_only_grid():
+    eco = gen_ecosystem(2, CFG.catalog, CFG.ecosystem)
+    grid = eco.prosumers[0].series.timestamps
+    assert all(p.series.timestamps is grid for p in eco.prosumers)
+    hours = CFG.ecosystem.days * 24
+    assert np.array_equal(grid, CFG.ecosystem.start_epoch + 3600 * np.arange(hours))
+    with pytest.raises(ValueError):
+        grid[0] = 0
+    with pytest.raises(ValueError):
+        eco.prosumers[5].series.timestamps += 1
+    assert grid[0] == CFG.ecosystem.start_epoch
+
+
+def test_ecosystem_values_pinned():
+    # the sha256 of every prosumer's values at seed 7, each array's bytes in
+    # prosumer order, as built when each prosumer held its own grid copy
+    eco = gen_ecosystem(7, CFG.catalog, CFG.ecosystem)
+    digest = hashlib.sha256()
+    for p in eco.prosumers:
+        digest.update(p.series.values.tobytes())
+    assert digest.hexdigest() == (
+        "2b56f88544a61b23b026320acac58545de5b8e03d61191cc99d137b0804e5b7f"
+    )
+
+
+def test_ecosystem_holds_one_grid_and_one_values_array_per_prosumer():
+    gen_ecosystem(3, CFG.catalog, CFG.ecosystem)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eco = gen_ecosystem(3, CFG.catalog, CFG.ecosystem)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = len(eco.prosumers)
+    array_bytes = CFG.ecosystem.days * 24 * 8
+    # the Python objects of one prosumer (series, ledger, trust store) take
+    # under 1 KiB; a grid copy per prosumer would add a whole array each
+    slack = 2048 * n
+    assert held <= (1 + n) * array_bytes + slack
+
+
+def test_one_prosumer_ecosystem_is_prosumer_zero():
+    full = gen_ecosystem(11, CFG.catalog, CFG.ecosystem).prosumers[0].series
+    one = gen_ecosystem(
+        11, CFG.catalog, dataclasses.replace(CFG.ecosystem, n_prosumers=1)
+    ).prosumers[0].series
+    assert np.array_equal(one.values, full.values)
+    assert np.array_equal(one.timestamps, full.timestamps)
 
 
 def test_city_series_reproducible_and_sized():

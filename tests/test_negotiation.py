@@ -650,6 +650,22 @@ def test_approval_memo_stays_bounded():
     assert largest == MEMO_LIMIT
 
 
+def test_argmax_memo_stays_bounded():
+    engine = NegotiationEngine(ENGINE)
+    keys = [(0.05 + i * 1e-4, 8.0 - i * 1e-4) for i in range(MEMO_LIMIT + 100)]
+    results = {}
+    largest = 0
+    for s, upper in keys:
+        results[s, upper] = engine.optimize(s, upper)
+        assert results[s, upper] == NegotiationEngine(ENGINE).optimize(s, upper)
+        largest = max(largest, len(engine._argmax_cache))
+        assert len(engine._argmax_cache) <= MEMO_LIMIT
+    assert largest == MEMO_LIMIT
+    # after the clear, memoized and recomputed keys alike give the same grant
+    for (s, upper), grant in results.items():
+        assert engine.optimize(s, upper) == grant
+
+
 def test_engine_for_alternating_configs():
     upfront, staged = EngineConfig(), EngineConfig(safety_mode="staged")
     upfront_copy = dataclasses.replace(upfront)
