@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+from .contracts import canonical_json
+
 GENESIS_HASH = "0" * 64
 
 
@@ -27,7 +29,7 @@ class ChainCorrupt(ValueError):
 
 
 def _digest(payload: Any) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -245,31 +247,32 @@ class AuditLog:
 # What a malformed line raises in ``_record``: JSONDecodeError is a ValueError.
 _MALFORMED = (ValueError, KeyError, TypeError)
 TAIL_BLOCK = 4096
+_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
 
 
 def _record(line: str) -> AuditRecord:
-    doc = json.loads(line)
-    rec = AuditRecord(
-        sequence=doc["sequence"],
-        timestamp=doc["timestamp"],
-        request_digest=doc["request_digest"],
-        outcome=doc["outcome"],
-        explanation_digest=doc["explanation_digest"],
-        prev_hash=doc["prev_hash"],
-        record_hash=doc["record_hash"],
-    )
-    # A field of the wrong type makes the record malformed. JSON decodes to
-    # exact types, so comparing type() also keeps a bool from passing as a number.
-    if (type(rec.sequence) is not int or type(rec.timestamp) not in (float, int)
-            or type(rec.outcome) is not dict or type(rec.request_digest) is not str
-            or type(rec.explanation_digest) is not str or type(rec.prev_hash) is not str
-            or type(rec.record_hash) is not str):
+    """The record on ``line``. As for ``json.loads``, only JSON whitespace may
+    surround the one value; a missing field or a field of the wrong type also
+    makes the line malformed."""
+    text = line.strip(_JSON_SPACE)
+    doc, end = _decode(text)
+    if end != len(text):
+        raise ValueError("audit line has data after its JSON value")
+    seq, ts, outcome = doc["sequence"], doc["timestamp"], doc["outcome"]
+    req, expl = doc["request_digest"], doc["explanation_digest"]
+    prev, own = doc["prev_hash"], doc["record_hash"]
+    # JSON decodes to exact types, so comparing type() also keeps a bool from
+    # passing as a number.
+    if (type(seq) is not int or type(ts) not in (float, int) or type(outcome) is not dict
+            or type(req) is not str or type(expl) is not str or type(prev) is not str
+            or type(own) is not str):
         raise ValueError("audit record field of the wrong type")
-    return rec
+    return AuditRecord(seq, ts, req, outcome, expl, prev, own)
 
 
 def _line(record: AuditRecord) -> str:
-    return json.dumps(record.to_dict(), sort_keys=True) + "\n"
+    return canonical_json(record.to_dict()) + "\n"
 
 
 def _stored_hash_ok(line: str, rec: AuditRecord) -> bool:

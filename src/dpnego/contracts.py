@@ -1,11 +1,19 @@
-"""Contract vocabulary: requests, purposes, features, outcomes, and validation."""
+"""Contract vocabulary: requests, purposes, features, outcomes, validation,
+and the canonical JSON encoding."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable
+
+# The canonical form of every digest and JSON line the package writes: the
+# settings of ``json.dumps(obj, sort_keys=True)``, in one encoder built once
+# rather than once per call. It lives in the module every other one imports,
+# so using it loads nothing new.
+canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 
 class FeatureKind(Enum):

@@ -4,7 +4,6 @@ the privacy-utility summary score, and the decision-stability probe."""
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -14,6 +13,7 @@ from .contracts import (
     Decision,
     NegotiationOutcome,
     ValidatedRequest,
+    canonical_json,
     feature_multiset,
 )
 from .negotiation import (
@@ -134,8 +134,7 @@ class Explanation:
 
 
 def _trace_id(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
 
 def explain(

@@ -120,6 +120,11 @@ def validate_plan(
                 raise ScopeViolation(
                     f"window {hours}h exceeds contracted {contract.request.window_hours}h"
                 )
+            offset = op.get("offset_hours", 0)
+            if not isinstance(offset, int) or offset < 0:
+                raise ScopeViolation(
+                    f"window offset_hours must be a non-negative integer, got {offset!r}"
+                )
         elif name == "resample":
             try:
                 res = ResolutionKind(op.get("resolution"))
@@ -272,8 +277,15 @@ def dp_noise(
     else:
         if categories is None or categories < 2:
             raise ValueError("randomized rounding needs a category count >= 2")
+        # Only a category can be reported: a value outside [0, categories)
+        # that is kept would come out as no noisy draw can, revealing it.
+        vals = np.asarray(arr, dtype=np.float64)
+        if not np.all((vals == np.floor(vals)) & (vals >= 0) & (vals < categories)):
+            raise ScopeViolation(
+                f"randomized rounding needs integer categories in [0, {categories})"
+            )
+        vals = vals.astype(np.int64)
         p_true = true_report_probability(eps_star, categories)
-        vals = np.asarray(arr, dtype=np.int64)
         keep = rng.random(len(vals)) < p_true
         others = rng.integers(0, categories - 1, size=len(vals))
         others = np.where(others < vals, others, others + 1)

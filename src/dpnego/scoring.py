@@ -9,6 +9,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .contracts import canonical_json
+
 
 class OutOfRange(ValueError):
     pass
@@ -144,7 +146,7 @@ class TrustStore:
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for entry in self.log:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                fh.write(canonical_json(entry) + "\n")
 
     @classmethod
     def load(cls, path: str | Path, cfg: TrustConfig = TrustConfig()) -> "TrustStore":

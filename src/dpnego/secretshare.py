@@ -10,6 +10,8 @@ import secrets as _secrets
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .contracts import canonical_json
+
 # The secp256k1 base-field prime: a fixed, well-known 256-bit prime.
 FIELD_PRIME = 2**256 - 2**32 - 977
 
@@ -81,7 +83,7 @@ class KeyShare:
 
 
 def shares_to_json(shares: Iterable[KeyShare]) -> str:
-    return json.dumps([s.to_dict() for s in shares], sort_keys=True)
+    return canonical_json([s.to_dict() for s in shares])
 
 
 def shares_from_json(text: str) -> list[KeyShare]:

@@ -78,13 +78,18 @@ def read_stream(doc: dict, cfg: AppConfig) -> tuple[list[ValidatedRequest], np.n
 # The range of each experiment value that its JSON type does not bound.
 _POSITIVE = ("a positive finite number", lambda v: 0 < v < math.inf)
 _COUNT = ("at least 0", lambda v: v >= 0)
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 EXPERIMENT_RANGES = {
     "seed": _COUNT,
     "interactions": _COUNT,
     "requests": _COUNT,
     "replays": _COUNT,
-    "iterations": ("at least 1", lambda v: v >= 1),
-    "requesters": ("at least 1", lambda v: v >= 1),
+    "iterations": _AT_LEAST_1,
+    "requesters": _AT_LEAST_1,
+    "max_requests": _AT_LEAST_1,
+    "reject_streak": _AT_LEAST_1,
+    "trials": _AT_LEAST_1,
+    "perturbation": ("in [0, 0.5)", lambda v: 0 <= v < 0.5),
     "owner_budget": _POSITIVE,
     "eps_fix": _POSITIVE,
     "eps0_values": ("positive numbers", lambda v: all(x > 0 for x in v)),
@@ -407,6 +412,21 @@ def run_cross_dataset(
     vol = {name: dataset_volatility(datasets[name]) for name in names}
     rank = {name: i for i, name in enumerate(sorted(names, key=lambda d: vol[d]))}
     denominator = max(1, len(names) - 1)
+    tilt = exp["calibration_tilt"]
+    # The pattern does not enter the weights, so each (dataset, risk mode)
+    # pair is weighted once, and a tilt that breaks any of them fails first.
+    scenario_weights = {
+        (dataset, risk_mode): _scenario_weights(
+            base_weights, validated, cfg.engine, owner_budget,
+            risk_mode, exp["risk_weight_factor"], (rank[dataset] / denominator - 0.5) * tilt,
+        )
+        for dataset in names for risk_mode in exp["risk_modes"]
+    }
+    if not all(np.all(w >= 0) for w in scenario_weights.values()):
+        raise BadConfig(
+            f"experiments.cross_dataset.calibration_tilt must keep every scenario weight "
+            f"non-negative, got {tilt!r}"
+        )
 
     children = np.random.SeedSequence(seed).spawn(
         len(names) * len(exp["patterns"]) * len(exp["risk_modes"])
@@ -414,15 +434,11 @@ def run_cross_dataset(
     scenarios = []
     k = 0
     for dataset in names:
-        tilt = (rank[dataset] / denominator - 0.5) * exp["calibration_tilt"]
         for pattern in exp["patterns"]:
             for risk_mode in exp["risk_modes"]:
                 rng = np.random.default_rng(children[k])
                 k += 1
-                weights = _scenario_weights(
-                    base_weights, validated, cfg.engine, owner_budget,
-                    risk_mode, exp["risk_weight_factor"], tilt,
-                )
+                weights = scenario_weights[dataset, risk_mode]
                 idx = rng.choice(len(validated), size=n, p=weights).tolist()
                 trusts = rng.uniform(trust["lo"], trust["hi"], size=n).tolist()
                 ledger = BudgetLedger(h_max=owner_budget)

@@ -1,8 +1,12 @@
+import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dpnego.audit import GENESIS_HASH, AuditLog, ChainCorrupt, verify_file
+from dpnego.audit import GENESIS_HASH, AuditLog, AuditRecord, ChainCorrupt, verify_file
+from dpnego.contracts import canonical_json
 
 
 REQ = {"requester_id": "r", "features": ["load_curve"]}
@@ -385,3 +389,150 @@ def test_load_raises_at_the_first_bad_record(tmp_path, corrupt):
     with pytest.raises(ChainCorrupt) as exc:
         AuditLog.load(path)
     assert exc.value.index == 2 == verify_file(path) == reference_index(path)
+
+
+# --- the canonical encoding and the record decoder --------------------------
+
+json_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**63, max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 1e308, 5e-324])
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def encoded(encode, value):
+    """What ``encode`` makes of ``value``: the text, or the exception's type."""
+    try:
+        return encode(value)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_canonical_json_is_json_dumps_with_sorted_keys(value):
+    reference = encoded(lambda v: json.dumps(v, sort_keys=True), value)
+    assert encoded(canonical_json, value) == reference
+
+
+def test_canonical_json_raises_as_json_dumps_does():
+    circular = {"a": 1}
+    circular["self"] = circular
+    for value in (circular, {"b": 1, 2: 3}, {None: 1, "a": 2}):
+        reference = encoded(lambda v: json.dumps(v, sort_keys=True), value)
+        assert isinstance(reference, type) and encoded(canonical_json, value) is reference
+
+
+def decision_log(n):
+    """``n`` requests decided by the default and the staged engine in turns of
+    40 on fresh budgets, each explained and appended at a fixed timestamp.
+    Requester ids are non-ASCII, and counter-offers carry them into the
+    records. Returns the log and the explanations' trace ids."""
+    from dpnego.config import build_engine_config, load_config
+    from dpnego.contracts import Decision, request_from_dict, validate_request
+    from dpnego.explain import explain, factors_for
+    from dpnego.negotiation import BudgetLedger, negotiate
+
+    cfg = load_config()
+    engines = (cfg.engine, build_engine_config({**cfg.raw["engine"], "safety_mode": "staged"}))
+    bundles = cfg.experiments["cross_dataset"]["stream"]["bundles"]
+    rng = random.Random(20261018)
+    log, trace_ids = AuditLog(), []
+    for i in range(n):
+        if i % 40 == 0:
+            ledger, engine = BudgetLedger(h_max=8.0), engines[i // 40 % 2]
+        b = bundles[rng.randrange(len(bundles))]
+        doc = {"requester_id": f"r-{i % 7}-é中", "owner_id": "o-1", "features": b["features"],
+               "window_hours": b["window_hours"], "resolution": b["resolution"],
+               "purpose": b["purpose"], "proposed_epsilon": rng.uniform(0.05, 2.5)}
+        validated = validate_request(request_from_dict(doc), cfg.catalog)
+        trust = rng.random()
+        outcome = negotiate(validated, ledger, trust, engine)
+        factors = factors_for(validated, ledger, trust, outcome)
+        expl = explain(outcome, factors, ledger, engine, cfg.explain)
+        if outcome.decision is Decision.APPROVE:
+            ledger.settle(f"c{i}", outcome.epsilon_star)
+        log.append(doc, outcome.to_dict(), expl.to_dict(), timestamp=1.7e9 + i / 3)
+        trace_ids.append(expl.trace_id)
+    return log, trace_ids
+
+
+def test_decision_log_bytes_and_trace_ids_are_pinned(tmp_path):
+    # pinned from the json.dumps(..., sort_keys=True) encoding the shared
+    # encoder replaced: digests, lines and trace ids did not move
+    log, trace_ids = decision_log(1000)
+    path = tmp_path / "audit.jsonl"
+    log.save(path)
+    assert sum(r.outcome["decision"] == "counter_offer" for r in log.records) == 156
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "fd6009a0c0f9b243e458db0ccf7e1c9c7d7e68bbe3f70575023d492bacbe1022")
+    assert hashlib.sha256("\n".join(trace_ids).encode()).hexdigest() == (
+        "463821d962039d2c6745f4f6c013a34a6546774fc123187bf4c81884e46b1789")
+    assert verify_file(path) is None
+
+
+def json_loads_index(path):
+    """``reference_index`` with each line read by ``json.loads`` and the
+    record built by keyword, the reading ``_record`` replaced."""
+    records = []
+    for line in path.read_bytes().decode("utf-8", "surrogateescape").split("\n"):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            rec = AuditRecord(**{name: doc[name] for name in AuditRecord.__dataclass_fields__})
+            if (type(rec.sequence) is not int or type(rec.timestamp) not in (float, int)
+                    or type(rec.outcome) is not dict or not all(type(v) is str for v in (
+                        rec.request_digest, rec.explanation_digest, rec.prev_hash,
+                        rec.record_hash))):
+                raise ValueError("wrong type")
+        except (ValueError, KeyError, TypeError):
+            bad = AuditLog(records).verify()
+            return len(records) if bad is None else bad
+        records.append(rec)
+    return AuditLog(records).verify()
+
+
+CRAFTED_LINES = {
+    "leading-tab": lambda line: "\t" + line,
+    "trailing-tab": lambda line: line + "\t",
+    "leading-space": lambda line: " " + line,
+    "trailing-space": lambda line: line + "  ",
+    "leading-cr": lambda line: "\r" + line,
+    "trailing-cr": lambda line: line + "\r",
+    "form-feed-line-before": lambda line: "\x0c\n" + line,
+    "leading-form-feed": lambda line: "\x0c" + line,
+    "trailing-form-feed": lambda line: line + "\x0c",
+    "leading-bom": lambda line: "\ufeff" + line,
+    "two-records": lambda line: line + " " + line,
+    "trailing-byte": lambda line: line + "x",
+    "bare-array": lambda line: "[1, 2]",
+    "bare-string": lambda line: '"record"',
+    "bare-number": lambda line: "42",
+}
+
+
+@pytest.mark.parametrize("index", [1, 3])
+@pytest.mark.parametrize("craft", CRAFTED_LINES.values(), ids=CRAFTED_LINES.keys())
+def test_record_decoder_matches_json_loads(tmp_path, craft, index):
+    path = tmp_path / "audit.jsonl"
+    build_log(4).save(path)
+    lines = path.read_text().split("\n")
+    lines[index] = craft(lines[index])
+    path.write_text("\n".join(lines))
+    assert verify_file(path) == json_loads_index(path)
+
+
+def test_last_line_with_two_records_is_corrupt(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    build_log(3).save(path)
+    lines = path.read_text().splitlines()
+    lines[-1] += " " + lines[-1]
+    path.write_text("\n".join(lines) + "\n")
+    assert verify_file(path) == 2
+    with pytest.raises(ChainCorrupt) as exc:
+        AuditLog.open_tail(path)
+    assert exc.value.index == 2

@@ -378,6 +378,8 @@ def test_malformed_eps_min_rule_is_a_bad_config(tmp_path, capsys, rule):
     ("baseline", "baseline", "requests", -2),
     ("bench", "bench", "iterations", 0),
     ("sweep", "sweep", "seed", -1),
+    ("adversary", "adversary", "max_requests", -1),
+    ("adversary", "adversary", "reject_streak", 0),
 ])
 def test_experiment_value_out_of_range_is_a_bad_config(tmp_path, capsys, command, section, key,
                                                         value):
@@ -427,6 +429,37 @@ def test_probe_replays_out_of_range_is_a_bad_config(tmp_path):
     cfg = load_config(override)
     with pytest.raises(BadConfig, match=r"^experiments\.probe\.replays must be at least 0"):
         simulate.run_probe(cfg)
+
+
+@pytest.mark.parametrize("key,value,problem", [
+    ("trials", -1, "must be at least 1"),
+    ("trials", 0, "must be at least 1"),
+    ("perturbation", 0.7, r"must be in \[0, 0\.5\)"),
+    ("perturbation", -0.1, r"must be in \[0, 0\.5\)"),
+])
+def test_probe_value_out_of_range_is_a_bad_config(tmp_path, key, value, problem):
+    # no command runs the probe, so it is read through load_config
+    from dpnego import simulate
+    from dpnego.config import BadConfig, load_config
+
+    override = tmp_path / "cfg.json"
+    override.write_text(json.dumps({"experiments": {"probe": {key: value}}}))
+    with pytest.raises(BadConfig, match=rf"^experiments\.probe\.{key} {problem}"):
+        simulate.run_probe(load_config(override), replays=20)
+
+
+@pytest.mark.parametrize("tilt", [5.0, -5.0])
+def test_cross_dataset_tilt_that_makes_a_weight_negative_is_a_bad_config(tmp_path, tilt):
+    from dpnego import simulate
+    from dpnego.config import BadConfig, load_config
+
+    override = tmp_path / "cfg.json"
+    override.write_text(json.dumps({"experiments": {"cross_dataset": {"calibration_tilt": tilt}}}))
+    cfg = load_config(override)
+    datasets = simulate.load_datasets(cfg, Path(__file__).resolve().parents[1] / "data")
+    with pytest.raises(BadConfig, match=r"^experiments\.cross_dataset\.calibration_tilt must"):
+        simulate.run_cross_dataset(cfg, datasets, interactions=10, outdir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_adversary_bad_safety_mode_is_a_bad_config(tmp_path, capsys):

@@ -112,6 +112,26 @@ def test_window_beyond_contract_scope():
         validate_plan(plan, contract(window=24))
 
 
+@pytest.mark.parametrize("offset", [-30, -1, 1.5, "6", None, float("nan")])
+def test_window_offset_must_be_a_non_negative_int(offset):
+    # a negative offset would slice from the end of the series: values[-30:-6]
+    plan = mean_plan(ops=[
+        {"op": "window", "hours": 24, "offset_hours": offset},
+        {"op": "aggregate", "fn": "sum"},
+    ])
+    with pytest.raises(ScopeViolation, match="offset_hours"):
+        validate_plan(plan, contract(window=24))
+
+
+def test_window_offset_in_range_is_allowed():
+    plan = mean_plan(ops=[
+        {"op": "window", "hours": 24, "offset_hours": 24},
+        {"op": "aggregate", "fn": "sum"},
+    ])
+    validate_plan(plan, contract(window=24))
+    assert execute_plan(plan, series(np.arange(48.0))) == (float(sum(range(24, 48))),)
+
+
 def test_resample_finer_than_contract_rejected():
     plan = mean_plan(ops=[
         {"op": "resample", "resolution": "min5"},
@@ -230,6 +250,25 @@ def test_randomized_rounding_keeps_category_space():
     token = consumed_token()
     out = dp_noise([2], 1.0, 1.0, Mechanism.RANDOMIZED_ROUNDING, seed=5, token=token, categories=4)
     assert out.values[0] in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("values", [[2.6], [7], [-3], [4], [1, 2, 3, 4], [float("nan")],
+                                    [float("inf")], [0.5, 1]])
+def test_randomized_rounding_refuses_values_outside_the_categories(values):
+    # a kept 7 or -3 would come out unchanged; 2.6 would be cast to 2
+    with pytest.raises(ScopeViolation, match="categories"):
+        dp_noise(values, 1.0, 1.0, Mechanism.RANDOMIZED_ROUNDING, seed=5,
+                 token=consumed_token(), categories=4)
+
+
+def test_randomized_rounding_takes_integral_floats():
+    token = consumed_token()
+    ints = dp_noise([0, 3, 1], 1.0, 1.0, Mechanism.RANDOMIZED_ROUNDING, seed=5, token=token,
+                    categories=4)
+    floats = dp_noise([0.0, 3.0, 1.0], 1.0, 1.0, Mechanism.RANDOMIZED_ROUNDING, seed=5,
+                      token=token, categories=4)
+    assert ints.values == floats.values
+    assert all(type(v) is int and 0 <= v < 4 for v in ints.values)
 
 
 # --- compliance -----------------------------------------------------------------
