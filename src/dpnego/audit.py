@@ -104,7 +104,8 @@ class AuditLog:
         if not self._head:
             return 0
         with open(self._path, "rb") as fh:
-            return sum(1 for line in fh.read(self._head).split(b"\n") if line.strip())
+            lines = fh.read(self._head).split(b"\n")
+        return sum(1 for line in lines if line.strip(_JSON_SPACE_BYTES))
 
     def _check_tail(self) -> None:
         if not self.records:
@@ -198,7 +199,7 @@ class AuditLog:
         with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             log._size = os.fstat(fh.fileno()).st_size
             for line in fh:
-                if not line.strip():
+                if not line.strip(_JSON_SPACE):
                     continue
                 try:
                     rec = _record(line)
@@ -248,7 +249,11 @@ class AuditLog:
 _MALFORMED = (ValueError, KeyError, TypeError)
 TAIL_BLOCK = 4096
 _decode = json.JSONDecoder().raw_decode
+# A blank line, which every reader of a log skips, holds JSON whitespace
+# only. Any other character (U+2028, U+0085, a control character) makes the
+# line a record, and a malformed one.
 _JSON_SPACE = " \t\n\r"
+_JSON_SPACE_BYTES = _JSON_SPACE.encode()
 
 
 def _record(line: str) -> AuditRecord:
@@ -305,7 +310,7 @@ def _last_lines(data: bytes, start: int, want: int) -> list[tuple[int, bytes]]:
         nl = data.rfind(b"\n", 0, end)
         if nl < 0 and start:
             break
-        if data[nl + 1:end].strip():
+        if data[nl + 1:end].strip(_JSON_SPACE_BYTES):
             found.append((start + nl + 1, data[nl + 1:end]))
         if nl < 0:
             break

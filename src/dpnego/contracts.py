@@ -7,13 +7,33 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable
 
-# The canonical form of every digest and JSON line the package writes: the
-# settings of ``json.dumps(obj, sort_keys=True)``, in one encoder built once
-# rather than once per call. It lives in the module every other one imports,
-# so using it loads nothing new.
-canonical_json = json.JSONEncoder(sort_keys=True).encode
+_CANONICAL = json.JSONEncoder(sort_keys=True)
+# What ``_CANONICAL.encode`` passes the C encoder after its fresh markers dict.
+_C_SETTINGS = (
+    _CANONICAL.default, encode_basestring_ascii, _CANONICAL.indent,
+    _CANONICAL.key_separator, _CANONICAL.item_separator, _CANONICAL.sort_keys,
+    _CANONICAL.skipkeys, _CANONICAL.allow_nan,
+)
+
+
+def canonical_json(obj: Any) -> str:
+    """The canonical form of every digest and JSON line the package writes:
+    the text and exceptions of ``json.dumps(obj, sort_keys=True)``.
+
+    Calls the C encoder as ``JSONEncoder.encode`` does, without the Python
+    set-up ``encode`` repeats per call; the markers dict is fresh per call,
+    so a circular value still raises ValueError. Without the C accelerator
+    this is ``JSONEncoder(sort_keys=True).encode``. It lives in the module
+    every other one imports, so using it loads nothing new.
+    """
+    return "".join(c_make_encoder({}, *_C_SETTINGS)(obj, 0))
+
+
+if c_make_encoder is None:
+    canonical_json = _CANONICAL.encode
 
 
 class FeatureKind(Enum):
@@ -203,6 +223,28 @@ REQUEST_FIELDS = (
     "max_noise",
     "mode",
 )
+_REQUEST_FIELD_SET = frozenset(REQUEST_FIELDS)
+
+
+def _parser(kind: type[Enum]):
+    """``kind(value)`` through a value -> member table built once. A value
+    the table lacks or cannot hash goes to ``kind`` itself, which returns or
+    raises exactly as it does without the table."""
+    table = {member.value: member for member in kind}
+
+    def parse(value: Any):
+        try:
+            return table[value]
+        except (KeyError, TypeError):
+            pass
+        return kind(value)
+
+    return parse
+
+
+_feature, _resolution, _purpose, _mode = map(
+    _parser, (FeatureKind, ResolutionKind, PurposeKind, RequestMode)
+)
 
 
 def request_to_dict(req: ContractRequest) -> dict[str, Any]:
@@ -223,25 +265,25 @@ def request_from_dict(doc: dict[str, Any]) -> ContractRequest:
     """Parse the canonical request document. Unknown fields are rejected."""
     if not isinstance(doc, dict):
         raise ValidationError(f"a request must be a JSON object, got {doc!r}")
-    unknown = set(doc) - set(REQUEST_FIELDS)
-    if unknown:
+    if not _REQUEST_FIELD_SET.issuperset(doc):
+        unknown = set(doc) - _REQUEST_FIELD_SET
         raise UnknownField(f"unknown request fields: {sorted(unknown)}")
     names = doc.get("features", [])
     if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
         raise ValidationError(f"features must be a list of strings, got {names!r}")
     try:
-        features = tuple(FeatureKind(f) for f in names)
+        features = tuple(map(_feature, names))
     except ValueError as exc:
         raise UnknownFeature(str(exc)) from None
     try:
-        resolution = ResolutionKind(doc["resolution"])
+        resolution = _resolution(doc["resolution"])
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"bad resolution: {exc}") from None
     try:
-        purpose = PurposeKind(doc["purpose"])
+        purpose = _purpose(doc["purpose"])
     except (KeyError, ValueError):
         raise UnknownPurpose(f"unknown purpose: {doc.get('purpose')!r}") from None
-    mode = RequestMode(doc.get("mode", "one_shot"))
+    mode = _mode(doc.get("mode", "one_shot"))
     window = doc.get("window_hours")
     if not isinstance(window, int) or isinstance(window, bool):
         raise ValidationError("window_hours must be an integer")

@@ -113,15 +113,22 @@ class BudgetLedger:
     """Append-only grant ledger for one owner.
 
     Invariant: h_remaining = h_max - sum(granted epsilons) and never negative;
-    grants are never removed. Single-writer per owner.
+    grants are never removed. Single-writer per owner. ``h_max`` and every
+    grant are positive finite numbers: a negative grant would add budget, and
+    an infinite or NaN one would hide an overdraft from every check.
     """
 
     h_max: float
     granted: list[tuple[str, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.h_max <= 0:
-            raise ValueError("h_max must be positive")
+        if not 0 < self.h_max < math.inf:
+            raise ValueError(f"h_max must be a positive finite number, got {self.h_max!r}")
+        for contract_id, eps in self.granted:
+            if not 0 < eps < math.inf:
+                raise NonPositiveEpsilon(
+                    f"grant {contract_id!r} must be a positive finite number, got {eps!r}"
+                )
         self._spent = float(sum(e for _, e in self.granted))
         if self._spent > self.h_max + _TOL:
             raise BudgetOverdraft("granted epsilons exceed h_max")
@@ -140,8 +147,10 @@ class BudgetLedger:
         return self.h_remaining <= _TOL
 
     def settle(self, contract_id: str, eps_star: float) -> "BudgetLedger":
-        if eps_star <= 0:
-            raise NonPositiveEpsilon("settlement epsilon must be positive")
+        if not 0 < eps_star < math.inf:
+            raise NonPositiveEpsilon(
+                f"settlement epsilon must be a positive finite number, got {eps_star!r}"
+            )
         if eps_star > self.h_remaining + _TOL:
             raise BudgetOverdraft(
                 f"grant {eps_star} exceeds remaining budget {self.h_remaining}"
@@ -167,6 +176,7 @@ def derive_counter_offer(
     search, which depends only on the request's shape, on the catalog per
     (features, resolution, counter_factor). A new request of a known shape
     only builds and validates its own modified request (its ids, proposal).
+    ``negotiate`` calls this only for a request it does not approve as asked.
     """
     memo = req.counter_offers
     key = cfg.counter_factor
@@ -333,16 +343,30 @@ class NegotiationEngine:
     def negotiate(
         self, req: ValidatedRequest, ledger: BudgetLedger, trust: float
     ) -> NegotiationOutcome:
+        """The outcome of ``_decide`` for ``req``.
+
+        A request approved as asked needs no counter-offer, so the approve
+        branch runs first and ``derive_counter_offer`` only when it fails:
+        before every counter-offer, rejection (an upfront safety reject
+        included) and trusted-minimal approval.
+        """
         s_eff = req.effective_sensitivity
-        counter = derive_counter_offer(req, self.cfg)
-        label, eps_star, violated, _ = self._decide(
-            s_eff=s_eff,
-            counter_s=counter[1] if counter else None,
-            trust=trust,
-            h_remaining=ledger.h_remaining,
-            eps_cap=req.request.proposed_epsilon,
-            purpose=req.purpose.name.value,
-        )
+        h_remaining = ledger.h_remaining
+        eps_cap = req.request.proposed_epsilon
+        purpose = req.purpose.name.value
+        eps_star, _ = self._approve_as_asked(s_eff, h_remaining, eps_cap, purpose)
+        if eps_star is not None:
+            label = Decision.APPROVE
+        else:
+            counter = derive_counter_offer(req, self.cfg)
+            label, eps_star, violated, _ = self._decide(
+                s_eff=s_eff,
+                counter_s=counter[1] if counter else None,
+                trust=trust,
+                h_remaining=h_remaining,
+                eps_cap=eps_cap,
+                purpose=purpose,
+            )
         if label is Decision.APPROVE:
             # outcomes are frozen, so an approval is shared per float grant;
             # an int or float-subclass grant is built afresh to keep its type
@@ -366,6 +390,22 @@ class NegotiationEngine:
             )
         return _REJECTIONS[violated]
 
+    def _approve_as_asked(
+        self, s_eff: float, h_remaining: float, eps_cap: float | None, purpose: str
+    ) -> tuple[float | None, str | None]:
+        """The approve-as-asked branch of ``_decide``: (eps_star, None) when
+        the request is approved as asked, else (None, the violated rule)."""
+        cfg = self.cfg
+        if not h_remaining >= cfg.safety_factor * s_eff:
+            return None, SAFETY_CONDITION
+        upper = h_remaining if eps_cap is None else min(h_remaining, eps_cap)
+        eps1 = self.optimize(s_eff, upper)
+        if eps1 is None:
+            return None, BUDGET_EXCEEDED
+        if eps1 < cfg.eps_min(s_eff, purpose) - _TOL:
+            return None, BELOW_MINIMUM
+        return eps1, None
+
     def _decide(
         self,
         s_eff: float,
@@ -383,15 +423,11 @@ class NegotiationEngine:
         cfg = self.cfg
         upper = h_remaining if eps_cap is None else min(h_remaining, eps_cap)
         eps_min = cfg.eps_min(s_eff, purpose)
-        violated: str | None = None
         safety_ok = h_remaining >= cfg.safety_factor * s_eff
-
-        eps1: float | None = None
-        if safety_ok or want_predicates:
-            eps1 = self.optimize(s_eff, upper)
 
         predicates = None
         if want_predicates:
+            eps1 = self.optimize(s_eff, upper)
             predicates = (
                 eps1 is not None and eps1 >= eps_min - _TOL,
                 eps1 is not None and eps1 <= h_remaining + _TOL,
@@ -403,15 +439,9 @@ class NegotiationEngine:
         if cfg.safety_mode == "upfront" and not safety_ok:
             return Decision.REJECT, None, SAFETY_CONDITION, predicates
 
-        if safety_ok or cfg.safety_mode == "upfront":
-            if eps1 is None:
-                violated = BUDGET_EXCEEDED
-            elif eps1 < eps_min - _TOL:
-                violated = BELOW_MINIMUM
-            else:
-                return Decision.APPROVE, eps1, None, predicates
-        else:
-            violated = SAFETY_CONDITION
+        eps_star, violated = self._approve_as_asked(s_eff, h_remaining, eps_cap, purpose)
+        if violated is None:
+            return Decision.APPROVE, eps_star, None, predicates
 
         if counter_s is not None and (
             cfg.safety_mode == "upfront"
@@ -433,7 +463,7 @@ class NegotiationEngine:
         ):
             return Decision.APPROVE, eps_min, None, predicates
 
-        return Decision.REJECT, None, violated or SAFETY_CONDITION, predicates
+        return Decision.REJECT, None, violated, predicates
 
 
 _MISS = object()

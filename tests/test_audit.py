@@ -151,6 +151,27 @@ def test_tail_skips_trailing_blank_lines(tmp_path):
     assert verify_file(path) is None and len(AuditLog.load(path).records) == 4
 
 
+@pytest.mark.parametrize(
+    "char", ["\u2028", "\u0085", "\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x0c"],
+    ids=["U+2028", "U+0085", "U+001C", "U+001D", "U+001E", "U+001F", "U+000B", "U+000C"],
+)
+def test_a_line_of_other_whitespace_is_a_malformed_record(tmp_path, char):
+    # A blank line holds JSON whitespace only, for the whole-chain reader and
+    # the tail reader alike; str.strip() and bytes.strip() each skip more,
+    # and not the same characters.
+    from dpnego.cli import main
+
+    path = tmp_path / "audit.jsonl"
+    build_log(3).save(path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(char + "\n")
+    assert verify_file(path) == 3
+    with pytest.raises(ChainCorrupt) as info:
+        AuditLog.open_tail(path)
+    assert info.value.index == 3
+    assert main(["audit", "verify", str(path)]) == 3
+
+
 def test_tail_append_after_unterminated_last_line(tmp_path):
     path = tmp_path / "audit.jsonl"
     build_log(3).save(path)
@@ -476,10 +497,11 @@ def test_decision_log_bytes_and_trace_ids_are_pinned(tmp_path):
 
 def json_loads_index(path):
     """``reference_index`` with each line read by ``json.loads`` and the
-    record built by keyword, the reading ``_record`` replaced."""
+    record built by keyword, the reading ``_record`` replaced. A blank line
+    holds JSON whitespace only."""
     records = []
     for line in path.read_bytes().decode("utf-8", "surrogateescape").split("\n"):
-        if not line.strip():
+        if not line.strip(" \t\r"):
             continue
         try:
             doc = json.loads(line)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,26 @@ def test_negotiate_unknown_purpose_exit_one(tmp_path, capsys):
     req = write_request(tmp_path, purpose="research")
     owner = write_owner(tmp_path)
     assert main(["negotiate", "--request", str(req), "--owner", str(owner)]) == 1
+
+
+@pytest.mark.parametrize("h_max, granted", [
+    (4.0, [["x", -5.0]]),
+    (math.inf, []),
+    (8.0, [["x", -math.inf]]),
+    (math.nan, []),
+    (8.0, [["x", math.nan]]),
+    (0.0, []),
+], ids=["negative-grant", "inf-budget", "minus-inf-grant", "nan-budget", "nan-grant", "zero-budget"])
+def test_negotiate_rejects_an_owner_ledger_that_is_not_positive_and_finite(
+    tmp_path, capsys, h_max, granted
+):
+    req = write_request(tmp_path)
+    owner = write_owner(tmp_path, h_max=h_max, granted=granted)
+    before = owner.read_bytes()
+    code = main(["negotiate", "--request", str(req), "--owner", str(owner), "--settle"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "positive finite" in err
+    assert owner.read_bytes() == before
 
 
 def test_negotiate_settle_updates_owner_file(tmp_path, capsys):

@@ -206,6 +206,71 @@ def request_doc(**overrides):
     return doc
 
 
+def enum_error(kind, value):
+    """The message of the ValueError that ``kind(value)`` raises."""
+    with pytest.raises(ValueError) as info:
+        kind(value)
+    return str(info.value)
+
+
+BAD_FIELDS = [
+    # (overrides, exception class, message, or (kind, value) for an enum's message)
+    ({"priority": "high"}, UnknownField, "unknown request fields: ['priority']"),
+    ({"features": ["dna"]}, UnknownFeature, (FeatureKind, "dna")),
+    ({"features": ["aggregate", "Aggregate"]}, UnknownFeature, (FeatureKind, "Aggregate")),
+    ({"resolution": "weekly"}, ValidationError, (ResolutionKind, "weekly")),
+    ({"resolution": ["hour1"]}, ValidationError, (ResolutionKind, ["hour1"])),
+    ({"resolution": {"hour1": 1}}, ValidationError, (ResolutionKind, {"hour1": 1})),
+    ({"resolution": None}, ValidationError, (ResolutionKind, None)),
+    ({"resolution": 1}, ValidationError, (ResolutionKind, 1)),
+    ({"resolution": ResolutionKind.HOUR1.name}, ValidationError,
+     (ResolutionKind, ResolutionKind.HOUR1.name)),
+    ({"purpose": "research"}, UnknownPurpose, "unknown purpose: 'research'"),
+    ({"purpose": ["billing"]}, UnknownPurpose, "unknown purpose: ['billing']"),
+    ({"purpose": None}, UnknownPurpose, "unknown purpose: None"),
+    ({"mode": "twice"}, ValueError, (RequestMode, "twice")),
+    ({"mode": ["one_shot"]}, ValueError, (RequestMode, ["one_shot"])),
+    ({"mode": None}, ValueError, (RequestMode, None)),
+]
+
+
+@pytest.mark.parametrize("overrides, cls, message", BAD_FIELDS)
+def test_bad_field_raises_the_class_and_message_of_the_enum_lookup(overrides, cls, message):
+    with pytest.raises(ValueError) as info:
+        request_from_dict(request_doc(**overrides))
+    assert type(info.value) is cls
+    if isinstance(message, tuple):
+        message = enum_error(*message)
+        if cls is ValidationError:
+            message = f"bad resolution: {message}"
+    assert str(info.value) == message
+
+
+def test_missing_resolution_or_purpose_raises_as_before():
+    for name, cls, message in (
+        ("resolution", ValidationError, "bad resolution: 'resolution'"),
+        ("purpose", UnknownPurpose, "unknown purpose: None"),
+    ):
+        doc = request_doc()
+        del doc[name]
+        with pytest.raises(ValueError) as info:
+            request_from_dict(doc)
+        assert type(info.value) is cls and str(info.value) == message
+
+
+def test_every_enum_value_parses_to_its_member():
+    for features in ([f.value] for f in FeatureKind):
+        for resolution in ResolutionKind:
+            for purpose in PurposeKind:
+                for mode in RequestMode:
+                    got = request_from_dict(request_doc(
+                        features=features, resolution=resolution.value,
+                        purpose=purpose.value, mode=mode.value))
+                    assert got.features == (FeatureKind(features[0]),)
+                    assert (got.resolution, got.purpose, got.mode) == (resolution, purpose, mode)
+    assert request_from_dict(request_doc()).mode is RequestMode.ONE_SHOT
+
+
 @pytest.mark.parametrize("bad", ["abc", "1.5", True, False, [1.0], {}, math.nan, math.inf, -1.0, 0])
 def test_malformed_proposed_epsilon_rejected(bad):
     with pytest.raises(ValidationError):

@@ -527,6 +527,64 @@ def test_negotiate_caps_grant_at_proposal():
     assert outcome.epsilon_star == pytest.approx(0.12)
 
 
+def eager_negotiate(req, ledger, trust, cfg):
+    """Reference: derive the counter-offer first, then decide with it."""
+    counter = derive_counter_offer(req, cfg)
+    label, eps_star, violated, _ = NegotiationEngine(cfg)._decide(
+        req.effective_sensitivity, counter[1] if counter else None, trust,
+        ledger.h_remaining, req.request.proposed_epsilon, req.purpose.name.value,
+    )
+    modified = counter[0].request if label is Decision.COUNTER_OFFER else None
+    return label, eps_star, modified, violated
+
+
+@given(
+    features=st.lists(st.sampled_from(list(FeatureKind)), min_size=1, max_size=4),
+    resolution=st.sampled_from(list(ResolutionKind)),
+    purpose=st.sampled_from(sorted(CATALOG.purpose_scores, key=lambda p: p.value)),
+    trust=st.floats(min_value=0, max_value=1),
+    h=st.floats(min_value=0.01, max_value=10),
+    cap=st.none() | st.floats(min_value=0.01, max_value=5),
+    mode=st.sampled_from(["upfront", "staged"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_lazy_counter_offer_decides_as_the_eager_reference(
+    features, resolution, purpose, trust, h, cap, mode
+):
+    cfg = dataclasses.replace(ENGINE, safety_mode=mode)
+    req = validated(features, resolution, purpose, proposed=cap)
+    ledger = BudgetLedger(h_max=h)
+    got = NegotiationEngine(cfg).negotiate(req, ledger, trust)
+    want = eager_negotiate(validate_request(req.request, CATALOG), ledger, trust, cfg)
+    # repr also compares the grant's type
+    assert repr((got.decision, got.epsilon_star, got.modified_request, got.violated)) == repr(want)
+    approved_as_asked = want[0] is Decision.APPROVE and want[1] != cfg.eps_min(
+        req.effective_sensitivity, purpose.value)
+    if approved_as_asked:
+        assert req.counter_offers == {}
+
+
+def test_only_a_request_not_approved_as_asked_derives_a_counter_offer():
+    staged = EngineConfig(safety_mode="staged")
+    cases = [
+        # (features, resolution, h_max, trust, cfg, decision)
+        ([FeatureKind.AGGREGATE], ResolutionKind.HOUR1, 8.0, 0.5, ENGINE, Decision.APPROVE),
+        ([FeatureKind.AGGREGATE], ResolutionKind.HOUR1, 0.3, 0.9, ENGINE, Decision.REJECT),
+        ([FeatureKind.LOAD_CURVE], ResolutionKind.MIN15, 1.0, 0.3, staged,
+         Decision.COUNTER_OFFER),
+        ([FeatureKind.AGGREGATE], ResolutionKind.DAILY, 0.2, 0.9, staged, Decision.APPROVE),
+    ]
+    for features, resolution, h_max, trust, cfg, decision in cases:
+        req = validated(features, resolution)
+        outcome = negotiate(req, BudgetLedger(h_max=h_max), trust, cfg)
+        assert outcome.decision is decision
+        as_asked = decision is Decision.APPROVE and outcome.epsilon_star != cfg.eps_min_default
+        if as_asked:
+            assert req.counter_offers == {}
+        else:  # rejections, counter-offers and the trusted-minimal approval
+            assert set(req.counter_offers) == {cfg.counter_factor}
+
+
 @given(
     trust_low=st.floats(min_value=0, max_value=1),
     bump=st.floats(min_value=0, max_value=1),
@@ -583,6 +641,23 @@ def test_budget_safety_over_any_sequence(grants):
                 ledger.settle(f"c{i}", eps)
         assert ledger.h_remaining >= 0.0
         assert ledger.spent <= ledger.h_max + 1e-9
+
+
+@pytest.mark.parametrize("h_max", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_ledger_rejects_a_budget_that_is_not_positive_and_finite(h_max):
+    with pytest.raises(ValueError):
+        BudgetLedger(h_max=h_max)
+
+
+@pytest.mark.parametrize("eps", [-5.0, 0.0, math.inf, -math.inf, math.nan])
+def test_ledger_rejects_a_grant_that_is_not_positive_and_finite(eps):
+    # a negative grant would add budget: 4.0 - (-5.0) left 9.0 to spend
+    with pytest.raises(NonPositiveEpsilon):
+        BudgetLedger(h_max=4.0, granted=[("x", eps)])
+    ledger = BudgetLedger(h_max=4.0)
+    with pytest.raises(NonPositiveEpsilon):
+        ledger.settle("x", eps)
+    assert ledger.granted == [] and ledger.spent == 0.0 and ledger.h_remaining == 4.0
 
 
 # --- shared outcomes and the engine lookup -------------------------------------
