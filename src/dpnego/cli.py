@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .audit import AuditLog, ChainCorrupt, verify_file, write_atomic
-from .config import AppConfig, BadArgument, BadConfig, load_config
+from .config import AppConfig, BadArgument, BadConfig, _is_number, load_config
 from .contracts import (
     Decision,
     ValidationError,
@@ -37,22 +37,42 @@ from .secretshare import (
 )
 
 
+TRUST_DEFAULTS = {"succ_count": 0, "quality": 0.0, "alignment": 0.0}
+
+
 def load_owner_state(path: str | Path, cfg: AppConfig) -> tuple[str, BudgetLedger, TrustStore]:
-    """Owner state file: budget ledger plus trust evidence per requester."""
+    """Owner state file: budget ledger plus trust evidence per requester.
+    Each value is read by its JSON type, never coerced, so that a malformed
+    file is refused rather than rewritten; it raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    ledger = BudgetLedger(
-        h_max=float(doc["h_max"]),
-        granted=[(str(c), float(e)) for c, e in doc.get("granted", [])],
-    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"owner state must be a JSON object, got {doc!r}")
+    owner_id, h_max = doc.get("owner_id", "owner"), doc["h_max"]
+    granted, trust = doc.get("granted", []), doc.get("trust", {})
+    if not isinstance(owner_id, str):
+        raise ValueError(f"owner_id must be a string, got {owner_id!r}")
+    if not _is_number(h_max):
+        raise ValueError(f"h_max must be a number, got {h_max!r}")
+    if not isinstance(granted, list) or not all(
+        isinstance(g, list) and len(g) == 2 and isinstance(g[0], str) and _is_number(g[1])
+        for g in granted
+    ):
+        raise ValueError(f"granted must be a list of [string, number] pairs, got {granted!r}")
+    if not isinstance(trust, dict):
+        raise ValueError(f"trust must be an object, got {trust!r}")
+    ledger = BudgetLedger(h_max=float(h_max), granted=[(c, float(e)) for c, e in granted])
     store = TrustStore(cfg=cfg.trust)
-    for requester, t in doc.get("trust", {}).items():
+    for requester, entry in trust.items():
+        t = {**TRUST_DEFAULTS, **entry} if isinstance(entry, dict) else {}
+        if not (t.keys() == TRUST_DEFAULTS.keys() and type(t["succ_count"]) is int
+                and _is_number(t["quality"]) and _is_number(t["alignment"])):
+            raise ValueError(f"trust.{requester} must be an object with an integer succ_count "
+                             f"and numbers quality and alignment, got {entry!r}")
         store.ledgers[requester] = TrustLedger(
-            succ_count=int(t.get("succ_count", 0)),
-            quality=float(t.get("quality", 0.0)),
-            alignment=float(t.get("alignment", 0.0)),
+            succ_count=t["succ_count"], quality=float(t["quality"]), alignment=float(t["alignment"])
         )
-    return str(doc.get("owner_id", "owner")), ledger, store
+    return owner_id, ledger, store
 
 
 def save_owner_state(

@@ -106,42 +106,6 @@ class UnknownField(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
-class FeatureCategory:
-    """A feature category together with its risk coefficient."""
-
-    kind: FeatureKind
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class Resolution:
-    """A temporal resolution with its sensitivity attenuation factor."""
-
-    value: ResolutionKind
-    attenuation: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.attenuation <= 1.0:
-            raise ValueError(f"attenuation must be in (0,1], got {self.attenuation}")
-
-
-@dataclass(frozen=True)
-class Purpose:
-    """A declared data-use purpose with its compatibility score."""
-
-    name: PurposeKind
-    score: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"purpose score must be in [0,1], got {self.score}")
-
-
 MEMO_LIMIT = 4096  # entries every memo, of the catalog or an engine, holds before it is cleared
 
 
@@ -150,32 +114,36 @@ class Catalog:
     """The owner-side lookup tables: feature coefficients, resolution
     attenuations, and the fixed purpose-compatibility table.
 
-    Immutable after construction; unknown entries are hard errors rather than
-    defaults so that every score in a decision traces back to this table.
-    Two memos rely on that immutability, one per request shape: ``_resolved``
-    for ``validate_request`` and ``_reductions`` for the counter-offer search.
-    Requesters may repeat features, so shapes are unbounded and each memo is
-    cleared at ``MEMO_LIMIT`` entries. Neither takes part in eq, hash or repr.
+    Construction checks every entry: alphas and purpose scores in [0, 1], and
+    an attenuation in (0, 1] for every ``ResolutionKind``, any of which the
+    counter-offer search may pick. A feature or purpose the tables lack is an
+    error at validation, not a default, so that every score in a decision
+    traces back to this table. The ``_reductions`` memo of the counter-offer
+    search relies on the catalog being immutable; it is keyed by request
+    shape, which requesters may vary without bound (features may repeat), so
+    it is cleared at ``MEMO_LIMIT`` entries. It takes no part in eq, hash or
+    repr.
     """
 
     alphas: dict[FeatureKind, float]
     attenuations: dict[ResolutionKind, float]
     purpose_scores: dict[PurposeKind, float]
-    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def feature(self, kind: FeatureKind) -> FeatureCategory:
-        if kind not in self.alphas:
-            raise UnknownFeature(f"feature not exposed by owner catalog: {kind.value}")
-        return FeatureCategory(kind, self.alphas[kind])
-
-    def resolution(self, value: ResolutionKind) -> Resolution:
-        return Resolution(value, self.attenuations[value])
-
-    def purpose(self, name: PurposeKind) -> Purpose:
-        if name not in self.purpose_scores:
-            raise UnknownPurpose(f"purpose not in compatibility table: {name.value}")
-        return Purpose(name, self.purpose_scores[name])
+    def __post_init__(self) -> None:
+        for resolution in ResolutionKind:
+            if resolution not in self.attenuations:
+                raise ValueError(f"catalog.attenuations.{resolution.value} is missing")
+        for table, bounds, inside in (
+            ("alphas", "[0, 1]", lambda v: 0.0 <= v <= 1.0),
+            ("attenuations", "(0, 1]", lambda v: 0.0 < v <= 1.0),
+            ("purpose_scores", "[0, 1]", lambda v: 0.0 <= v <= 1.0),
+        ):
+            for kind, value in getattr(self, table).items():
+                if not inside(value):
+                    raise ValueError(
+                        f"catalog.{table}.{kind.value} must be in {bounds}, got {value!r}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -309,28 +277,37 @@ def request_from_dict(doc: dict[str, Any]) -> ContractRequest:
 
 @dataclass(frozen=True)
 class ValidatedRequest:
-    """A request with resolved coefficients from the owner catalog.
+    """A request and the catalog that scores it.
 
-    Derived values are computed once at construction: ``sensitivity`` is the
-    raw sum of feature coefficients, ``effective_sensitivity`` that sum
-    attenuated at the requested resolution. ``counter_offers`` memoizes
-    ``derive_counter_offer`` by counter factor; this is sound because neither
-    the request nor the catalog changes after construction.
+    The three numbers a decision reads are fixed at construction:
+    ``sensitivity``, the sum of the feature coefficients (``sum`` from int 0,
+    left to right); ``effective_sensitivity``, that sum times the requested
+    resolution's attenuation; and ``purpose_score``. A feature the catalog
+    lacks raises ``UnknownFeature``, before a missing purpose raises
+    ``UnknownPurpose``. ``counter_offers`` memoizes ``derive_counter_offer`` by
+    counter factor, sound because neither the request nor the catalog changes.
     """
 
     request: ContractRequest
-    features: tuple[FeatureCategory, ...]
-    resolution: Resolution
-    purpose: Purpose
     catalog: Catalog
     sensitivity: float = field(init=False, repr=False, compare=False)
     effective_sensitivity: float = field(init=False, repr=False, compare=False)
+    purpose_score: float = field(init=False, repr=False, compare=False)
     counter_offers: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        s = sum(f.alpha for f in self.features)
+        req, catalog = self.request, self.catalog
+        try:
+            s = sum(map(catalog.alphas.__getitem__, req.features))
+        except KeyError as exc:
+            missing = exc.args[0].value
+            raise UnknownFeature(f"feature not exposed by owner catalog: {missing}") from None
+        score = catalog.purpose_scores.get(req.purpose)
+        if score is None:
+            raise UnknownPurpose(f"purpose not in compatibility table: {req.purpose.value}")
         object.__setattr__(self, "sensitivity", s)
-        object.__setattr__(self, "effective_sensitivity", self.resolution.attenuation * s)
+        object.__setattr__(self, "effective_sensitivity", catalog.attenuations[req.resolution] * s)
+        object.__setattr__(self, "purpose_score", score)
 
 
 def validate_request(
@@ -339,8 +316,7 @@ def validate_request(
     """Resolve a proposal against the catalog.
 
     Idempotent: validating an already-validated request yields an identical
-    result as long as the catalog is unchanged. Entries are looked up once per
-    (features, resolution, purpose); a failed lookup is not memoized.
+    result as long as the catalog is unchanged.
     """
     if isinstance(req, ValidatedRequest):
         req = req.request
@@ -348,17 +324,7 @@ def validate_request(
         raise EmptyFeatureSet("request must name at least one feature")
     if req.window_hours < 1:
         raise NonPositiveWindow(f"window_hours must be >= 1, got {req.window_hours}")
-    key = (req.features, req.resolution, req.purpose)
-    resolved = catalog._resolved.get(key)
-    if resolved is None:
-        if len(catalog._resolved) >= MEMO_LIMIT:
-            catalog._resolved.clear()
-        resolved = catalog._resolved[key] = (
-            tuple(catalog.feature(k) for k in req.features),
-            catalog.resolution(req.resolution),
-            catalog.purpose(req.purpose),
-        )
-    return ValidatedRequest(req, *resolved, catalog)
+    return ValidatedRequest(req, catalog)
 
 
 @dataclass(frozen=True)

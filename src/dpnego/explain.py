@@ -85,7 +85,7 @@ def factors_for(
     return Factors(
         s_eff=req.effective_sensitivity,
         trust=trust,
-        purpose_score=req.purpose.score,
+        purpose_score=req.purpose_score,
         h_remaining=ledger.h_remaining,
         eps_star=outcome.epsilon_star,
         request=req.request,
@@ -300,7 +300,7 @@ def robustness_probe(
         counter = derive_counter_offer(case.request, engine_cfg)
         counter_s = counter[1] if counter else None
         cap = case.request.request.proposed_epsilon
-        purpose = case.request.purpose.name.value
+        purpose = case.request.request.purpose.value
         base_label, base_eps, _, base_preds = engine._decide(
             s_eff, counter_s, case.trust, case.h_remaining, cap, purpose,
             want_predicates=True,

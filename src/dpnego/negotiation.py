@@ -353,7 +353,7 @@ class NegotiationEngine:
         s_eff = req.effective_sensitivity
         h_remaining = ledger.h_remaining
         eps_cap = req.request.proposed_epsilon
-        purpose = req.purpose.name.value
+        purpose = req.request.purpose.value
         eps_star, _ = self._approve_as_asked(s_eff, h_remaining, eps_cap, purpose)
         if eps_star is not None:
             label = Decision.APPROVE

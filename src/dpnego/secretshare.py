@@ -8,7 +8,7 @@ import json
 import random
 import secrets as _secrets
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .contracts import canonical_json
 
@@ -73,12 +73,20 @@ class KeyShare:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "KeyShare":
-        s = doc["scheme"]
+    def from_dict(cls, doc: Any) -> "KeyShare":
+        """The share ``to_dict`` writes, its types checked, not coerced."""
+        s = doc.get("scheme") if isinstance(doc, dict) else None
+        if not (
+            isinstance(s, dict)
+            and all(type(x) is int for x in (doc.get("index"), s.get("k"), s.get("n")))
+            and all(isinstance(x, str) for x in (doc.get("value"), s.get("modulus"), s.get("tag")))
+        ):
+            raise ValueError(f"a share needs integers index, k and n, hex strings value and "
+                             f"modulus and a string tag, got {doc!r}")
         return cls(
-            index=int(doc["index"]),
+            index=doc["index"],
             value=int(doc["value"], 16),
-            scheme=SchemeId(int(s["k"]), int(s["n"]), int(s["modulus"], 16), s["tag"]),
+            scheme=SchemeId(s["k"], s["n"], int(s["modulus"], 16), s["tag"]),
         )
 
 
@@ -87,7 +95,11 @@ def shares_to_json(shares: Iterable[KeyShare]) -> str:
 
 
 def shares_from_json(text: str) -> list[KeyShare]:
-    return [KeyShare.from_dict(d) for d in json.loads(text)]
+    """The shares ``shares_to_json`` writes; a malformed file raises ValueError."""
+    docs = json.loads(text)
+    if not isinstance(docs, list):
+        raise ValueError(f"a share file must hold a JSON list of shares, got {docs!r}")
+    return [KeyShare.from_dict(d) for d in docs]
 
 
 def split(

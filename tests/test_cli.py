@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dpnego.cli import main
+from dpnego.secretshare import shares_to_json, split
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -670,3 +671,92 @@ def test_negotiate_and_verify_never_import_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", "import sys, dpnego; print('numpy' in sys.modules)"],
                          capture_output=True, text=True, env=CHILD_ENV, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("table,key,value,bounds", [
+    ("alphas", "location", 1.5, "[0, 1]"),
+    ("attenuations", "daily", 0.0, "(0, 1]"),
+    ("attenuations", "hour1", 1.5, "(0, 1]"),
+    ("purpose_scores", "profiling", -0.5, "[0, 1]"),
+])
+def test_catalog_value_out_of_range_is_a_bad_config(tmp_path, capsys, table, key, value, bounds):
+    message = f"catalog.{table}.{key} must be in {bounds}, got {value!r}"
+    override_doc = {"catalog": {table: {key: value}}}
+    assert_negotiate_bad_config(tmp_path, capsys, override_doc, message)
+    code = main(["--config", str(tmp_path / "cfg.json"), "sweep", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: bad config: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+FOUND_OWNER = {
+    "owner_id": "owner-1", "h_max": "8", "granted": [[5, "0.5"]],
+    "trust": {"req-001": {"succ_count": 2.9, "quality": "0.9", "alignment": True}},
+}
+GOOD_TRUST = {"succ_count": 2, "quality": 0.9, "alignment": 1.0}
+
+
+@pytest.mark.parametrize("doc", [
+    FOUND_OWNER,
+    [1],
+    "owner",
+    {"h_max": "8"},
+    {"h_max": True},
+    {"h_max": None},
+    {"h_max": 8.0, "owner_id": 5},
+    {"h_max": 8.0, "owner_id": None},
+    {"h_max": 8.0, "granted": 5},
+    {"h_max": 8.0, "granted": [[5, 0.5]]},
+    {"h_max": 8.0, "granted": [["c", "0.5"]]},
+    {"h_max": 8.0, "granted": [["c", True]]},
+    {"h_max": 8.0, "granted": [["c"]]},
+    {"h_max": 8.0, "granted": [["c", 0.5, 1]]},
+    {"h_max": 8.0, "trust": []},
+    {"h_max": 8.0, "trust": {"req-001": 5}},
+    {"h_max": 8.0, "trust": {"req-001": {**GOOD_TRUST, "succ_count": 2.9}}},
+    {"h_max": 8.0, "trust": {"req-001": {**GOOD_TRUST, "succ_count": True}}},
+    {"h_max": 8.0, "trust": {"req-001": {**GOOD_TRUST, "quality": "0.9"}}},
+    {"h_max": 8.0, "trust": {"req-001": {**GOOD_TRUST, "alignment": True}}},
+    {"h_max": 8.0, "trust": {"req-001": {**GOOD_TRUST, "events": 3}}},
+])
+def test_negotiate_malformed_owner_file_exit_one(tmp_path, capsys, doc):
+    req = write_request(tmp_path)
+    owner, audit = tmp_path / "owner.json", tmp_path / "audit.jsonl"
+    owner.write_text(json.dumps(doc))
+    before = owner.read_bytes()
+    code = main(["negotiate", "--request", str(req), "--owner", str(owner),
+                 "--audit-log", str(audit), "--settle"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert owner.read_bytes() == before
+    assert not audit.exists()
+
+
+def test_owner_file_absent_keys_keep_their_defaults(tmp_path, capsys):
+    req = write_request(tmp_path)
+    owner = tmp_path / "owner.json"
+    owner.write_text(json.dumps({"h_max": 8, "trust": {"req-001": {"succ_count": 3}}}))
+    code = main(["negotiate", "--request", str(req), "--owner", str(owner),
+                 "--settle", "--contract-id", "c-1"])
+    assert code == 0
+    doc = json.loads(owner.read_text())
+    assert doc["owner_id"] == "owner" and doc["h_max"] == 8.0
+    assert [c for c, _ in doc["granted"]] == ["c-1"]
+    assert doc["trust"] == {"req-001": {"succ_count": 3, "quality": 0.0, "alignment": 0.0}}
+
+
+def test_tss_reconstruct_malformed_share_file_exit_one(tmp_path, capsys):
+    shares = json.loads(shares_to_json(split(424242, 3, 5, seed=3)))
+    shares[0]["value"] = int(shares[0]["value"], 16)
+    path = tmp_path / "shares.json"
+    for text in ("5", "[5]", '{"index": 1}', json.dumps(shares)):
+        path.write_text(text)
+        code = main(["tss", "reconstruct", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1, text
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""

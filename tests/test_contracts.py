@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from dpnego.config import load_config
 from dpnego.contracts import (
+    Catalog,
     ContractRequest,
     Decision,
     EmptyFeatureSet,
@@ -51,7 +52,7 @@ def make_request(**overrides):
 
 def test_validate_billing_load_curve(cfg):
     validated = validate_request(make_request(), cfg.catalog)
-    assert validated.purpose.score == 1.0
+    assert validated.purpose_score == 1.0
     assert validated.sensitivity == pytest.approx(0.4)
 
 
@@ -389,6 +390,7 @@ def test_warm_catalog_matches_a_cold_one(cfg):
                     assert got.effective_sensitivity.hex() == want.effective_sensitivity.hex()
                     reference = warm.attenuations[resolution] * sum(warm.alphas[k] for k in features)
                     assert got.effective_sensitivity.hex() == reference.hex()
+                    assert got.purpose_score == want.purpose_score == warm.purpose_scores[purpose]
                     for engine in engines:
                         offer, cold_offer = (derive_counter_offer(v, engine) for v in (got, want))
                         assert offer == cold_offer
@@ -398,7 +400,7 @@ def test_warm_catalog_matches_a_cold_one(cfg):
                                 req, features=offer[0].request.features,
                                 resolution=offer[0].request.resolution,
                             )
-    assert warm._resolved and warm._reductions
+    assert warm._reductions
 
 
 def test_failed_lookups_raise_every_time(cfg):
@@ -424,16 +426,17 @@ def test_failed_lookups_raise_every_time(cfg):
             validate_request(make_request(features=()), catalog)
         with pytest.raises(NonPositiveWindow):
             validate_request(make_request(window_hours=0), catalog)
-    assert len(catalog._resolved) == 1
+    assert validate_request(make_request(), catalog).sensitivity == pytest.approx(0.4)
 
 
 def test_replaced_catalog_starts_with_empty_memos(cfg):
     warm = load_config().catalog
     req = make_request()
     before = validate_request(req, warm)
-    assert warm._resolved
+    derive_counter_offer(before, cfg.engine)
+    assert warm._reductions
     changed = dataclasses.replace(warm, alphas={**warm.alphas, FeatureKind.LOAD_CURVE: 0.9})
-    assert changed._resolved == {} and changed._reductions == {}
+    assert changed._reductions == {}
     after = validate_request(req, changed)
     assert before.sensitivity == pytest.approx(0.4)
     assert after.sensitivity == pytest.approx(0.9)
@@ -442,7 +445,52 @@ def test_replaced_catalog_starts_with_empty_memos(cfg):
 
 def test_memos_leave_catalog_eq_and_repr_alone(cfg):
     warm, cold = load_config().catalog, load_config().catalog
-    validate_request(make_request(), warm)
+    derive_counter_offer(validate_request(make_request(), warm), cfg.engine)
+    assert warm._reductions
     assert warm == cold
     assert repr(warm) == repr(cold)
-    assert "_resolved" not in repr(warm)
+    assert "_reductions" not in repr(warm)
+
+
+CATALOG_OUT_OF_RANGE = [
+    ("alphas", FeatureKind.LOCATION, 1.5, "[0, 1]"),
+    ("alphas", FeatureKind.AGGREGATE, -0.1, "[0, 1]"),
+    ("alphas", FeatureKind.LOAD_CURVE, math.nan, "[0, 1]"),
+    ("attenuations", ResolutionKind.DAILY, 0.0, "(0, 1]"),
+    ("attenuations", ResolutionKind.MIN5, 1.5, "(0, 1]"),
+    ("purpose_scores", PurposeKind.PROFILING, -0.5, "[0, 1]"),
+    ("purpose_scores", PurposeKind.BILLING, 1.1, "[0, 1]"),
+]
+
+
+@pytest.mark.parametrize("table,kind,value,bounds", CATALOG_OUT_OF_RANGE)
+def test_catalog_entry_out_of_range_raises_naming_its_key(table, kind, value, bounds):
+    tables = {name: dict(getattr(CATALOG, name))
+              for name in ("alphas", "attenuations", "purpose_scores")}
+    tables[table][kind] = value
+    message = f"catalog.{table}.{kind.value} must be in {bounds}, got {value!r}"
+    with pytest.raises(ValueError) as direct:
+        Catalog(**tables)
+    with pytest.raises(ValueError) as replaced:
+        dataclasses.replace(CATALOG, **{table: tables[table]})
+    assert str(direct.value) == str(replaced.value) == message
+
+
+def test_catalog_bounds_are_inclusive_except_a_zero_attenuation():
+    catalog = Catalog(
+        alphas={FeatureKind.AGGREGATE: 0.0, FeatureKind.LOCATION: 1.0},
+        attenuations=dict.fromkeys(ResolutionKind, 1.0),
+        purpose_scores={PurposeKind.BILLING: 1.0, PurposeKind.PROFILING: 0.0},
+    )
+    low = validate_request(
+        make_request(features=(FeatureKind.AGGREGATE,), purpose=PurposeKind.PROFILING), catalog
+    )
+    assert low.sensitivity == low.effective_sensitivity == low.purpose_score == 0.0
+    high = validate_request(make_request(features=(FeatureKind.LOCATION,)), catalog)
+    assert high.sensitivity == high.effective_sensitivity == high.purpose_score == 1.0
+
+
+def test_catalog_missing_an_attenuation_raises():
+    attenuations = {k: v for k, v in CATALOG.attenuations.items() if k is not ResolutionKind.DAILY}
+    with pytest.raises(ValueError, match=r"catalog\.attenuations\.daily is missing"):
+        dataclasses.replace(CATALOG, attenuations=attenuations)

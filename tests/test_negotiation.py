@@ -409,7 +409,6 @@ def test_catalog_memos_stay_bounded():
             catalog,
         )
         derive_counter_offer(req, ENGINE)
-        assert len(catalog._resolved) <= MEMO_LIMIT
         assert len(catalog._reductions) <= MEMO_LIMIT
     fresh = validate_request(req.request, CATALOG)
     assert derive_counter_offer(fresh, ENGINE) == req.counter_offers[ENGINE.counter_factor]
@@ -475,16 +474,9 @@ def test_negotiate_safety_rejection_at_low_budget():
 
 
 def test_negotiate_zero_sensitivity_takes_whole_budget():
-    from dpnego.contracts import ValidatedRequest
-
-    base = validated([FeatureKind.AGGREGATE], ResolutionKind.MIN5)
-    req = ValidatedRequest(
-        request=base.request,
-        features=(),
-        resolution=base.resolution,
-        purpose=base.purpose,
-        catalog=base.catalog,
-    )
+    free = dataclasses.replace(CATALOG, alphas={**CATALOG.alphas, FeatureKind.AGGREGATE: 0.0})
+    req = validate_request(validated([FeatureKind.AGGREGATE], ResolutionKind.MIN5), free)
+    assert req.sensitivity == req.effective_sensitivity == 0.0
     outcome = negotiate(req, BudgetLedger(h_max=8.0), 0.5, ENGINE)
     assert outcome.decision is Decision.APPROVE
     assert outcome.epsilon_star == pytest.approx(8.0)
@@ -532,7 +524,7 @@ def eager_negotiate(req, ledger, trust, cfg):
     counter = derive_counter_offer(req, cfg)
     label, eps_star, violated, _ = NegotiationEngine(cfg)._decide(
         req.effective_sensitivity, counter[1] if counter else None, trust,
-        ledger.h_remaining, req.request.proposed_epsilon, req.purpose.name.value,
+        ledger.h_remaining, req.request.proposed_epsilon, req.request.purpose.value,
     )
     modified = counter[0].request if label is Decision.COUNTER_OFFER else None
     return label, eps_star, modified, violated

@@ -29,10 +29,7 @@ def sensitivity(*kinds):
     """``ValidatedRequest.sensitivity`` of a request naming ``kinds``, built
     directly so that an empty set (which validation refuses) has a value."""
     req = ContractRequest("r", "o", kinds, 24, ResolutionKind.MIN5, PurposeKind.BILLING)
-    return ValidatedRequest(
-        req, tuple(CATALOG.feature(k) for k in kinds), CATALOG.resolution(req.resolution),
-        CATALOG.purpose(req.purpose), CATALOG,
-    ).sensitivity
+    return ValidatedRequest(req, CATALOG).sensitivity
 
 
 def test_sensitivity_single_load_curve():
@@ -144,12 +141,12 @@ def test_trust_ledger_range_checks_still_run():
 
 
 def test_purpose_table_values():
-    assert CATALOG.purpose(PurposeKind.BILLING).score == 1.0
-    assert CATALOG.purpose(PurposeKind.FORECASTING).score == 0.8
-    assert CATALOG.purpose(PurposeKind.GRID_MONITORING).score == 0.75
-    assert CATALOG.purpose(PurposeKind.DEMAND_RESPONSE).score == 0.7
-    assert CATALOG.purpose(PurposeKind.PEER_TRADING).score == 0.6
-    assert CATALOG.purpose(PurposeKind.PROFILING).score == 0.1
+    assert CATALOG.purpose_scores[PurposeKind.BILLING] == 1.0
+    assert CATALOG.purpose_scores[PurposeKind.FORECASTING] == 0.8
+    assert CATALOG.purpose_scores[PurposeKind.GRID_MONITORING] == 0.75
+    assert CATALOG.purpose_scores[PurposeKind.DEMAND_RESPONSE] == 0.7
+    assert CATALOG.purpose_scores[PurposeKind.PEER_TRADING] == 0.6
+    assert CATALOG.purpose_scores[PurposeKind.PROFILING] == 0.1
 
 
 def test_beta_must_sum_to_one():

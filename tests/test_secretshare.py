@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -118,3 +119,33 @@ def test_authority_rejects_foreign_shares():
     foreign = split(5, k=2, n=3, seed=22)
     with pytest.raises(MixedScheme):
         authority.authorize_release("contract-3", list(foreign[:2]))
+
+
+def _share_doc(**changes):
+    doc = split(777, k=3, n=5, seed=5)[0].to_dict()
+    for key, value in changes.items():
+        target = doc["scheme"] if key in ("k", "n", "modulus", "tag") else doc
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("changes", [
+    {"index": "1"}, {"index": 1.0}, {"index": True}, {"index": None},
+    {"value": 5}, {"value": "xyz"}, {"value": None},
+    {"k": "3"}, {"n": False}, {"modulus": 7}, {"modulus": ""}, {"tag": 5},
+    {"scheme": [3, 5]}, {"scheme": None},
+], ids=repr)
+def test_malformed_share_raises_value_error(changes):
+    with pytest.raises(ValueError):
+        KeyShare.from_dict(_share_doc(**changes))
+    with pytest.raises(ValueError):
+        shares_from_json(json.dumps([_share_doc(**changes)]))
+
+
+@pytest.mark.parametrize("text", ["5", "[5]", "null", '"shares"', '{"index": 1}', "[[]]", "{"])
+def test_malformed_share_file_raises_value_error(text):
+    with pytest.raises(ValueError):
+        shares_from_json(text)
