@@ -284,8 +284,13 @@ class ValidatedRequest:
     left to right); ``effective_sensitivity``, that sum times the requested
     resolution's attenuation; and ``purpose_score``. A feature the catalog
     lacks raises ``UnknownFeature``, before a missing purpose raises
-    ``UnknownPurpose``. ``counter_offers`` memoizes ``derive_counter_offer`` by
-    counter factor, sound because neither the request nor the catalog changes.
+    ``UnknownPurpose``. Two memos ride on the request, sound because neither
+    the request nor the catalog changes: ``counter_offers`` holds
+    ``derive_counter_offer`` by counter factor, and ``outcomes`` holds
+    ``NegotiationEngine.negotiate`` by (engine, remaining budget, whether the
+    trust reaches the engine's ``trusted_min_trust``). Neither takes part in
+    eq or repr, and a ``dataclasses.replace`` copy starts with both empty;
+    ``outcomes`` is cleared at ``MEMO_LIMIT`` entries.
     """
 
     request: ContractRequest
@@ -294,6 +299,7 @@ class ValidatedRequest:
     effective_sensitivity: float = field(init=False, repr=False, compare=False)
     purpose_score: float = field(init=False, repr=False, compare=False)
     counter_offers: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    outcomes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         req, catalog = self.request, self.catalog

@@ -302,7 +302,8 @@ def robustness_probe(
         cap = case.request.request.proposed_epsilon
         purpose = case.request.request.purpose.value
         base_label, base_eps, _, base_preds = engine._decide(
-            s_eff, counter_s, case.trust, case.h_remaining, cap, purpose,
+            s_eff, counter_s, case.trust >= engine_cfg.trusted_min_trust,
+            case.h_remaining, cap, purpose,
             want_predicates=True,
         )
         for _ in range(max(1, trials)):
@@ -311,7 +312,7 @@ def robustness_probe(
             label, eps, _, preds = engine._decide(
                 s_eff * u,
                 counter_s * u if counter_s is not None else None,
-                min(1.0, case.trust * v),
+                min(1.0, case.trust * v) >= engine_cfg.trusted_min_trust,
                 case.h_remaining,
                 cap,
                 purpose,

@@ -116,6 +116,10 @@ class BudgetLedger:
     grants are never removed. Single-writer per owner. ``h_max`` and every
     grant are positive finite numbers: a negative grant would add budget, and
     an infinite or NaN one would hide an overdraft from every check.
+    ``h_max`` and the running total are kept as plain floats, so
+    ``h_remaining`` is one even for numpy inputs: the outcome memo of
+    ``NegotiationEngine.negotiate`` keys on its value, and a grant at the
+    budget's end takes its type.
     """
 
     h_max: float
@@ -124,6 +128,7 @@ class BudgetLedger:
     def __post_init__(self) -> None:
         if not 0 < self.h_max < math.inf:
             raise ValueError(f"h_max must be a positive finite number, got {self.h_max!r}")
+        self.h_max = float(self.h_max)
         for contract_id, eps in self.granted:
             if not 0 < eps < math.inf:
                 raise NonPositiveEpsilon(
@@ -156,7 +161,7 @@ class BudgetLedger:
                 f"grant {eps_star} exceeds remaining budget {self.h_remaining}"
             )
         self.granted.append((contract_id, eps_star))
-        self._spent += eps_star
+        self._spent += float(eps_star)
         return self
 
 
@@ -248,9 +253,10 @@ class NegotiationEngine:
     """Exact grid argmax of the objective, found without building the grid.
 
     Pure with respect to its config: identical inputs give identical outputs,
-    so (sensitivity, upper-bound) argmax results are memoized, and so are the
-    frozen APPROVE outcomes per granted epsilon; each memo is cleared at
-    ``MEMO_LIMIT`` entries.
+    so (sensitivity, upper-bound) argmax results and the frozen APPROVE
+    outcomes per granted epsilon are memoized on the engine, and each
+    request's outcomes on the request (see ``negotiate``); each memo is
+    cleared at ``MEMO_LIMIT`` entries.
     """
 
     def __init__(self, cfg: EngineConfig):
@@ -343,15 +349,33 @@ class NegotiationEngine:
     def negotiate(
         self, req: ValidatedRequest, ledger: BudgetLedger, trust: float
     ) -> NegotiationOutcome:
-        """The outcome of ``_decide`` for ``req``.
+        """The outcome of ``_decide`` for ``req``, memoized on the request.
 
-        A request approved as asked needs no counter-offer, so the approve
-        branch runs first and ``derive_counter_offer`` only when it fails:
-        before every counter-offer, rejection (an upfront safety reject
-        included) and trusted-minimal approval.
+        The outcome depends on the request only through fields fixed at its
+        validation, on the ledger only through ``h_remaining`` (a float) and
+        on the trust only through ``trust >= trusted_min_trust``, so
+        ``req.outcomes`` keys it by (engine, h_remaining, trusted) and the
+        engine decides only on a miss. A request approved as asked needs no
+        counter-offer, so the approve branch runs first and
+        ``derive_counter_offer`` only when it fails: before every
+        counter-offer, rejection (an upfront safety reject included) and
+        trusted-minimal approval.
         """
-        s_eff = req.effective_sensitivity
         h_remaining = ledger.h_remaining
+        trusted = trust >= self.cfg.trusted_min_trust
+        key = (self, h_remaining, trusted)
+        outcomes = req.outcomes
+        outcome = outcomes.get(key)
+        if outcome is None:
+            if len(outcomes) >= MEMO_LIMIT:
+                outcomes.clear()
+            outcome = outcomes[key] = self._negotiate(req, h_remaining, trusted)
+        return outcome
+
+    def _negotiate(
+        self, req: ValidatedRequest, h_remaining: float, trusted: bool
+    ) -> NegotiationOutcome:
+        s_eff = req.effective_sensitivity
         eps_cap = req.request.proposed_epsilon
         purpose = req.request.purpose.value
         eps_star, _ = self._approve_as_asked(s_eff, h_remaining, eps_cap, purpose)
@@ -362,7 +386,7 @@ class NegotiationEngine:
             label, eps_star, violated, _ = self._decide(
                 s_eff=s_eff,
                 counter_s=counter[1] if counter else None,
-                trust=trust,
+                trusted=trusted,
                 h_remaining=h_remaining,
                 eps_cap=eps_cap,
                 purpose=purpose,
@@ -410,7 +434,7 @@ class NegotiationEngine:
         self,
         s_eff: float,
         counter_s: float | None,
-        trust: float,
+        trusted: bool,
         h_remaining: float,
         eps_cap: float | None,
         purpose: str,
@@ -418,7 +442,9 @@ class NegotiationEngine:
     ) -> tuple[Decision, float | None, str | None, tuple[bool, ...] | None]:
         """Decision core over scalars, shared with the robustness probe.
 
-        Returns (decision, eps_star, violated, predicates).
+        ``trusted`` is ``trust >= cfg.trusted_min_trust``, the only form in
+        which a decision reads the requester's trust. Returns (decision,
+        eps_star, violated, predicates).
         """
         cfg = self.cfg
         upper = h_remaining if eps_cap is None else min(h_remaining, eps_cap)
@@ -456,7 +482,7 @@ class NegotiationEngine:
                 return Decision.COUNTER_OFFER, eps2, None, predicates
 
         if (
-            trust >= cfg.trusted_min_trust
+            trusted
             and s_eff <= cfg.trusted_max_sensitivity
             and eps_min <= h_remaining + _TOL
             and (eps_cap is None or eps_cap >= eps_min - _TOL)

@@ -74,7 +74,10 @@ class KeyShare:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "KeyShare":
-        """The share ``to_dict`` writes, its types checked, not coerced."""
+        """The share ``to_dict`` writes, its types and ranges checked, not
+        coerced: ``value`` and ``modulus`` in the lowercase hex ``to_dict``
+        writes, ``0 <= value < modulus``, ``1 <= k <= n`` and
+        ``1 <= index <= n``. Anything else raises ValueError."""
         s = doc.get("scheme") if isinstance(doc, dict) else None
         if not (
             isinstance(s, dict)
@@ -83,11 +86,22 @@ class KeyShare:
         ):
             raise ValueError(f"a share needs integers index, k and n, hex strings value and "
                              f"modulus and a string tag, got {doc!r}")
-        return cls(
-            index=doc["index"],
-            value=int(doc["value"], 16),
-            scheme=SchemeId(s["k"], s["n"], int(s["modulus"], 16), s["tag"]),
-        )
+        index, k, n = doc["index"], s["k"], s["n"]
+        value, modulus = _hex(doc["value"]), _hex(s["modulus"])
+        if not (value < modulus and 1 <= k <= n and 1 <= index <= n):
+            raise ValueError(f"a share needs value < modulus, 1 <= k <= n and "
+                             f"1 <= index <= n, got {doc!r}")
+        return cls(index=index, value=value, scheme=SchemeId(k, n, modulus, s["tag"]))
+
+
+def _hex(text: str) -> int:
+    """The non-negative int ``x`` whose ``f"{x:x}"`` is ``text``; a sign, a
+    prefix, whitespace, underscores, capitals or leading zeros raise
+    ValueError."""
+    value = int(text, 16)
+    if value < 0 or f"{value:x}" != text:
+        raise ValueError(f"expected lowercase hex digits, got {text!r}")
+    return value
 
 
 def shares_to_json(shares: Iterable[KeyShare]) -> str:

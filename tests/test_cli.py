@@ -749,11 +749,25 @@ def test_owner_file_absent_keys_keep_their_defaults(tmp_path, capsys):
     assert doc["trust"] == {"req-001": {"succ_count": 3, "quality": 0.0, "alignment": 0.0}}
 
 
-def test_tss_reconstruct_malformed_share_file_exit_one(tmp_path, capsys):
+def _edited_share_file(first: dict) -> str:
+    """A 3-of-5 share file of 424242 whose first share is updated by ``first``
+    (keys k and n go to its scheme)."""
     shares = json.loads(shares_to_json(split(424242, 3, 5, seed=3)))
-    shares[0]["value"] = int(shares[0]["value"], 16)
+    for key, value in first.items():
+        target = shares[0]["scheme"] if key in ("k", "n") else shares[0]
+        target[key] = value(target[key]) if callable(value) else value
+    return json.dumps(shares)
+
+
+def test_tss_reconstruct_malformed_share_file_exit_one(tmp_path, capsys):
     path = tmp_path / "shares.json"
-    for text in ("5", "[5]", '{"index": 1}', json.dumps(shares)):
+    edits = [
+        {"value": lambda v: int(v, 16)}, {"value": lambda v: "-" + v},
+        {"value": lambda v: "0x" + v}, {"value": lambda v: f" {v} "},
+        {"value": lambda v: v[:2] + "_" + v[2:]},
+        {"index": -1}, {"index": 0}, {"index": 9}, {"k": 0},
+    ]
+    for text in ("5", "[5]", '{"index": 1}', *map(_edited_share_file, edits)):
         path.write_text(text)
         code = main(["tss", "reconstruct", str(path)])
         captured = capsys.readouterr()

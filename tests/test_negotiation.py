@@ -256,7 +256,7 @@ def test_effective_sensitivity_hourly_pair():
 def decide(s_eff, h_remaining, eps_cap):
     """``_decide`` for a billing request with no counter-offer and no trust."""
     return engine_for(ENGINE)._decide(
-        s_eff=s_eff, counter_s=None, trust=0.0, h_remaining=h_remaining,
+        s_eff=s_eff, counter_s=None, trusted=False, h_remaining=h_remaining,
         eps_cap=eps_cap, purpose="billing", want_predicates=True,
     )
 
@@ -418,11 +418,14 @@ def test_validation_idempotent_with_filled_memo():
     req = validated([FeatureKind.LOAD_CURVE], ResolutionKind.MIN15)
     blank = validate_request(req.request, CATALOG)
     derive_counter_offer(req, ENGINE)
+    negotiate(req, BudgetLedger(h_max=1.0), 0.3, ENGINE)
     assert req.counter_offers and not blank.counter_offers
+    assert req.outcomes and not blank.outcomes
     assert req == blank == validate_request(req, CATALOG)
     assert repr(req) == repr(blank)
-    assert "counter_offers" not in repr(req)
+    assert "counter_offers" not in repr(req) and "outcomes" not in repr(req)
     assert dataclasses.replace(req).counter_offers == {}
+    assert dataclasses.replace(req).outcomes == {}
 
 
 def test_probe_unchanged_by_memo():
@@ -523,8 +526,9 @@ def eager_negotiate(req, ledger, trust, cfg):
     """Reference: derive the counter-offer first, then decide with it."""
     counter = derive_counter_offer(req, cfg)
     label, eps_star, violated, _ = NegotiationEngine(cfg)._decide(
-        req.effective_sensitivity, counter[1] if counter else None, trust,
-        ledger.h_remaining, req.request.proposed_epsilon, req.request.purpose.value,
+        req.effective_sensitivity, counter[1] if counter else None,
+        trust >= cfg.trusted_min_trust, ledger.h_remaining,
+        req.request.proposed_epsilon, req.request.purpose.value,
     )
     modified = counter[0].request if label is Decision.COUNTER_OFFER else None
     return label, eps_star, modified, violated
@@ -749,3 +753,115 @@ def test_engine_for_alternating_configs():
         assert negotiate(req, ledger, 0.9, upfront).decision is Decision.REJECT
         assert negotiate(req, ledger, 0.9, staged).decision is Decision.APPROVE
         assert negotiate(req, ledger, 0.9, upfront_copy).decision is Decision.REJECT
+
+
+# --- outcome memo on the validated request -------------------------------------
+
+# (features, resolution, proposed_epsilon): approvals as asked, clamped at an
+# int or a float cap, a staged counter-offer (LOAD_CURVE at MIN15 under a
+# budget of 1.0), a trusted-minimal approval (AGGREGATE at DAILY under 0.2)
+# and rejections
+MEMO_BUNDLES = [
+    ((FeatureKind.AGGREGATE,), ResolutionKind.HOUR1, None),
+    ((FeatureKind.AGGREGATE,), ResolutionKind.HOUR1, 2),
+    ((FeatureKind.AGGREGATE,), ResolutionKind.HOUR1, 2.0),
+    ((FeatureKind.LOAD_CURVE,), ResolutionKind.MIN15, None),
+    ((FeatureKind.AGGREGATE,), ResolutionKind.DAILY, None),
+    ((FeatureKind.LOCATION, FeatureKind.APPLIANCE_LEVEL), ResolutionKind.MIN5, 0.7),
+]
+# an off-grid step makes the interval's end, and so the cap's type, the grant
+MEMO_ENGINES = [
+    NegotiationEngine(EngineConfig(safety_mode=mode, grid_step=step))
+    for mode in ("upfront", "staged")
+    for step in (1e-3, 0.3)
+]
+# int, float and numpy budgets of one value share a key
+MEMO_BUDGETS = [0.2, 1, 1.0, np.float64(1.0), 1.59, 8.0]
+_TRUSTED = ENGINE.trusted_min_trust
+MEMO_TRUSTS = [0.0, 0.3, math.nextafter(_TRUSTED, 0.0), _TRUSTED, 0.95]
+
+
+@given(
+    # a few (bundle, budget) pairs, each negotiated again and again under
+    # any engine and trust
+    pairs=st.lists(
+        st.tuples(st.sampled_from(range(len(MEMO_BUNDLES))), st.sampled_from(MEMO_BUDGETS)),
+        min_size=1, max_size=3,
+    ),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from(range(len(MEMO_ENGINES))),
+            st.sampled_from(MEMO_TRUSTS),
+        ),
+        min_size=1, max_size=30,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_outcome_memo_matches_a_fresh_request_per_call(pairs, steps):
+    requests = [validated(f, r, proposed=p) for f, r, p in MEMO_BUNDLES]
+    for pair, engine, trust in steps:
+        bundle, h = pairs[pair % len(pairs)]
+        req, engine = requests[bundle], MEMO_ENGINES[engine]
+        ledger = BudgetLedger(h_max=h)
+        got = engine.negotiate(req, ledger, trust)
+        want = engine.negotiate(validate_request(req.request, CATALOG), ledger, trust)
+        assert got == want
+        assert type(got.epsilon_star) is type(want.epsilon_star)
+        assert len(req.outcomes) <= MEMO_LIMIT
+
+
+def test_outcome_memo_sequences_reach_every_path():
+    # the property above draws from inputs that reach every decision path,
+    # both trust classes and both grant types
+    seen = set()
+    for (f, r, p), engine, h, trust in itertools.product(
+        MEMO_BUNDLES, MEMO_ENGINES, MEMO_BUDGETS, MEMO_TRUSTS
+    ):
+        outcome = engine.negotiate(validated(f, r, proposed=p), BudgetLedger(h_max=h), trust)
+        seen.add((outcome.decision, type(outcome.epsilon_star)))
+    assert seen == {
+        (Decision.APPROVE, float), (Decision.APPROVE, int),
+        (Decision.COUNTER_OFFER, float), (Decision.REJECT, type(None)),
+    }
+    req = validated([FeatureKind.AGGREGATE], ResolutionKind.DAILY)
+    staged = NegotiationEngine(EngineConfig(safety_mode="staged"))
+    at, below = MEMO_TRUSTS[3], MEMO_TRUSTS[2]
+    assert staged.negotiate(req, BudgetLedger(h_max=0.2), at).decision is Decision.APPROVE
+    assert staged.negotiate(req, BudgetLedger(h_max=0.2), below).decision is Decision.REJECT
+
+
+def test_outcome_memo_stays_bounded():
+    engine = NegotiationEngine(ENGINE)
+    req = validated([FeatureKind.AGGREGATE], ResolutionKind.HOUR1)
+    largest = 0
+    for i in range(MEMO_LIMIT + 300):
+        engine.negotiate(req, BudgetLedger(h_max=1.0 + i * 1e-4), 0.5)
+        largest = max(largest, len(req.outcomes))
+        assert len(req.outcomes) <= MEMO_LIMIT
+    assert largest == MEMO_LIMIT
+    ledger = BudgetLedger(h_max=1.0)
+    fresh = engine.negotiate(validate_request(req.request, CATALOG), ledger, 0.5)
+    assert engine.negotiate(req, ledger, 0.5) == fresh
+
+
+def test_outcome_memo_keeps_engines_apart():
+    # one request and budget: the upfront engine rejects on safety, the
+    # staged one counter-offers
+    req = validated([FeatureKind.LOAD_CURVE], ResolutionKind.MIN15)
+    ledger = BudgetLedger(h_max=1.0)
+    upfront = NegotiationEngine(ENGINE)
+    staged = NegotiationEngine(EngineConfig(safety_mode="staged"))
+    assert upfront.negotiate(req, ledger, 0.3).decision is Decision.REJECT
+    assert staged.negotiate(req, ledger, 0.3).decision is Decision.COUNTER_OFFER
+    assert len(req.outcomes) == 2
+    assert {engine for engine, _, _ in req.outcomes} == {upfront, staged}
+    assert upfront.negotiate(req, ledger, 0.3).decision is Decision.REJECT
+
+
+def test_ledger_keeps_plain_floats():
+    ledger = BudgetLedger(h_max=np.float64(3.0))
+    ledger.settle("c1", np.float64(0.5))
+    assert type(ledger.h_max) is type(ledger.spent) is type(ledger.h_remaining) is float
+    assert ledger.h_remaining == 2.5
+    assert type(BudgetLedger(h_max=8).h_remaining) is float

@@ -137,12 +137,27 @@ def _share_doc(**changes):
     {"value": 5}, {"value": "xyz"}, {"value": None},
     {"k": "3"}, {"n": False}, {"modulus": 7}, {"modulus": ""}, {"tag": 5},
     {"scheme": [3, 5]}, {"scheme": None},
+    # hex that int(x, 16) would take but to_dict never writes
+    {"value": "-1f"}, {"value": "+1f"}, {"value": "0x1f"}, {"value": " 1f"}, {"value": "1f "},
+    {"value": "1_f"}, {"value": "1F"}, {"value": "01f"}, {"value": "-0"},
+    {"modulus": "0x" + f"{FIELD_PRIME:x}"}, {"modulus": f"{FIELD_PRIME:X}"},
+    # out of range
+    {"value": f"{FIELD_PRIME:x}"}, {"modulus": "0"}, {"modulus": "-" + f"{FIELD_PRIME:x}"},
+    {"index": -1}, {"index": 0}, {"index": 6}, {"k": 0}, {"k": -3}, {"k": 6}, {"n": 2},
 ], ids=repr)
 def test_malformed_share_raises_value_error(changes):
     with pytest.raises(ValueError):
         KeyShare.from_dict(_share_doc(**changes))
     with pytest.raises(ValueError):
         shares_from_json(json.dumps([_share_doc(**changes)]))
+
+
+@pytest.mark.parametrize("changes", [
+    {"value": "0"}, {"value": f"{FIELD_PRIME - 1:x}"}, {"index": 5}, {"k": 1}, {"k": 5},
+], ids=repr)
+def test_share_at_the_edge_of_each_range_parses(changes):
+    doc = _share_doc(**changes)
+    assert KeyShare.from_dict(doc).to_dict() == doc
 
 
 @pytest.mark.parametrize("text", ["5", "[5]", "null", '"shares"', '{"index": 1}', "[[]]", "{"])
