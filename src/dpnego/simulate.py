@@ -573,8 +573,11 @@ def bench_latency(
 ) -> dict[str, Any]:
     """Median and p99 wall-clock per negotiate and per explain call, plus a
     stored-volume check: a fixed-window execute_plan over 60-day and 600-day
-    series must take the same time (medians over interleaved blocks of the
-    mean time per call, one clock read on each side of a block)."""
+    series must take the same time. Each round times one block of calls on
+    each side back to back, alternating which side goes first, with one clock
+    read on each side of a block; the volume ratio is the median over rounds
+    of the large side's block time over the small side's, so drift slower
+    than a round cancels out."""
     exp = experiment(cfg, "bench", iterations=iterations, seed=seed)
     n, seed = exp["iterations"], exp["seed"]
     stream = cfg.experiments["sweep"]["stream"]
@@ -628,7 +631,7 @@ def bench_latency(
             for _ in range(block):
                 execute_plan(plan, series)
             block_means[side].append((time.perf_counter_ns() - t0) / block / 1e6)
-    median_small, median_large = (float(np.median(m)) for m in block_means)
+    small, large = (np.array(m) for m in block_means)
 
     result = {
         "iterations": n,
@@ -636,9 +639,9 @@ def bench_latency(
         "negotiate_p99_ms": float(np.percentile(neg_ms, 99)),
         "explain_median_ms": float(np.median(exp_ms)),
         "explain_p99_ms": float(np.percentile(exp_ms, 99)),
-        "volume_small_median_ms": median_small,
-        "volume_large_median_ms": median_large,
-        "volume_ratio": median_large / median_small if median_small > 0 else 1.0,
+        "volume_small_median_ms": float(np.median(small)),
+        "volume_large_median_ms": float(np.median(large)),
+        "volume_ratio": float(np.median(large / small)) if small.all() else 1.0,
     }
     _write_outputs(outdir, "bench", result)
     return result

@@ -395,11 +395,13 @@ def test_warm_catalog_matches_a_cold_one(cfg):
                         offer, cold_offer = (derive_counter_offer(v, engine) for v in (got, want))
                         assert offer == cold_offer
                         if offer is not None:
-                            assert offer[1].hex() == cold_offer[1].hex()
-                            assert offer[0].request == dataclasses.replace(
-                                req, features=offer[0].request.features,
-                                resolution=offer[0].request.resolution,
+                            assert offer[2].hex() == cold_offer[2].hex()
+                            reduced = dataclasses.replace(
+                                req, features=offer[0], resolution=offer[1]
                             )
+                            assert offer[2].hex() == validate_request(
+                                reduced, cold
+                            ).effective_sensitivity.hex()
     assert warm._reductions
 
 

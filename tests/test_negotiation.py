@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dpnego.negotiation as negotiation_module
 from dpnego.config import load_config
 from dpnego.explain import ReplayCase, robustness_probe
 from dpnego.contracts import (
@@ -256,7 +257,7 @@ def test_effective_sensitivity_hourly_pair():
 def decide(s_eff, h_remaining, eps_cap):
     """``_decide`` for a billing request with no counter-offer and no trust."""
     return engine_for(ENGINE)._decide(
-        s_eff=s_eff, counter_s=None, trusted=False, h_remaining=h_remaining,
+        s_eff=s_eff, counter=lambda: None, trusted=False, h_remaining=h_remaining,
         eps_cap=eps_cap, purpose="billing", want_predicates=True,
     )
 
@@ -299,10 +300,10 @@ def test_counter_load_curve_reaches_aggregate_daily():
     req = validated([FeatureKind.LOAD_CURVE], ResolutionKind.MIN5)
     result = derive_counter_offer(req, ENGINE)
     assert result is not None
-    modified, s_new = result
+    features, resolution, s_new = result
     assert s_new == pytest.approx(0.06)
-    assert modified.request.resolution == ResolutionKind.DAILY
-    assert feature_multiset(modified.request.features) == ("aggregate",)
+    assert resolution == ResolutionKind.DAILY
+    assert feature_multiset(features) == ("aggregate",)
 
 
 def test_counter_floor_returns_none():
@@ -315,7 +316,7 @@ def test_counter_two_features():
     req = validated([FeatureKind.LOCATION, FeatureKind.APPLIANCE_LEVEL], ResolutionKind.MIN5)
     result = derive_counter_offer(req, ENGINE)
     assert result is not None
-    modified, s_new = result
+    _, _, s_new = result
     assert s_new <= 0.25 * req.effective_sensitivity + 1e-12
     assert s_new == pytest.approx(0.27)
 
@@ -329,11 +330,14 @@ def test_counter_target_always_met(features, resolution):
     req = validated(features, resolution)
     result = derive_counter_offer(req, ENGINE)
     if result is not None:
-        _, s_new = result
+        features, resolution, s_new = result
         assert s_new <= ENGINE.counter_factor * req.effective_sensitivity + 1e-9
+        # the sensitivity is the one the reduced request validates to, to the bit
+        reduced = dataclasses.replace(req.request, features=features, resolution=resolution)
+        assert validate_request(reduced, CATALOG).effective_sensitivity.hex() == s_new.hex()
 
 
-# --- counter-offer memo on the validated request ------------------------------
+# --- counter-offer memo on the catalog -----------------------------------------
 
 def test_counter_memo_repeats_and_matches_fresh_validation():
     req = validated([FeatureKind.LOCATION, FeatureKind.LOAD_CURVE], ResolutionKind.MIN5)
@@ -346,7 +350,8 @@ def test_counter_memo_repeats_and_matches_fresh_validation():
 def test_counter_memo_floor_none_is_remembered():
     req = validated([FeatureKind.AGGREGATE], ResolutionKind.DAILY)
     assert derive_counter_offer(req, ENGINE) is None
-    assert req.counter_offers == {ENGINE.counter_factor: None}
+    key = (req.request.features, req.request.resolution, ENGINE.counter_factor)
+    assert key in CATALOG._reductions and CATALOG._reductions[key] is None
     assert derive_counter_offer(req, ENGINE) is None
 
 
@@ -373,11 +378,10 @@ def test_counter_memo_does_not_leak_between_requests():
             ),
             CATALOG,
         )
-        modified, _ = derive_counter_offer(req, cfg)
-        got = modified.request
+        outcomes.append(negotiate(req, ledger, 0.3, cfg))
+        got = outcomes[-1].modified_request
         assert (got.requester_id, got.owner_id, got.proposed_epsilon) == (requester, owner, proposed)
         assert (got.window_hours, got.max_noise, got.mode) == (window, window / 10, mode)
-        outcomes.append(negotiate(req, ledger, 0.3, cfg))
     assert [o.decision for o in outcomes] == [Decision.COUNTER_OFFER] * 2
     assert [o.modified_request.requester_id for o in outcomes] == ["alice", "bob"]
     assert [o.modified_request.owner_id for o in outcomes] == ["o1", "o2"]
@@ -389,7 +393,8 @@ def test_counter_memo_keyed_by_counter_factor():
     loose = EngineConfig(counter_factor=0.9)
     tight = derive_counter_offer(req, ENGINE)
     relaxed = derive_counter_offer(req, loose)
-    assert set(req.counter_offers) == {ENGINE.counter_factor, 0.9}
+    shape = (req.request.features, req.request.resolution)
+    assert {(*shape, ENGINE.counter_factor), (*shape, 0.9)} <= set(CATALOG._reductions)
     assert relaxed != tight
     assert relaxed == derive_counter_offer(validate_request(req.request, CATALOG), loose)
     assert derive_counter_offer(req, ENGINE) is tight
@@ -408,23 +413,20 @@ def test_catalog_memos_stay_bounded():
             ContractRequest("r", "o", features, 24, ResolutionKind.MIN5, PurposeKind.BILLING),
             catalog,
         )
-        derive_counter_offer(req, ENGINE)
+        last = derive_counter_offer(req, ENGINE)
         assert len(catalog._reductions) <= MEMO_LIMIT
     fresh = validate_request(req.request, CATALOG)
-    assert derive_counter_offer(fresh, ENGINE) == req.counter_offers[ENGINE.counter_factor]
+    assert derive_counter_offer(fresh, ENGINE) == last
 
 
 def test_validation_idempotent_with_filled_memo():
     req = validated([FeatureKind.LOAD_CURVE], ResolutionKind.MIN15)
     blank = validate_request(req.request, CATALOG)
-    derive_counter_offer(req, ENGINE)
     negotiate(req, BudgetLedger(h_max=1.0), 0.3, ENGINE)
-    assert req.counter_offers and not blank.counter_offers
     assert req.outcomes and not blank.outcomes
     assert req == blank == validate_request(req, CATALOG)
     assert repr(req) == repr(blank)
-    assert "counter_offers" not in repr(req) and "outcomes" not in repr(req)
-    assert dataclasses.replace(req).counter_offers == {}
+    assert "outcomes" not in repr(req)
     assert dataclasses.replace(req).outcomes == {}
 
 
@@ -522,45 +524,149 @@ def test_negotiate_caps_grant_at_proposal():
     assert outcome.epsilon_star == pytest.approx(0.12)
 
 
-def eager_negotiate(req, ledger, trust, cfg):
-    """Reference: derive the counter-offer first, then decide with it."""
-    counter = derive_counter_offer(req, cfg)
-    label, eps_star, violated, _ = NegotiationEngine(cfg)._decide(
-        req.effective_sensitivity, counter[1] if counter else None,
+def reference_decision(cfg, s_eff, counter_s, trusted, h, cap, purpose):
+    """The decision rule written out once more, over scalars, as a reference:
+    the counter-offer's sensitivity is known before deciding, then the
+    upfront safety check, approval as asked, the counter-offer and the
+    trusted-minimal approval run in that order. Only ``optimize`` is shared
+    with the engine. Returns (decision, eps_star, violated, predicates)."""
+    tol = 1e-9
+    optimize = NegotiationEngine(cfg).optimize
+    upper = h if cap is None else min(h, cap)
+    eps_min = cfg.eps_min(s_eff, purpose)
+    safety_ok = h >= cfg.safety_factor * s_eff
+    eps1 = optimize(s_eff, upper)
+    predicates = (
+        eps1 is not None and eps1 >= eps_min - tol,
+        eps1 is not None and eps1 <= h + tol,
+        safety_ok,
+        counter_s is not None and counter_s <= cfg.counter_factor * s_eff + tol,
+    )
+    if cfg.safety_mode == "upfront" and not safety_ok:
+        return Decision.REJECT, None, SAFETY_CONDITION, predicates
+    if not safety_ok:
+        violated = SAFETY_CONDITION
+    elif eps1 is None:
+        violated = BUDGET_EXCEEDED
+    elif eps1 < eps_min - tol:
+        violated = BELOW_MINIMUM
+    else:
+        return Decision.APPROVE, eps1, None, predicates
+    if counter_s is not None and (
+        cfg.safety_mode == "upfront" or h >= cfg.safety_factor * counter_s
+    ):
+        eps2 = optimize(counter_s, upper)
+        if eps2 is None:
+            violated = BUDGET_EXCEEDED
+        elif eps2 < cfg.eps_min(counter_s, purpose) - tol:
+            violated = BELOW_MINIMUM
+        else:
+            return Decision.COUNTER_OFFER, eps2, None, predicates
+    if (
+        trusted
+        and s_eff <= cfg.trusted_max_sensitivity
+        and eps_min <= h + tol
+        and (cap is None or cap >= eps_min - tol)
+    ):
+        return Decision.APPROVE, eps_min, None, predicates
+    return Decision.REJECT, None, violated, predicates
+
+
+def reference_negotiate(req, ledger, trust, cfg):
+    """(decision, eps_star, modified request, violated) and the predicates
+    of ``reference_decision`` for one request."""
+    shape = derive_counter_offer(req, cfg)
+    label, eps_star, violated, predicates = reference_decision(
+        cfg, req.effective_sensitivity, None if shape is None else shape[2],
         trust >= cfg.trusted_min_trust, ledger.h_remaining,
         req.request.proposed_epsilon, req.request.purpose.value,
     )
-    modified = counter[0].request if label is Decision.COUNTER_OFFER else None
-    return label, eps_star, modified, violated
+    modified = None
+    if label is Decision.COUNTER_OFFER:
+        modified = dataclasses.replace(req.request, features=shape[0], resolution=shape[1])
+    return (label, eps_star, modified, violated), predicates
+
+
+def counting_derivations(mp):
+    """Count ``derive_counter_offer`` calls made through the engine."""
+    calls = []
+    real = negotiation_module.derive_counter_offer
+
+    def counted(req, cfg):
+        calls.append(req)
+        return real(req, cfg)
+
+    mp.setattr(negotiation_module, "derive_counter_offer", counted)
+    return calls
+
+
+# both safety modes, an on- and an off-grid step, two counter factors
+ORACLE_ENGINES = [
+    EngineConfig(safety_mode=mode, grid_step=step, counter_factor=factor)
+    for mode in ("upfront", "staged")
+    for step in (1e-3, 0.3)
+    for factor in (0.25, 0.6)
+]
+_AT = EngineConfig().trusted_min_trust
 
 
 @given(
     features=st.lists(st.sampled_from(list(FeatureKind)), min_size=1, max_size=4),
     resolution=st.sampled_from(list(ResolutionKind)),
     purpose=st.sampled_from(sorted(CATALOG.purpose_scores, key=lambda p: p.value)),
-    trust=st.floats(min_value=0, max_value=1),
-    h=st.floats(min_value=0.01, max_value=10),
-    cap=st.none() | st.floats(min_value=0.01, max_value=5),
-    mode=st.sampled_from(["upfront", "staged"]),
+    trust=st.floats(min_value=0, max_value=1) | st.sampled_from([_AT, math.nextafter(_AT, 0.0)]),
+    h=st.floats(min_value=0.01, max_value=10) | st.integers(min_value=1, max_value=10),
+    spent=st.none() | st.floats(min_value=0.001, max_value=0.999),
+    cap=st.none() | st.floats(min_value=0.01, max_value=5) | st.integers(min_value=1, max_value=5),
+    which=st.sampled_from(range(len(ORACLE_ENGINES))),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_lazy_counter_offer_decides_as_the_eager_reference(
-    features, resolution, purpose, trust, h, cap, mode
+    features, resolution, purpose, trust, h, spent, cap, which
 ):
-    cfg = dataclasses.replace(ENGINE, safety_mode=mode)
+    """``negotiate``, fresh and from its memo, and ``_decide`` with
+    predicates decide as the reference does; the derivation runs once for a
+    request not approved as asked and never for one approved as asked, and a
+    counter-offer's request validates to the sensitivity it was derived at."""
+    cfg = ORACLE_ENGINES[which]
     req = validated(features, resolution, purpose, proposed=cap)
     ledger = BudgetLedger(h_max=h)
-    got = NegotiationEngine(cfg).negotiate(req, ledger, trust)
-    want = eager_negotiate(validate_request(req.request, CATALOG), ledger, trust, cfg)
-    # repr also compares the grant's type
-    assert repr((got.decision, got.epsilon_star, got.modified_request, got.violated)) == repr(want)
-    approved_as_asked = want[0] is Decision.APPROVE and want[1] != cfg.eps_min(
-        req.effective_sensitivity, purpose.value)
-    if approved_as_asked:
-        assert req.counter_offers == {}
+    if spent is not None:
+        ledger.settle("c0", spent * h)
+    want, want_predicates = reference_negotiate(
+        validate_request(req.request, CATALOG), ledger, trust, cfg)
+    as_asked = want_predicates[0] and want_predicates[2]
+    engine = NegotiationEngine(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_derivations(mp)
+        fresh = engine.negotiate(req, ledger, trust)
+        assert len(calls) == (0 if as_asked else 1)
+        memoized = engine.negotiate(req, ledger, trust)
+        assert len(calls) == (0 if as_asked else 1)
+    for got in (fresh, memoized):
+        # repr also compares the grant's type
+        assert repr((got.decision, got.epsilon_star, got.modified_request, got.violated)) == repr(
+            want)
+    shape = derive_counter_offer(req, cfg)
+    if fresh.decision is Decision.COUNTER_OFFER:
+        assert validate_request(fresh.modified_request, CATALOG).effective_sensitivity == shape[2]
+
+    asked = []
+
+    def counter():
+        asked.append(1)
+        return None if shape is None else shape[2]
+
+    label, eps_star, violated, predicates = engine._decide(
+        req.effective_sensitivity, counter, trust >= cfg.trusted_min_trust,
+        ledger.h_remaining, cap, purpose.value, want_predicates=True,
+    )
+    assert len(asked) == 1
+    assert repr((label, eps_star, violated, predicates)) == repr(
+        (want[0], want[1], want[3], want_predicates))
 
 
-def test_only_a_request_not_approved_as_asked_derives_a_counter_offer():
+def test_only_a_request_not_approved_as_asked_derives_a_counter_offer(monkeypatch):
     staged = EngineConfig(safety_mode="staged")
     cases = [
         # (features, resolution, h_max, trust, cfg, decision)
@@ -570,15 +676,17 @@ def test_only_a_request_not_approved_as_asked_derives_a_counter_offer():
          Decision.COUNTER_OFFER),
         ([FeatureKind.AGGREGATE], ResolutionKind.DAILY, 0.2, 0.9, staged, Decision.APPROVE),
     ]
+    calls = counting_derivations(monkeypatch)
     for features, resolution, h_max, trust, cfg, decision in cases:
         req = validated(features, resolution)
+        calls.clear()
         outcome = negotiate(req, BudgetLedger(h_max=h_max), trust, cfg)
         assert outcome.decision is decision
         as_asked = decision is Decision.APPROVE and outcome.epsilon_star != cfg.eps_min_default
         if as_asked:
-            assert req.counter_offers == {}
+            assert calls == []
         else:  # rejections, counter-offers and the trusted-minimal approval
-            assert set(req.counter_offers) == {cfg.counter_factor}
+            assert calls == [req]
 
 
 @given(
