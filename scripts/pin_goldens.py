@@ -7,6 +7,7 @@ commit tests/golden/. The acceptance suite fails if a rerun drifts by a bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -34,6 +35,7 @@ def main() -> None:
     dump(golden / "adversary.json", simulate.run_adversary(cfg))
     datasets = simulate.load_datasets(cfg, ROOT / "data")
     dump(golden / "cross_dataset.json", simulate.run_cross_dataset(cfg, datasets))
+    dump(golden / "probe.json", dataclasses.asdict(simulate.run_probe(cfg)))
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ if c_make_encoder is None:
 
 
 class FeatureKind(Enum):
+    __hash__ = object.__hash__  # members are singletons; Enum hashes the name in Python
     LOCATION = "location"
     APPLIANCE_LEVEL = "appliance_level"
     LOAD_CURVE = "load_curve"
@@ -44,6 +45,7 @@ class FeatureKind(Enum):
 
 
 class ResolutionKind(Enum):
+    __hash__ = object.__hash__  # as FeatureKind
     MIN5 = "min5"
     MIN15 = "min15"
     MIN30 = "min30"
@@ -62,6 +64,7 @@ RESOLUTION_ORDER = (
 
 
 class PurposeKind(Enum):
+    __hash__ = object.__hash__  # as FeatureKind
     BILLING = "billing"
     FORECASTING = "forecasting"
     GRID_MONITORING = "grid_monitoring"

@@ -294,6 +294,9 @@ def robustness_probe(
     flips = 0
     flips_at_threshold = 0
     eps_drift: list[float] = []
+    trials = max(1, trials)
+    # every trial's sensitivity and trust offsets, drawn in one call in loop order
+    offsets = iter(rng.uniform(-perturbation, perturbation, 2 * len(cases) * trials).tolist())
 
     for case in cases:
         s_eff = case.request.effective_sensitivity
@@ -306,9 +309,9 @@ def robustness_probe(
             case.h_remaining, cap, purpose,
             want_predicates=True,
         )
-        for _ in range(max(1, trials)):
-            u = 1.0 + rng.uniform(-perturbation, perturbation)
-            v = 1.0 + rng.uniform(-perturbation, perturbation)
+        for _ in range(trials):
+            u = 1.0 + next(offsets)
+            v = 1.0 + next(offsets)
             label, eps, _, preds = engine._decide(
                 s_eff * u,
                 lambda: counter_s * u if counter_s is not None else None,

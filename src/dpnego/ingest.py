@@ -205,20 +205,21 @@ def gen_ecosystem(
     prosumers: list[Prosumer] = []
     hour_of_day = np.arange(hours) % 24
     diurnal_shape = 0.5 + 0.5 * np.sin(2 * np.pi * (hour_of_day - 7) / 24) ** 2
+    heating_deficit = np.maximum(0.0, cfg.heating_setpoint_c - temps)
     for i in range(cfg.n_prosumers):
+        # four scalar calls: one uniform(lows, highs) call draws the same
+        # values but costs more, in numpy's broadcasting of array bounds
         base = rng.uniform(*cfg.base_kw)
         amp = rng.uniform(*cfg.diurnal_amp_kw)
         heat = rng.uniform(*cfg.heating_coeff_kw_per_degc)
         rate = rng.uniform(*cfg.appliance_events_per_day)
         load = base + amp * diurnal_shape
-        load = load + heat * np.maximum(0.0, cfg.heating_setpoint_c - temps)
+        load = load + heat * heating_deficit
         n_events = rng.poisson(rate * cfg.days)
         if n_events > 0:
             starts = rng.integers(0, hours, size=n_events)
             sizes = rng.uniform(*cfg.appliance_kw, size=n_events)
-            spikes = np.zeros(hours)
-            np.add.at(spikes, starts, sizes)
-            load = load + spikes
+            load = load + np.bincount(starts, weights=sizes, minlength=hours)  # adds in draw order
         load = np.maximum(load, 0.0)
         series = LoadSeries(
             source_id=f"prosumer-{i:03d}",

@@ -102,7 +102,8 @@ def fold_trust(ledger: TrustLedger, events: Iterable[tuple[str, float | None]],
                 alignment += w * (value - alignment)
         else:
             raise ValueError(f"unknown trust event: {event!r}")
-        _check_bounds(succ, quality, alignment)
+        if succ < 0 or not 0.0 <= quality <= 1.0 or not 0.0 <= alignment <= 1.0:
+            _check_bounds(succ, quality, alignment)  # the same tests, to raise
         n += 1
     return TrustLedger(succ, quality, alignment, n)
 

@@ -277,16 +277,18 @@ def run_full_sim(
     names = [f"req-{r:03d}" for r in range(n_req)]
     rng = np.random.default_rng(seed)
 
-    # heterogeneous starting reputations, one folded run per pair; the list
-    # draws integers, then quality, then alignment, as per-event records did
+    # heterogeneous starting reputations, one folded run per pair. The count
+    # stays a scalar draw: it takes a 32-bit half of a word between report
+    # draws, so drawing all counts first would move the bits each report gets
     for prosumer in prosumers:
         for name in names:
             completions = int(rng.integers(0, 12))
             if completions:
+                quality, alignment = rng.uniform(0.5, 1.0, 2).tolist()
                 prosumer.trust.extend(name, [
                     *[("completed", None)] * completions,
-                    ("quality_report", float(rng.uniform(0.5, 1.0))),
-                    ("alignment_report", float(rng.uniform(0.5, 1.0))),
+                    ("quality_report", quality),
+                    ("alignment_report", alignment),
                 ])
 
     metrics = ScenarioMetrics(interactions=n)
@@ -301,9 +303,10 @@ def run_full_sim(
         metrics.tally(outcome)
         if outcome.decision is Decision.APPROVE:
             prosumer.ledger.settle(f"c{i}", outcome.epsilon_star)
+            quality, alignment = rng.uniform(0.7, 1.0, 2).tolist()
             prosumer.trust.record(requester, "completed")
-            prosumer.trust.record(requester, "quality_report", float(rng.uniform(0.7, 1.0)))
-            prosumer.trust.record(requester, "alignment_report", float(rng.uniform(0.7, 1.0)))
+            prosumer.trust.record(requester, "quality_report", quality)
+            prosumer.trust.record(requester, "alignment_report", alignment)
         elif outcome.decision is Decision.COUNTER_OFFER and rng.random() < accept_prob:
             metrics.counters_accepted += 1
             prosumer.ledger.settle(f"c{i}", outcome.epsilon_star)

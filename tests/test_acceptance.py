@@ -1,10 +1,11 @@
 """Acceptance suite: every shipped criterion at its stated tolerance.
 
 Each criterion prints one PASS/FAIL line (run with -s or -rA to see them all).
-Criteria 1-5 are additionally pinned against golden summaries generated by
+Criteria 1-6 are additionally pinned against golden summaries generated by
 scripts/pin_goldens.py at the default seeds.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -59,6 +60,11 @@ def baseline_result():
 @pytest.fixture(scope="module")
 def adversary_result():
     return simulate.run_adversary(CFG)
+
+
+@pytest.fixture(scope="module")
+def probe_result():
+    return simulate.run_probe(CFG)
 
 
 def test_criterion_1_budget_sweep(sweep_result):
@@ -141,8 +147,8 @@ def test_criterion_5_trust_inflation_adversary(adversary_result):
     )
 
 
-def test_criterion_6_explanation_robustness():
-    probe = simulate.run_probe(CFG)
+def test_criterion_6_explanation_robustness(probe_result):
+    probe = probe_result
     ok = probe.replays >= 2000
     ok &= probe.stability >= 0.95
     ok &= probe.flips == probe.flips_at_threshold
@@ -292,7 +298,8 @@ def test_criterion_10_latency():
 
 
 def test_criterion_11_determinism_and_audit(
-    sweep_result, full_sim_result, baseline_result, adversary_result, cross_dataset_result, tmp_path
+    sweep_result, full_sim_result, baseline_result, adversary_result, cross_dataset_result,
+    probe_result, tmp_path,
 ):
     # reruns at the default seeds must be bit-identical
     sweep_again = simulate.run_sweep(CFG)
@@ -320,13 +327,14 @@ def test_criterion_11_determinism_and_audit(
     path.write_bytes(bytes(raw))
     audit_ok = verify_file(path) is not None
 
-    # golden summaries for criteria 1-5, pinned from the first verified run
+    # golden summaries for criteria 1-6, pinned from the first verified run
     goldens = {
         "sweep.json": {k: v for k, v in sweep_result.items() if k != "_runtime_s"},
         "full_sim.json": full_sim_result[0].to_dict(),
         "baseline.json": baseline_result.to_dict(),
         "adversary.json": adversary_result,
         "cross_dataset.json": cross_dataset_result,
+        "probe.json": dataclasses.asdict(probe_result),
     }
     golden_ok = True
     missing = []

@@ -496,3 +496,38 @@ def test_catalog_missing_an_attenuation_raises():
     attenuations = {k: v for k, v in CATALOG.attenuations.items() if k is not ResolutionKind.DAILY}
     with pytest.raises(ValueError, match=r"catalog\.attenuations\.daily is missing"):
         dataclasses.replace(CATALOG, attenuations=attenuations)
+
+
+def test_catalog_kinds_hash_by_identity(cfg):
+    """FeatureKind, ResolutionKind and PurposeKind hash as plain objects (the
+    Enum hash runs Python code on every lookup). Members are singletons that
+    compare by identity, so every table and memo keyed by them still
+    resolves a member however it was obtained."""
+    from dpnego.ingest import RESOLUTION_SECONDS
+
+    raw = cfg.raw["catalog"]
+    catalog = load_config().catalog
+    for kind, table, doc in (
+        (FeatureKind, catalog.alphas, raw["alphas"]),
+        (ResolutionKind, catalog.attenuations, raw["attenuations"]),
+        (PurposeKind, catalog.purpose_scores, raw["purpose_scores"]),
+    ):
+        assert set(table) == set(kind)
+        for member in kind:
+            assert hash(member) == object.__hash__(member)
+            parsed = kind(member.value)
+            assert parsed is member and hash(parsed) == hash(member)
+            assert member != member.value and member.value not in table
+            assert table[parsed] == doc[member.value]
+    for resolution in ResolutionKind:
+        assert RESOLUTION_SECONDS[ResolutionKind(resolution.value)] > 0
+    engine = EngineConfig()
+    for feature in FeatureKind:
+        for resolution in ResolutionKind:
+            req = validate_request(make_request(
+                features=(feature, FeatureKind.LOAD_CURVE), resolution=resolution), catalog)
+            shape = derive_counter_offer(req, engine)
+            key = ((FeatureKind(feature.value), FeatureKind("load_curve")),
+                   ResolutionKind(resolution.value), engine.counter_factor)
+            assert key in catalog._reductions and catalog._reductions[key] == shape
+    assert len(catalog._reductions) == len(FeatureKind) * len(ResolutionKind)

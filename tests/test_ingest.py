@@ -195,3 +195,49 @@ def test_oslo_colder_than_rome():
     oslo = gen_city_series(CFG.cities["oslo"], seed=3)
     rome = gen_city_series(CFG.cities["rome"], seed=3)
     assert oslo.values.mean() > rome.values.mean()
+
+
+def reference_ecosystem_values(seed, cfg):
+    """Each prosumer's load, drawn one scalar at a time into a fresh spike
+    array, as gen_ecosystem did before it drew its parameters in one call."""
+    rng = np.random.default_rng(seed)
+    hours = cfg.days * 24
+    t = np.arange(hours)
+    daily = cfg.temp_daily_amp_c * np.sin(2 * np.pi * (t % 24) / 24 - np.pi / 2)
+    temps = cfg.temp_mean_c + daily + rng.normal(0.0, cfg.temp_noise_sd_c, size=hours)
+    diurnal_shape = 0.5 + 0.5 * np.sin(2 * np.pi * (t % 24 - 7) / 24) ** 2
+    loads = []
+    for _ in range(cfg.n_prosumers):
+        base = rng.uniform(*cfg.base_kw)
+        amp = rng.uniform(*cfg.diurnal_amp_kw)
+        heat = rng.uniform(*cfg.heating_coeff_kw_per_degc)
+        rate = rng.uniform(*cfg.appliance_events_per_day)
+        load = base + amp * diurnal_shape
+        load = load + heat * np.maximum(0.0, cfg.heating_setpoint_c - temps)
+        n_events = rng.poisson(rate * cfg.days)
+        if n_events > 0:
+            starts = rng.integers(0, hours, size=n_events)
+            sizes = rng.uniform(*cfg.appliance_kw, size=n_events)
+            spikes = np.zeros(hours)
+            np.add.at(spikes, starts, sizes)
+            load = load + spikes
+        loads.append(np.maximum(load, 0.0))
+    return loads
+
+
+@pytest.mark.parametrize("seed, days, n_prosumers", [
+    (0, 60, 100), (7, 60, 100), (3, 2, 9), (11, 1, 1), (5, 365, 4),
+])
+def test_ecosystem_matches_the_scalar_draw_loop(seed, days, n_prosumers):
+    # the shipped ranges, then wider event rates so that several spikes land
+    # in one hour and their sum order shows
+    for cfg in (
+        dataclasses.replace(CFG.ecosystem, days=days, n_prosumers=n_prosumers),
+        dataclasses.replace(CFG.ecosystem, days=days, n_prosumers=n_prosumers,
+                            appliance_events_per_day=(20.0, 60.0)),
+    ):
+        eco = gen_ecosystem(seed, CFG.catalog, cfg)
+        want = reference_ecosystem_values(seed, cfg)
+        assert len(eco.prosumers) == len(want)
+        for prosumer, values in zip(eco.prosumers, want):
+            assert prosumer.series.values.tobytes() == values.tobytes()

@@ -232,3 +232,58 @@ def test_full_sim_trust_matches_one_record_per_event(seed, monkeypatch):
     reference = ecosystem()
     simulate.run_full_sim(CFG, ecosystem=reference, seed=seed)
     assert trust_bits(folded) == trust_bits(reference)
+
+
+def bits(values):
+    assert all(type(x) is float for x in values)
+    return [x.hex() for x in values]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20240606, 2**64 - 1])
+def test_one_uniform_call_draws_as_scalar_calls(seed):
+    """run_full_sim and robustness_probe draw runs of uniform values in one
+    call. That call takes one word per value, in order, and computes each
+    value as a scalar call does. So does a call with array bounds, which
+    gen_ecosystem does not use: it costs more than four scalar calls."""
+    def pair():
+        return np.random.default_rng(seed), np.random.default_rng(seed)
+
+    for lo, hi, k in ((0.5, 1.0, 2), (0.7, 1.0, 2), (-0.05, 0.05, 4000), (0.0, 0.0, 3)):
+        scalar, batched = pair()
+        want = [scalar.uniform(lo, hi) for _ in range(k)]
+        assert bits(batched.uniform(lo, hi, k).tolist()) == bits(want)
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    eco = CFG.ecosystem
+    ranges = (eco.base_kw, eco.diurnal_amp_kw, eco.heating_coeff_kw_per_degc,
+              eco.appliance_events_per_day)
+    scalar, batched = pair()
+    want = [scalar.uniform(*r) for _ in range(5) for r in ranges]
+    lows, highs = zip(*ranges)
+    got = [x for _ in range(5) for x in batched.uniform(lows, highs).tolist()]
+    assert bits(got) == bits(want)
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240606])
+def test_completion_counts_must_stay_interleaved(seed):
+    """A scalar integers draw takes a 32-bit half of a word and keeps the
+    other half for the next one. Interleaved with paired report draws (the
+    seeding of run_full_sim) the grouped reports match the scalar ones; with
+    every count drawn first, the reports get other words."""
+    def seeding(rng, grouped):
+        counts, reports = [], []
+        for _ in range(40):
+            counts.append(int(rng.integers(0, 12)))
+            if counts[-1]:
+                reports += (rng.uniform(0.5, 1.0, 2).tolist() if grouped
+                            else [rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)])
+        return counts, bits(reports), rng.bit_generator.state
+
+    assert seeding(np.random.default_rng(seed), True) == seeding(
+        np.random.default_rng(seed), False)
+    counts, reports, _ = seeding(np.random.default_rng(seed), False)
+    rng = np.random.default_rng(seed)
+    ahead = [int(rng.integers(0, 12)) for _ in counts]
+    moved = bits(rng.uniform(0.5, 1.0, len(reports)).tolist())
+    assert ahead != counts and moved != reports
