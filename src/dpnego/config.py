@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -44,6 +45,16 @@ class EcosystemConfig:
     temp_mean_c: float = 2.0
     temp_daily_amp_c: float = 6.0
     temp_noise_sd_c: float = 2.5
+
+    def __post_init__(self) -> None:
+        if self.n_prosumers < 1:
+            raise ValueError(f"ecosystem.n_prosumers must be >= 1, got {self.n_prosumers}")
+        if self.days < 1:
+            raise ValueError(f"ecosystem.days must be >= 1, got {self.days}")
+        if not 0.0 < self.initial_budget < math.inf:
+            raise ValueError(
+                f"ecosystem.initial_budget must be positive and finite, got {self.initial_budget}"
+            )
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,8 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
-from pathlib import Path
 from typing import Iterable, Sequence
-
-from .contracts import canonical_json
 
 
 class OutOfRange(ValueError):
@@ -33,6 +27,8 @@ class TrustConfig:
     ewma_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if len(self.beta) != 3:
+            raise ValueError(f"beta must have 3 entries, got {len(self.beta)}")
         if any(b < 0 for b in self.beta):
             raise ValueError("beta components must be non-negative")
         if abs(sum(self.beta) - 1.0) > 1e-9:
@@ -51,7 +47,6 @@ class TrustLedger:
     succ_count: int = 0
     quality: float = 0.0
     alignment: float = 0.0
-    events: int = 0
 
     def __post_init__(self) -> None:
         _check_bounds(self.succ_count, self.quality, self.alignment)
@@ -88,7 +83,6 @@ def fold_trust(ledger: TrustLedger, events: Iterable[tuple[str, float | None]],
     event, and one ``TrustLedger`` is built at the end.
     """
     succ, quality, alignment = ledger.succ_count, ledger.quality, ledger.alignment
-    n = ledger.events
     w = cfg.ewma_weight
     for event, value in events:
         if event == "completed":
@@ -104,21 +98,16 @@ def fold_trust(ledger: TrustLedger, events: Iterable[tuple[str, float | None]],
             raise ValueError(f"unknown trust event: {event!r}")
         if succ < 0 or not 0.0 <= quality <= 1.0 or not 0.0 <= alignment <= 1.0:
             _check_bounds(succ, quality, alignment)  # the same tests, to raise
-        n += 1
-    return TrustLedger(succ, quality, alignment, n)
+    return TrustLedger(succ, quality, alignment)
 
 
 @dataclass
 class TrustStore:
-    """All trust ledgers held by one owner, with append-only event persistence.
-
-    The event log is a JSON-lines file; replaying it reconstructs every ledger
-    bit-exactly because updates are deterministic in the event sequence.
-    """
+    """All trust ledgers held by one owner: one ``TrustLedger`` per requester,
+    changed only by folding events into it."""
 
     cfg: TrustConfig = field(default_factory=TrustConfig)
     ledgers: dict[str, TrustLedger] = field(default_factory=dict)
-    log: list[dict] = field(default_factory=list)
 
     def ledger(self, requester_id: str) -> TrustLedger:
         return self.ledgers.get(requester_id, _BLANK)
@@ -127,35 +116,14 @@ class TrustStore:
         return trust_score(self.ledger(requester_id), self.cfg)
 
     def record(self, requester_id: str, event: str, value: float | None = None) -> TrustLedger:
-        # extend's one-event case, written out: decisions call it per grant
-        updated = fold_trust(self.ledger(requester_id), ((event, value),), self.cfg)
-        self.ledgers[requester_id] = updated
-        self.log.append({"requester": requester_id, "event": event, "value": value})
-        return updated
+        return self.extend(requester_id, ((event, value),))
 
     def extend(self, requester_id: str, events: Sequence[tuple[str, float | None]]) -> TrustLedger:
-        """Fold a run of ``(event, value)`` pairs into one requester's ledger
-        and log each event. All or nothing: if any event is bad, it raises as
-        ``record`` would and the store is left unchanged."""
+        """Fold a run of ``(event, value)`` pairs into one requester's ledger.
+        All or nothing: if any event is bad, it raises and the store is left
+        unchanged."""
         if not events:
             return self.ledger(requester_id)
         updated = fold_trust(self.ledger(requester_id), events, self.cfg)
         self.ledgers[requester_id] = updated
-        self.log += [{"requester": requester_id, "event": e, "value": v} for e, v in events]
         return updated
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.log:
-                fh.write(canonical_json(entry) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path, cfg: TrustConfig = TrustConfig()) -> "TrustStore":
-        """Replay an event log; each run of one requester's consecutive events
-        goes through one ``extend``."""
-        store = cls(cfg=cfg)
-        with open(path, encoding="utf-8") as fh:
-            entries = [json.loads(line) for line in fh if line.strip()]
-        for requester, run in groupby(entries, key=itemgetter("requester")):
-            store.extend(requester, [(entry["event"], entry["value"]) for entry in run])
-        return store

@@ -608,6 +608,8 @@ def bench_latency(
         if candidate.decision is Decision.APPROVE:
             approval, approval_req = candidate, v
             break
+    if approval is None:
+        raise BadConfig(f"no sweep-stream bundle is approved at a budget of {ledger.h_max}")
     exp_ms = np.empty(n)
     factors = factors_for(approval_req, ledger, 0.5, approval)
     for i in range(n):

@@ -351,6 +351,8 @@ def test_negotiate_unknown_engine_key_is_a_bad_config(tmp_path, capsys, key):
     ("engine", "lambdas", [1, 1, 1, 1, 1, 1]),
     ("explain", "pu_lambdas", [1, 1, 1]),
     ("explain", "pu_lambdas", [1, 1, 1, 1, 1]),
+    ("trust", "beta", [0.5, 0.5]),
+    ("trust", "beta", [0.25, 0.25, 0.25, 0.25]),
 ])
 def test_negotiate_wrong_lambda_count_is_a_bad_config(tmp_path, capsys, section, key, values):
     assert_negotiate_bad_config(tmp_path, capsys, {section: {key: values}}, key)
@@ -429,6 +431,35 @@ def test_experiment_flag_out_of_range_is_an_error(tmp_path, capsys, argv, flag):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith(f"error: {flag} must")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "n_prosumers", 0),
+    ("simulate", "initial_budget", 0.0),
+    ("simulate", "initial_budget", math.inf),
+    ("bench", "days", 0),
+])
+def test_ecosystem_value_out_of_range_is_a_bad_config(tmp_path, capsys, command, key, value):
+    override = tmp_path / "cfg.json"
+    override.write_text(json.dumps({"ecosystem": {key: value}}))
+    code = main(["--config", str(override), command, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: bad config: ecosystem.{key} must")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_with_no_approved_bundle_is_a_bad_config(tmp_path, capsys):
+    override = tmp_path / "cfg.json"
+    override.write_text(json.dumps({"engine": {"safety_factor": 1000.0}}))
+    code = main(["--config", str(override), "bench", "--iterations", "20",
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: bad config: no sweep-stream bundle is approved")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

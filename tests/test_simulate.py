@@ -194,8 +194,8 @@ def test_scenario_weight_perturbation_robustness():
 
 def trust_bits(ecosystem):
     return [
-        ({rid: (led.succ_count, led.quality.hex(), led.alignment.hex(), led.events)
-          for rid, led in p.trust.ledgers.items()}, p.trust.log)
+        {rid: (led.succ_count, led.quality.hex(), led.alignment.hex())
+         for rid, led in p.trust.ledgers.items()}
         for p in ecosystem.prosumers
     ]
 
@@ -203,7 +203,7 @@ def trust_bits(ecosystem):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_full_sim_trust_matches_one_record_per_event(seed, monkeypatch):
     from dpnego.ingest import gen_ecosystem
-    from dpnego.scoring import TrustStore
+    from dpnego.scoring import TrustStore, fold_trust
 
     def ecosystem():
         return gen_ecosystem(seed + 1, CFG.catalog, CFG.ecosystem, CFG.trust)
@@ -224,11 +224,16 @@ def test_full_sim_trust_matches_one_record_per_event(seed, monkeypatch):
                 prosumer.trust.record(name, "alignment_report", float(rng.uniform(0.5, 1.0)))
     assert trust_bits(folded) == trust_bits(reference)
 
-    # a whole run, against one with every extend replaced by records
+    # a whole run, against one that folds every extend one event at a time
     folded = ecosystem()
     simulate.run_full_sim(CFG, ecosystem=folded, seed=seed)
-    monkeypatch.setattr(TrustStore, "extend", lambda self, rid, events: [
-        self.record(rid, event, value) for event, value in events])
+
+    def per_event(self, rid, events):
+        for event, value in events:
+            self.ledgers[rid] = fold_trust(self.ledger(rid), [(event, value)], self.cfg)
+        return self.ledger(rid)
+
+    monkeypatch.setattr(TrustStore, "extend", per_event)
     reference = ecosystem()
     simulate.run_full_sim(CFG, ecosystem=reference, seed=seed)
     assert trust_bits(folded) == trust_bits(reference)
