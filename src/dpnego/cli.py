@@ -162,49 +162,30 @@ def _negotiate_locked(args, cfg: AppConfig, request) -> int:
     return 0 if outcome.decision in (Decision.APPROVE, Decision.COUNTER_OFFER) else 2
 
 
-def cmd_simulate(args, cfg: AppConfig) -> int:
+# Each experiment command: the name of its runner in ``simulate`` (named, not
+# bound, so that negotiate and audit verify import neither it nor numpy) and
+# the runner arguments it takes as flags besides --seed and --out.
+EXPERIMENTS: dict[str, tuple[str, dict[str, type]]] = {
+    "simulate": ("run_full_sim", {"interactions": int}),
+    "sweep": ("run_sweep", {"interactions": int}),
+    "baseline": ("run_baseline_fixed", {"eps_fix": float, "requests": int}),
+    "adversary": ("run_adversary", {}),
+    "bench": ("bench_latency", {"iterations": int}),
+}
+
+
+def cmd_experiment(args, cfg: AppConfig) -> int:
+    """Run the command's runner and print its summary, less the trust trace."""
     from . import simulate
-    metrics = simulate.run_full_sim(
-        cfg, interactions=args.interactions, seed=args.seed, outdir=args.out
+    runner, flags = EXPERIMENTS[args.command]
+    result = getattr(simulate, runner)(
+        cfg, seed=args.seed, outdir=args.out, **{key: getattr(args, key) for key in flags}
     )
-    print(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
-    if not metrics.rates_defined:
+    summary = result if isinstance(result, dict) else result.to_dict()
+    print(json.dumps({k: v for k, v in summary.items() if k != "trust_trace"},
+                     indent=2, sort_keys=True))
+    if summary.get("rates_defined") is False:
         print("warning: zero interactions, rates undefined", file=sys.stderr)
-    return 0
-
-
-def cmd_sweep(args, cfg: AppConfig) -> int:
-    from . import simulate
-    result = simulate.run_sweep(
-        cfg, seed=args.seed, interactions=args.interactions, outdir=args.out
-    )
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_baseline(args, cfg: AppConfig) -> int:
-    from . import simulate
-    metrics = simulate.run_baseline_fixed(
-        cfg, eps_fix=args.eps_fix, requests=args.requests, seed=args.seed, outdir=args.out
-    )
-    print(json.dumps(metrics.to_dict(), indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_adversary(args, cfg: AppConfig) -> int:
-    from . import simulate
-    result = simulate.run_adversary(cfg, seed=args.seed, outdir=args.out)
-    printable = {k: v for k, v in result.items() if k != "trust_trace"}
-    print(json.dumps(printable, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_bench(args, cfg: AppConfig) -> int:
-    from . import simulate
-    result = simulate.bench_latency(
-        cfg, iterations=args.iterations, seed=args.seed, outdir=args.out
-    )
-    print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 
@@ -259,26 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contract-id", help="contract id used when settling")
     p.set_defaults(fn=cmd_negotiate)
 
-    for name, fn in (
-        ("simulate", cmd_simulate),
-        ("sweep", cmd_sweep),
-        ("baseline", cmd_baseline),
-        ("adversary", cmd_adversary),
-        ("bench", cmd_bench),
-    ):
+    for name, (_, flags) in EXPERIMENTS.items():
         p = sub.add_parser(name)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory for metrics files")
-        if name == "simulate":
-            p.add_argument("--interactions", type=int)
-        if name == "sweep":
-            p.add_argument("--interactions", type=int)
-        if name == "baseline":
-            p.add_argument("--eps-fix", dest="eps_fix", type=float)
-            p.add_argument("--requests", type=int)
-        if name == "bench":
-            p.add_argument("--iterations", type=int)
-        p.set_defaults(fn=fn)
+        for key, kind in flags.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
+        p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("audit", help="audit log operations")
     audit_sub = p.add_subparsers(dest="audit_command", required=True)

@@ -13,6 +13,7 @@ from .contracts import Catalog, FeatureKind, PurposeKind, ResolutionKind
 from .explain import ExplainConfig
 from .negotiation import EngineConfig, EpsMinRule
 from .scoring import TrustConfig
+from .secretshare import FIELD_PRIME
 
 
 class BadConfig(ValueError):
@@ -74,12 +75,20 @@ class DpConfig:
     max_plan_steps: int = 32
     default_output_cap: int = 4
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.gaussian_delta < 1.0:
+            raise ValueError(f"dp.gaussian_delta must be in (0, 1), got {self.gaussian_delta}")
+        if self.max_plan_steps < 1:
+            raise ValueError(f"dp.max_plan_steps must be >= 1, got {self.max_plan_steps}")
+        if self.default_output_cap < 1:
+            raise ValueError(f"dp.default_output_cap must be >= 1, got {self.default_output_cap}")
+
 
 @dataclass(frozen=True)
 class TssConfig:
     k: int = 3
     n: int = 5
-    prime: int = 2**256 - 2**32 - 977
+    prime: int = FIELD_PRIME  # the config has no key for it
 
 
 @dataclass
@@ -190,9 +199,7 @@ def from_document(doc: dict) -> AppConfig:
             **{**doc["explain"], "pu_lambdas": tuple(doc["explain"]["pu_lambdas"])}
         ),
         dp=DpConfig(**doc["dp"]),
-        tss=TssConfig(
-            k=doc["tss"]["k"], n=doc["tss"]["n"], prime=int(doc["tss"]["prime_hex"], 16)
-        ),
+        tss=TssConfig(**doc["tss"]),
         ecosystem=EcosystemConfig(**doc["ecosystem"]),
         cities={name: CityProfile(name=name, **c) for name, c in doc["cities"].items()},
         experiments=doc["experiments"],

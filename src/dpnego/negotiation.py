@@ -86,6 +86,10 @@ class EngineConfig:
             raise ValueError("lambdas must be non-negative")
         if self.safety_mode not in ("upfront", "staged"):
             raise ValueError(f"unknown safety mode: {self.safety_mode}")
+        floors = (self.eps_min_default, *(rule.value for rule in self.eps_min_rules))
+        if not all(0.0 < floor <= self.eps_max for floor in floors):
+            raise ValueError(f"eps_min_default and eps_min_rules values must be in "
+                             f"(0, eps_max={self.eps_max}], got {floors}")
 
     @property
     def grid_points(self) -> int:

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import os
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from dpnego.cli import main
+from dpnego import simulate
+from dpnego.cli import EXPERIMENTS, build_parser, main
+from dpnego.config import load_config
 from dpnego.secretshare import shares_to_json, split
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -130,6 +134,53 @@ def test_simulate_zero_interactions_warns(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "rates undefined" in captured.err
+
+
+def test_baseline_zero_requests_warns(capsys):
+    code = main(["baseline", "--requests", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["rates_defined"] is False
+    assert "rates undefined" in captured.err
+
+
+SMALL_FLAGS = {"interactions": 40, "eps_fix": 0.3, "requests": 50, "iterations": 50}
+
+
+@pytest.mark.parametrize("command", list(EXPERIMENTS))
+def test_experiment_command_prints_its_runner_summary(tmp_path, capsys, command):
+    runner, flags = EXPERIMENTS[command]
+    argv = [command, "--seed", "3", "--out", str(tmp_path / "cli")]
+    for key in flags:
+        argv += ["--" + key.replace("_", "-"), str(SMALL_FLAGS[key])]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    result = getattr(simulate, runner)(
+        load_config(), seed=3, outdir=tmp_path / "direct", **{k: SMALL_FLAGS[k] for k in flags}
+    )
+    summary = result if isinstance(result, dict) else result.to_dict()
+    expected = json.loads(json.dumps({k: v for k, v in summary.items() if k != "trust_trace"}))
+    if command == "bench":  # timings differ from run to run
+        assert printed.keys() == expected.keys()
+        return
+    assert printed == expected
+    written = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "direct").iterdir())
+    for name in written:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+
+def test_each_experiment_command_takes_seed_out_and_its_runner_arguments():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, (runner, flags) in EXPERIMENTS.items():
+        options = {
+            opt: action.dest for action in sub.choices[command]._actions
+            for opt in action.option_strings if opt not in ("-h", "--help")
+        }
+        assert options == {"--seed": "seed", "--out": "out",
+                           **{"--" + key.replace("_", "-"): key for key in flags}}
+        params = inspect.signature(getattr(simulate, runner)).parameters
+        assert {"seed", "outdir", *flags} <= params.keys()
 
 
 def test_audit_verify_ok_and_corrupt(tmp_path, capsys):
@@ -372,6 +423,8 @@ def test_negotiate_wrong_lambda_count_is_a_bad_config(tmp_path, capsys, section,
     ([1], "the top level must"),
     ({"experiments": {"adversary": {"engine_overrides": {"safety_mode": "staged"}}}},
      "unknown key experiments.adversary.engine_overrides"),
+    # the field prime is fixed; "4" split and could not reconstruct
+    ({"tss": {"prime_hex": "4"}}, "unknown key tss.prime_hex"),
 ])
 def test_override_outside_the_defaults_is_a_bad_config(tmp_path, capsys, override_doc, text):
     assert_negotiate_bad_config(tmp_path, capsys, override_doc, text)
@@ -389,6 +442,45 @@ def test_malformed_eps_min_rule_is_a_bad_config(tmp_path, capsys, rule):
     assert_negotiate_bad_config(
         tmp_path, capsys, {"engine": {"eps_min_rules": [rule]}}, "engine.eps_min_rules[0]"
     )
+
+
+TRUSTED = {"req-001": {"succ_count": 50, "quality": 1.0, "alignment": 1.0}}
+
+
+@pytest.mark.parametrize("engine,h_max,granted", [
+    # with an exhausted owner, a trusted requester was approved at 0 and
+    # explain raised NonPositiveEpsilon
+    ({"eps_min_default": 0.0, "safety_mode": "staged"}, 8.0, [["c0", 8.0]]),
+    ({"eps_min_rules": [{"band_max": 1.0, "purpose": "*", "value": 0.0}],
+      "safety_mode": "staged"}, 8.0, [["c0", 8.0]]),
+    # a trusted requester was approved at 20, above eps_max
+    ({"eps_min_default": 20.0}, 30.0, []),
+    ({"eps_min_rules": [{"band_max": 1.0, "purpose": "*", "value": 20.0}]}, 30.0, []),
+], ids=["zero-default", "zero-rule", "default-above-eps-max", "rule-above-eps-max"])
+def test_eps_min_outside_zero_to_eps_max_is_a_bad_config(tmp_path, capsys, engine, h_max,
+                                                          granted):
+    override = tmp_path / "cfg.json"
+    override.write_text(json.dumps({"engine": engine}))
+    req = write_request(tmp_path, window_hours=24, proposed_epsilon=None)
+    owner = tmp_path / "owner.json"
+    owner.write_text(json.dumps(
+        {"owner_id": "owner-1", "h_max": h_max, "granted": granted, "trust": TRUSTED}))
+    owner_before = owner.read_bytes()
+    code = main(["--config", str(override), "negotiate", "--request", str(req),
+                 "--owner", str(owner), "--settle"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: bad config: eps_min_default and eps_min_rules")
+    assert captured.out == ""
+    assert owner.read_bytes() == owner_before
+
+
+@pytest.mark.parametrize("key,value", [
+    ("gaussian_delta", 1.25), ("gaussian_delta", 0.0), ("max_plan_steps", 0),
+    ("default_output_cap", 0),
+])
+def test_dp_value_out_of_range_is_a_bad_config(tmp_path, capsys, key, value):
+    assert_negotiate_bad_config(tmp_path, capsys, {"dp": {key: value}}, f"dp.{key} must")
 
 
 @pytest.mark.parametrize("command,section,key,value", [
@@ -686,7 +778,8 @@ NUMPY_PROBE = """
 import json, sys
 from dpnego.cli import main
 codes = [main(sys.argv[1:-1]), main(["audit", "verify", sys.argv[-1]])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "simulate": "dpnego.simulate" in sys.modules}))
 """
 
 
@@ -696,7 +789,8 @@ def test_negotiate_and_verify_never_import_numpy(tmp_path):
                  "--audit-log", str(log), "--settle"]
     out = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *negotiate, str(log)],
                          capture_output=True, text=True, env=CHILD_ENV, timeout=120, check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == {"codes": [0, 0], "numpy": False}
+    assert json.loads(out.stdout.splitlines()[-1]) == {
+        "codes": [0, 0], "numpy": False, "simulate": False}
     assert len(json.loads(owner.read_text())["granted"]) == 1
 
     out = subprocess.run([sys.executable, "-c", "import sys, dpnego; print('numpy' in sys.modules)"],

@@ -73,3 +73,28 @@ def test_eps_min_rules_load_as_rules(tmp_path):
              {"band_max": 0.5, "purpose": "*", "value": 0.1}]
     cfg = load_config(write_config(tmp_path, {"engine": {"eps_min_rules": rules}}))
     assert cfg.engine.eps_min_rules == (EpsMinRule(1.0, "profiling", 0.5), EpsMinRule(0.5, "*", 0.1))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("gaussian_delta", 1.25), ("gaussian_delta", 1.0), ("gaussian_delta", 0.0),
+    ("max_plan_steps", 0), ("default_output_cap", 0),
+])
+def test_dp_value_out_of_range_raises(tmp_path, key, value):
+    with pytest.raises(ValueError, match=f"dp.{key} must"):
+        load_config(write_config(tmp_path, {"dp": {key: value}}))
+
+
+@pytest.mark.parametrize("engine", [
+    {"eps_min_default": 0.0}, {"eps_min_default": -0.05}, {"eps_min_default": 10.5},
+    {"eps_max": 1.0, "eps_min_default": 1.5},
+    {"eps_min_rules": [{"band_max": 1.0, "purpose": "*", "value": 0.0}]},
+    {"eps_min_rules": [{"band_max": 1.0, "purpose": "billing", "value": 11.0}]},
+])
+def test_eps_min_outside_zero_to_eps_max_raises(tmp_path, engine):
+    with pytest.raises(ValueError, match="must be in"):
+        load_config(write_config(tmp_path, {"engine": engine}))
+
+
+def test_eps_min_at_eps_max_loads(tmp_path):
+    cfg = load_config(write_config(tmp_path, {"engine": {"eps_min_default": 10.0}}))
+    assert cfg.engine.eps_min_default == cfg.engine.eps_max

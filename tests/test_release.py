@@ -342,6 +342,19 @@ def test_sequential_composition_bounded_by_initial_budget():
     assert charged == pytest.approx(ledger.spent)
 
 
+def test_run_release_refuses_a_gaussian_delta_that_gives_no_noise():
+    # delta = 1.25 makes ln(1.25 / delta) = 0, so sigma = 0 and the Gaussian
+    # release of a 24 h sum was its exact value
+    authority = ReleaseAuthority()
+    shares = authority.enroll("c-8", secret=4242, k=3, n=5, seed=8)
+    token = authority.authorize_release("c-8", list(shares[:3]))
+    plan = QueryPlan(mean_plan().ops[:2] + ({"op": "aggregate", "fn": "sum"},), delta=1.0,
+                     output_arity=1, mechanism=Mechanism.GAUSSIAN)
+    with pytest.raises(ValueError, match="gaussian_delta"):
+        run_release(plan, series([1.0] * 48), contract(), eps_star=1.2, token=token, seed=5,
+                    dp_cfg=DpConfig(gaussian_delta=1.25))
+
+
 def test_run_release_end_to_end():
     authority = ReleaseAuthority()
     shares = authority.enroll("c-9", secret=31337, k=3, n=5, seed=9)
