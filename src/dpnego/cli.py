@@ -184,7 +184,9 @@ def cmd_experiment(args, cfg: AppConfig) -> int:
     summary = result if isinstance(result, dict) else result.to_dict()
     print(json.dumps({k: v for k, v in summary.items() if k != "trust_trace"},
                      indent=2, sort_keys=True))
-    if summary.get("rates_defined") is False:
+    # every rate is a share of the interactions (a baseline's requests), so
+    # none is defined at zero
+    if summary.get("interactions") == 0:
         print("warning: zero interactions, rates undefined", file=sys.stderr)
     return 0
 

@@ -144,6 +144,20 @@ def test_baseline_zero_requests_warns(capsys):
     assert "rates undefined" in captured.err
 
 
+def test_sweep_warns_at_zero_interactions_only(tmp_path, capsys):
+    code = main(["sweep", "--interactions", "0", "--seed", "2", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "warning: zero interactions, rates undefined" in captured.err
+    rows = json.loads((tmp_path / "sweep_summary.json").read_text())["rows"]
+    assert rows and all(r["accept"] is None for r in rows)
+    # a non-zero sweep neither warns nor gains a key
+    assert main(["sweep", "--interactions", "5", "--seed", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert sorted(json.loads(captured.out)) == ["interactions", "rows", "seed"]
+
+
 SMALL_FLAGS = {"interactions": 40, "eps_fix": 0.3, "requests": 50, "iterations": 50}
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dpnego.config import BadConfig, _deep_merge, from_document, load_config
 from dpnego import simulate
@@ -159,6 +160,21 @@ def test_cross_dataset_small_run():
         assert s["accepts"] + s["rejects"] + s["counters"] == 150
 
 
+def test_cross_dataset_at_zero_interactions_has_no_rates(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": {"cross_dataset": {"interactions": 0}}}))
+    cfg = load_config(path)
+    datasets = simulate.load_datasets(cfg, DATA_DIR)
+    result = simulate.run_cross_dataset(cfg, datasets)
+    assert result["interactions"] == 0
+    assert len(result["scenarios"]) == 48
+    assert all(s["accept_rate"] is None for s in result["scenarios"])
+    golden = json.loads((Path(__file__).parent / "golden" / "cross_dataset.json").read_text())
+    assert result["aggregate"].keys() == golden["aggregate"].keys()
+    assert result["aggregate"] == {"scenarios": 48, **{
+        key: None for key in golden["aggregate"] if key != "scenarios"}}
+
+
 def test_cross_dataset_deterministic():
     datasets = simulate.load_datasets(CFG, DATA_DIR)
     a = simulate.run_cross_dataset(CFG, datasets, interactions=100)
@@ -292,3 +308,101 @@ def test_completion_counts_must_stay_interleaved(seed):
     ahead = [int(rng.integers(0, 12)) for _ in counts]
     moved = bits(rng.uniform(0.5, 1.0, len(reports)).tolist())
     assert ahead != counts and moved != reports
+
+
+def scalar_seeding(rng, pairs):
+    """The seeding's draws as run_full_sim made them with one numpy call per
+    draw: a count, then for a non-zero count a pair of reports."""
+    counts, qualities, alignments = [], [], []
+    for _ in range(pairs):
+        counts.append(int(rng.integers(0, 12)))
+        if counts[-1]:
+            quality, alignment = rng.uniform(0.5, 1.0, 2).tolist()
+            qualities.append(quality)
+            alignments.append(alignment)
+    return counts, bits(qualities), bits(alignments)
+
+
+def assert_seed_draws_match(scalar, raw, pairs):
+    counts, qualities, alignments = simulate._seed_draws(raw, pairs)
+    assert all(type(c) is int for c in counts)
+    assert (counts, bits(qualities), bits(alignments)) == scalar_seeding(scalar, pairs)
+    assert raw.bit_generator.state == scalar.bit_generator.state
+    assert raw.integers(0, 12) == scalar.integers(0, 12)
+    assert raw.random() == scalar.random()
+    assert raw.integers(0, 12) == scalar.integers(0, 12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    pairs=st.one_of(st.integers(0, 41), st.just(3000)),
+    buffered=st.booleans(),
+)
+@example(seed=0, pairs=0, buffered=True)
+@example(seed=2**64 - 1, pairs=1, buffered=True)
+@example(seed=2**64 - 1, pairs=1, buffered=False)
+@example(seed=7, pairs=3, buffered=False)
+@example(seed=0, pairs=3000, buffered=False)
+def test_seed_draws_match_scalar_calls(seed, pairs, buffered):
+    """_seed_draws gives the values and leaves the state the scalar calls do,
+    also from a start that holds a kept half-word and at an odd pair count,
+    which ends holding one."""
+    def start():
+        rng = np.random.default_rng(seed)
+        if buffered:
+            rng.integers(0, 12)  # uses a word's low half and keeps the high
+        return rng
+
+    assert_seed_draws_match(start(), start(), pairs)
+
+
+_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+_MASK64 = 2**64 - 1
+
+
+def rng_whose_next_word_is(word, has_uint32=0, uinteger=0):
+    """A PCG64 generator whose next raw word is ``word``, holding the given
+    kept half. PCG64 steps its 128-bit state s to s * a + c and outputs the
+    high and low halves of the new state xor-ed and rotated right by its top
+    six bits; so pick the high half, solve for the low one, and step back."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    high = state["state"]["state"] >> 64
+    rot = high >> 58
+    low = high ^ (((word << rot) | (word >> (64 - rot))) & _MASK64)
+    target = (high << 64) | low
+    state["state"]["state"] = (target - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+    rng.bit_generator.state = state
+    return rng
+
+
+# Lemire's rule redraws a 32-bit half u with (12 * u) % 2**32 < 4, that is
+# u in {0, 2**30, 2**31, 3 * 2**30}, whose counts would be 0, 3, 6 and 9;
+# 0x2AAAAAAB leaves exactly 4 and is kept. Natural seeds meet a redraw about
+# once in 1e9 draws, so these words are made.
+REDRAWN = (0, 2**30, 2**31, 3 * 2**30)
+KEPT_AT_THE_EDGE = 0x2AAAAAAB
+
+
+def test_redrawn_halves():
+    assert [(12 * u) % 2**32 for u in REDRAWN] == [0, 0, 0, 0]
+    assert [(12 * u) >> 32 for u in REDRAWN] == [0, 3, 6, 9]
+    assert (12 * KEPT_AT_THE_EDGE) % 2**32 == 4
+
+
+@pytest.mark.parametrize("low, high", [
+    (2**31, 0x9ABCDEF0), (0, 0), (3 * 2**30, 2**30), (KEPT_AT_THE_EDGE, 2**31),
+    (0x12345678, 0), (KEPT_AT_THE_EDGE, KEPT_AT_THE_EDGE),
+])
+@pytest.mark.parametrize("kept", [None, 0, 2**31, KEPT_AT_THE_EDGE])
+@pytest.mark.parametrize("pairs", [1, 2, 3, 7])
+def test_seed_draws_redraw_as_numpy_does(low, high, kept, pairs):
+    word = (high << 32) | low
+    start = {} if kept is None else {"has_uint32": 1, "uinteger": kept}
+    probe = rng_whose_next_word_is(word, **start)
+    assert int(probe.bit_generator.random_raw()) == word
+    assert_seed_draws_match(
+        rng_whose_next_word_is(word, **start), rng_whose_next_word_is(word, **start), pairs)
