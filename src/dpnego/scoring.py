@@ -61,6 +61,11 @@ def _check_bounds(succ_count: int, quality: float, alignment: float) -> None:
         raise OutOfRange("alignment must be in [0,1]")
 
 
+def _check_report(event: str, value: float | None) -> None:
+    if value is None or not 0.0 <= value <= 1.0:
+        raise OutOfRange(f"{event} value must be in [0,1], got {value}")
+
+
 _BLANK = TrustLedger()  # frozen, so one instance serves every unseen requester
 
 
@@ -80,7 +85,9 @@ def fold_trust(ledger: TrustLedger, events: Iterable[tuple[str, float | None]],
     ``alignment_report`` fold ``value`` into an exponentially weighted average
     so recent behaviour dominates. The run is folded as plain numbers, with
     the value range, the event name and the ledger bounds checked at every
-    event, and one ``TrustLedger`` is built at the end.
+    event, and one ``TrustLedger`` is built at the end. A run of completions
+    with one report of each kind is one EMA step per average, which
+    ``TrustStore.seed_history`` takes directly.
     """
     succ, quality, alignment = ledger.succ_count, ledger.quality, ledger.alignment
     w = cfg.ewma_weight
@@ -88,8 +95,7 @@ def fold_trust(ledger: TrustLedger, events: Iterable[tuple[str, float | None]],
         if event == "completed":
             succ += 1
         elif event == "quality_report" or event == "alignment_report":
-            if value is None or not 0.0 <= value <= 1.0:
-                raise OutOfRange(f"{event} value must be in [0,1], got {value}")
+            _check_report(event, value)
             if event == "quality_report":
                 quality += w * (value - quality)
             else:
@@ -127,3 +133,22 @@ class TrustStore:
         updated = fold_trust(self.ledger(requester_id), events, self.cfg)
         self.ledgers[requester_id] = updated
         return updated
+
+    def seed_history(self, requester_id: str, completions: int,
+                     quality: float, alignment: float) -> TrustLedger:
+        """Fold ``completions`` completed events, then one quality and one
+        alignment report, into one requester's ledger, bit for bit as
+        ``extend`` folds that run: a completion changes only the count, and
+        each average takes exactly one report, so the run is one EMA step
+        from the current ledger. All or nothing, with ``fold_trust``'s checks."""
+        if completions < 0:
+            raise OutOfRange(f"completions must be non-negative, got {completions}")
+        _check_report("quality_report", quality)
+        _check_report("alignment_report", alignment)
+        base = self.ledger(requester_id)
+        w = self.cfg.ewma_weight
+        seeded = TrustLedger(base.succ_count + completions,
+                             base.quality + w * (quality - base.quality),
+                             base.alignment + w * (alignment - base.alignment))
+        self.ledgers[requester_id] = seeded
+        return seeded

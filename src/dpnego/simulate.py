@@ -79,6 +79,7 @@ def read_stream(doc: dict, cfg: AppConfig) -> tuple[list[ValidatedRequest], np.n
 _POSITIVE = ("a positive finite number", lambda v: 0 < v < math.inf)
 _COUNT = ("at least 0", lambda v: v >= 0)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_NON_EMPTY = ("a non-empty list", lambda v: len(v) > 0)
 EXPERIMENT_RANGES = {
     "seed": _COUNT,
     "interactions": _COUNT,
@@ -92,7 +93,11 @@ EXPERIMENT_RANGES = {
     "perturbation": ("in [0, 0.5)", lambda v: 0 <= v < 0.5),
     "owner_budget": _POSITIVE,
     "eps_fix": _POSITIVE,
-    "eps0_values": ("positive numbers", lambda v: all(x > 0 for x in v)),
+    "eps0_values": ("a non-empty list of positive numbers",
+                    lambda v: len(v) > 0 and all(x > 0 for x in v)),
+    "datasets": _NON_EMPTY,
+    "patterns": _NON_EMPTY,
+    "risk_modes": _NON_EMPTY,
 }
 
 
@@ -337,8 +342,10 @@ def run_full_sim(
     names = [f"req-{r:03d}" for r in range(n_req)]
     rng = np.random.default_rng(seed)
 
-    # heterogeneous starting reputations, one folded run per pair, drawn in
-    # one read of raw words as a scalar count and a report pair per pair
+    # heterogeneous starting reputations: per pair, a count of completions
+    # and, for a non-zero count, one quality and one alignment report, drawn
+    # in one read of raw words; that run is one EMA step from the pair's
+    # ledger, written by seed_history as extend would fold it
     counts, qualities, alignments = _seed_draws(rng, len(prosumers) * n_req)
     completion_counts = iter(counts)
     reports = zip(qualities, alignments)
@@ -346,12 +353,7 @@ def run_full_sim(
         for name in names:
             completions = next(completion_counts)
             if completions:
-                quality, alignment = next(reports)
-                prosumer.trust.extend(name, [
-                    *[("completed", None)] * completions,
-                    ("quality_report", quality),
-                    ("alignment_report", alignment),
-                ])
+                prosumer.trust.seed_history(name, completions, *next(reports))
 
     metrics = ScenarioMetrics(interactions=n)
     owners = rng.integers(0, len(prosumers), size=n).tolist()

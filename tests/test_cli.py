@@ -499,6 +499,7 @@ def test_dp_value_out_of_range_is_a_bad_config(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("command,section,key,value", [
     ("sweep", "sweep", "eps0_values", [0]),
+    ("sweep", "sweep", "eps0_values", []),
     ("baseline", "baseline", "owner_budget", -1.0),
     ("sweep", "sweep", "interactions", -3),
     ("simulate", "full_sim", "interactions", -3),

@@ -1,7 +1,8 @@
 import dataclasses
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dpnego import scoring
 from dpnego.config import load_config
@@ -320,3 +321,55 @@ def test_extend_of_no_events_changes_nothing():
     store = TrustStore()
     assert store.extend("req-a", []) == TrustLedger()
     assert store.ledgers == {}
+
+
+# --- seeding a ledger with one run of completions and reports ---------------
+
+UNIT = st.floats(min_value=0, max_value=1)
+START = st.none() | st.builds(TrustLedger, st.integers(min_value=0, max_value=50), UNIT, UNIT)
+
+
+def stores(cfg, start):
+    """Two equal stores holding ``start`` for req-a, or nothing if None."""
+    ledgers = {} if start is None else {"req-a": start}
+    return TrustStore(cfg=cfg, ledgers=dict(ledgers)), TrustStore(cfg=cfg, ledgers=dict(ledgers))
+
+
+def seeding_run(completions, quality, alignment):
+    return [("completed", None)] * completions + [
+        ("quality_report", quality), ("alignment_report", alignment)]
+
+
+@given(half_life=st.integers(min_value=1, max_value=20), start=START,
+       completions=st.integers(min_value=0, max_value=20), quality=UNIT, alignment=UNIT)
+@example(half_life=1, start=TrustLedger(50, 1.0, 0.0), completions=0, quality=0.0, alignment=1.0)
+@example(half_life=20, start=None, completions=20, quality=1.0, alignment=0.0)
+def test_seed_history_matches_extend(half_life, start, completions, quality, alignment):
+    seeded, extended = stores(TrustConfig(half_life_events=half_life), start)
+    returned = seeded.seed_history("req-a", completions, quality, alignment)
+    extended.extend("req-a", seeding_run(completions, quality, alignment))
+    assert ledger_bits(seeded) == ledger_bits(extended)
+    assert returned == seeded.ledger("req-a")
+
+
+BAD_REPORT = (st.none() | st.just(float("nan")) | st.floats(max_value=0, exclude_max=True)
+              | st.floats(min_value=1, exclude_min=True))
+
+
+@given(start=START, completions=st.integers(min_value=0, max_value=20),
+       bad=BAD_REPORT, slot=st.sampled_from(["quality", "alignment"]))
+def test_seed_history_with_a_bad_report_changes_nothing(start, completions, bad, slot):
+    reports = {"quality": 0.5, "alignment": 0.5, slot: bad}
+    seeded, extended = stores(TrustConfig(), start)
+    with pytest.raises(OutOfRange) as extend_error:
+        extended.extend("req-a", seeding_run(completions, **reports))
+    with pytest.raises(OutOfRange, match=re.escape(str(extend_error.value))):
+        seeded.seed_history("req-a", completions, **reports)
+    assert seeded.ledgers == extended.ledgers == ({} if start is None else {"req-a": start})
+
+
+def test_seed_history_refuses_negative_completions():
+    store = TrustStore(ledgers={"req-a": TrustLedger(3, 0.5, 0.5)})
+    with pytest.raises(OutOfRange, match="completions must be non-negative"):
+        store.seed_history("req-a", -1, 0.5, 0.5)
+    assert store.ledgers == {"req-a": TrustLedger(3, 0.5, 0.5)}

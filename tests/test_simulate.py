@@ -175,6 +175,16 @@ def test_cross_dataset_at_zero_interactions_has_no_rates(tmp_path):
         key: None for key in golden["aggregate"] if key != "scenarios"}}
 
 
+@pytest.mark.parametrize("key", ["datasets", "patterns", "risk_modes"])
+def test_cross_dataset_empty_list_is_a_bad_config(tmp_path, key):
+    # an empty list ran no scenario, and the aggregate's np.min raised
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": {"cross_dataset": {key: [], "interactions": 5}}}))
+    cfg = load_config(path)
+    with pytest.raises(BadConfig, match=re.escape(f"experiments.cross_dataset.{key} must")):
+        simulate.run_cross_dataset(cfg, simulate.load_datasets(cfg, DATA_DIR))
+
+
 def test_cross_dataset_deterministic():
     datasets = simulate.load_datasets(CFG, DATA_DIR)
     a = simulate.run_cross_dataset(CFG, datasets, interactions=100)
@@ -253,6 +263,30 @@ def test_full_sim_trust_matches_one_record_per_event(seed, monkeypatch):
     reference = ecosystem()
     simulate.run_full_sim(CFG, ecosystem=reference, seed=seed)
     assert trust_bits(folded) == trust_bits(reference)
+
+
+def test_full_sim_reseeded_trust_matches_one_record_per_event(monkeypatch):
+    """A second run on the same ecosystem seeds onto the ledgers the first
+    left, so a seeding that ignores the ledger it starts from differs here."""
+    from dpnego.ingest import gen_ecosystem
+    from dpnego.scoring import TrustStore
+
+    def two_runs():
+        ecosystem = gen_ecosystem(8, CFG.catalog, CFG.ecosystem, CFG.trust)
+        simulate.run_full_sim(CFG, ecosystem=ecosystem, interactions=300, seed=7)
+        simulate.run_full_sim(CFG, ecosystem=ecosystem, interactions=300, seed=9)
+        return ecosystem
+
+    seeded = two_runs()
+
+    def per_event(self, rid, completions, quality, alignment):
+        for _ in range(completions):
+            self.record(rid, "completed")
+        self.record(rid, "quality_report", quality)
+        return self.record(rid, "alignment_report", alignment)
+
+    monkeypatch.setattr(TrustStore, "seed_history", per_event)
+    assert trust_bits(seeded) == trust_bits(two_runs())
 
 
 def bits(values):
