@@ -13,7 +13,8 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -34,8 +35,8 @@ def _digest(payload: Any) -> str:
 
 @dataclass(frozen=True)
 class AuditRecord:
-    """One chained decision record. The record hash covers every field
-    including the previous record's hash."""
+    """One chained decision record. The record hash covers every other field,
+    the previous record's hash included."""
 
     sequence: int
     timestamp: float
@@ -46,39 +47,34 @@ class AuditRecord:
     record_hash: str
 
     def body(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "timestamp": self.timestamp,
-            "request_digest": self.request_digest,
-            "outcome": self.outcome,
-            "explanation_digest": self.explanation_digest,
-            "prev_hash": self.prev_hash,
-        }
+        return {name: getattr(self, name) for name in BODY_FIELDS}
 
     def to_dict(self) -> dict:
-        doc = self.body()
-        doc["record_hash"] = self.record_hash
-        return doc
+        return {name: getattr(self, name) for name in RECORD_FIELDS}
 
     @classmethod
-    def build(
-        cls,
-        sequence: int,
-        timestamp: float,
-        request_digest: str,
-        outcome: dict,
-        explanation_digest: str,
-        prev_hash: str,
-    ) -> "AuditRecord":
-        body = {
-            "sequence": sequence,
-            "timestamp": timestamp,
-            "request_digest": request_digest,
-            "outcome": outcome,
-            "explanation_digest": explanation_digest,
-            "prev_hash": prev_hash,
-        }
+    def build(cls, **body: Any) -> "AuditRecord":
+        """The record of the six body fields, under the hash of ``body``."""
         return cls(record_hash=_digest(body), **body)
+
+
+# A record's fields in their declared order: the six the hash covers, then
+# the hash itself.
+RECORD_FIELDS = tuple(f.name for f in fields(AuditRecord))
+BODY_FIELDS = RECORD_FIELDS[:-1]
+_field_values = itemgetter(*RECORD_FIELDS)
+
+
+def _follows(rec: AuditRecord, before: AuditRecord | None, line: str | None = None) -> bool:
+    """Whether ``rec`` may follow ``before`` in a chain (None: ``rec`` is its
+    first record). It must link to ``before``'s hash (the genesis hash), have a
+    sequence above ``before``'s (above -1), and carry its own hash, checked
+    from ``line`` if it was read from one (``_stored_hash_ok``)."""
+    if before is None:
+        link, last_seq = GENESIS_HASH, -1
+    else:
+        link, last_seq = before.record_hash, before.sequence
+    return rec.prev_hash == link and rec.sequence > last_seq and _stored_hash_ok(rec, line)
 
 
 class AuditLog:
@@ -98,6 +94,8 @@ class AuditLog:
         self._size = 0
         self._stored = 0
         self._head = 0
+        # The last record read from the file and the line that holds it.
+        self._read_tail: tuple[AuditRecord | None, str | None] = (None, None)
 
     def _first_index(self) -> int:
         """Index in the file of records[0]; a tail counts the lines before it."""
@@ -108,12 +106,12 @@ class AuditLog:
         return sum(1 for line in lines if line.strip(_JSON_SPACE_BYTES))
 
     def _check_tail(self) -> None:
-        if not self.records:
-            return
+        """Raise ChainCorrupt unless the last record follows the one before it;
+        one read from the file has its hash checked from its line."""
         i = len(self.records) - 1
-        tail = self.records[i]
-        expected_prev = GENESIS_HASH if i == 0 else self.records[i - 1].record_hash
-        if tail.record_hash != _digest(tail.body()) or tail.prev_hash != expected_prev:
+        read, line = self._read_tail
+        if i >= 0 and not _follows(self.records[i], self.records[i - 1] if i else None,
+                                   line if self.records[i] is read else None):
             raise ChainCorrupt(self._first_index() + i)
 
     def append(
@@ -140,17 +138,9 @@ class AuditLog:
         """Walk the whole chain; return the first corrupt index, or None."""
         if self._first_index():
             raise ValueError("a log opened from its tail holds no whole chain")
-        prev = GENESIS_HASH
-        last_seq = -1
         for i, rec in enumerate(self.records):
-            if rec.prev_hash != prev:
+            if not _follows(rec, self.records[i - 1] if i else None):
                 return i
-            if rec.record_hash != _digest(rec.body()):
-                return i
-            if rec.sequence <= last_seq:
-                return i
-            prev = rec.record_hash
-            last_seq = rec.sequence
         return None
 
     def save(self, path: str | Path) -> None:
@@ -189,13 +179,12 @@ class AuditLog:
     def load(cls, path: str | Path) -> "AuditLog":
         """Every record of a JSON-lines audit file, each checked as it is read.
 
-        Record i must be well formed (the field types of ``_record``), link to
-        record i-1's hash (the genesis hash for record 0), have a sequence
-        above record i-1's, and carry its own hash (``_stored_hash_ok``). The
-        first record that fails any of these raises ChainCorrupt(i).
+        Record i must be well formed (the field types of ``_record``) and
+        follow record i-1 (``_follows``). The first record that fails raises
+        ChainCorrupt(i).
         """
         log = cls()
-        prev, last_seq = GENESIS_HASH, -1
+        before = None
         with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             log._size = os.fstat(fh.fileno()).st_size
             for line in fh:
@@ -205,11 +194,10 @@ class AuditLog:
                     rec = _record(line)
                 except _MALFORMED:
                     raise ChainCorrupt(len(log.records)) from None
-                if (rec.prev_hash != prev or rec.sequence <= last_seq
-                        or not _stored_hash_ok(line, rec)):
+                if not _follows(rec, before, line):
                     raise ChainCorrupt(len(log.records))
                 log.records.append(rec)
-                prev, last_seq = rec.record_hash, rec.sequence
+                before, log._read_tail = rec, (rec, line)
         log._path = os.path.realpath(path)
         log._stored = len(log.records)
         return log
@@ -236,11 +224,13 @@ class AuditLog:
         log = cls()
         log._path, log._size = os.path.realpath(path), size
         log._head = lines[0][0] if lines else size
-        for k, (_, line) in enumerate(lines):
+        for k, (_, raw) in enumerate(lines):
+            line = raw.decode("utf-8", "surrogateescape")
             try:
-                log.records.append(_record(line.decode("utf-8", "surrogateescape")))
+                log.records.append(_record(line))
             except _MALFORMED:
                 raise ChainCorrupt(log._first_index() + k) from None
+            log._read_tail = log.records[-1], line
         log._stored = len(log.records)
         return log
 
@@ -264,39 +254,39 @@ def _record(line: str) -> AuditRecord:
     doc, end = _decode(text)
     if end != len(text):
         raise ValueError("audit line has data after its JSON value")
-    seq, ts, outcome = doc["sequence"], doc["timestamp"], doc["outcome"]
-    req, expl = doc["request_digest"], doc["explanation_digest"]
-    prev, own = doc["prev_hash"], doc["record_hash"]
+    rec = AuditRecord(*_field_values(doc))
     # JSON decodes to exact types, so comparing type() also keeps a bool from
     # passing as a number.
-    if (type(seq) is not int or type(ts) not in (float, int) or type(outcome) is not dict
-            or type(req) is not str or type(expl) is not str or type(prev) is not str
-            or type(own) is not str):
+    if (type(rec.sequence) is not int or type(rec.timestamp) not in (float, int)
+            or type(rec.outcome) is not dict or type(rec.request_digest) is not str
+            or type(rec.explanation_digest) is not str or type(rec.prev_hash) is not str
+            or type(rec.record_hash) is not str):
         raise ValueError("audit record field of the wrong type")
-    return AuditRecord(seq, ts, req, outcome, expl, prev, own)
+    return rec
 
 
 def _line(record: AuditRecord) -> str:
     return canonical_json(record.to_dict()) + "\n"
 
 
-def _stored_hash_ok(line: str, rec: AuditRecord) -> bool:
+def _stored_hash_ok(rec: AuditRecord, line: str | None = None) -> bool:
     """Whether ``rec.record_hash`` is the hash of ``rec``'s body, checked from
-    ``line``, the text ``rec`` was read from.
+    ``line``, the text ``rec`` was read from, if there is one.
 
     A line ``_line`` wrote is the body's canonical encoding with the member
     ``, "record_hash": "<hash>"`` inserted, so the line without that member
     hashes to ``record_hash`` and nothing is re-encoded. Any other line (other
-    spacing or key order, non-ASCII text, a tampered byte) falls back to
-    re-encoding the record. A line whose writer hashed its own non-canonical
-    bytes also passes here, where re-encoding would reject it.
+    spacing or key order, non-ASCII text, a tampered byte), or no line, falls
+    back to re-encoding the record. A line whose writer hashed its own
+    non-canonical bytes also passes here, where re-encoding would reject it.
     """
-    member = f', "record_hash": "{rec.record_hash}"'
-    at = line.rfind(member)
-    if at >= 0 and line.isascii():
-        stored = line[:at] + line[at + len(member):].rstrip("\n")
-        if hashlib.sha256(stored.encode()).hexdigest() == rec.record_hash:
-            return True
+    if line is not None:
+        member = f', "record_hash": "{rec.record_hash}"'
+        at = line.rfind(member)
+        if at >= 0 and line.isascii():
+            stored = line[:at] + line[at + len(member):].rstrip("\n")
+            if hashlib.sha256(stored.encode()).hexdigest() == rec.record_hash:
+                return True
     return rec.record_hash == _digest(rec.body())
 
 
@@ -346,9 +336,8 @@ def write_atomic(path: str | Path, chunks: Iterable[str]) -> int:
 def verify_file(path: str | Path) -> int | None:
     """Verify a JSON-lines audit file; return the first corrupt index or None.
 
-    This is ``AuditLog.load``, which checks each record as it reads it: a
-    malformed line, a broken link, a sequence that does not increase or a
-    wrong hash at record i makes i the answer.
+    This is ``AuditLog.load``: the answer is the first record that is
+    malformed or does not follow the one before it (``_follows``).
     """
     try:
         AuditLog.load(path)

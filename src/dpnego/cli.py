@@ -26,7 +26,7 @@ from .contracts import (
 )
 from .explain import explain, factors_for
 from .negotiation import BudgetLedger, negotiate
-from .scoring import TrustLedger, TrustStore, trust_score
+from .scoring import TrustLedger, TrustStore
 from .secretshare import (
     InvalidThreshold,
     SecretOutOfField,

@@ -33,6 +33,8 @@ class BadArgument(ValueError):
 
 @dataclass(frozen=True)
 class EcosystemConfig:
+    """Size, budgets and load model of the synthetic prosumer ecosystem."""
+
     n_prosumers: int = 100
     days: int = 60
     initial_budget: float = 8.0
@@ -71,6 +73,8 @@ class CityProfile:
 
 @dataclass(frozen=True)
 class DpConfig:
+    """Release-side privacy settings: Gaussian delta and query-plan limits."""
+
     gaussian_delta: float = 1e-5
     max_plan_steps: int = 32
     default_output_cap: int = 4
@@ -86,6 +90,8 @@ class DpConfig:
 
 @dataclass(frozen=True)
 class TssConfig:
+    """The k-of-n Shamir threshold for release authorization, and its field."""
+
     k: int = 3
     n: int = 5
     prime: int = FIELD_PRIME  # the config has no key for it

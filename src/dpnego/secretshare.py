@@ -56,6 +56,8 @@ class SchemeId:
 
 @dataclass(frozen=True)
 class KeyShare:
+    """One Shamir share of a secret: its x-coordinate, value and scheme."""
+
     index: int
     value: int
     scheme: SchemeId

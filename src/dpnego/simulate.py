@@ -57,8 +57,8 @@ def read_stream(doc: dict, cfg: AppConfig) -> tuple[list[ValidatedRequest], np.n
     sum to 1. The runners read ``trust`` (``lo`` and ``hi``, the bounds of
     each requester's uniform trust draw) and ``counter_accept_prob`` from the
     stream themselves; the config merge has checked their keys and types, and
-    this reader checks their range. A bad bundle, weight or range raises
-    ``BadConfig``."""
+    this reader checks their range and that ``lo`` is not above ``hi``. A bad
+    bundle, weight or range raises ``BadConfig``."""
     try:
         weights = [b["weight"] for b in doc["bundles"]]
     except (KeyError, TypeError) as exc:
@@ -71,6 +71,9 @@ def read_stream(doc: dict, cfg: AppConfig) -> tuple[list[ValidatedRequest], np.n
     for key, value in unit.items():
         if not 0.0 <= value <= 1.0:
             raise BadConfig(f"{key} must be a number in [0, 1], got {value!r}")
+    if unit["trust.lo"] > unit["trust.hi"]:
+        raise BadConfig(f"trust.lo must not be above trust.hi, got {unit['trust.lo']!r} "
+                        f"> {unit['trust.hi']!r}")
     w = np.array(weights, dtype=np.float64)
     return [parse_bundle(b, cfg.catalog) for b in doc["bundles"]], w / w.sum()
 
@@ -91,6 +94,11 @@ EXPERIMENT_RANGES = {
     "reject_streak": _AT_LEAST_1,
     "trials": _AT_LEAST_1,
     "perturbation": ("in [0, 0.5)", lambda v: 0 <= v < 0.5),
+    "boundary_bundle_weight": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "risk_weight_factor": ("a non-negative finite number", lambda v: 0 <= v < math.inf),
+    # the config merge has checked that each entry is a number
+    "h_range": ("two finite numbers [lo, hi] with 0 <= lo <= hi",
+                lambda v: len(v) == 2 and 0 <= v[0] <= v[1] < math.inf),
     "owner_budget": _POSITIVE,
     "eps_fix": _POSITIVE,
     "eps0_values": ("a non-empty list of positive numbers",

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -283,12 +284,8 @@ def test_save_refuses_a_file_changed_since_it_was_read(tmp_path):
     assert path.read_bytes() == before
 
 
-def test_negotiate_appends_past_a_tampered_middle_record(tmp_path, capsys):
-    from dpnego.cli import main
-
-    path = tmp_path / "audit.jsonl"
-    build_log(10_000).save(path)
-    tamper_line(path, 5000, epsilon_star=9.9)
+def negotiate_files(tmp_path):
+    """A request the default config approves as asked, and its owner's file."""
     request = tmp_path / "request.json"
     request.write_text(json.dumps({
         "requester_id": "req-001", "owner_id": "owner-1", "features": ["aggregate"],
@@ -297,6 +294,16 @@ def test_negotiate_appends_past_a_tampered_middle_record(tmp_path, capsys):
     }))
     owner = tmp_path / "owner.json"
     owner.write_text(json.dumps({"owner_id": "owner-1", "h_max": 8.0, "granted": [], "trust": {}}))
+    return request, owner
+
+
+def test_negotiate_appends_past_a_tampered_middle_record(tmp_path, capsys):
+    from dpnego.cli import main
+
+    path = tmp_path / "audit.jsonl"
+    build_log(10_000).save(path)
+    tamper_line(path, 5000, epsilon_star=9.9)
+    request, owner = negotiate_files(tmp_path)
     code = main(["negotiate", "--request", str(request), "--owner", str(owner),
                  "--audit-log", str(path)])
     assert code == 0
@@ -410,6 +417,105 @@ def test_load_raises_at_the_first_bad_record(tmp_path, corrupt):
     with pytest.raises(ChainCorrupt) as exc:
         AuditLog.load(path)
     assert exc.value.index == 2 == verify_file(path) == reference_index(path)
+
+
+# --- one successor rule for append, verify and load -------------------------
+
+def self_hash_line(path, index):
+    """Rewrite record ``index`` with its keys in reverse order under the hash
+    of those bytes, as a writer that hashes its own encoding would: only the
+    check from the stored line accepts it."""
+    lines = path.read_text().splitlines(keepends=True)
+    doc = json.loads(lines[index])
+    del doc["record_hash"]
+    stored = json.dumps(dict(reversed(doc.items())))
+    own = hashlib.sha256(stored.encode()).hexdigest()
+    lines[index] = stored[:-1] + f', "record_hash": "{own}"}}\n'
+    path.write_text("".join(lines))
+
+
+TAILS = {
+    "as-written": lambda path: None,
+    "sequence-repeats": lambda path: rehash_line(path, 3, sequence=2),
+    "sequence-falls": lambda path: rehash_line(path, 3, sequence=0),
+    "broken-link": lambda path: rehash_line(path, 3, prev_hash="1" * 64),
+    "wrong-hash": lambda path: tamper_line(path, 3, epsilon_star=9.9),
+    "reordered": lambda path: rewrite_line(path, 3),
+    "self-hashed": lambda path: self_hash_line(path, 3),
+}
+
+
+@pytest.mark.parametrize("corrupt", TAILS.values(), ids=TAILS.keys())
+def test_append_refuses_exactly_the_tails_verify_rejects(tmp_path, corrupt):
+    path = tmp_path / "audit.jsonl"
+    build_log(4).save(path)
+    corrupt(path)
+    bad = verify_file(path)
+    before = path.read_bytes()
+    try:
+        tail_append(path)
+    except ChainCorrupt as exc:
+        assert exc.index == bad == 3
+        assert path.read_bytes() == before
+    else:
+        assert bad is None and verify_file(path) is None
+
+
+def test_tail_append_refuses_a_sequence_that_does_not_rise(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    build_log(4).save(path)
+    rehash_line(path, 3, sequence=2)
+    before = path.read_bytes()
+    with pytest.raises(ChainCorrupt) as exc:
+        AuditLog.open_tail(path).append(REQ, OUT, EXP, timestamp=9.0)
+    assert exc.value.index == 3 == verify_file(path)
+    assert path.read_bytes() == before
+
+
+def test_negotiate_refuses_a_tail_whose_sequence_does_not_rise(tmp_path, capsys):
+    from dpnego.cli import main
+
+    path = tmp_path / "audit.jsonl"
+    build_log(4).save(path)
+    rehash_line(path, 3, sequence=2)
+    request, owner = negotiate_files(tmp_path)
+    log_before, owner_before = path.read_bytes(), owner.read_bytes()
+    code = main(["negotiate", "--request", str(request), "--owner", str(owner),
+                 "--audit-log", str(path), "--settle"])
+    assert code == 3
+    assert "audit chain corrupt at record 3" in capsys.readouterr().err
+    assert path.read_bytes() == log_before and owner.read_bytes() == owner_before
+
+
+def test_in_memory_append_refuses_a_sequence_that_does_not_rise():
+    log = build_log(4)
+    log.records[-1] = AuditRecord.build(**{**log.records[-1].body(), "sequence": 2})
+    assert log.verify() == 3
+    with pytest.raises(ChainCorrupt) as exc:
+        log.append(REQ, OUT, EXP, timestamp=9.0)
+    assert exc.value.index == 3 and len(log.records) == 4
+
+
+def test_tail_replaced_after_reading_is_checked_by_re_encoding(tmp_path):
+    # the stored line vouches only for the record read from it
+    path = tmp_path / "audit.jsonl"
+    build_log(3).save(path)
+    log = AuditLog.open_tail(path)
+    log.records[-1] = dataclasses.replace(log.records[-1], outcome={"decision": "reject"})
+    with pytest.raises(ChainCorrupt) as exc:
+        log.append(REQ, OUT, EXP, timestamp=9.0)
+    assert exc.value.index == 2
+
+
+def test_lone_record_with_sequence_minus_one_is_corrupt(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    build_log(1).save(path)
+    rehash_line(path, 0, sequence=-1)
+    assert verify_file(path) == 0
+    for read in (AuditLog.load, tail_append):
+        with pytest.raises(ChainCorrupt) as exc:
+            read(path)
+        assert exc.value.index == 0
 
 
 # --- the canonical encoding and the record decoder --------------------------

@@ -596,6 +596,13 @@ def test_probe_replays_out_of_range_is_a_bad_config(tmp_path):
     ("trials", 0, "must be at least 1"),
     ("perturbation", 0.7, r"must be in \[0, 0\.5\)"),
     ("perturbation", -0.1, r"must be in \[0, 0\.5\)"),
+    # these died in numpy or unpacking the range
+    ("boundary_bundle_weight", 1.5, r"must be in \[0, 1\]"),
+    ("boundary_bundle_weight", -0.1, r"must be in \[0, 1\]"),
+    ("h_range", [1.0], "must be two finite numbers"),
+    ("h_range", [8.0, 0.5], "must be two finite numbers"),
+    ("h_range", [-1.0, 2.0], "must be two finite numbers"),
+    ("h_range", [0.5, float("inf")], "must be two finite numbers"),
 ])
 def test_probe_value_out_of_range_is_a_bad_config(tmp_path, key, value, problem):
     # no command runs the probe, so it is read through load_config

@@ -185,6 +185,32 @@ def test_cross_dataset_empty_list_is_a_bad_config(tmp_path, key):
         simulate.run_cross_dataset(cfg, simulate.load_datasets(cfg, DATA_DIR))
 
 
+@pytest.mark.parametrize("section,run", [
+    ("sweep", lambda cfg: simulate.run_sweep(cfg, interactions=5)),
+    ("sweep", lambda cfg: simulate.bench_latency(cfg, iterations=5)),
+    ("cross_dataset", lambda cfg: simulate.run_cross_dataset(
+        cfg, simulate.load_datasets(cfg, DATA_DIR), interactions=5)),
+], ids=["sweep", "bench", "cross_dataset"])
+def test_stream_trust_lo_above_hi_is_a_bad_config(tmp_path, section, run):
+    # numpy's uniform draw raised "high - low < 0"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"experiments": {section: {"stream": {"trust": {"lo": 0.9, "hi": 0.2}}}}}))
+    with pytest.raises(BadConfig, match=re.escape("trust.lo must not be above trust.hi")):
+        run(load_config(path))
+
+
+@pytest.mark.parametrize("factor", [-0.5, float("inf")])
+def test_cross_dataset_risk_weight_factor_out_of_range_is_a_bad_config(tmp_path, factor):
+    # a negative factor was reported as a bad calibration_tilt
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": {"cross_dataset": {"risk_weight_factor": factor}}}))
+    cfg = load_config(path)
+    with pytest.raises(
+            BadConfig, match=re.escape("experiments.cross_dataset.risk_weight_factor must")):
+        simulate.run_cross_dataset(cfg, simulate.load_datasets(cfg, DATA_DIR), interactions=5)
+
+
 def test_cross_dataset_deterministic():
     datasets = simulate.load_datasets(CFG, DATA_DIR)
     a = simulate.run_cross_dataset(CFG, datasets, interactions=100)
@@ -226,10 +252,18 @@ def trust_bits(ecosystem):
     ]
 
 
+def seed_per_event(self, rid, completions, quality, alignment):
+    """``TrustStore.seed_history`` as one ``record`` call per event."""
+    for _ in range(completions):
+        self.record(rid, "completed")
+    self.record(rid, "quality_report", quality)
+    return self.record(rid, "alignment_report", alignment)
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_full_sim_trust_matches_one_record_per_event(seed, monkeypatch):
     from dpnego.ingest import gen_ecosystem
-    from dpnego.scoring import TrustStore, fold_trust
+    from dpnego.scoring import TrustStore
 
     def ecosystem():
         return gen_ecosystem(seed + 1, CFG.catalog, CFG.ecosystem, CFG.trust)
@@ -250,16 +284,10 @@ def test_full_sim_trust_matches_one_record_per_event(seed, monkeypatch):
                 prosumer.trust.record(name, "alignment_report", float(rng.uniform(0.5, 1.0)))
     assert trust_bits(folded) == trust_bits(reference)
 
-    # a whole run, against one that folds every extend one event at a time
+    # a whole run, against one that seeds each pair one event at a time
     folded = ecosystem()
     simulate.run_full_sim(CFG, ecosystem=folded, seed=seed)
-
-    def per_event(self, rid, events):
-        for event, value in events:
-            self.ledgers[rid] = fold_trust(self.ledger(rid), [(event, value)], self.cfg)
-        return self.ledger(rid)
-
-    monkeypatch.setattr(TrustStore, "extend", per_event)
+    monkeypatch.setattr(TrustStore, "seed_history", seed_per_event)
     reference = ecosystem()
     simulate.run_full_sim(CFG, ecosystem=reference, seed=seed)
     assert trust_bits(folded) == trust_bits(reference)
@@ -278,14 +306,7 @@ def test_full_sim_reseeded_trust_matches_one_record_per_event(monkeypatch):
         return ecosystem
 
     seeded = two_runs()
-
-    def per_event(self, rid, completions, quality, alignment):
-        for _ in range(completions):
-            self.record(rid, "completed")
-        self.record(rid, "quality_report", quality)
-        return self.record(rid, "alignment_report", alignment)
-
-    monkeypatch.setattr(TrustStore, "seed_history", per_event)
+    monkeypatch.setattr(TrustStore, "seed_history", seed_per_event)
     assert trust_bits(seeded) == trust_bits(two_runs())
 
 
