@@ -36,6 +36,17 @@ if c_make_encoder is None:
     canonical_json = _CANONICAL.encode
 
 
+def left_sum(values: Iterable[float], start: float = 0) -> float:
+    """``start`` plus each value, added left to right in plain float
+    arithmetic: what ``sum(values, start)`` gives before Python 3.12, which
+    compensates float sums. Every sensitivity and budget total on the
+    decision path is summed this way, so it has the same bits on every
+    supported Python."""
+    for value in values:
+        start += value
+    return start
+
+
 class FeatureKind(Enum):
     __hash__ = object.__hash__  # members are singletons; Enum hashes the name in Python
     LOCATION = "location"
@@ -305,7 +316,7 @@ class ValidatedRequest:
     def __post_init__(self) -> None:
         req, catalog = self.request, self.catalog
         try:
-            s = sum(map(catalog.alphas.__getitem__, req.features))
+            s = left_sum(map(catalog.alphas.__getitem__, req.features))
         except KeyError as exc:
             missing = exc.args[0].value
             raise UnknownFeature(f"feature not exposed by owner catalog: {missing}") from None

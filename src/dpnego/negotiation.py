@@ -16,6 +16,7 @@ from .contracts import (
     NegotiationOutcome,
     ResolutionKind,
     ValidatedRequest,
+    left_sum,
     validate_request,
 )
 
@@ -138,7 +139,7 @@ class BudgetLedger:
                 raise NonPositiveEpsilon(
                     f"grant {contract_id!r} must be a positive finite number, got {eps!r}"
                 )
-        self._spent = float(sum(e for _, e in self.granted))
+        self._spent = float(left_sum(e for _, e in self.granted))
         if self._spent > self.h_max + _TOL:
             raise BudgetOverdraft("granted epsilons exceed h_max")
 
@@ -205,7 +206,7 @@ def _reduce_shape(
     features = list(features)
 
     def current() -> float:
-        return catalog.attenuations[resolution] * sum(catalog.alphas[k] for k in features)
+        return catalog.attenuations[resolution] * left_sum(map(catalog.alphas.__getitem__, features))
 
     original = current()
     if original <= 0:

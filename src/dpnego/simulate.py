@@ -19,6 +19,7 @@ from .contracts import (
     Decision,
     NegotiationOutcome,
     ValidatedRequest,
+    left_sum,
     request_from_dict,
     validate_request,
 )
@@ -54,24 +55,28 @@ def parse_bundle(doc: dict, catalog: Catalog) -> ValidatedRequest:
 
 def read_stream(doc: dict, cfg: AppConfig) -> tuple[list[ValidatedRequest], np.ndarray]:
     """A request stream's bundles, validated, and their weights normalized to
-    sum to 1. The runners read ``trust`` (``lo`` and ``hi``, the bounds of
-    each requester's uniform trust draw) and ``counter_accept_prob`` from the
-    stream themselves; the config merge has checked their keys and types, and
-    this reader checks their range and that ``lo`` is not above ``hi``. A bad
-    bundle, weight or range raises ``BadConfig``."""
+    sum to 1. The runners read the stream's other keys themselves: the sweep
+    and cross-dataset streams have ``trust`` (``lo`` and ``hi``, the bounds of
+    each requester's uniform trust draw), and the full simulation's has
+    ``counter_accept_prob``. The config merge has checked their keys and
+    types; this reader checks the range of each one the stream has, and that
+    ``lo`` is not above ``hi``. A bad bundle, weight or range raises
+    ``BadConfig``."""
     try:
         weights = [b["weight"] for b in doc["bundles"]]
     except (KeyError, TypeError) as exc:
         raise BadConfig(f"request stream: missing or malformed {exc}") from exc
     if not weights or not all(_is_number(w) and 0 < w < math.inf for w in weights):
         raise BadConfig(f"bundle weights must be positive finite numbers, got {weights!r}")
-    unit = {"trust.lo": doc["trust"]["lo"], "trust.hi": doc["trust"]["hi"]}
+    unit = {}
+    if "trust" in doc:
+        unit["trust.lo"], unit["trust.hi"] = doc["trust"]["lo"], doc["trust"]["hi"]
     if "counter_accept_prob" in doc:
         unit["counter_accept_prob"] = doc["counter_accept_prob"]
     for key, value in unit.items():
         if not 0.0 <= value <= 1.0:
             raise BadConfig(f"{key} must be a number in [0, 1], got {value!r}")
-    if unit["trust.lo"] > unit["trust.hi"]:
+    if "trust" in doc and unit["trust.lo"] > unit["trust.hi"]:
         raise BadConfig(f"trust.lo must not be above trust.hi, got {unit['trust.lo']!r} "
                         f"> {unit['trust.hi']!r}")
     w = np.array(weights, dtype=np.float64)
@@ -126,6 +131,11 @@ def experiment(cfg: AppConfig, name: str, **args: Any) -> dict[str, Any]:
     return exp
 
 
+# Reading a member off an Enum class runs Python code before Python 3.12
+# (about 0.2 us), so the runners compare each decision against these.
+_APPROVE, _COUNTER, _REJECT = Decision.APPROVE, Decision.COUNTER_OFFER, Decision.REJECT
+
+
 @dataclass
 class ScenarioMetrics:
     """Decision counts and budget aggregates for one scenario run."""
@@ -141,15 +151,26 @@ class ScenarioMetrics:
     exhaustion_index: int | None = None
     decision_log: str | None = None
 
-    def tally(self, outcome: NegotiationOutcome) -> None:
-        """Count one decision; an approval adds its grant to ``total_granted``."""
-        if outcome.decision is Decision.APPROVE:
-            self.accepts += 1
-            self.total_granted += outcome.epsilon_star
-        elif outcome.decision is Decision.REJECT:
-            self.rejects += 1
-        else:
-            self.counters += 1
+    def count(self, outcomes: Sequence[NegotiationOutcome],
+              granted: Sequence[float] | None = None) -> None:
+        """Count a run's decisions, given in interaction order, in one pass.
+        ``granted`` is the run's settled epsilons in that order, by default
+        each approval's; ``total_granted`` adds them one by one, left to
+        right, as one update per decision would (``left_sum``, not ``sum()``,
+        which compensates float sums from Python 3.12)."""
+        accepts = rejects = 0
+        approved = self.total_granted
+        for outcome in outcomes:
+            decision = outcome.decision
+            if decision is _APPROVE:
+                accepts += 1
+                approved += outcome.epsilon_star
+            elif decision is _REJECT:
+                rejects += 1
+        self.accepts += accepts
+        self.rejects += rejects
+        self.counters += len(outcomes) - accepts - rejects
+        self.total_granted = approved if granted is None else left_sum(granted, self.total_granted)
 
     @property
     def rates_defined(self) -> bool:
@@ -245,8 +266,7 @@ def run_sweep(
     for eps0 in exp["eps0_values"]:
         ledger = BudgetLedger(h_max=float(eps0))
         metrics = ScenarioMetrics(interactions=n)
-        for i in range(n):
-            metrics.tally(negotiate(validated[idx[i]], ledger, trusts[i], cfg.engine))
+        metrics.count([negotiate(validated[i], ledger, t, cfg.engine) for i, t in zip(idx, trusts)])
         rows.append(
             {
                 "eps0": eps0,
@@ -367,24 +387,29 @@ def run_full_sim(
     owners = rng.integers(0, len(prosumers), size=n).tolist()
     requesters = rng.integers(0, n_req, size=n).tolist()
     draws = rng.choice(len(validated), size=n, p=weights).tolist() if n else []
+    # settlement and the exhaustion index follow each decision; the counts
+    # and the granted total are taken once, from the run in order
+    outcomes: list[NegotiationOutcome] = []
+    granted: list[float] = []
     for i in range(n):
         prosumer = prosumers[owners[i]]
         requester = names[requesters[i]]
         trust = prosumer.trust.score(requester)
         outcome = negotiate(validated[draws[i]], prosumer.ledger, trust, cfg.engine)
-        metrics.tally(outcome)
-        if outcome.decision is Decision.APPROVE:
+        outcomes.append(outcome)
+        if outcome.decision is _APPROVE:
             prosumer.ledger.settle(f"c{i}", outcome.epsilon_star)
+            granted.append(outcome.epsilon_star)
             quality, alignment = rng.uniform(0.7, 1.0, 2).tolist()
-            prosumer.trust.record(requester, "completed")
-            prosumer.trust.record(requester, "quality_report", quality)
-            prosumer.trust.record(requester, "alignment_report", alignment)
-        elif outcome.decision is Decision.COUNTER_OFFER and rng.random() < accept_prob:
+            prosumer.trust.extend(requester, (("completed", None), ("quality_report", quality),
+                                              ("alignment_report", alignment)))
+        elif outcome.decision is _COUNTER and rng.random() < accept_prob:
             metrics.counters_accepted += 1
             prosumer.ledger.settle(f"c{i}", outcome.epsilon_star)
-            metrics.total_granted += outcome.epsilon_star
+            granted.append(outcome.epsilon_star)
         if prosumer.ledger.exhausted and metrics.exhaustion_index is None:
             metrics.exhaustion_index = i + 1
+    metrics.count(outcomes, granted)
 
     fractions = [p.ledger.h_remaining / p.ledger.h_max for p in prosumers]
     metrics.mean_remaining_fraction = float(np.mean(fractions))
@@ -518,8 +543,8 @@ def run_cross_dataset(
                 trusts = rng.uniform(trust["lo"], trust["hi"], size=n).tolist()
                 ledger = BudgetLedger(h_max=owner_budget)
                 metrics = ScenarioMetrics(interactions=n)
-                for i in range(n):
-                    metrics.tally(negotiate(validated[idx[i]], ledger, trusts[i], cfg.engine))
+                metrics.count([negotiate(validated[i], ledger, t, cfg.engine)
+                               for i, t in zip(idx, trusts)])
                 scenarios.append(
                     {
                         "dataset": dataset,

@@ -679,7 +679,17 @@ def assert_stream_bad_config(tmp_path, capsys, command, stream, text):
     ({"trust": {"low": 0.1}}, "low"),
 ])
 def test_unknown_stream_key_is_a_bad_config(tmp_path, capsys, command, stream, text):
+    if command == "simulate" and "trust" in stream:
+        # the full simulation's stream has no trust block at all
+        text = "unknown key experiments.full_sim.stream.trust"
     assert_stream_bad_config(tmp_path, capsys, command, stream, text)
+
+
+def test_full_sim_stream_trust_is_an_unknown_key(tmp_path, capsys):
+    # run_full_sim takes each requester's trust from its owner's TrustStore,
+    # so the stream's former trust range, even at its old default, is refused
+    assert_stream_bad_config(tmp_path, capsys, "simulate", {"trust": {"lo": 0.2, "hi": 0.9}},
+                             "unknown key experiments.full_sim.stream.trust")
 
 
 @pytest.mark.parametrize("stream,text", [
@@ -689,7 +699,10 @@ def test_unknown_stream_key_is_a_bad_config(tmp_path, capsys, command, stream, t
     ({"bundles": []}, "weights"),
 ])
 def test_bad_stream_number_is_a_bad_config(tmp_path, capsys, stream, text):
-    assert_stream_bad_config(tmp_path, capsys, "simulate", stream, text)
+    # only the sweep's and the cross-dataset stream have a trust block, and
+    # only the full simulation's has counter_accept_prob
+    command = "sweep" if "trust" in stream else "simulate"
+    assert_stream_bad_config(tmp_path, capsys, command, stream, text)
 
 
 @pytest.mark.parametrize("window", [None, "24", 24.0, True])

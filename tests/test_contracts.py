@@ -56,6 +56,19 @@ def test_validate_billing_load_curve(cfg):
     assert validated.sensitivity == pytest.approx(0.4)
 
 
+def test_sensitivity_is_summed_left_to_right(cfg):
+    # Python 3.12 and later compensate sum() over floats and give 1.3 here;
+    # added left to right, as 3.10 and 3.11 add them, the three coefficients
+    # give 1.2999999999999998 on every version
+    req = make_request(
+        features=(FeatureKind.AGGREGATE, FeatureKind.APPLIANCE_LEVEL, FeatureKind.LOAD_CURVE),
+        resolution=ResolutionKind.MIN5,
+    )
+    validated = validate_request(req, cfg.catalog)
+    assert validated.sensitivity.hex() == "0x1.4ccccccccccccp+0"
+    assert validated.effective_sensitivity.hex() == "0x1.4ccccccccccccp+0"
+
+
 def test_empty_feature_set_rejected(cfg):
     with pytest.raises(EmptyFeatureSet):
         validate_request(make_request(features=()), cfg.catalog)
@@ -388,7 +401,10 @@ def test_warm_catalog_matches_a_cold_one(cfg):
                     assert got == want
                     assert got.sensitivity.hex() == want.sensitivity.hex()
                     assert got.effective_sensitivity.hex() == want.effective_sensitivity.hex()
-                    reference = warm.attenuations[resolution] * sum(warm.alphas[k] for k in features)
+                    total = 0
+                    for k in features:
+                        total += warm.alphas[k]
+                    reference = warm.attenuations[resolution] * total
                     assert got.effective_sensitivity.hex() == reference.hex()
                     assert got.purpose_score == want.purpose_score == warm.purpose_scores[purpose]
                     for engine in engines:

@@ -764,6 +764,17 @@ def test_ledger_rejects_a_grant_that_is_not_positive_and_finite(eps):
     assert ledger.granted == [] and ledger.spent == 0.0 and ledger.h_remaining == 4.0
 
 
+def test_ledger_spent_is_summed_left_to_right():
+    # twenty grants of 0.02 come to 0.4000000000000001 added one by one, as
+    # settle adds them; Python 3.12's compensated sum() would give 0.4
+    grants = [(f"c{i}", 0.02) for i in range(20)]
+    settled = BudgetLedger(h_max=8.0)
+    for contract_id, eps in grants:
+        settled.settle(contract_id, eps)
+    assert BudgetLedger(h_max=8.0, granted=grants).spent.hex() == "0x1.999999999999bp-2"
+    assert settled.spent.hex() == "0x1.999999999999bp-2"
+
+
 # --- shared outcomes and the engine lookup -------------------------------------
 
 @given(

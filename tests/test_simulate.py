@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dpnego.config import BadConfig, _deep_merge, from_document, load_config
 from dpnego import simulate
+from dpnego.contracts import Decision
 from dpnego.simulate import (
     MissingDataset,
     ScenarioMetrics,
@@ -308,6 +309,141 @@ def test_full_sim_reseeded_trust_matches_one_record_per_event(monkeypatch):
     seeded = two_runs()
     monkeypatch.setattr(TrustStore, "seed_history", seed_per_event)
     assert trust_bits(seeded) == trust_bits(two_runs())
+
+
+# Under the staged safety mode counter-offers are made, and in the full
+# simulation about half of them are taken and settle like approvals. Its
+# bundles propose no epsilon here, so the grants differ and their order can
+# change the bits of their total.
+STAGED = from_document(_deep_merge(CFG.raw, {
+    "engine": {"safety_mode": "staged"},
+    "experiments": {"full_sim": {"stream": {"bundles": [
+        {k: v for k, v in bundle.items() if k != "proposed_epsilon"}
+        for bundle in CFG.raw["experiments"]["full_sim"]["stream"]["bundles"]
+    ]}}},
+}))
+
+
+def record_outcomes(monkeypatch):
+    """Every outcome the runners get from ``simulate.negotiate``, in order."""
+    seen = []
+
+    def negotiate(*args):
+        outcome = real(*args)
+        seen.append(outcome)
+        return outcome
+
+    real = simulate.negotiate
+    monkeypatch.setattr(simulate, "negotiate", negotiate)
+    return seen
+
+
+def one_at_a_time(outcomes, taken=frozenset()):
+    """The counts and granted total of a run, counted one decision at a time
+    as they were before the runners counted in bulk: an approval, and a
+    counter-offer whose index is in ``taken``, add their epsilon as they come."""
+    counts = {"accepts": 0, "rejects": 0, "counters": 0, "counters_accepted": 0}
+    total = 0.0
+    for i, outcome in enumerate(outcomes):
+        if outcome.decision is Decision.APPROVE:
+            counts["accepts"] += 1
+            total += outcome.epsilon_star
+        elif outcome.decision is Decision.REJECT:
+            counts["rejects"] += 1
+        else:
+            counts["counters"] += 1
+            if i in taken:
+                counts["counters_accepted"] += 1
+                total += outcome.epsilon_star
+    return {**counts, "total_granted": total.hex()}
+
+
+def counted(metrics):
+    keys = ("accepts", "rejects", "counters", "counters_accepted")
+    return {**{k: metrics[k] for k in keys}, "total_granted": metrics["total_granted"].hex()}
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_full_sim_counts_as_one_decision_at_a_time(seed, monkeypatch):
+    from dpnego.ingest import gen_ecosystem
+
+    seen = record_outcomes(monkeypatch)
+    eco = gen_ecosystem(6, STAGED.catalog, STAGED.ecosystem, STAGED.trust)
+    metrics = run_full_sim(STAGED, ecosystem=eco, interactions=200, seed=seed)
+    assert len(seen) == 200
+    # each settled grant carries its interaction's index as "c<i>"
+    settled = {int(cid[1:]) for p in eco.prosumers for cid, _ in p.ledger.granted}
+    approved = {i for i, o in enumerate(seen) if o.decision is Decision.APPROVE}
+    taken = settled - approved
+    assert taken and all(seen[i].decision is Decision.COUNTER_OFFER for i in taken)
+    want = one_at_a_time(seen, taken)
+    assert counted(metrics.to_dict()) == want
+    # the approvals and the taken counter-offers interleave, and folded
+    # approvals first their total has other bits: the test sees the order
+    approvals_first = 0.0
+    for i in sorted(approved) + sorted(taken):
+        approvals_first += seen[i].epsilon_star
+    assert approvals_first.hex() != want["total_granted"]
+
+
+def test_sweep_counts_as_one_decision_at_a_time(monkeypatch):
+    seen = record_outcomes(monkeypatch)
+    n = 150
+    result = run_sweep(STAGED, interactions=n)
+    rows = result["rows"]
+    assert len(seen) == n * len(rows)
+    assert any(o.decision is Decision.COUNTER_OFFER for o in seen)
+    for k, row in enumerate(rows):
+        want = one_at_a_time(seen[k * n:(k + 1) * n])
+        got = {key: row[key] for key in ("accept", "reject", "counter")}
+        assert got == {"accept": want["accepts"] / n, "reject": want["rejects"] / n,
+                       "counter": want["counters"] / n}
+
+
+def test_cross_dataset_counts_as_one_decision_at_a_time(monkeypatch):
+    datasets = simulate.load_datasets(STAGED, DATA_DIR)
+    seen = record_outcomes(monkeypatch)
+    n = 60
+    scenarios = simulate.run_cross_dataset(STAGED, datasets, interactions=n)["scenarios"]
+    assert len(seen) == n * len(scenarios)
+    assert any(o.decision is Decision.COUNTER_OFFER for o in seen)
+    for k, scenario in enumerate(scenarios):
+        assert counted(scenario) == one_at_a_time(seen[k * n:(k + 1) * n])
+
+
+@pytest.mark.parametrize("cfg,digest", [
+    (CFG, "e78c9992fb062f5e4885593719167f95ff3f6c1455d5119698653663a63a8734"),
+    (STAGED, "d39da68cb714b11647847c371226f5c457844699b09c65e4f6c3fea7fcc89c29"),
+], ids=["upfront", "staged"])
+def test_full_sim_approval_trust_matches_one_record_per_event(cfg, digest, monkeypatch):
+    """Each approval folds its three trust events in one ``extend`` call. A
+    run whose ``extend`` folds one event per call, as three ``record`` calls
+    do, leaves every ledger the same to the bit; so does the loop that made
+    three ``record`` calls per approval, whose ledgers' digest is pinned."""
+    import hashlib
+    from dpnego.ingest import gen_ecosystem
+    from dpnego.scoring import TrustStore
+
+    def run():
+        ecosystem = gen_ecosystem(4, cfg.catalog, cfg.ecosystem, cfg.trust)
+        simulate.run_full_sim(cfg, ecosystem=ecosystem, interactions=500, seed=3)
+        return ecosystem
+
+    folded = run()
+    text = json.dumps(trust_bits(folded), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    extend = TrustStore.extend
+    calls = []
+
+    def one_event_per_call(self, rid, events):
+        for event in events:
+            calls.append(event[0])
+            extend(self, rid, (event,))
+        return self.ledger(rid)
+
+    monkeypatch.setattr(TrustStore, "extend", one_event_per_call)
+    assert trust_bits(run()) == trust_bits(folded)
+    assert calls and calls[:3] == ["completed", "quality_report", "alignment_report"]
 
 
 def bits(values):
