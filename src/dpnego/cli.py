@@ -38,16 +38,20 @@ from .secretshare import (
 
 
 TRUST_DEFAULTS = {"succ_count": 0, "quality": 0.0, "alignment": 0.0}
+OWNER_KEYS = {"owner_id", "h_max", "granted", "trust"}
 
 
 def load_owner_state(path: str | Path, cfg: AppConfig) -> tuple[str, BudgetLedger, TrustStore]:
     """Owner state file: budget ledger plus trust evidence per requester.
-    Each value is read by its JSON type, never coerced, so that a malformed
-    file is refused rather than rewritten; it raises ValueError."""
+    Each value is read by its JSON type, never coerced, and an unknown key
+    (a misspelt ``granted`` would read as no grants) is not ignored, so that a
+    malformed file is refused rather than rewritten; it raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"owner state must be a JSON object, got {doc!r}")
+    if unknown := doc.keys() - OWNER_KEYS:
+        raise ValueError(f"unknown owner state keys: {sorted(unknown)}")
     owner_id, h_max = doc.get("owner_id", "owner"), doc["h_max"]
     granted, trust = doc.get("granted", []), doc.get("trust", {})
     if not isinstance(owner_id, str):

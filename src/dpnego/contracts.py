@@ -96,6 +96,11 @@ class Decision(Enum):
     REJECT = "reject"
 
 
+# Reading a member off an Enum class runs Python code before Python 3.12
+# (about 0.2 us), so the decision paths compare against these.
+APPROVE, COUNTER_OFFER, REJECT = Decision.APPROVE, Decision.COUNTER_OFFER, Decision.REJECT
+
+
 class ValidationError(ValueError):
     """Base class for request validation failures."""
 
@@ -355,10 +360,10 @@ class NegotiationOutcome:
     violated: str | None = None
 
     def __post_init__(self) -> None:
-        if self.decision is Decision.APPROVE:
+        if self.decision is APPROVE:
             if self.epsilon_star is None or self.modified_request is not None:
                 raise ValueError("approve carries epsilon_star and no modified request")
-        elif self.decision is Decision.COUNTER_OFFER:
+        elif self.decision is COUNTER_OFFER:
             if self.epsilon_star is None or self.modified_request is None:
                 raise ValueError("counter-offer carries epsilon_star and a modified request")
         else:

@@ -9,6 +9,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .contracts import (
+    APPROVE,
+    COUNTER_OFFER,
+    REJECT,
     ContractRequest,
     Decision,
     NegotiationOutcome,
@@ -153,7 +156,7 @@ def explain(
         raise FactorMismatch(
             f"factor eps_star {factors.eps_star} != outcome {outcome.epsilon_star}"
         )
-    if outcome.decision is Decision.REJECT and outcome.violated is None:
+    if outcome.decision is REJECT and outcome.violated is None:
         raise FactorMismatch("reject outcome without a violated constraint")
 
     pu: float | None = None
@@ -161,7 +164,7 @@ def explain(
     changed: tuple[str, ...] = ()
     warning = False
 
-    if outcome.decision is Decision.APPROVE:
+    if outcome.decision is APPROVE:
         assert outcome.epsilon_star is not None
         pu = privacy_utility_score(
             outcome.epsilon_star, factors.s_eff, factors.trust, engine_cfg, explain_cfg
@@ -179,7 +182,7 @@ def explain(
         )
         if warning:
             text += " Warning: this grant consumes most of the remaining privacy capacity."
-    elif outcome.decision is Decision.COUNTER_OFFER:
+    elif outcome.decision is COUNTER_OFFER:
         assert outcome.epsilon_star is not None and outcome.modified_request is not None
         pu = privacy_utility_score(
             outcome.epsilon_star, factors.s_eff, factors.trust, engine_cfg, explain_cfg
@@ -305,7 +308,7 @@ def robustness_probe(
         cap = case.request.request.proposed_epsilon
         purpose = case.request.request.purpose.value
         base_label, base_eps, _, base_preds = engine._decide(
-            s_eff, lambda: counter_s, case.trust >= engine_cfg.trusted_min_trust,
+            s_eff, counter_s, case.trust >= engine_cfg.trusted_min_trust,
             case.h_remaining, cap, purpose,
             want_predicates=True,
         )
@@ -314,7 +317,7 @@ def robustness_probe(
             v = 1.0 + next(offsets)
             label, eps, _, preds = engine._decide(
                 s_eff * u,
-                lambda: counter_s * u if counter_s is not None else None,
+                counter_s * u if counter_s is not None else None,
                 min(1.0, case.trust * v) >= engine_cfg.trusted_min_trust,
                 case.h_remaining,
                 cap,

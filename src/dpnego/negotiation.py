@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from .contracts import (
+    APPROVE,
+    COUNTER_OFFER,
     MEMO_LIMIT,
+    REJECT,
     RESOLUTION_ORDER,
     Catalog,
     Decision,
@@ -218,10 +220,9 @@ def _reduce_shape(
         if (s := current()) <= target + _TOL:
             return tuple(features), resolution, s
 
-    by_alpha_desc = sorted(
-        range(len(features)), key=lambda i: (-catalog.alphas[features[i]], i)
-    )
-    for i in by_alpha_desc:
+    # a stable sort keeps equal coefficients in request order
+    alphas = [catalog.alphas[f] for f in features]
+    for i in sorted(range(len(features)), key=alphas.__getitem__, reverse=True):
         if features[i] is FeatureKind.AGGREGATE:
             continue
         features[i] = FeatureKind.AGGREGATE
@@ -229,8 +230,8 @@ def _reduce_shape(
             return tuple(features), resolution, s
 
     while len(features) > 1:
-        drop = max(range(len(features)), key=lambda i: (catalog.alphas[features[i]], -i))
-        del features[drop]
+        alphas = [catalog.alphas[f] for f in features]
+        del features[alphas.index(max(alphas))]
         if (s := current()) <= target + _TOL:
             return tuple(features), resolution, s
 
@@ -242,10 +243,9 @@ class NegotiationEngine:
     objective it grants from, found without building the grid.
 
     Pure with respect to its config: identical inputs give identical outputs,
-    so (sensitivity, upper-bound) argmax results and the frozen APPROVE
-    outcomes per granted epsilon are memoized on the engine, and each
-    request's outcomes on the request (see ``negotiate``); each memo is
-    cleared at ``MEMO_LIMIT`` entries.
+    so (sensitivity, upper-bound) argmax results are memoized on the engine
+    and each request's outcomes on the request (see ``negotiate``); each memo
+    is cleared at ``MEMO_LIMIT`` entries.
     """
 
     def __init__(self, cfg: EngineConfig):
@@ -253,7 +253,6 @@ class NegotiationEngine:
         l1, l2, _, _, l5 = cfg.lambdas
         self._weights = (l1, l2, l5)
         self._argmax_cache: dict[tuple[float, float, type], float | None] = {}
-        self._approvals: dict[float, NegotiationOutcome] = {}
 
     def _stationary(self, sensitivity: float) -> float:
         """Root of f'(e) = l1/sqrt(e) - 1.7*l2*1.8*S*e^0.7 - 0.15*l5.
@@ -344,9 +343,9 @@ class NegotiationEngine:
         validation, on the ledger only through ``h_remaining`` (a float) and
         on the trust only through ``trust >= trusted_min_trust``, so
         ``req.outcomes`` keys it by (engine, h_remaining, trusted) and the
-        engine decides only on a miss. ``_decide`` derives the counter-offer
-        only for a request it does not approve as asked, and the modified
-        request is built and validated only for a COUNTER_OFFER verdict.
+        engine decides only on a miss. Each decision takes the counter-offer
+        from ``derive_counter_offer``, and the modified request is built and
+        validated only for a COUNTER_OFFER verdict.
         """
         h_remaining = ledger.h_remaining
         trusted = trust >= self.cfg.trusted_min_trust
@@ -363,36 +362,18 @@ class NegotiationEngine:
         self, req: ValidatedRequest, h_remaining: float, trusted: bool
     ) -> NegotiationOutcome:
         base = req.request
-        shape = None
-
-        def counter() -> float | None:
-            nonlocal shape
-            shape = derive_counter_offer(req, self.cfg)
-            return None if shape is None else shape[2]
-
+        shape = derive_counter_offer(req, self.cfg)
         label, eps_star, violated, _ = self._decide(
-            req.effective_sensitivity, counter, trusted, h_remaining,
-            base.proposed_epsilon, base.purpose.value,
+            req.effective_sensitivity, None if shape is None else shape[2], trusted,
+            h_remaining, base.proposed_epsilon, base.purpose.value,
         )
-        if label is Decision.APPROVE:
-            # outcomes are frozen, so an approval is shared per float grant;
-            # an int or float-subclass grant is built afresh to keep its type
-            if type(eps_star) is not float:
-                return NegotiationOutcome(Decision.APPROVE, epsilon_star=eps_star)
-            approvals = self._approvals
-            outcome = approvals.get(eps_star)
-            if outcome is None:
-                if len(approvals) >= MEMO_LIMIT:
-                    approvals.clear()
-                outcome = approvals[eps_star] = NegotiationOutcome(
-                    Decision.APPROVE, epsilon_star=eps_star
-                )
-            return outcome
-        if label is Decision.COUNTER_OFFER:
+        if label is APPROVE:
+            return NegotiationOutcome(APPROVE, epsilon_star=eps_star)
+        if label is COUNTER_OFFER:
             features, resolution, _ = shape
             modified = replace(base, features=features, resolution=resolution)
             return NegotiationOutcome(
-                Decision.COUNTER_OFFER,
+                COUNTER_OFFER,
                 epsilon_star=eps_star,
                 modified_request=validate_request(modified, req.catalog).request,
             )
@@ -401,7 +382,7 @@ class NegotiationEngine:
     def _decide(
         self,
         s_eff: float,
-        counter: Callable[[], float | None],
+        counter_s: float | None,
         trusted: bool,
         h_remaining: float,
         eps_cap: float | None,
@@ -412,12 +393,10 @@ class NegotiationEngine:
         robustness probe: approve as asked, else counter-offer, else approve
         a trusted requester at the minimum, else reject.
 
-        ``counter`` returns the counter-offer's effective sensitivity, or
-        None when there is none; it is called once, and only for a request
-        not approved as asked (always when ``want_predicates``). ``trusted``
-        is ``trust >= cfg.trusted_min_trust``, the only form in which a
-        decision reads the requester's trust. Returns (decision, eps_star,
-        violated, predicates).
+        ``counter_s`` is the counter-offer's effective sensitivity, or None
+        when there is none. ``trusted`` is ``trust >= cfg.trusted_min_trust``,
+        the only form in which a decision reads the requester's trust.
+        Returns (decision, eps_star, violated, predicates).
         """
         cfg = self.cfg
         upper = h_remaining if eps_cap is None else min(h_remaining, eps_cap)
@@ -433,11 +412,6 @@ class NegotiationEngine:
         else:
             violated = None
 
-        if violated is None and not want_predicates:
-            return Decision.APPROVE, eps1, None, None
-        # asked before the upfront safety reject too, where it goes unused:
-        # perfbench's cli workload, all upfront rejects, expects the call
-        counter_s = counter()
         predicates = (
             eps1 is not None and eps1 >= eps_min - _TOL,
             eps1 is not None and eps1 <= h_remaining + _TOL,
@@ -445,10 +419,10 @@ class NegotiationEngine:
             counter_s is not None and counter_s <= cfg.counter_factor * s_eff + _TOL,
         ) if want_predicates else None
         if violated is None:
-            return Decision.APPROVE, eps1, None, predicates
+            return APPROVE, eps1, None, predicates
 
         if cfg.safety_mode == "upfront" and not safety_ok:
-            return Decision.REJECT, None, SAFETY_CONDITION, predicates
+            return REJECT, None, SAFETY_CONDITION, predicates
 
         if counter_s is not None and (
             cfg.safety_mode == "upfront"
@@ -460,7 +434,7 @@ class NegotiationEngine:
             elif eps2 < cfg.eps_min(counter_s, purpose) - _TOL:
                 violated = BELOW_MINIMUM
             else:
-                return Decision.COUNTER_OFFER, eps2, None, predicates
+                return COUNTER_OFFER, eps2, None, predicates
 
         if (
             trusted
@@ -468,15 +442,15 @@ class NegotiationEngine:
             and eps_min <= h_remaining + _TOL
             and (eps_cap is None or eps_cap >= eps_min - _TOL)
         ):
-            return Decision.APPROVE, eps_min, None, predicates
+            return APPROVE, eps_min, None, predicates
 
-        return Decision.REJECT, None, violated, predicates
+        return REJECT, None, violated, predicates
 
 
 _MISS = object()
 # one shared, frozen rejection per violated constraint
 _REJECTIONS = {
-    v: NegotiationOutcome(Decision.REJECT, violated=v)
+    v: NegotiationOutcome(REJECT, violated=v)
     for v in (SAFETY_CONDITION, BELOW_MINIMUM, BUDGET_EXCEEDED)
 }
 _ENGINES: dict[EngineConfig, NegotiationEngine] = {}

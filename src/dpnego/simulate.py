@@ -15,8 +15,10 @@ import numpy as np
 
 from .config import AppConfig, BadArgument, BadConfig, _is_number, build_engine_config
 from .contracts import (
+    APPROVE,
+    COUNTER_OFFER,
+    REJECT,
     Catalog,
-    Decision,
     NegotiationOutcome,
     ValidatedRequest,
     left_sum,
@@ -131,11 +133,6 @@ def experiment(cfg: AppConfig, name: str, **args: Any) -> dict[str, Any]:
     return exp
 
 
-# Reading a member off an Enum class runs Python code before Python 3.12
-# (about 0.2 us), so the runners compare each decision against these.
-_APPROVE, _COUNTER, _REJECT = Decision.APPROVE, Decision.COUNTER_OFFER, Decision.REJECT
-
-
 @dataclass
 class ScenarioMetrics:
     """Decision counts and budget aggregates for one scenario run."""
@@ -162,10 +159,10 @@ class ScenarioMetrics:
         approved = self.total_granted
         for outcome in outcomes:
             decision = outcome.decision
-            if decision is _APPROVE:
+            if decision is APPROVE:
                 accepts += 1
                 approved += outcome.epsilon_star
-            elif decision is _REJECT:
+            elif decision is REJECT:
                 rejects += 1
         self.accepts += accepts
         self.rejects += rejects
@@ -397,13 +394,13 @@ def run_full_sim(
         trust = prosumer.trust.score(requester)
         outcome = negotiate(validated[draws[i]], prosumer.ledger, trust, cfg.engine)
         outcomes.append(outcome)
-        if outcome.decision is _APPROVE:
+        if outcome.decision is APPROVE:
             prosumer.ledger.settle(f"c{i}", outcome.epsilon_star)
             granted.append(outcome.epsilon_star)
             quality, alignment = rng.uniform(0.7, 1.0, 2).tolist()
             prosumer.trust.extend(requester, (("completed", None), ("quality_report", quality),
                                               ("alignment_report", alignment)))
-        elif outcome.decision is _COUNTER and rng.random() < accept_prob:
+        elif outcome.decision is COUNTER_OFFER and rng.random() < accept_prob:
             metrics.counters_accepted += 1
             prosumer.ledger.settle(f"c{i}", outcome.epsilon_star)
             granted.append(outcome.epsilon_star)
@@ -635,7 +632,7 @@ def run_adversary(
         trust = store.score("adversary")
         trace.append(trust)
         outcome = negotiate(request, ledger, trust, engine_cfg)
-        if outcome.decision is Decision.APPROVE:
+        if outcome.decision is APPROVE:
             accepted += 1
             streak = 0
             ledger.settle(f"a{i}", outcome.epsilon_star)
@@ -699,7 +696,7 @@ def bench_latency(
     approval_req = None
     for v in validated:
         candidate = negotiate(v, ledger, 0.5, cfg.engine)
-        if candidate.decision is Decision.APPROVE:
+        if candidate.decision is APPROVE:
             approval, approval_req = candidate, v
             break
     if approval is None:
@@ -750,9 +747,15 @@ def bench_latency(
 # Robustness probe harness
 # ---------------------------------------------------------------------------
 
-def probe_cases(cfg: AppConfig, seed: int | None = None, replays: int | None = None) -> list[ReplayCase]:
-    """Frozen replay set: the sweep stream plus a slice of boundary-straddling
-    requests, against owner snapshots across the budget range."""
+def run_probe(
+    cfg: AppConfig,
+    seed: int | None = None,
+    replays: int | None = None,
+    outdir: str | Path | None = None,
+):
+    """Decision stability over a frozen replay set: the sweep stream plus a
+    slice of boundary-straddling requests, against owner snapshots across the
+    budget range."""
     exp = experiment(cfg, "probe", seed=seed, replays=replays)
     seed, n = exp["seed"], exp["replays"]
     validated, weights = read_stream(cfg.experiments["sweep"]["stream"], cfg)
@@ -766,21 +769,10 @@ def probe_cases(cfg: AppConfig, seed: int | None = None, replays: int | None = N
     idx = rng.choice(len(pool), size=n, p=all_weights)
     hs = rng.uniform(lo, hi, size=n)
     trusts = rng.uniform(0.0, 1.0, size=n)
-    return [
+    cases = [
         ReplayCase(request=pool[idx[i]], h_remaining=float(hs[i]), trust=float(trusts[i]))
         for i in range(n)
     ]
-
-
-def run_probe(
-    cfg: AppConfig,
-    seed: int | None = None,
-    replays: int | None = None,
-    outdir: str | Path | None = None,
-):
-    exp = experiment(cfg, "probe", seed=seed)
-    seed = exp["seed"]
-    cases = probe_cases(cfg, seed=seed, replays=replays)
     report = robustness_probe(cases, exp["perturbation"], exp["trials"], seed + 1, cfg.engine)
     _write_outputs(
         outdir, "probe",

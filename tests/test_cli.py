@@ -880,6 +880,9 @@ GOOD_TRUST = {"succ_count": 2, "quality": 0.9, "alignment": 1.0}
     {"h_max": 8.0, "trust": {"req-001": {**GOOD_TRUST, "quality": "0.9"}}},
     {"h_max": 8.0, "trust": {"req-001": {**GOOD_TRUST, "alignment": True}}},
     {"h_max": 8.0, "trust": {"req-001": {**GOOD_TRUST, "events": 3}}},
+    # a misspelt "granted" would read as no grants and be dropped on rewrite
+    {"owner_id": "o1", "h_max": 1.0, "grants": [["c0", 0.9]], "note": "keep me"},
+    {"h_max": 8.0, "granted": [], "trust": {}, "note": "keep me"},
 ])
 def test_negotiate_malformed_owner_file_exit_one(tmp_path, capsys, doc):
     req = write_request(tmp_path)

@@ -257,7 +257,7 @@ def test_effective_sensitivity_hourly_pair():
 def decide(s_eff, h_remaining, eps_cap):
     """``_decide`` for a billing request with no counter-offer and no trust."""
     return engine_for(ENGINE)._decide(
-        s_eff=s_eff, counter=lambda: None, trusted=False, h_remaining=h_remaining,
+        s_eff=s_eff, counter_s=None, trusted=False, h_remaining=h_remaining,
         eps_cap=eps_cap, purpose="billing", want_predicates=True,
     )
 
@@ -621,12 +621,12 @@ _AT = EngineConfig().trusted_min_trust
     which=st.sampled_from(range(len(ORACLE_ENGINES))),
 )
 @settings(max_examples=400, deadline=None)
-def test_lazy_counter_offer_decides_as_the_eager_reference(
+def test_engine_decides_as_the_reference(
     features, resolution, purpose, trust, h, spent, cap, which
 ):
     """``negotiate``, fresh and from its memo, and ``_decide`` with
-    predicates decide as the reference does; the derivation runs once for a
-    request not approved as asked and never for one approved as asked, and a
+    predicates decide as the reference does; a fresh decision derives the
+    counter-offer once and an answer from the memo not at all, and a
     counter-offer's request validates to the sensitivity it was derived at."""
     cfg = ORACLE_ENGINES[which]
     req = validated(features, resolution, purpose, proposed=cap)
@@ -635,14 +635,13 @@ def test_lazy_counter_offer_decides_as_the_eager_reference(
         ledger.settle("c0", spent * h)
     want, want_predicates = reference_negotiate(
         validate_request(req.request, CATALOG), ledger, trust, cfg)
-    as_asked = want_predicates[0] and want_predicates[2]
     engine = NegotiationEngine(cfg)
     with pytest.MonkeyPatch.context() as mp:
         calls = counting_derivations(mp)
         fresh = engine.negotiate(req, ledger, trust)
-        assert len(calls) == (0 if as_asked else 1)
+        assert calls == [req]
         memoized = engine.negotiate(req, ledger, trust)
-        assert len(calls) == (0 if as_asked else 1)
+        assert calls == [req]
     for got in (fresh, memoized):
         # repr also compares the grant's type
         assert repr((got.decision, got.epsilon_star, got.modified_request, got.violated)) == repr(
@@ -651,42 +650,13 @@ def test_lazy_counter_offer_decides_as_the_eager_reference(
     if fresh.decision is Decision.COUNTER_OFFER:
         assert validate_request(fresh.modified_request, CATALOG).effective_sensitivity == shape[2]
 
-    asked = []
-
-    def counter():
-        asked.append(1)
-        return None if shape is None else shape[2]
-
     label, eps_star, violated, predicates = engine._decide(
-        req.effective_sensitivity, counter, trust >= cfg.trusted_min_trust,
-        ledger.h_remaining, cap, purpose.value, want_predicates=True,
+        req.effective_sensitivity, None if shape is None else shape[2],
+        trust >= cfg.trusted_min_trust, ledger.h_remaining, cap, purpose.value,
+        want_predicates=True,
     )
-    assert len(asked) == 1
     assert repr((label, eps_star, violated, predicates)) == repr(
         (want[0], want[1], want[3], want_predicates))
-
-
-def test_only_a_request_not_approved_as_asked_derives_a_counter_offer(monkeypatch):
-    staged = EngineConfig(safety_mode="staged")
-    cases = [
-        # (features, resolution, h_max, trust, cfg, decision)
-        ([FeatureKind.AGGREGATE], ResolutionKind.HOUR1, 8.0, 0.5, ENGINE, Decision.APPROVE),
-        ([FeatureKind.AGGREGATE], ResolutionKind.HOUR1, 0.3, 0.9, ENGINE, Decision.REJECT),
-        ([FeatureKind.LOAD_CURVE], ResolutionKind.MIN15, 1.0, 0.3, staged,
-         Decision.COUNTER_OFFER),
-        ([FeatureKind.AGGREGATE], ResolutionKind.DAILY, 0.2, 0.9, staged, Decision.APPROVE),
-    ]
-    calls = counting_derivations(monkeypatch)
-    for features, resolution, h_max, trust, cfg, decision in cases:
-        req = validated(features, resolution)
-        calls.clear()
-        outcome = negotiate(req, BudgetLedger(h_max=h_max), trust, cfg)
-        assert outcome.decision is decision
-        as_asked = decision is Decision.APPROVE and outcome.epsilon_star != cfg.eps_min_default
-        if as_asked:
-            assert calls == []
-        else:  # rejections, counter-offers and the trusted-minimal approval
-            assert calls == [req]
 
 
 @given(
@@ -811,33 +781,20 @@ def test_approvals_are_not_shared_between_engines():
     assert negotiate(req, ledger, 0.9, other) is theirs
 
 
-def test_approval_memo_keeps_the_grant_type():
+def test_grant_keeps_its_type_through_negotiate_and_the_outcome_memo():
     # off-grid caps make the interval endpoint the grant, in the cap's own
-    # type: an int grant must not come back as an equal float one
+    # type: an int grant must not come back as an equal float one, fresh or
+    # from the outcome memo
     engine = NegotiationEngine(EngineConfig(grid_step=0.3))
     ledger = BudgetLedger(h_max=8.0)
-    as_float = engine.negotiate(
-        validated([FeatureKind.AGGREGATE], ResolutionKind.HOUR1, proposed=2.0), ledger, 0.5)
-    as_int = engine.negotiate(
-        validated([FeatureKind.AGGREGATE], ResolutionKind.DAILY, proposed=2), ledger, 0.5)
-    assert as_float.decision is as_int.decision is Decision.APPROVE
-    assert type(as_float.epsilon_star) is float and as_float.epsilon_star == 2.0
-    assert type(as_int.epsilon_star) is int and as_int.epsilon_star == 2
-
-
-def test_approval_memo_stays_bounded():
-    engine = NegotiationEngine(ENGINE)
-    ledger = BudgetLedger(h_max=8.0)
-    largest = 0
-    for i in range(MEMO_LIMIT + 300):
-        # caps below the optimum are off the grid, so each grant is new
-        cap = 0.1 + i * 1e-5 + 3e-6
-        outcome = engine.negotiate(
-            validated([FeatureKind.AGGREGATE], ResolutionKind.HOUR1, proposed=cap), ledger, 0.5)
-        assert outcome.epsilon_star == cap
-        largest = max(largest, len(engine._approvals))
-        assert len(engine._approvals) <= MEMO_LIMIT
-    assert largest == MEMO_LIMIT
+    float_req = validated([FeatureKind.AGGREGATE], ResolutionKind.HOUR1, proposed=2.0)
+    int_req = validated([FeatureKind.AGGREGATE], ResolutionKind.DAILY, proposed=2)
+    for _ in range(2):
+        as_float = engine.negotiate(float_req, ledger, 0.5)
+        as_int = engine.negotiate(int_req, ledger, 0.5)
+        assert as_float.decision is as_int.decision is Decision.APPROVE
+        assert type(as_float.epsilon_star) is float and as_float.epsilon_star == 2.0
+        assert type(as_int.epsilon_star) is int and as_int.epsilon_star == 2
 
 
 def test_argmax_memo_stays_bounded():
