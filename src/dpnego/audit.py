@@ -65,16 +65,18 @@ BODY_FIELDS = RECORD_FIELDS[:-1]
 _field_values = itemgetter(*RECORD_FIELDS)
 
 
-def _follows(rec: AuditRecord, before: AuditRecord | None, line: str | None = None) -> bool:
+def _follows(rec: AuditRecord, before: AuditRecord | None, line: str | None = None,
+             checked: bool = False) -> bool:
     """Whether ``rec`` may follow ``before`` in a chain (None: ``rec`` is its
     first record). It must link to ``before``'s hash (the genesis hash), have a
-    sequence above ``before``'s (above -1), and carry its own hash, checked
-    from ``line`` if it was read from one (``_stored_hash_ok``)."""
+    sequence above ``before``'s (above -1), and carry its own hash, checked from
+    ``line`` if it was read from one (``_stored_hash_ok``) or already ``checked``."""
     if before is None:
         link, last_seq = GENESIS_HASH, -1
     else:
         link, last_seq = before.record_hash, before.sequence
-    return rec.prev_hash == link and rec.sequence > last_seq and _stored_hash_ok(rec, line)
+    return rec.prev_hash == link and rec.sequence > last_seq and (
+        checked or _stored_hash_ok(rec, line))
 
 
 class AuditLog:
@@ -96,6 +98,8 @@ class AuditLog:
         self._head = 0
         # The last record read from the file and the line that holds it.
         self._read_tail: tuple[AuditRecord | None, str | None] = (None, None)
+        # The records ``load`` read and checked, each against its own line.
+        self._loaded: tuple[AuditRecord, ...] = ()
 
     def _first_index(self) -> int:
         """Index in the file of records[0]; a tail counts the lines before it."""
@@ -135,11 +139,13 @@ class AuditLog:
         return record
 
     def verify(self) -> int | None:
-        """Walk the whole chain; return the first corrupt index, or None."""
+        """Walk the whole chain; return the first corrupt index, or None. A record
+        ``load`` checked from its line keeps that hash verdict until replaced."""
         if self._first_index():
             raise ValueError("a log opened from its tail holds no whole chain")
         for i, rec in enumerate(self.records):
-            if not _follows(rec, self.records[i - 1] if i else None):
+            checked = i < len(self._loaded) and rec is self._loaded[i]
+            if not _follows(rec, self.records[i - 1] if i else None, checked=checked):
                 return i
         return None
 
@@ -200,6 +206,7 @@ class AuditLog:
                 before, log._read_tail = rec, (rec, line)
         log._path = os.path.realpath(path)
         log._stored = len(log.records)
+        log._loaded = tuple(log.records)
         return log
 
     @classmethod

@@ -286,66 +286,6 @@ def run_sweep(
 # Experiment 2: full ecosystem simulation
 # ---------------------------------------------------------------------------
 
-_LOW32 = 0xFFFFFFFF
-
-
-def _seed_draws(rng: np.random.Generator, pairs: int) -> tuple[list[int], list[float], list[float]]:
-    """Each pair's completion count, then the quality and alignment reports of
-    each pair with a non-zero count, as ``rng.integers(0, 12)`` and, for a
-    non-zero count, ``rng.uniform(0.5, 1.0, 2)`` draw them pair after pair:
-    the same values, and the same generator state afterwards, from one read
-    of raw PCG64 words. ``rng`` must be a PCG64 generator.
-
-    This replays numpy's own rules. A count takes a 32-bit half of a word: the
-    half PCG64 keeps from the last word if it has one, else the low half of a
-    new word, keeping the high half. It is Lemire's bounded integer
-    ("Fast Random Integer Generation in an Interval", 2019): ``m = u * 12``,
-    the count is ``m >> 32``, and a half with ``m & 0xFFFFFFFF < 4``
-    (``(2**32 - 12) % 12``) is redrawn. A report takes a whole word ``w`` and
-    leaves the kept half alone: ``0.5 + 0.5 * ((w >> 11) * 2**-53)``, whose
-    product is exact, so the sum rounds as numpy's does on any platform."""
-    bg = rng.bit_generator
-    saved = bg.state
-    has, half = saved["has_uint32"], saved["uinteger"]
-    # half a word per count and two per report pair last the run unless a
-    # count is redrawn; a view, not a list, as the loop reads a fifth of them
-    words = memoryview(bg.random_raw(2 * pairs + (pairs + 1) // 2))
-    pos = 0
-    counts: list[int] = []
-    at: list[int] = []
-    for _ in range(pairs):
-        while True:
-            # a draw may take a new word for the count and two for its reports
-            if pos + 3 - has > len(words):
-                more = bg.random_raw(pos + 3 - has - len(words))
-                words = memoryview(np.concatenate((words, more)))
-            if has:
-                has, u = 0, half
-            else:
-                word = words[pos]
-                has, u, half = 1, word & _LOW32, word >> 32
-                pos += 1
-            m = u * 12
-            if m & _LOW32 >= 4:
-                break
-        count = m >> 32
-        counts.append(count)
-        if count:
-            at.append(pos)
-            pos += 2
-    first = np.array(at, dtype=np.intp)
-    report_words = np.asarray(words)[np.concatenate((first, first + 1))]
-    reports = 0.5 + 0.5 * ((report_words >> np.uint64(11)) * 2.0**-53)
-    # rewind, then step past exactly the words used; advance drops the kept
-    # half, so it is put back
-    bg.state = saved
-    bg.advance(pos)
-    state = bg.state
-    state["has_uint32"], state["uinteger"] = has, half
-    bg.state = state
-    return counts, reports[:len(at)].tolist(), reports[len(at):].tolist()
-
-
 def run_full_sim(
     cfg: AppConfig,
     ecosystem: Ecosystem | None = None,
@@ -367,18 +307,16 @@ def run_full_sim(
     names = [f"req-{r:03d}" for r in range(n_req)]
     rng = np.random.default_rng(seed)
 
-    # heterogeneous starting reputations: per pair, a count of completions
-    # and, for a non-zero count, one quality and one alignment report, drawn
-    # in one read of raw words; that run is one EMA step from the pair's
-    # ledger, written by seed_history as extend would fold it
-    counts, qualities, alignments = _seed_draws(rng, len(prosumers) * n_req)
-    completion_counts = iter(counts)
-    reports = zip(qualities, alignments)
-    for prosumer in prosumers:
-        for name in names:
-            completions = next(completion_counts)
-            if completions:
-                prosumer.trust.seed_history(name, completions, *next(reports))
+    # heterogeneous starting reputations: every pair's count of completions
+    # in one call, then one (quality, alignment) row per pair with a non-zero
+    # count, in pair order; that run is one EMA step from the pair's ledger,
+    # written by seed_history as extend would fold it
+    counts = rng.integers(0, 12, size=len(prosumers) * n_req).tolist()
+    reports = iter(rng.uniform(0.5, 1.0, (len(counts) - counts.count(0), 2)).tolist())
+    pairs = ((prosumer, name) for prosumer in prosumers for name in names)
+    for (prosumer, name), completions in zip(pairs, counts):
+        if completions:
+            prosumer.trust.seed_history(name, completions, *next(reports))
 
     metrics = ScenarioMetrics(interactions=n)
     owners = rng.integers(0, len(prosumers), size=n).tolist()

@@ -451,6 +451,8 @@ def test_append_refuses_exactly_the_tails_verify_rejects(tmp_path, corrupt):
     build_log(4).save(path)
     corrupt(path)
     bad = verify_file(path)
+    if bad is None:
+        assert AuditLog.load(path).verify() == bad
     before = path.read_bytes()
     try:
         tail_append(path)
@@ -459,6 +461,38 @@ def test_append_refuses_exactly_the_tails_verify_rejects(tmp_path, corrupt):
         assert path.read_bytes() == before
     else:
         assert bad is None and verify_file(path) is None
+
+
+def self_hashed_chain(path, n):
+    """A chain of ``n`` records written by a writer that encodes each body with
+    its keys in reverse order and hashes those bytes: only the check from the
+    stored lines accepts it."""
+    lines, prev = [], GENESIS_HASH
+    for i in range(n):
+        body = {**build_log(1).records[0].body(), "sequence": i, "prev_hash": prev}
+        stored = json.dumps(dict(reversed(body.items())))
+        prev = hashlib.sha256(stored.encode()).hexdigest()
+        lines.append(stored[:-1] + f', "record_hash": "{prev}"}}\n')
+    path.write_text("".join(lines))
+
+
+def test_loaded_self_hashed_chain_verifies_as_the_file_does(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    self_hashed_chain(path, 4)
+    assert verify_file(path) is None
+    log = AuditLog.load(path)
+    assert log.verify() is None
+    log.append(REQ, OUT, EXP, timestamp=9.0)
+    assert log.verify() is None
+
+
+def test_record_replaced_after_load_is_re_encoded(tmp_path):
+    # the stored line vouches only for the record object read from it
+    path = tmp_path / "audit.jsonl"
+    self_hashed_chain(path, 4)
+    log = AuditLog.load(path)
+    log.records[2] = dataclasses.replace(log.records[2])
+    assert log.verify() == 2
 
 
 def test_tail_append_refuses_a_sequence_that_does_not_rise(tmp_path):
