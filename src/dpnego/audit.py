@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .contracts import canonical_json
 
@@ -154,14 +154,16 @@ class AuditLog:
 
         To the file the log came from, append the records it lacks in one
         write, then flush and fsync. Any other file gets the whole chain,
-        written line by line to a temp file that then replaces it.
+        written line by line to a temp file that then replaces it. A record
+        whose line would not verify (``_lines``) raises ValueError and leaves
+        the target as it was.
         """
         if os.path.realpath(path) == self._path:
             self._append_new(path)
         elif self._first_index():
             raise ValueError("a log opened from its tail can only append to its own file")
         else:
-            self._size = write_atomic(path, map(_line, self.records))
+            self._size = write_atomic(path, _lines(self.records, None))
             self._path = os.path.realpath(path)
         self._stored = len(self.records)
 
@@ -173,7 +175,8 @@ class AuditLog:
             size = os.fstat(fd).st_size
             if size != self._size:
                 raise ValueError(f"{path} changed after it was read")
-            data = "".join(map(_line, self.records[self._stored:])).encode()
+            before = self.records[self._stored - 1] if self._stored else None
+            data = "".join(_lines(self.records[self._stored:], before)).encode()
             if size and os.pread(fd, 1, size - 1) != b"\n":
                 data = b"\n" + data
             fh.write(data)
@@ -274,6 +277,19 @@ def _record(line: str) -> AuditRecord:
 
 def _line(record: AuditRecord) -> str:
     return canonical_json(record.to_dict()) + "\n"
+
+
+def _lines(records: list[AuditRecord], before: AuditRecord | None) -> Iterator[str]:
+    """The line of each record, which must follow the one before it (the
+    first, ``before``) with its hash checked from that line (``_follows``), so
+    that what is written is a chain ``verify_file`` accepts. A record whose
+    writer hashed other bytes than its canonical line raises ValueError."""
+    for rec in records:
+        line = _line(rec)
+        if not _follows(rec, before, line):
+            raise ValueError(f"audit record {rec.sequence} would not verify once written")
+        before = rec
+        yield line
 
 
 def _stored_hash_ok(rec: AuditRecord, line: str | None = None) -> bool:

@@ -16,10 +16,12 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .audit import AuditLog, ChainCorrupt, verify_file, write_atomic
-from .config import AppConfig, BadArgument, BadConfig, _is_number, load_config
+from .config import AppConfig, BadArgument, BadConfig, load_config
 from .contracts import (
     Decision,
+    Opt,
     ValidationError,
+    reader,
     request_from_dict,
     request_to_dict,
     validate_request,
@@ -37,46 +39,31 @@ from .secretshare import (
 )
 
 
-TRUST_DEFAULTS = {"succ_count": 0, "quality": 0.0, "alignment": 0.0}
-OWNER_KEYS = {"owner_id", "h_max", "granted", "trust"}
+TRUST_SCHEMA = {"succ_count": Opt(int, 0), "quality": Opt(float, 0.0), "alignment": Opt(float, 0.0)}
+OWNER_SCHEMA = {
+    "owner_id": Opt(str, "owner"),
+    "h_max": float,
+    "granted": Opt([(str, float)], ()),
+    "trust": Opt({str: TRUST_SCHEMA}, {}),
+}
+_read_owner = reader(OWNER_SCHEMA)
 
 
 def load_owner_state(path: str | Path, cfg: AppConfig) -> tuple[str, BudgetLedger, TrustStore]:
-    """Owner state file: budget ledger plus trust evidence per requester.
-    Each value is read by its JSON type, never coerced, and an unknown key
-    (a misspelt ``granted`` would read as no grants) is not ignored, so that a
-    malformed file is refused rather than rewritten; it raises ValueError."""
+    """Owner state file: budget ledger plus trust evidence per requester,
+    read by ``OWNER_SCHEMA``. An unknown key (a misspelt ``granted`` would
+    read as no grants) is refused with the rest, so that a malformed file is
+    refused rather than rewritten; it raises ValidationError."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"owner state must be a JSON object, got {doc!r}")
-    if unknown := doc.keys() - OWNER_KEYS:
-        raise ValueError(f"unknown owner state keys: {sorted(unknown)}")
-    owner_id, h_max = doc.get("owner_id", "owner"), doc["h_max"]
-    granted, trust = doc.get("granted", []), doc.get("trust", {})
-    if not isinstance(owner_id, str):
-        raise ValueError(f"owner_id must be a string, got {owner_id!r}")
-    if not _is_number(h_max):
-        raise ValueError(f"h_max must be a number, got {h_max!r}")
-    if not isinstance(granted, list) or not all(
-        isinstance(g, list) and len(g) == 2 and isinstance(g[0], str) and _is_number(g[1])
-        for g in granted
-    ):
-        raise ValueError(f"granted must be a list of [string, number] pairs, got {granted!r}")
-    if not isinstance(trust, dict):
-        raise ValueError(f"trust must be an object, got {trust!r}")
-    ledger = BudgetLedger(h_max=float(h_max), granted=[(c, float(e)) for c, e in granted])
+        doc = _read_owner(json.load(fh))
+    ledger = BudgetLedger(h_max=float(doc["h_max"]),
+                          granted=[(c, float(e)) for c, e in doc["granted"]])
     store = TrustStore(cfg=cfg.trust)
-    for requester, entry in trust.items():
-        t = {**TRUST_DEFAULTS, **entry} if isinstance(entry, dict) else {}
-        if not (t.keys() == TRUST_DEFAULTS.keys() and type(t["succ_count"]) is int
-                and _is_number(t["quality"]) and _is_number(t["alignment"])):
-            raise ValueError(f"trust.{requester} must be an object with an integer succ_count "
-                             f"and numbers quality and alignment, got {entry!r}")
+    for requester, t in doc["trust"].items():
         store.ledgers[requester] = TrustLedger(
             succ_count=t["succ_count"], quality=float(t["quality"]), alignment=float(t["alignment"])
         )
-    return owner_id, ledger, store
+    return doc["owner_id"], ledger, store
 
 
 def save_owner_state(
@@ -120,7 +107,7 @@ def cmd_negotiate(args, cfg: AppConfig) -> int:
             request_doc = json.load(fh)
         request = request_from_dict(request_doc)
         lock = _locked(f"{args.owner}.lock")
-    except (OSError, json.JSONDecodeError, ValidationError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError and a ValidationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     with lock:
@@ -130,7 +117,7 @@ def cmd_negotiate(args, cfg: AppConfig) -> int:
 def _negotiate_locked(args, cfg: AppConfig, request) -> int:
     try:
         owner_id, ledger, store = load_owner_state(args.owner, cfg)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -227,7 +214,7 @@ def cmd_tss_reconstruct(args, cfg: AppConfig) -> int:
         with open(args.shares, encoding="utf-8") as fh:
             shares = shares_from_json(fh.read())
         print(reconstruct(shares))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

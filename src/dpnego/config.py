@@ -9,7 +9,16 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .contracts import Catalog, FeatureKind, PurposeKind, ResolutionKind
+from .contracts import (
+    JSON_TYPES,
+    Catalog,
+    FeatureKind,
+    OneOf,
+    PurposeKind,
+    ResolutionKind,
+    _is_number,
+    reader,
+)
 from .explain import ExplainConfig
 from .negotiation import EngineConfig, EpsMinRule
 from .scoring import TrustConfig
@@ -114,14 +123,6 @@ class AppConfig:
     raw: dict[str, Any] = field(default_factory=dict)
 
 
-JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
-              float: "a number", bool: "a boolean"}
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _deep_merge(base: Any, override: Any, path: str = "") -> Any:
     """``override`` merged over ``base``, a value from the shipped defaults.
 
@@ -129,12 +130,12 @@ def _deep_merge(base: Any, override: Any, path: str = "") -> Any:
     every value must have the JSON type of the default it replaces: an object
     merges key by key, an array replaces the default whole (each item checked
     against the default's items when those are not objects), a float default
-    takes any int or float, never a bool, and stores a float, and anything
-    else must have the default's exact type. Any other key or value raises
-    ``BadConfig`` naming its key path."""
+    takes any number (``contracts._is_number``) and stores a float, and
+    anything else must have the default's exact type. Any other key or value
+    raises ``BadConfig`` naming its key path."""
     if type(base) is float and _is_number(override):
         return float(override)
-    if type(override) is not type(base):
+    if type(override) is not type(base) or type(base) is float:  # float: not a number
         where = path or "the top level"
         raise BadConfig(f"{where} must be {JSON_TYPES[type(base)]}, got {override!r}")
     if isinstance(base, dict):
@@ -163,34 +164,23 @@ def _build_catalog(doc: dict) -> Catalog:
     )
 
 
-RULE_KEYS = {"band_max", "purpose", "value"}
-RULE_PURPOSES = ("*", *(p.value for p in PurposeKind))
-
-
-def _eps_min_rule(doc: Any, where: str) -> EpsMinRule:
-    """One ``eps_min_rules`` entry: exactly ``band_max`` and ``value``
-    (numbers) and ``purpose`` (``"*"`` or a purpose); else ``BadConfig``."""
-    if not (
-        isinstance(doc, dict) and set(doc) == RULE_KEYS
-        and _is_number(doc["band_max"]) and _is_number(doc["value"])
-        and doc["purpose"] in RULE_PURPOSES
-    ):
-        raise BadConfig(
-            f"{where} must be an object with numbers band_max and value and a purpose "
-            f"from {list(RULE_PURPOSES)}, got {doc!r}"
-        )
-    return EpsMinRule(float(doc["band_max"]), doc["purpose"], float(doc["value"]))
+EPS_MIN_RULE_SCHEMA = {
+    "band_max": float,
+    "purpose": OneOf(("*", *(p.value for p in PurposeKind))),
+    "value": float,
+}
+_read_eps_min_rules = reader([EPS_MIN_RULE_SCHEMA], BadConfig)
 
 
 def build_engine_config(doc: dict) -> EngineConfig:
     """The engine section as an ``EngineConfig``; a key that names no field
-    is an error rather than silently ignored."""
+    is an error rather than silently ignored, and a malformed
+    ``eps_min_rules`` entry (``EPS_MIN_RULE_SCHEMA``) raises ``BadConfig``."""
     unknown = set(doc) - {f.name for f in fields(EngineConfig)}
     if unknown:
         raise ValueError(f"unknown engine keys: {sorted(unknown)}")
-    rules = tuple(
-        _eps_min_rule(r, f"engine.eps_min_rules[{i}]") for i, r in enumerate(doc["eps_min_rules"])
-    )
+    rules = tuple(EpsMinRule(float(r["band_max"]), r["purpose"], float(r["value"]))
+                  for r in _read_eps_min_rules(doc["eps_min_rules"], "engine.eps_min_rules"))
     return EngineConfig(**{**doc, "lambdas": tuple(doc["lambdas"]), "eps_min_rules": rules})
 
 

@@ -4,11 +4,11 @@ and the canonical JSON encoding."""
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 _CANONICAL = json.JSONEncoder(sort_keys=True)
 # What ``_CANONICAL.encode`` passes the C encoder after its fresh markers dict.
@@ -121,10 +121,6 @@ class NonPositiveWindow(ValidationError):
     pass
 
 
-class UnknownField(ValidationError):
-    pass
-
-
 MEMO_LIMIT = 4096  # entries every memo, of the catalog or an engine, holds before it is cleared
 
 
@@ -174,8 +170,9 @@ class ContractRequest:
     and each entry contributes its own coefficient to the sensitivity sum
     (a counter-offer may aggregate several distinct streams, each of which
     stays a separate aggregate product). ``proposed_epsilon`` and
-    ``max_noise`` are None or an int or float in (0, inf); the constructor
-    checks both, so no request, counter-offers included, carries a bad one.
+    ``max_noise`` are None or a positive number (``_is_number``); the
+    constructor checks both, so no request, counter-offers included, carries
+    a bad one.
     """
 
     requester_id: str
@@ -191,48 +188,10 @@ class ContractRequest:
     def __post_init__(self) -> None:
         for name in ("proposed_epsilon", "max_noise"):
             value = getattr(self, name)
-            if value is not None and (
-                not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not 0 < value < math.inf
-            ):
+            if value is not None and not (_is_number(value) and value > 0):
                 raise ValidationError(
                     f"{name} must be a positive finite number when present, got {value!r}"
                 )
-
-
-REQUEST_FIELDS = (
-    "requester_id",
-    "owner_id",
-    "features",
-    "window_hours",
-    "resolution",
-    "purpose",
-    "proposed_epsilon",
-    "max_noise",
-    "mode",
-)
-_REQUEST_FIELD_SET = frozenset(REQUEST_FIELDS)
-
-
-def _parser(kind: type[Enum]):
-    """``kind(value)`` through a value -> member table built once. A value
-    the table lacks or cannot hash goes to ``kind`` itself, which returns or
-    raises exactly as it does without the table."""
-    table = {member.value: member for member in kind}
-
-    def parse(value: Any):
-        try:
-            return table[value]
-        except (KeyError, TypeError):
-            pass
-        return kind(value)
-
-    return parse
-
-
-_feature, _resolution, _purpose, _mode = map(
-    _parser, (FeatureKind, ResolutionKind, PurposeKind, RequestMode)
-)
 
 
 def request_to_dict(req: ContractRequest) -> dict[str, Any]:
@@ -249,50 +208,165 @@ def request_to_dict(req: ContractRequest) -> dict[str, Any]:
     }
 
 
-def request_from_dict(doc: dict[str, Any]) -> ContractRequest:
-    """Parse the canonical request document. Unknown fields are rejected."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"a request must be a JSON object, got {doc!r}")
-    if not _REQUEST_FIELD_SET.issuperset(doc):
-        unknown = set(doc) - _REQUEST_FIELD_SET
-        raise UnknownField(f"unknown request fields: {sorted(unknown)}")
-    names = doc.get("features", [])
-    if not isinstance(names, list) or not all(isinstance(f, str) for f in names):
-        raise ValidationError(f"features must be a list of strings, got {names!r}")
-    try:
-        features = tuple(map(_feature, names))
-    except ValueError as exc:
-        raise UnknownFeature(str(exc)) from None
-    try:
-        resolution = _resolution(doc["resolution"])
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"bad resolution: {exc}") from None
-    try:
-        purpose = _purpose(doc["purpose"])
-    except (KeyError, ValueError):
-        raise UnknownPurpose(f"unknown purpose: {doc.get('purpose')!r}") from None
-    mode = _mode(doc.get("mode", "one_shot"))
-    window = doc.get("window_hours")
-    if not isinstance(window, int) or isinstance(window, bool):
-        raise ValidationError("window_hours must be an integer")
-    # an id is a trust-history key, so it is never coerced (null is not "None")
-    requester_id, owner_id = doc.get("requester_id", ""), doc.get("owner_id", "")
-    if not isinstance(requester_id, str) or not isinstance(owner_id, str):
-        raise ValidationError(
-            f"requester_id and owner_id must be strings, got {requester_id!r}, {owner_id!r}"
-        )
-    # the constructor checks proposed_epsilon and max_noise by type and range
-    return ContractRequest(
-        requester_id=requester_id,
-        owner_id=owner_id,
-        features=features,
-        window_hours=window,
-        resolution=resolution,
-        purpose=purpose,
-        proposed_epsilon=doc.get("proposed_epsilon"),
-        max_noise=doc.get("max_noise"),
-        mode=mode,
-    )
+# --- the document reader --------------------------------------------------------
+
+JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+              float: "a finite number", bool: "a boolean"}
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_number(value: Any) -> bool:
+    """Whether ``value`` is an int or a float, never a bool, that a float
+    holds finitely: not NaN, not ±inf and no int beyond the float range."""
+    return (type(value) is int or type(value) is float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+class Opt(NamedTuple):
+    """An optional key of an object schema: absent, it reads as ``default``,
+    as does a value that is ``default`` itself (null, where that is None)."""
+    kind: Any
+    default: Any = None
+
+
+class OneOf(NamedTuple):
+    """A string looked up in ``table``: an Enum's members by value, or strings
+    that stand for themselves. A miss raises ``error`` where one is given."""
+    table: Any
+    error: type[ValidationError] | None = None
+
+
+class _Refused(Exception):
+    """A refused value: the problem, where the value is (``(parent, key)``
+    links up to None, the document) and the error class its schema names."""
+
+    def __init__(self, problem: str, at: Any, error: type[ValidationError] | None = None):
+        super().__init__(problem)
+        self.problem, self.at, self.error = problem, at, error
+
+
+def _number(value: Any, at: Any) -> Any:
+    if _is_number(value):
+        return value
+    raise _Refused(f"must be {JSON_TYPES[float]}, got {value!r}", at)
+
+
+def _compile(kind: Any) -> Callable[[Any, Any], Any]:
+    """The function ``read(value, at)`` for ``kind``: a dict is an object
+    schema (``{str: kind}``: free keys, each value of ``kind``), ``[kind]`` an
+    array, ``(kind, kind)`` a pair, ``float`` a number, and any other type of
+    ``JSON_TYPES`` that exact JSON type."""
+    if kind is float:
+        return _number
+    if type(kind) is OneOf:
+        table = ({m.value: m for m in kind.table} if isinstance(kind.table, type)
+                 else dict(zip(kind.table, kind.table)))
+        expected = f"must be one of {list(table)}"
+
+        def read_one_of(value, at):
+            try:
+                return table[value]
+            except (KeyError, TypeError):
+                raise _Refused(f"{expected}, got {value!r}", at, kind.error) from None
+        return read_one_of
+    inside = None
+    if type(kind) is list:
+        read_item = _compile(kind[0])
+        inside = lambda doc, at: tuple([read_item(v, (at, i)) for i, v in enumerate(doc)])
+    elif type(kind) is tuple:
+        reads = [_compile(k) for k in kind]
+
+        def inside(doc, at):
+            if len(doc) != len(reads):
+                raise _Refused(f"must be an array of {len(reads)} items, got {doc!r}", at)
+            return tuple([read(v, (at, i)) for i, (read, v) in enumerate(zip(reads, doc))])
+    elif type(kind) is dict and str in kind:
+        read_value = _compile(kind[str])
+        inside = lambda doc, at: {k: read_value(v, (at, k)) for k, v in doc.items()}
+    elif type(kind) is dict:
+        inside = _object(kind)
+    json_type = kind if type(kind) is type else list if type(kind) is tuple else type(kind)
+    expected = f"must be {JSON_TYPES[json_type]}"
+
+    def read_typed(value, at):
+        if type(value) is json_type:
+            return inside(value, at) if inside else value
+        raise _Refused(f"{expected}, got {value!r}", at)
+    return read_typed
+
+
+_REQUIRED = object()
+
+
+def _object(schema: dict) -> Callable[[dict, Any], dict]:
+    known = frozenset(schema)
+    fields = [(key, _compile(k.kind), k.default) if type(k) is Opt
+              else (key, _compile(k), _REQUIRED) for key, k in schema.items()]
+
+    def read_object(doc, at):
+        if not known.issuperset(doc):
+            raise _Refused("is an unknown key", (at, next(k for k in doc if k not in known)))
+        out = {}
+        for key, read, default in fields:
+            value = doc.get(key, default)
+            if value is _REQUIRED:
+                raise _Refused("is missing", (at, key))
+            out[key] = value if value is default else read(value, (at, key))
+        return out
+    return read_object
+
+
+def _key_path(at: Any, root: str) -> str:
+    if at is None:
+        return root
+    parent, key = at
+    path = _key_path(parent, root)
+    return f"{path}[{key}]" if type(key) is int else f"{path}.{key}" if path else key
+
+
+def reader(kind: Any, error: type[ValueError] | None = None) -> Callable[..., Any]:
+    """The function that reads a JSON document of ``kind``, compiled once.
+
+    Nothing is coerced: each value must have its kind's JSON type, and a
+    number is what ``_is_number`` accepts. An object refuses a key
+    its schema does not name, and a missing key that is not ``Opt``.
+    ``read(doc, root="")`` returns the document with its enums looked up, its
+    absent keys at their defaults and its arrays as tuples. A refused value
+    raises ``error`` (else the ``OneOf``'s own, else ``ValidationError``)
+    naming its key path below ``root``, such as ``trust.req-01.quality`` or
+    ``[2].scheme.k``."""
+    read = _compile(kind)
+
+    def read_document(doc: Any, root: str = "") -> Any:
+        try:
+            return read(doc, None)
+        except _Refused as refused:
+            path = _key_path(refused.at, root) or "the document"
+            raise (error or refused.error or ValidationError)(
+                f"{path} {refused.problem}") from None
+    return read_document
+
+
+REQUEST_SCHEMA = {
+    # an id is a trust-history key, so null is not "None"
+    "requester_id": Opt(str, ""),
+    "owner_id": Opt(str, ""),
+    "features": Opt([OneOf(FeatureKind, UnknownFeature)], ()),
+    "window_hours": int,
+    "resolution": OneOf(ResolutionKind),
+    "purpose": OneOf(PurposeKind, UnknownPurpose),
+    # the constructor checks that each is positive
+    "proposed_epsilon": Opt(float),
+    "max_noise": Opt(float),
+    "mode": Opt(OneOf(RequestMode), RequestMode.ONE_SHOT),
+}
+_read_request = reader(REQUEST_SCHEMA)
+
+
+def request_from_dict(doc: Any) -> ContractRequest:
+    """Parse the canonical request document, read by ``REQUEST_SCHEMA``."""
+    return ContractRequest(**_read_request(doc))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import secrets as _secrets
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .contracts import canonical_json
+from .contracts import ValidationError, canonical_json, reader
 
 # The secp256k1 base-field prime: a fixed, well-known 256-bit prime.
 FIELD_PRIME = 2**256 - 2**32 - 977
@@ -76,34 +77,44 @@ class KeyShare:
 
     @classmethod
     def from_dict(cls, doc: Any) -> "KeyShare":
-        """The share ``to_dict`` writes, its types and ranges checked, not
-        coerced: ``value`` and ``modulus`` in the lowercase hex ``to_dict``
-        writes, ``0 <= value < modulus``, ``1 <= k <= n`` and
-        ``1 <= index <= n``. Anything else raises ValueError."""
-        s = doc.get("scheme") if isinstance(doc, dict) else None
-        if not (
-            isinstance(s, dict)
-            and all(type(x) is int for x in (doc.get("index"), s.get("k"), s.get("n")))
-            and all(isinstance(x, str) for x in (doc.get("value"), s.get("modulus"), s.get("tag")))
-        ):
-            raise ValueError(f"a share needs integers index, k and n, hex strings value and "
-                             f"modulus and a string tag, got {doc!r}")
-        index, k, n = doc["index"], s["k"], s["n"]
-        value, modulus = _hex(doc["value"]), _hex(s["modulus"])
-        if not (value < modulus and 1 <= k <= n and 1 <= index <= n):
-            raise ValueError(f"a share needs value < modulus, 1 <= k <= n and "
-                             f"1 <= index <= n, got {doc!r}")
-        return cls(index=index, value=value, scheme=SchemeId(k, n, modulus, s["tag"]))
+        """The share ``to_dict`` writes, read by ``SHARE_SCHEMA`` and checked
+        by ``_share``; anything else raises ValidationError."""
+        return _share(_read_share(doc))
 
 
-def _hex(text: str) -> int:
-    """The non-negative int ``x`` whose ``f"{x:x}"`` is ``text``; a sign, a
-    prefix, whitespace, underscores, capitals or leading zeros raise
-    ValueError."""
-    value = int(text, 16)
-    if value < 0 or f"{value:x}" != text:
-        raise ValueError(f"expected lowercase hex digits, got {text!r}")
-    return value
+SHARE_SCHEMA = {
+    "index": int,
+    "value": str,
+    "scheme": {"k": int, "n": int, "modulus": str, "tag": str},
+}
+_read_share = reader(SHARE_SCHEMA)
+_read_shares = reader([SHARE_SCHEMA])
+
+
+def _share(doc: dict, where: str = "") -> KeyShare:
+    """The share of a document ``SHARE_SCHEMA`` has read, at key path
+    ``where``: ``value`` and ``modulus`` must pass ``_hex``, and the named
+    predicates below must hold; else ValidationError."""
+    at = f"{where}." if where else ""
+    s = doc["scheme"]
+    index, k, n = doc["index"], s["k"], s["n"]
+    value, modulus = _hex(doc["value"], f"{at}value"), _hex(s["modulus"], f"{at}scheme.modulus")
+    for rule, holds in (("value < modulus", value < modulus), ("1 <= k <= n", 1 <= k <= n),
+                        ("1 <= index <= n", 1 <= index <= n)):
+        if not holds:
+            raise ValidationError(f"{where or 'the share'} must satisfy {rule}")
+    return KeyShare(index=index, value=value, scheme=SchemeId(k, n, modulus, s["tag"]))
+
+
+# What ``f"{x:x}"`` writes for an int x >= 0: no sign, prefix, whitespace,
+# underscore, capital or leading zero.
+_HEX = re.compile("0|[1-9a-f][0-9a-f]*")
+
+
+def _hex(text: str, where: str) -> int:
+    if _HEX.fullmatch(text):
+        return int(text, 16)
+    raise ValidationError(f"{where} must be lowercase hex digits, got {text!r}")
 
 
 def shares_to_json(shares: Iterable[KeyShare]) -> str:
@@ -111,11 +122,9 @@ def shares_to_json(shares: Iterable[KeyShare]) -> str:
 
 
 def shares_from_json(text: str) -> list[KeyShare]:
-    """The shares ``shares_to_json`` writes; a malformed file raises ValueError."""
-    docs = json.loads(text)
-    if not isinstance(docs, list):
-        raise ValueError(f"a share file must hold a JSON list of shares, got {docs!r}")
-    return [KeyShare.from_dict(d) for d in docs]
+    """The shares ``shares_to_json`` writes, an array of ``SHARE_SCHEMA``; a
+    malformed file raises ValueError."""
+    return [_share(doc, f"[{i}]") for i, doc in enumerate(_read_shares(json.loads(text)))]
 
 
 def split(

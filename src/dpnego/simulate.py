@@ -13,16 +13,20 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import AppConfig, BadArgument, BadConfig, _is_number, build_engine_config
+from .config import AppConfig, BadArgument, BadConfig, build_engine_config
 from .contracts import (
     APPROVE,
     COUNTER_OFFER,
     REJECT,
+    REQUEST_SCHEMA,
     Catalog,
+    ContractRequest,
     NegotiationOutcome,
+    Opt,
     ValidatedRequest,
+    ValidationError,
     left_sum,
-    request_from_dict,
+    reader,
     validate_request,
 )
 from .explain import ReplayCase, explain, factors_for, robustness_probe
@@ -43,33 +47,38 @@ class MissingDataset(FileNotFoundError):
     pass
 
 
-def parse_bundle(doc: dict, catalog: Catalog) -> ValidatedRequest:
-    """The request a bundle's config entry describes, validated against the
-    catalog. The entry without its ``name`` and ``weight`` is read by
-    ``request_from_dict``, as a ``negotiate --request`` document is; a bad
-    entry raises ``BadConfig``."""
-    try:
-        request = request_from_dict({k: v for k, v in doc.items() if k not in ("name", "weight")})
-        return validate_request(request, catalog)
-    except (AttributeError, KeyError, ValueError) as exc:
-        raise BadConfig(f"stream bundle: {exc}") from exc
+# A bundle is a request document plus its name and its weight in the stream.
+BUNDLE_SCHEMA = {**REQUEST_SCHEMA, "name": Opt(str, ""), "weight": float}
+_read_bundle = reader(BUNDLE_SCHEMA, BadConfig)
 
 
-def read_stream(doc: dict, cfg: AppConfig) -> tuple[list[ValidatedRequest], np.ndarray]:
-    """A request stream's bundles, validated, and their weights normalized to
-    sum to 1. The runners read the stream's other keys themselves: the sweep
-    and cross-dataset streams have ``trust`` (``lo`` and ``hi``, the bounds of
-    each requester's uniform trust draw), and the full simulation's has
-    ``counter_accept_prob``. The config merge has checked their keys and
-    types; this reader checks the range of each one the stream has, and that
-    ``lo`` is not above ``hi``. A bad bundle, weight or range raises
-    ``BadConfig``."""
+def parse_bundle(doc: dict, catalog: Catalog, where: str) -> tuple[ValidatedRequest, float]:
+    """The request a bundle's config entry at key path ``where`` describes,
+    validated against the catalog, and its weight, which must be positive; a
+    bad entry raises ``BadConfig``."""
+    fields = _read_bundle(doc, where)
+    weight = fields.pop("weight")
+    del fields["name"]
+    if weight <= 0:
+        raise BadConfig(f"{where}.weight must be positive, got {weight!r}")
     try:
-        weights = [b["weight"] for b in doc["bundles"]]
-    except (KeyError, TypeError) as exc:
-        raise BadConfig(f"request stream: missing or malformed {exc}") from exc
-    if not weights or not all(_is_number(w) and 0 < w < math.inf for w in weights):
-        raise BadConfig(f"bundle weights must be positive finite numbers, got {weights!r}")
+        return validate_request(ContractRequest(**fields), catalog), weight
+    except ValidationError as exc:
+        raise BadConfig(f"{where}: {exc}") from None
+
+
+def read_stream(cfg: AppConfig, name: str) -> tuple[list[ValidatedRequest], np.ndarray]:
+    """The request stream of experiment ``name``: its bundles, validated, and
+    their weights normalized to sum to 1. The runners read the stream's other
+    keys themselves: the sweep and cross-dataset streams have ``trust``
+    (``lo`` and ``hi``, the bounds of each requester's uniform trust draw),
+    and the full simulation's has ``counter_accept_prob``. The config merge
+    has checked their keys and types; this reader checks the range of each
+    one the stream has, and that ``lo`` is not above ``hi``. A bad bundle,
+    weight or range raises ``BadConfig`` naming its key path."""
+    doc, where = cfg.experiments[name]["stream"], f"experiments.{name}.stream"
+    if not doc["bundles"]:
+        raise BadConfig(f"{where}.bundles must hold bundles with positive weights, got none")
     unit = {}
     if "trust" in doc:
         unit["trust.lo"], unit["trust.hi"] = doc["trust"]["lo"], doc["trust"]["hi"]
@@ -77,12 +86,14 @@ def read_stream(doc: dict, cfg: AppConfig) -> tuple[list[ValidatedRequest], np.n
         unit["counter_accept_prob"] = doc["counter_accept_prob"]
     for key, value in unit.items():
         if not 0.0 <= value <= 1.0:
-            raise BadConfig(f"{key} must be a number in [0, 1], got {value!r}")
+            raise BadConfig(f"{where}.{key} must be a number in [0, 1], got {value!r}")
     if "trust" in doc and unit["trust.lo"] > unit["trust.hi"]:
-        raise BadConfig(f"trust.lo must not be above trust.hi, got {unit['trust.lo']!r} "
-                        f"> {unit['trust.hi']!r}")
+        raise BadConfig(f"{where}.trust.lo must not be above trust.hi, got "
+                        f"{unit['trust.lo']!r} > {unit['trust.hi']!r}")
+    validated, weights = zip(*(parse_bundle(b, cfg.catalog, f"{where}.bundles[{i}]")
+                               for i, b in enumerate(doc["bundles"])))
     w = np.array(weights, dtype=np.float64)
-    return [parse_bundle(b, cfg.catalog) for b in doc["bundles"]], w / w.sum()
+    return list(validated), w / w.sum()
 
 
 # The range of each experiment value that its JSON type does not bound.
@@ -253,7 +264,7 @@ def run_sweep(
     """
     exp = experiment(cfg, "sweep", seed=seed, interactions=interactions)
     seed, n = exp["seed"], exp["interactions"]
-    validated, weights = read_stream(exp["stream"], cfg)
+    validated, weights = read_stream(cfg, "sweep")
     trust = exp["stream"]["trust"]
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(validated), size=n, p=weights).tolist() if n else []
@@ -298,7 +309,7 @@ def run_full_sim(
     stream's ``counter_accept_prob``, and a taken one settles too."""
     exp = experiment(cfg, "full_sim", seed=seed, interactions=interactions)
     seed, n = exp["seed"], exp["interactions"]
-    validated, weights = read_stream(exp["stream"], cfg)
+    validated, weights = read_stream(cfg, "full_sim")
     accept_prob = exp["stream"]["counter_accept_prob"]
     if ecosystem is None:
         ecosystem = gen_ecosystem(seed + 1, cfg.catalog, cfg.ecosystem, cfg.trust)
@@ -436,7 +447,7 @@ def run_cross_dataset(
     negotiations; per-scenario streams are independently seeded."""
     exp = experiment(cfg, "cross_dataset", seed=seed, interactions=interactions)
     seed, n = exp["seed"], exp["interactions"]
-    validated, base_weights = read_stream(exp["stream"], cfg)
+    validated, base_weights = read_stream(cfg, "cross_dataset")
     trust = exp["stream"]["trust"]
     owner_budget = exp["owner_budget"]
 
@@ -558,7 +569,7 @@ def run_adversary(
     except ValueError as exc:
         raise BadConfig(f"experiments.adversary.safety_mode: {exc}") from exc
     bundle = {**exp["bundle"], "proposed_epsilon": exp["proposed_epsilon"]}
-    request = parse_bundle(bundle, cfg.catalog)
+    request, _ = parse_bundle(bundle, cfg.catalog, "experiments.adversary.bundle")
     ledger = BudgetLedger(h_max=exp["owner_budget"])
     store = TrustStore(cfg=cfg.trust)
     trace: list[float] = []
@@ -613,7 +624,7 @@ def bench_latency(
     exp = experiment(cfg, "bench", iterations=iterations, seed=seed)
     n, seed = exp["iterations"], exp["seed"]
     stream = cfg.experiments["sweep"]["stream"]
-    validated, weights = read_stream(stream, cfg)
+    validated, weights = read_stream(cfg, "sweep")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(validated), size=n, p=weights)
     trusts = rng.uniform(stream["trust"]["lo"], stream["trust"]["hi"], size=n)
@@ -696,8 +707,9 @@ def run_probe(
     budget range."""
     exp = experiment(cfg, "probe", seed=seed, replays=replays)
     seed, n = exp["seed"], exp["replays"]
-    validated, weights = read_stream(cfg.experiments["sweep"]["stream"], cfg)
-    boundary = parse_bundle(exp["boundary_bundle"], cfg.catalog)
+    validated, weights = read_stream(cfg, "sweep")
+    boundary, _ = parse_bundle(
+        exp["boundary_bundle"], cfg.catalog, "experiments.probe.boundary_bundle")
     b_weight = exp["boundary_bundle_weight"]
     lo, hi = exp["h_range"]
     rng = np.random.default_rng(seed)

@@ -486,6 +486,31 @@ def test_loaded_self_hashed_chain_verifies_as_the_file_does(tmp_path):
     assert log.verify() is None
 
 
+def test_save_never_writes_a_chain_that_verify_file_rejects(tmp_path):
+    # a self-hashed record verifies from its stored line only; re-encoded into
+    # another file it would not, so that save is refused and writes nothing
+    path, other = tmp_path / "audit.jsonl", tmp_path / "other.jsonl"
+    self_hashed_chain(path, 4)
+    other.write_text("kept\n")
+    log = AuditLog.load(path)
+    with pytest.raises(ValueError, match="audit record 0 would not verify once written"):
+        log.save(other)
+    assert other.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.jsonl", "other.jsonl"]
+    # its own file keeps the stored lines and gains one canonical line
+    log.append(REQ, OUT, EXP, timestamp=9.0)
+    log.save(path)
+    assert verify_file(path) is None and len(AuditLog.load(path).records) == 5
+
+
+def test_save_refuses_a_record_that_does_not_follow_its_predecessor(tmp_path):
+    log = build_log(3)
+    log.records[2] = AuditRecord.build(**{**log.records[2].body(), "sequence": 1})
+    with pytest.raises(ValueError, match="audit record 1 would not verify once written"):
+        log.save(tmp_path / "audit.jsonl")
+    assert not (tmp_path / "audit.jsonl").exists()
+
+
 def test_record_replaced_after_load_is_re_encoded(tmp_path):
     # the stored line vouches only for the record object read from it
     path = tmp_path / "audit.jsonl"

@@ -8,6 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from doc_mutations import mutated
 
 from dpnego import simulate
 from dpnego.cli import EXPERIMENTS, build_parser, main
@@ -77,23 +80,24 @@ def test_negotiate_unknown_purpose_exit_one(tmp_path, capsys):
     assert main(["negotiate", "--request", str(req), "--owner", str(owner)]) == 1
 
 
-@pytest.mark.parametrize("h_max, granted", [
-    (4.0, [["x", -5.0]]),
-    (math.inf, []),
-    (8.0, [["x", -math.inf]]),
-    (math.nan, []),
-    (8.0, [["x", math.nan]]),
-    (0.0, []),
+@pytest.mark.parametrize("h_max, granted, where", [
+    (4.0, [["x", -5.0]], "grant 'x' must be a positive finite number"),
+    (math.inf, [], "h_max must be a finite number"),
+    (8.0, [["x", -math.inf]], "granted[0][1] must be a finite number"),
+    (math.nan, [], "h_max must be a finite number"),
+    (8.0, [["x", math.nan]], "granted[0][1] must be a finite number"),
+    (0.0, [], "h_max must be a positive finite number"),
 ], ids=["negative-grant", "inf-budget", "minus-inf-grant", "nan-budget", "nan-grant", "zero-budget"])
 def test_negotiate_rejects_an_owner_ledger_that_is_not_positive_and_finite(
-    tmp_path, capsys, h_max, granted
+    tmp_path, capsys, h_max, granted, where
 ):
+    # the owner schema refuses a non-finite number; the ledger, one that is not positive
     req = write_request(tmp_path)
     owner = write_owner(tmp_path, h_max=h_max, granted=granted)
     before = owner.read_bytes()
     code = main(["negotiate", "--request", str(req), "--owner", str(owner), "--settle"])
     err = capsys.readouterr().err
-    assert code == 1 and err.startswith("error: ") and "positive finite" in err
+    assert code == 1 and err.startswith(f"error: {where}, got ")
     assert owner.read_bytes() == before
 
 
@@ -439,6 +443,17 @@ def test_negotiate_wrong_lambda_count_is_a_bad_config(tmp_path, capsys, section,
      "unknown key experiments.adversary.engine_overrides"),
     # the field prime is fixed; "4" split and could not reconstruct
     ({"tss": {"prime_hex": "4"}}, "unknown key tss.prime_hex"),
+    # each loaded: an infinite eps_max died in EngineConfig.grid_points, a
+    # NaN lambda or safety factor rejected every request, the rest loaded
+    ({"engine": {"eps_max": math.inf}}, "engine.eps_max must be a finite number, got inf"),
+    ({"engine": {"lambdas": [math.nan, 1.0, 1.0, 0.8, 1.0]}},
+     "engine.lambdas[0] must be a finite number, got nan"),
+    ({"engine": {"safety_factor": math.nan}}, "engine.safety_factor must be a finite number"),
+    ({"trust": {"beta": [math.nan, 0.3, 0.3]}}, "trust.beta[0] must be a finite number"),
+    ({"engine": {"trusted_min_trust": -math.inf}},
+     "engine.trusted_min_trust must be a finite number, got -inf"),
+    # an integer no float holds died converting to float
+    ({"engine": {"eps_max": 10**400}}, "engine.eps_max must be a finite number, got 1000"),
 ])
 def test_override_outside_the_defaults_is_a_bad_config(tmp_path, capsys, override_doc, text):
     assert_negotiate_bad_config(tmp_path, capsys, override_doc, text)
@@ -451,6 +466,7 @@ def test_override_outside_the_defaults_is_a_bad_config(tmp_path, capsys, overrid
     {"band_max": "1", "purpose": "*", "value": 0.5},
     {"band_max": 1.0, "purpose": "*", "value": True},
     "profiling",
+    {"band_max": math.nan, "purpose": "*", "value": 0.5},
 ])
 def test_malformed_eps_min_rule_is_a_bad_config(tmp_path, capsys, rule):
     assert_negotiate_bad_config(
@@ -611,7 +627,9 @@ def test_probe_value_out_of_range_is_a_bad_config(tmp_path, key, value, problem)
 
     override = tmp_path / "cfg.json"
     override.write_text(json.dumps({"experiments": {"probe": {key: value}}}))
-    with pytest.raises(BadConfig, match=rf"^experiments\.probe\.{key} {problem}"):
+    # the config merge refuses a non-finite item by its index; the probe, the rest
+    with pytest.raises(BadConfig, match=rf"^experiments\.probe\.{key}"
+                                        rf"( {problem}|\[1\] must be a finite number, got inf)"):
         simulate.run_probe(load_config(override), replays=20)
 
 
@@ -883,6 +901,8 @@ GOOD_TRUST = {"succ_count": 2, "quality": 0.9, "alignment": 1.0}
     # a misspelt "granted" would read as no grants and be dropped on rewrite
     {"owner_id": "o1", "h_max": 1.0, "grants": [["c0", 0.9]], "note": "keep me"},
     {"h_max": 8.0, "granted": [], "trust": {}, "note": "keep me"},
+    # an integer no float holds died converting to float
+    {"h_max": 10**400},
 ])
 def test_negotiate_malformed_owner_file_exit_one(tmp_path, capsys, doc):
     req = write_request(tmp_path)
@@ -894,6 +914,43 @@ def test_negotiate_malformed_owner_file_exit_one(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert owner.read_bytes() == before
+    assert not audit.exists()
+
+
+# A valid owner file: h_max, and any of the optional keys.
+owner_docs = st.fixed_dictionaries(
+    {"h_max": st.floats(min_value=1, max_value=100)},
+    optional={
+        "owner_id": st.text(max_size=6),
+        "granted": st.lists(st.tuples(st.text(max_size=4), st.floats(min_value=0.01, max_value=0.1))
+                            .map(list), max_size=3),
+        "trust": st.dictionaries(
+            st.sampled_from(["req-001", "r.2", "r-3"]),
+            st.fixed_dictionaries({}, optional={
+                "succ_count": st.integers(min_value=0, max_value=50),
+                "quality": st.floats(min_value=0, max_value=1),
+                "alignment": st.integers(min_value=0, max_value=1),
+            }),
+            max_size=2),
+    },
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), owner_docs)
+def test_any_one_mutation_of_an_owner_file_is_refused_and_changes_nothing(tmp_path, capsys, data,
+                                                                           doc):
+    bad, path = data.draw(mutated(doc, [("h_max",)], maps=[("trust",)]))
+    req = write_request(tmp_path)
+    owner, audit = tmp_path / "owner.json", tmp_path / "audit.jsonl"
+    owner.write_text(json.dumps(bad))
+    before = owner.read_bytes()
+    code = main(["negotiate", "--request", str(req), "--owner", str(owner),
+                 "--audit-log", str(audit), "--settle"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err.startswith(f"error: {path} "), (bad, captured.err)
     assert captured.out == ""
     assert owner.read_bytes() == before
     assert not audit.exists()

@@ -1,8 +1,15 @@
+import copy
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, strategies as st
+
+from doc_mutations import key_path, mutated
 
 from dpnego.config import (
+    BadConfig,
     DpConfig,
     EcosystemConfig,
     TssConfig,
@@ -52,7 +59,7 @@ def test_int_for_a_float_default_loads_as_a_float_and_decides_the_same(tmp_path)
     assert cfg.raw == default.raw
     base = json.dumps(run_baseline_fixed(default, requests=200).to_dict())
     assert json.dumps(run_baseline_fixed(cfg, requests=200).to_dict()) == base
-    validated, _ = read_stream(default.experiments["sweep"]["stream"], default)
+    validated, _ = read_stream(default, "sweep")
     for v in validated:
         for trust in (0.2, 0.9):
             ours = negotiate(v, BudgetLedger(h_max=8.0), trust, cfg.engine)
@@ -98,3 +105,60 @@ def test_eps_min_outside_zero_to_eps_max_raises(tmp_path, engine):
 def test_eps_min_at_eps_max_loads(tmp_path):
     cfg = load_config(write_config(tmp_path, {"engine": {"eps_min_default": 10.0}}))
     assert cfg.engine.eps_min_default == cfg.engine.eps_max
+
+
+def float_paths(doc, path=()):
+    """The path of every float in ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        if type(value) is float:
+            yield path + (key,)
+        yield from float_paths(value, path + (key,))
+
+
+def override_at(default, path, value):
+    """The override that sets ``path`` of ``default`` to ``value``: objects
+    down to the first array, which is replaced whole."""
+    if isinstance(default, list):
+        items = copy.deepcopy(default)
+        target = items
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return items
+    return {path[0]: override_at(default[path[0]], path[1:], value) if path[1:] else value}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+def test_every_float_default_refuses_a_non_finite_value(tmp_path, bad):
+    # Python's json reads NaN, Infinity and -Infinity; each of them loaded
+    # before, and then died in the engine or rejected every request
+    default = default_document()
+    paths = list(float_paths(default))
+    assert len(paths) > 90
+    for path in paths:
+        message = f"{key_path(path)} must be a finite number, got {bad!r}"
+        with pytest.raises(BadConfig, match=f"^{re.escape(message)}$"):
+            cfg = load_config(write_config(tmp_path, override_at(default, path, bad)))
+            # a stream's bundles replace the default list whole, so the
+            # merge leaves them to the stream's reader
+            assert path[:3] == ("experiments", path[1], "stream"), path
+            read_stream(cfg, path[1])
+
+
+eps_min_rules = st.fixed_dictionaries({
+    "band_max": st.floats(min_value=0, max_value=5),
+    "purpose": st.sampled_from(["*", "billing", "profiling"]),
+    "value": st.floats(min_value=0.01, max_value=10),
+})
+
+
+@given(st.data(), eps_min_rules)
+def test_any_one_mutation_of_an_eps_min_rule_is_refused_with_its_key_path(data, rule):
+    engine = default_document()["engine"]
+    build_engine_config({**engine, "eps_min_rules": [rule, rule]})
+    bad, path = data.draw(mutated(rule, [("band_max",), ("purpose",), ("value",)]))
+    with pytest.raises(BadConfig) as info:
+        build_engine_config({**engine, "eps_min_rules": [rule, bad]})
+    where = "engine.eps_min_rules[1]"
+    assert str(info.value).startswith(f"{where}.{path} "), (bad, str(info.value))

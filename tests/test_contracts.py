@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from doc_mutations import mutated
+
 from dpnego.config import load_config
 from dpnego.contracts import (
     Catalog,
@@ -19,7 +21,6 @@ from dpnego.contracts import (
     RequestMode,
     ResolutionKind,
     UnknownFeature,
-    UnknownField,
     UnknownPurpose,
     ValidationError,
     request_from_dict,
@@ -115,7 +116,7 @@ def test_unknown_json_field_rejected():
         "purpose": "billing",
         "priority": "high",
     }
-    with pytest.raises(UnknownField):
+    with pytest.raises(ValidationError, match=r"^priority is an unknown key$"):
         request_from_dict(doc)
 
 
@@ -220,56 +221,80 @@ def request_doc(**overrides):
     return doc
 
 
-def enum_error(kind, value):
-    """The message of the ValueError that ``kind(value)`` raises."""
-    with pytest.raises(ValueError) as info:
-        kind(value)
-    return str(info.value)
+def enum_error(path, kind, value):
+    """The message of the reader refusing ``value`` at ``path`` for ``kind``."""
+    return f"{path} must be one of {[m.value for m in kind]}, got {value!r}"
 
 
 BAD_FIELDS = [
-    # (overrides, exception class, message, or (kind, value) for an enum's message)
-    ({"priority": "high"}, UnknownField, "unknown request fields: ['priority']"),
-    ({"features": ["dna"]}, UnknownFeature, (FeatureKind, "dna")),
-    ({"features": ["aggregate", "Aggregate"]}, UnknownFeature, (FeatureKind, "Aggregate")),
-    ({"resolution": "weekly"}, ValidationError, (ResolutionKind, "weekly")),
-    ({"resolution": ["hour1"]}, ValidationError, (ResolutionKind, ["hour1"])),
-    ({"resolution": {"hour1": 1}}, ValidationError, (ResolutionKind, {"hour1": 1})),
-    ({"resolution": None}, ValidationError, (ResolutionKind, None)),
-    ({"resolution": 1}, ValidationError, (ResolutionKind, 1)),
+    # (overrides, exception class, message, or (key path, kind, value) of an enum refusal)
+    ({"priority": "high"}, ValidationError, "priority is an unknown key"),
+    ({"features": ["dna"]}, UnknownFeature, ("features[0]", FeatureKind, "dna")),
+    ({"features": ["aggregate", "Aggregate"]}, UnknownFeature,
+     ("features[1]", FeatureKind, "Aggregate")),
+    ({"resolution": "weekly"}, ValidationError, ("resolution", ResolutionKind, "weekly")),
+    ({"resolution": ["hour1"]}, ValidationError, ("resolution", ResolutionKind, ["hour1"])),
+    ({"resolution": {"hour1": 1}}, ValidationError,
+     ("resolution", ResolutionKind, {"hour1": 1})),
+    ({"resolution": None}, ValidationError, ("resolution", ResolutionKind, None)),
+    ({"resolution": 1}, ValidationError, ("resolution", ResolutionKind, 1)),
     ({"resolution": ResolutionKind.HOUR1.name}, ValidationError,
-     (ResolutionKind, ResolutionKind.HOUR1.name)),
-    ({"purpose": "research"}, UnknownPurpose, "unknown purpose: 'research'"),
-    ({"purpose": ["billing"]}, UnknownPurpose, "unknown purpose: ['billing']"),
-    ({"purpose": None}, UnknownPurpose, "unknown purpose: None"),
-    ({"mode": "twice"}, ValueError, (RequestMode, "twice")),
-    ({"mode": ["one_shot"]}, ValueError, (RequestMode, ["one_shot"])),
-    ({"mode": None}, ValueError, (RequestMode, None)),
+     ("resolution", ResolutionKind, ResolutionKind.HOUR1.name)),
+    ({"purpose": "research"}, UnknownPurpose, ("purpose", PurposeKind, "research")),
+    ({"purpose": ["billing"]}, UnknownPurpose, ("purpose", PurposeKind, ["billing"])),
+    ({"purpose": None}, UnknownPurpose, ("purpose", PurposeKind, None)),
+    ({"mode": "twice"}, ValidationError, ("mode", RequestMode, "twice")),
+    ({"mode": ["one_shot"]}, ValidationError, ("mode", RequestMode, ["one_shot"])),
+    ({"mode": None}, ValidationError, ("mode", RequestMode, None)),
 ]
 
 
 @pytest.mark.parametrize("overrides, cls, message", BAD_FIELDS)
 def test_bad_field_raises_the_class_and_message_of_the_enum_lookup(overrides, cls, message):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValidationError) as info:
         request_from_dict(request_doc(**overrides))
     assert type(info.value) is cls
     if isinstance(message, tuple):
         message = enum_error(*message)
-        if cls is ValidationError:
-            message = f"bad resolution: {message}"
     assert str(info.value) == message
 
 
 def test_missing_resolution_or_purpose_raises_as_before():
-    for name, cls, message in (
-        ("resolution", ValidationError, "bad resolution: 'resolution'"),
-        ("purpose", UnknownPurpose, "unknown purpose: None"),
-    ):
+    for name in ("resolution", "purpose"):
         doc = request_doc()
         del doc[name]
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValidationError) as info:
             request_from_dict(doc)
-        assert type(info.value) is cls and str(info.value) == message
+        assert type(info.value) is ValidationError and str(info.value) == f"{name} is missing"
+
+
+# A valid request document: its required keys, and any of its optional ones.
+request_docs = st.fixed_dictionaries(
+    {
+        "features": st.lists(st.sampled_from([f.value for f in FeatureKind]), min_size=1, max_size=3),
+        "window_hours": st.integers(min_value=1, max_value=10_000),
+        "resolution": st.sampled_from([r.value for r in ResolutionKind]),
+        "purpose": st.sampled_from([p.value for p in PurposeKind]),
+    },
+    optional={
+        "requester_id": st.text(max_size=6),
+        "owner_id": st.text(max_size=6),
+        "proposed_epsilon": st.one_of(st.none(), st.floats(min_value=0.01, max_value=10)),
+        "max_noise": st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
+        "mode": st.sampled_from([m.value for m in RequestMode]),
+    },
+)
+REQUIRED_REQUEST_KEYS = [("window_hours",), ("resolution",), ("purpose",)]
+NULLABLE_REQUEST_KEYS = [("proposed_epsilon",), ("max_noise",)]
+
+
+@given(st.data(), request_docs)
+def test_any_one_mutation_of_a_request_is_refused_with_its_key_path(data, doc):
+    request_from_dict(doc)
+    bad, path = data.draw(mutated(doc, REQUIRED_REQUEST_KEYS, NULLABLE_REQUEST_KEYS))
+    with pytest.raises(ValidationError) as info:
+        request_from_dict(bad)
+    assert str(info.value).startswith(f"{path} "), (bad, str(info.value))
 
 
 def test_every_enum_value_parses_to_its_member():

@@ -2,6 +2,9 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
+
+from doc_mutations import mutated
 
 from dpnego.secretshare import (
     FIELD_PRIME,
@@ -164,3 +167,15 @@ def test_share_at_the_edge_of_each_range_parses(changes):
 def test_malformed_share_file_raises_value_error(text):
     with pytest.raises(ValueError):
         shares_from_json(text)
+
+
+@given(st.data(), st.integers(min_value=0, max_value=2**64), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=3))
+def test_any_one_mutation_of_a_share_file_is_refused_with_its_key_path(data, secret, k, extra):
+    shares = json.loads(shares_to_json(split(secret, k, k + extra, seed=1)))
+    required = [("*", key) for key in ("index", "value", "scheme")]
+    required += [("*", "scheme", key) for key in ("k", "n", "modulus", "tag")]
+    bad, path = data.draw(mutated(shares, required))
+    with pytest.raises(ValueError) as info:
+        shares_from_json(json.dumps(bad))
+    assert str(info.value).startswith(f"{path} "), (bad, str(info.value))

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+from doc_mutations import mutated
 
 from dpnego.config import BadConfig, _deep_merge, from_document, load_config
 from dpnego import simulate
@@ -26,7 +29,7 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 def test_stream_weights_normalized():
     for name in ("sweep", "full_sim", "cross_dataset"):
         stream = CFG.experiments[name]["stream"]
-        validated, weights = read_stream(stream, CFG)
+        validated, weights = read_stream(CFG, name)
         raw = np.array([b["weight"] for b in stream["bundles"]])
         assert len(validated) == len(weights) == len(raw)
         assert weights.sum() == pytest.approx(1.0)
@@ -49,10 +52,38 @@ def test_stream_bundle_is_read_like_a_request():
     from dpnego.contracts import request_from_dict, validate_request
 
     stream = CFG.experiments["full_sim"]["stream"]
-    validated, _ = read_stream(stream, CFG)
+    validated, _ = read_stream(CFG, "full_sim")
     for bundle, got in zip(stream["bundles"], validated):
         doc = {k: v for k, v in bundle.items() if k not in ("name", "weight")}
         assert got == validate_request(request_from_dict(doc), CFG.catalog)
+
+
+# A valid stream bundle: a request document plus its name and weight.
+bundles = st.fixed_dictionaries(
+    {
+        "features": st.lists(st.sampled_from(["aggregate", "load_curve"]), min_size=1, max_size=2),
+        "window_hours": st.integers(min_value=1, max_value=2000),
+        "resolution": st.sampled_from(["min15", "hour1", "daily"]),
+        "purpose": st.sampled_from(["billing", "forecasting"]),
+        "weight": st.floats(min_value=0.01, max_value=1),
+    },
+    optional={
+        "name": st.text(max_size=6),
+        "proposed_epsilon": st.one_of(st.none(), st.floats(min_value=0.01, max_value=10)),
+        "requester_id": st.text(max_size=6),
+    },
+)
+
+
+@given(st.data(), bundles)
+def test_any_one_mutation_of_a_bundle_is_refused_with_its_key_path(data, bundle):
+    where = "experiments.sweep.stream.bundles[4]"
+    simulate.parse_bundle(bundle, CFG.catalog, where)
+    required = [(key,) for key in ("weight", "window_hours", "resolution", "purpose")]
+    bad, path = data.draw(mutated(bundle, required, [("proposed_epsilon",), ("max_noise",)]))
+    with pytest.raises(BadConfig) as info:
+        simulate.parse_bundle(bad, CFG.catalog, where)
+    assert str(info.value).startswith(f"{where}.{path} "), (bad, str(info.value))
 
 
 def test_full_sim_counter_accept_prob_bounds():
@@ -205,9 +236,10 @@ def test_cross_dataset_risk_weight_factor_out_of_range_is_a_bad_config(tmp_path,
     # a negative factor was reported as a bad calibration_tilt
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiments": {"cross_dataset": {"risk_weight_factor": factor}}}))
-    cfg = load_config(path)
+    # the config merge refuses inf, the runner a negative factor
     with pytest.raises(
             BadConfig, match=re.escape("experiments.cross_dataset.risk_weight_factor must")):
+        cfg = load_config(path)
         simulate.run_cross_dataset(cfg, simulate.load_datasets(cfg, DATA_DIR), interactions=5)
 
 
