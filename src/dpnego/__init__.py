@@ -25,7 +25,7 @@ from .negotiation import (
     negotiate,
     objective,
 )
-from .explain import Explanation, explain, factors_for, privacy_utility_score
+from .explain import Explanation, factors_for, privacy_utility_score
 from .scoring import TrustConfig, TrustLedger, trust_score
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "TrustLedger",
     "ValidatedRequest",
     "derive_counter_offer",
-    "explain",
     "factors_for",
     "load_config",
     "negotiate",

@@ -11,9 +11,9 @@ import argparse
 import fcntl
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import BinaryIO
+from typing import Iterator
 
 from .audit import AuditLog, ChainCorrupt, verify_file, write_atomic
 from .config import AppConfig, BadArgument, BadConfig, load_config
@@ -28,15 +28,8 @@ from .contracts import (
 )
 from .explain import explain, factors_for
 from .negotiation import BudgetLedger, negotiate
-from .scoring import TrustLedger, TrustStore
-from .secretshare import (
-    InvalidThreshold,
-    SecretOutOfField,
-    reconstruct,
-    shares_from_json,
-    shares_to_json,
-    split,
-)
+from .scoring import OutOfRange, TrustLedger, TrustStore
+from .secretshare import reconstruct, shares_from_json, shares_to_json, split
 
 
 TRUST_SCHEMA = {"succ_count": Opt(int, 0), "quality": Opt(float, 0.0), "alignment": Opt(float, 0.0)}
@@ -60,9 +53,12 @@ def load_owner_state(path: str | Path, cfg: AppConfig) -> tuple[str, BudgetLedge
                           granted=[(c, float(e)) for c, e in doc["granted"]])
     store = TrustStore(cfg=cfg.trust)
     for requester, t in doc["trust"].items():
-        store.ledgers[requester] = TrustLedger(
-            succ_count=t["succ_count"], quality=float(t["quality"]), alignment=float(t["alignment"])
-        )
+        try:
+            store.ledgers[requester] = TrustLedger(succ_count=t["succ_count"],
+                                                   quality=float(t["quality"]),
+                                                   alignment=float(t["alignment"]))
+        except OutOfRange as exc:  # its message starts with the field's name
+            raise ValidationError(f"trust.{requester}.{exc}") from None
     return doc["owner_id"], ledger, store
 
 
@@ -85,16 +81,13 @@ def save_owner_state(
     write_atomic(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
-def _locked(path: str | Path) -> BinaryIO:
+@contextmanager
+def _locked(path: str | Path) -> Iterator[None]:
     """``path`` opened for appending (created if missing) and held under an
     exclusive ``flock``; closing the file releases the lock."""
-    fh = open(path, "ab")
-    try:
+    with open(path, "ab") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-    except BaseException:
-        fh.close()
-        raise
-    return fh
+        yield
 
 
 def cmd_negotiate(args, cfg: AppConfig) -> int:
@@ -102,37 +95,21 @@ def cmd_negotiate(args, cfg: AppConfig) -> int:
     reading the owner file to settling, so concurrent runs on one owner
     serialize; the audit log is locked inside it while its tail is read and
     extended."""
-    try:
-        with open(args.request, encoding="utf-8") as fh:
-            request_doc = json.load(fh)
-        request = request_from_dict(request_doc)
-        lock = _locked(f"{args.owner}.lock")
-    except (OSError, ValueError) as exc:  # a JSONDecodeError and a ValidationError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    with lock:
-        return _negotiate_locked(args, cfg, request)
-
-
-def _negotiate_locked(args, cfg: AppConfig, request) -> int:
-    try:
+    with open(args.request, encoding="utf-8") as fh:
+        request = request_from_dict(json.load(fh))
+    with _locked(f"{args.owner}.lock"):
         owner_id, ledger, store = load_owner_state(args.owner, cfg)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        validated = validate_request(request, cfg.catalog)
-    except ValidationError as exc:
-        print(f"error: invalid request: {exc}", file=sys.stderr)
-        return 1
-    trust = store.score(request.requester_id)
-    outcome = negotiate(validated, ledger, trust, cfg.engine)
-    factors = factors_for(validated, ledger, trust, outcome)
-    explanation = explain(outcome, factors, ledger, cfg.engine, cfg.explain)
-    # The tail check runs before anything is written, and the grant is settled
-    # before its record is: a crash in between leaves the epsilon spent with
-    # no record, never a recorded approval the ledger does not hold.
-    try:
+        try:
+            validated = validate_request(request, cfg.catalog)
+        except ValidationError as exc:
+            raise ValidationError(f"invalid request: {exc}") from None
+        trust = store.score(request.requester_id)
+        outcome = negotiate(validated, ledger, trust, cfg.engine)
+        factors = factors_for(validated, ledger, trust, outcome)
+        explanation = explain(outcome, factors, ledger, cfg.engine, cfg.explain)
+        # The tail check runs before anything is written, and the grant is
+        # settled before its record is: a crash in between leaves the epsilon
+        # spent with no record, never a recorded approval the ledger does not hold.
         with _locked(args.audit_log) if args.audit_log else nullcontext():
             if args.audit_log:
                 log = AuditLog.open_tail(args.audit_log)
@@ -142,12 +119,6 @@ def _negotiate_locked(args, cfg: AppConfig, request) -> int:
                 save_owner_state(args.owner, owner_id, ledger, store)
             if args.audit_log:
                 log.save(args.audit_log)
-    except ChainCorrupt as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
     print(explanation.text)
     return 0 if outcome.decision in (Decision.APPROVE, Decision.COUNTER_OFFER) else 2
@@ -184,11 +155,7 @@ def cmd_experiment(args, cfg: AppConfig) -> int:
 
 def cmd_audit_verify(args, cfg: AppConfig) -> int:
     del cfg
-    try:
-        bad = verify_file(args.log)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    bad = verify_file(args.log)
     if bad is None:
         print("audit chain ok")
         return 0
@@ -199,24 +166,16 @@ def cmd_audit_verify(args, cfg: AppConfig) -> int:
 def cmd_tss_split(args, cfg: AppConfig) -> int:
     k = cfg.tss.k if args.k is None else args.k
     n = cfg.tss.n if args.n is None else args.n
-    try:
-        shares = split(args.secret, k, n, seed=args.seed, prime=cfg.tss.prime)
-    except (InvalidThreshold, SecretOutOfField) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    shares = split(args.secret, k, n, seed=args.seed, prime=cfg.tss.prime)
     print(shares_to_json(shares))
     return 0
 
 
 def cmd_tss_reconstruct(args, cfg: AppConfig) -> int:
     del cfg
-    try:
-        with open(args.shares, encoding="utf-8") as fh:
-            shares = shares_from_json(fh.read())
-        print(reconstruct(shares))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.shares, encoding="utf-8") as fh:
+        shares = shares_from_json(fh.read())
+    print(reconstruct(shares))
     return 0
 
 
@@ -262,25 +221,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's exit-code table: the first row that an error is an instance of gives
+# the text after "error: " and the exit code. main raises a load_config
+# failure as BadConfig.
+ERRORS = (
+    (BadConfig, lambda exc: f"bad config: {exc}", 1),
+    # the runners' arguments are the command's flags
+    (BadArgument, lambda exc: f"--{exc.key.replace('_', '-')} {exc.problem}", 1),
+    (ChainCorrupt, str, 3),
+    ((OSError, ValueError), str, 1),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return 1
-    try:
+        try:
+            cfg = load_config(args.config)
+        except (OSError, ValueError) as exc:
+            raise BadConfig(exc) from exc
         return args.fn(args, cfg)
-    except BadConfig as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return 1
-    except BadArgument as exc:  # the runners' arguments are the command's flags
-        print(f"error: --{exc.key.replace('_', '-')} {exc.problem}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:  # such as simulate.MissingDataset
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, ValueError) as exc:
+        message, code = next((say(exc), code) for kind, say, code in ERRORS if isinstance(exc, kind))
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

@@ -11,13 +11,19 @@ from typing import Any
 
 from .contracts import (
     JSON_TYPES,
+    REQUEST_SCHEMA,
     Catalog,
+    ContractRequest,
     FeatureKind,
     OneOf,
+    Opt,
     PurposeKind,
     ResolutionKind,
+    ValidatedRequest,
+    ValidationError,
     _is_number,
     reader,
+    validate_request,
 )
 from .explain import ExplainConfig
 from .negotiation import EngineConfig, EpsMinRule
@@ -184,11 +190,42 @@ def build_engine_config(doc: dict) -> EngineConfig:
     return EngineConfig(**{**doc, "lambdas": tuple(doc["lambdas"]), "eps_min_rules": rules})
 
 
+# A bundle is a request document plus its name and its weight in the stream.
+BUNDLE_SCHEMA = {**REQUEST_SCHEMA, "name": Opt(str, ""), "weight": float}
+_read_bundle = reader(BUNDLE_SCHEMA, BadConfig)
+
+
+def parse_bundle(doc: dict, catalog: Catalog, where: str,
+                 validate=validate_request) -> tuple[ValidatedRequest, float]:
+    """The request a bundle's config entry at key path ``where`` describes,
+    validated by ``validate`` (``validate_request``; the runners pass their own
+    binding, which perfbench's tracer counts), and its weight, which must be
+    positive; a bad entry raises ``BadConfig``."""
+    fields = _read_bundle(doc, where)
+    weight = fields.pop("weight")
+    del fields["name"]
+    if weight <= 0:
+        raise BadConfig(f"{where}.weight must be positive, got {weight!r}")
+    try:
+        return validate(ContractRequest(**fields), catalog), weight
+    except ValidationError as exc:
+        raise BadConfig(f"{where}: {exc}") from None
+
+
 def from_document(doc: dict) -> AppConfig:
     """The application config a merged document describes. Keys and types
-    are checked by ``_deep_merge``; the section dataclasses check values."""
+    are checked by ``_deep_merge``; the section dataclasses check values, and
+    ``parse_bundle`` every bundle the experiments name, so that each command
+    refuses a bad one, not only the runner that reads it."""
+    catalog = _build_catalog(doc["catalog"])
+    experiments = doc["experiments"]
+    for name, exp in experiments.items():
+        for i, bundle in enumerate(exp.get("stream", {}).get("bundles", ())):
+            parse_bundle(bundle, catalog, f"experiments.{name}.stream.bundles[{i}]")
+    for name, key in (("adversary", "bundle"), ("probe", "boundary_bundle")):
+        parse_bundle(experiments[name][key], catalog, f"experiments.{name}.{key}")
     return AppConfig(
-        catalog=_build_catalog(doc["catalog"]),
+        catalog=catalog,
         trust=TrustConfig(**{**doc["trust"], "beta": tuple(doc["trust"]["beta"])}),
         engine=build_engine_config(doc["engine"]),
         explain=ExplainConfig(
@@ -198,7 +235,7 @@ def from_document(doc: dict) -> AppConfig:
         tss=TssConfig(**doc["tss"]),
         ecosystem=EcosystemConfig(**doc["ecosystem"]),
         cities={name: CityProfile(name=name, **c) for name, c in doc["cities"].items()},
-        experiments=doc["experiments"],
+        experiments=experiments,
         raw=doc,
     )
 

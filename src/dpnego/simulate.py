@@ -13,20 +13,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import AppConfig, BadArgument, BadConfig, build_engine_config
+from .config import AppConfig, BadArgument, BadConfig, build_engine_config, parse_bundle
 from .contracts import (
     APPROVE,
     COUNTER_OFFER,
     REJECT,
-    REQUEST_SCHEMA,
-    Catalog,
-    ContractRequest,
     NegotiationOutcome,
-    Opt,
     ValidatedRequest,
-    ValidationError,
     left_sum,
-    reader,
     validate_request,
 )
 from .explain import ReplayCase, explain, factors_for, robustness_probe
@@ -45,26 +39,6 @@ from .scoring import TrustStore
 
 class MissingDataset(FileNotFoundError):
     pass
-
-
-# A bundle is a request document plus its name and its weight in the stream.
-BUNDLE_SCHEMA = {**REQUEST_SCHEMA, "name": Opt(str, ""), "weight": float}
-_read_bundle = reader(BUNDLE_SCHEMA, BadConfig)
-
-
-def parse_bundle(doc: dict, catalog: Catalog, where: str) -> tuple[ValidatedRequest, float]:
-    """The request a bundle's config entry at key path ``where`` describes,
-    validated against the catalog, and its weight, which must be positive; a
-    bad entry raises ``BadConfig``."""
-    fields = _read_bundle(doc, where)
-    weight = fields.pop("weight")
-    del fields["name"]
-    if weight <= 0:
-        raise BadConfig(f"{where}.weight must be positive, got {weight!r}")
-    try:
-        return validate_request(ContractRequest(**fields), catalog), weight
-    except ValidationError as exc:
-        raise BadConfig(f"{where}: {exc}") from None
 
 
 def read_stream(cfg: AppConfig, name: str) -> tuple[list[ValidatedRequest], np.ndarray]:
@@ -90,7 +64,7 @@ def read_stream(cfg: AppConfig, name: str) -> tuple[list[ValidatedRequest], np.n
     if "trust" in doc and unit["trust.lo"] > unit["trust.hi"]:
         raise BadConfig(f"{where}.trust.lo must not be above trust.hi, got "
                         f"{unit['trust.lo']!r} > {unit['trust.hi']!r}")
-    validated, weights = zip(*(parse_bundle(b, cfg.catalog, f"{where}.bundles[{i}]")
+    validated, weights = zip(*(parse_bundle(b, cfg.catalog, f"{where}.bundles[{i}]", validate_request)
                                for i, b in enumerate(doc["bundles"])))
     w = np.array(weights, dtype=np.float64)
     return list(validated), w / w.sum()
@@ -569,7 +543,7 @@ def run_adversary(
     except ValueError as exc:
         raise BadConfig(f"experiments.adversary.safety_mode: {exc}") from exc
     bundle = {**exp["bundle"], "proposed_epsilon": exp["proposed_epsilon"]}
-    request, _ = parse_bundle(bundle, cfg.catalog, "experiments.adversary.bundle")
+    request, _ = parse_bundle(bundle, cfg.catalog, "experiments.adversary.bundle", validate_request)
     ledger = BudgetLedger(h_max=exp["owner_budget"])
     store = TrustStore(cfg=cfg.trust)
     trace: list[float] = []
@@ -709,7 +683,7 @@ def run_probe(
     seed, n = exp["seed"], exp["replays"]
     validated, weights = read_stream(cfg, "sweep")
     boundary, _ = parse_bundle(
-        exp["boundary_bundle"], cfg.catalog, "experiments.probe.boundary_bundle")
+        exp["boundary_bundle"], cfg.catalog, "experiments.probe.boundary_bundle", validate_request)
     b_weight = exp["boundary_bundle_weight"]
     lo, hi = exp["h_range"]
     rng = np.random.default_rng(seed)

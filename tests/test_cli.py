@@ -994,3 +994,149 @@ def test_tss_reconstruct_malformed_share_file_exit_one(tmp_path, capsys):
         assert code == 1, text
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+
+def _negotiate(tmp_path, request=None, *extra):
+    """``negotiate`` argv on ``request`` (the standard one by default) and
+    the standard owner file."""
+    request = request or write_request(tmp_path)
+    return ["negotiate", "--request", str(request), "--owner", str(write_owner(tmp_path)), *extra]
+
+
+def _bad_config(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"engine": {"eps_maximum": 1.0}}))
+    return (["--config", str(cfg), *_negotiate(tmp_path)], 1,
+            "error: bad config: unknown key engine.eps_maximum")
+
+
+def _bad_flag(tmp_path, monkeypatch):
+    return ["sweep", "--interactions", "-1"], 1, "error: --interactions must be at least 0, got -1"
+
+
+def _bad_request_json(tmp_path, monkeypatch):
+    request = tmp_path / "bad.json"
+    request.write_text("{not json")
+    return (_negotiate(tmp_path, request), 1,
+            "error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")
+
+
+def _invalid_request(tmp_path, monkeypatch):
+    return (_negotiate(tmp_path, write_request(tmp_path, features=[])), 1,
+            "error: invalid request: request must name at least one feature")
+
+
+def _missing_owner(tmp_path, monkeypatch):
+    owner = tmp_path / "nope.json"
+    argv = ["negotiate", "--request", str(write_request(tmp_path)), "--owner", str(owner)]
+    return argv, 1, f"error: [Errno 2] No such file or directory: {str(owner)!r}"
+
+
+def _corrupt_log_tail(tmp_path, monkeypatch):
+    from dpnego.audit import AuditLog
+
+    log = AuditLog()
+    for i in range(5):
+        log.append({"r": i}, {"decision": "approve"}, {"text": "ok"}, timestamp=float(i))
+    path = tmp_path / "audit.jsonl"
+    log.save(path)
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4].replace('"approve"', '"reject"')
+    path.write_text("\n".join(lines) + "\n")
+    return (_negotiate(tmp_path, None, "--audit-log", str(path), "--settle"), 3,
+            "error: audit chain corrupt at record 4")
+
+
+def _bad_tss_split(tmp_path, monkeypatch):
+    return ["tss", "split", "5", "--k", "0"], 1, "error: need 1 <= k <= n, got k=0 n=5"
+
+
+def _malformed_share_file(tmp_path, monkeypatch):
+    path = tmp_path / "list.shares"
+    path.write_text("[5]")
+    return ["tss", "reconstruct", str(path)], 1, "error: [0] must be an object, got 5"
+
+
+def _audit_save_value_error(tmp_path, monkeypatch):
+    from dpnego.audit import AuditLog
+
+    path = tmp_path / "audit.jsonl"
+
+    def changed(self, where):
+        raise ValueError(f"{where} changed after it was read")
+
+    monkeypatch.setattr(AuditLog, "save", changed)
+    return (_negotiate(tmp_path, None, "--audit-log", str(path)), 1,
+            f"error: {path} changed after it was read")
+
+
+def _runner_value_error(tmp_path, monkeypatch):
+    def stray(*args, **kwargs):
+        raise ValueError("a stray runner error")
+
+    monkeypatch.setattr(simulate, "run_sweep", stray)
+    return ["sweep"], 1, "error: a stray runner error"
+
+
+@pytest.mark.parametrize("row", [
+    _bad_config, _bad_flag, _bad_request_json, _invalid_request, _missing_owner,
+    _corrupt_log_tail, _bad_tss_split, _malformed_share_file, _audit_save_value_error,
+    _runner_value_error,
+], ids=lambda row: row.__name__.strip("_"))
+def test_main_maps_each_error_to_one_line_and_its_exit_code(tmp_path, capsys, monkeypatch, row):
+    # main's one table: an error line on stderr, nothing on stdout, no
+    # traceback, and every file that was there before left byte for byte
+    argv, want_code, want_line = row(tmp_path, monkeypatch)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == want_code
+    assert captured.err.splitlines()[0] == want_line
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert {p: p.read_bytes() for p in before} == before
+
+
+def test_owner_file_trust_out_of_range_names_the_requester(tmp_path, capsys):
+    owner = tmp_path / "owner.json"
+    owner.write_text(json.dumps({"owner_id": "owner-1", "h_max": 8.0, "granted": [],
+                                 "trust": {"a": {"quality": 0.5}, "b": {"quality": 1.5}}}))
+    before = owner.read_bytes()
+    audit = tmp_path / "audit.jsonl"
+    code = main(["negotiate", "--request", str(write_request(tmp_path)), "--owner", str(owner),
+                 "--audit-log", str(audit), "--settle"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: trust.b.quality must be in [0,1]\n"
+    assert captured.out == ""
+    assert owner.read_bytes() == before
+    assert not audit.exists()
+
+
+@pytest.mark.parametrize("where,bundle,problem", [
+    ("sweep.stream.bundles[0]", {"weight": math.nan}, ".weight must be a finite number, got nan"),
+    ("full_sim.stream.bundles[0]", {"priority": "high"}, ".priority is an unknown key"),
+    ("adversary.bundle", {"features": []}, ": request must name at least one feature"),
+    ("probe.boundary_bundle", {"weight": 0.0}, ".weight must be positive, got 0.0"),
+], ids=["nan-weight", "unknown-key", "adversary-no-features", "probe-zero-weight"])
+def test_negotiate_reads_every_bundle_of_the_config(tmp_path, capsys, where, bundle, problem):
+    # only the runner that read a bundle refused it before, so negotiate
+    # decided under a config that sweep refuses
+    default = load_config().raw["experiments"]
+    name, key = where.split(".", 1)
+    override = {"experiments": {name: {}}}
+    if key.startswith("stream"):
+        bundles = [{**default[name]["stream"]["bundles"][0], **bundle}]
+        override["experiments"][name]["stream"] = {"bundles": bundles}
+    else:
+        override["experiments"][name][key] = {**default[name][key], **bundle}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    argv = ["--config", str(cfg), *_negotiate(tmp_path, None, "--settle")]
+    before = (tmp_path / "owner.json").read_bytes()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: bad config: experiments.{where}{problem}\n"
+    assert captured.out == ""
+    assert (tmp_path / "owner.json").read_bytes() == before

@@ -138,12 +138,10 @@ def test_every_float_default_refuses_a_non_finite_value(tmp_path, bad):
     assert len(paths) > 90
     for path in paths:
         message = f"{key_path(path)} must be a finite number, got {bad!r}"
+        # a stream's bundles replace the default list whole, so the merge
+        # leaves them to parse_bundle, which load_config runs on each one
         with pytest.raises(BadConfig, match=f"^{re.escape(message)}$"):
-            cfg = load_config(write_config(tmp_path, override_at(default, path, bad)))
-            # a stream's bundles replace the default list whole, so the
-            # merge leaves them to the stream's reader
-            assert path[:3] == ("experiments", path[1], "stream"), path
-            read_stream(cfg, path[1])
+            load_config(write_config(tmp_path, override_at(default, path, bad)))
 
 
 eps_min_rules = st.fixed_dictionaries({

@@ -213,3 +213,14 @@ def test_probe_default_stream_stability():
     report = simulate.run_probe(CFG, replays=500)
     assert report.stability >= 0.95
     assert report.flips == report.flips_at_threshold
+
+
+def test_the_package_attribute_explain_is_the_submodule():
+    # the package re-exported the function under the submodule's name, so
+    # a monkeypatch through dpnego.explain replaced nothing the code calls
+    import sys
+
+    import dpnego
+
+    assert dpnego.explain is sys.modules["dpnego.explain"]
+    assert "explain" not in dpnego.__all__
