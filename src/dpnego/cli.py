@@ -97,6 +97,7 @@ def cmd_negotiate(args, cfg: AppConfig) -> int:
     extended."""
     with open(args.request, encoding="utf-8") as fh:
         request = request_from_dict(json.load(fh))
+    Path(args.owner).stat()  # a missing owner file raises before its lock file is made
     with _locked(f"{args.owner}.lock"):
         owner_id, ledger, store = load_owner_state(args.owner, cfg)
         try:

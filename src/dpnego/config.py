@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -33,7 +33,7 @@ from .secretshare import FIELD_PRIME
 
 class BadConfig(ValueError):
     """A malformed config entry: an unknown key or a wrong JSON type, found
-    while merging, or a bad value, found when a command reads it."""
+    while merging, or a value out of range, found when the config is loaded."""
 
 
 class BadArgument(ValueError):
@@ -85,6 +85,11 @@ class CityProfile:
     diurnal_amp_kw: float
     noise_sd_kw: float
 
+    def __post_init__(self) -> None:
+        if self.noise_sd_kw < 0:
+            raise ValueError(f"cities.{self.name}.noise_sd_kw must be at least 0, "
+                             f"got {self.noise_sd_kw}")
+
 
 @dataclass(frozen=True)
 class DpConfig:
@@ -111,6 +116,11 @@ class TssConfig:
     n: int = 5
     prime: int = FIELD_PRIME  # the config has no key for it
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.k <= self.n:
+            raise ValueError(f"tss.k must be at least 1 and at most tss.n = {self.n}, "
+                             f"got {self.k}")
+
 
 @dataclass
 class AppConfig:
@@ -126,6 +136,10 @@ class AppConfig:
     ecosystem: EcosystemConfig
     cities: dict[str, CityProfile]
     experiments: dict[str, Any]
+    # the requests of experiments.*, read at load: each stream's (request,
+    # weight) pairs, and the single requests by key path ("adversary.bundle")
+    streams: dict[str, list[tuple[ValidatedRequest, float]]]
+    requests: dict[str, ValidatedRequest]
     raw: dict[str, Any] = field(default_factory=dict)
 
 
@@ -193,38 +207,99 @@ def build_engine_config(doc: dict) -> EngineConfig:
 # A bundle is a request document plus its name and its weight in the stream.
 BUNDLE_SCHEMA = {**REQUEST_SCHEMA, "name": Opt(str, ""), "weight": float}
 _read_bundle = reader(BUNDLE_SCHEMA, BadConfig)
+_read_request = reader(REQUEST_SCHEMA, BadConfig)
 
 
-def parse_bundle(doc: dict, catalog: Catalog, where: str,
-                 validate=validate_request) -> tuple[ValidatedRequest, float]:
+def _validated(fields: dict, catalog: Catalog, where: str) -> ValidatedRequest:
+    try:
+        return validate_request(ContractRequest(**fields), catalog)
+    except ValidationError as exc:
+        raise BadConfig(f"{where}: {exc}") from None
+
+
+def parse_bundle(doc: dict, catalog: Catalog, where: str) -> tuple[ValidatedRequest, float]:
     """The request a bundle's config entry at key path ``where`` describes,
-    validated by ``validate`` (``validate_request``; the runners pass their own
-    binding, which perfbench's tracer counts), and its weight, which must be
-    positive; a bad entry raises ``BadConfig``."""
+    validated, and its weight, which must be positive; a bad entry raises
+    ``BadConfig``."""
     fields = _read_bundle(doc, where)
     weight = fields.pop("weight")
     del fields["name"]
     if weight <= 0:
         raise BadConfig(f"{where}.weight must be positive, got {weight!r}")
-    try:
-        return validate(ContractRequest(**fields), catalog), weight
-    except ValidationError as exc:
-        raise BadConfig(f"{where}: {exc}") from None
+    return _validated(fields, catalog, where), weight
+
+
+# The range of each experiment value that its JSON type does not bound, by
+# its key, in a section or in a stream.
+_POSITIVE = ("a positive finite number", lambda v: 0 < v < math.inf)
+_COUNT = ("at least 0", lambda v: v >= 0)
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_NON_EMPTY = ("a non-empty list", lambda v: len(v) > 0)
+_UNIT = ("a number in [0, 1]", lambda v: 0 <= v <= 1)
+EXPERIMENT_RANGES = {
+    "seed": _COUNT,
+    "interactions": _COUNT,
+    "requests": _COUNT,
+    "replays": _COUNT,
+    "iterations": _AT_LEAST_1,
+    "requesters": _AT_LEAST_1,
+    "max_requests": _AT_LEAST_1,
+    "reject_streak": _AT_LEAST_1,
+    "trials": _AT_LEAST_1,
+    "perturbation": ("in [0, 0.5)", lambda v: 0 <= v < 0.5),
+    "boundary_bundle_weight": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "risk_weight_factor": ("a non-negative finite number", lambda v: 0 <= v < math.inf),
+    # the config merge has checked that each entry is a number
+    "h_range": ("two finite numbers [lo, hi] with 0 <= lo <= hi",
+                lambda v: len(v) == 2 and 0 <= v[0] <= v[1] < math.inf),
+    "owner_budget": _POSITIVE,
+    "eps_fix": _POSITIVE,
+    "eps0_values": ("a non-empty list of positive numbers",
+                    lambda v: len(v) > 0 and all(x > 0 for x in v)),
+    "datasets": _NON_EMPTY,
+    "patterns": _NON_EMPTY,
+    "risk_modes": _NON_EMPTY,
+    # a stream's keys; the trust draw's bounds are lo and hi
+    "bundles": ("a non-empty list of bundles with positive weights", lambda v: len(v) > 0),
+    "counter_accept_prob": _UNIT,
+    "lo": _UNIT,
+    "hi": _UNIT,
+}
+
+
+def _check_ranges(doc: dict, where: str) -> None:
+    """Each value in ``doc``, the object at key path ``where``, against its
+    key's range in ``EXPERIMENT_RANGES``, and a ``lo`` against its ``hi``."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            _check_ranges(value, f"{where}.{key}")
+        elif key in EXPERIMENT_RANGES and not EXPERIMENT_RANGES[key][1](value):
+            raise BadConfig(f"{where}.{key} must be {EXPERIMENT_RANGES[key][0]}, got {value!r}")
+    if doc.get("lo", 0) > doc.get("hi", 1):
+        raise BadConfig(f"{where}.lo must not be above trust.hi, got {doc['lo']!r} > {doc['hi']!r}")
 
 
 def from_document(doc: dict) -> AppConfig:
-    """The application config a merged document describes. Keys and types
-    are checked by ``_deep_merge``; the section dataclasses check values, and
-    ``parse_bundle`` every bundle the experiments name, so that each command
-    refuses a bad one, not only the runner that reads it."""
+    """The application config a merged document describes, each value checked
+    once, here: keys and types by ``_deep_merge``, the sections by their
+    dataclasses, the experiments' requests by their schemas, their other
+    values by ``_check_ranges`` and the adversary's ``safety_mode`` as an
+    engine setting."""
     catalog = _build_catalog(doc["catalog"])
     experiments = doc["experiments"]
-    for name, exp in experiments.items():
-        for i, bundle in enumerate(exp.get("stream", {}).get("bundles", ())):
-            parse_bundle(bundle, catalog, f"experiments.{name}.stream.bundles[{i}]")
-    for name, key in (("adversary", "bundle"), ("probe", "boundary_bundle")):
-        parse_bundle(experiments[name][key], catalog, f"experiments.{name}.{key}")
-    return AppConfig(
+    streams = {name: [parse_bundle(b, catalog, f"experiments.{name}.stream.bundles[{i}]")
+                      for i, b in enumerate(exp["stream"]["bundles"])]
+               for name, exp in experiments.items() if "stream" in exp}
+    adversary = experiments["adversary"]
+    requests = {
+        # the adversary's proposed_epsilon is part of its request
+        "adversary.bundle": {**adversary["bundle"], "proposed_epsilon": adversary["proposed_epsilon"]},
+        "probe.boundary_bundle": experiments["probe"]["boundary_bundle"],
+    }
+    for key, entry in requests.items():
+        where = f"experiments.{key}"
+        requests[key] = _validated(_read_request(entry, where), catalog, where)
+    cfg = AppConfig(
         catalog=catalog,
         trust=TrustConfig(**{**doc["trust"], "beta": tuple(doc["trust"]["beta"])}),
         engine=build_engine_config(doc["engine"]),
@@ -236,8 +311,16 @@ def from_document(doc: dict) -> AppConfig:
         ecosystem=EcosystemConfig(**doc["ecosystem"]),
         cities={name: CityProfile(name=name, **c) for name, c in doc["cities"].items()},
         experiments=experiments,
+        streams=streams,
+        requests=requests,
         raw=doc,
     )
+    _check_ranges(experiments, "experiments")
+    try:
+        replace(cfg.engine, safety_mode=adversary["safety_mode"])
+    except ValueError as exc:
+        raise BadConfig(f"experiments.adversary.safety_mode: {exc}") from None
+    return cfg
 
 
 def load_config(path: str | Path | None = None) -> AppConfig:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
@@ -13,7 +12,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import AppConfig, BadArgument, BadConfig, build_engine_config, parse_bundle
+from .config import EXPERIMENT_RANGES, AppConfig, BadArgument, BadConfig
 from .contracts import (
     APPROVE,
     COUNTER_OFFER,
@@ -42,80 +41,25 @@ class MissingDataset(FileNotFoundError):
 
 
 def read_stream(cfg: AppConfig, name: str) -> tuple[list[ValidatedRequest], np.ndarray]:
-    """The request stream of experiment ``name``: its bundles, validated, and
-    their weights normalized to sum to 1. The runners read the stream's other
-    keys themselves: the sweep and cross-dataset streams have ``trust``
-    (``lo`` and ``hi``, the bounds of each requester's uniform trust draw),
-    and the full simulation's has ``counter_accept_prob``. The config merge
-    has checked their keys and types; this reader checks the range of each
-    one the stream has, and that ``lo`` is not above ``hi``. A bad bundle,
-    weight or range raises ``BadConfig`` naming its key path."""
-    doc, where = cfg.experiments[name]["stream"], f"experiments.{name}.stream"
-    if not doc["bundles"]:
-        raise BadConfig(f"{where}.bundles must hold bundles with positive weights, got none")
-    unit = {}
-    if "trust" in doc:
-        unit["trust.lo"], unit["trust.hi"] = doc["trust"]["lo"], doc["trust"]["hi"]
-    if "counter_accept_prob" in doc:
-        unit["counter_accept_prob"] = doc["counter_accept_prob"]
-    for key, value in unit.items():
-        if not 0.0 <= value <= 1.0:
-            raise BadConfig(f"{where}.{key} must be a number in [0, 1], got {value!r}")
-    if "trust" in doc and unit["trust.lo"] > unit["trust.hi"]:
-        raise BadConfig(f"{where}.trust.lo must not be above trust.hi, got "
-                        f"{unit['trust.lo']!r} > {unit['trust.hi']!r}")
-    validated, weights = zip(*(parse_bundle(b, cfg.catalog, f"{where}.bundles[{i}]", validate_request)
-                               for i, b in enumerate(doc["bundles"])))
-    w = np.array(weights, dtype=np.float64)
-    return list(validated), w / w.sum()
-
-
-# The range of each experiment value that its JSON type does not bound.
-_POSITIVE = ("a positive finite number", lambda v: 0 < v < math.inf)
-_COUNT = ("at least 0", lambda v: v >= 0)
-_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
-_NON_EMPTY = ("a non-empty list", lambda v: len(v) > 0)
-EXPERIMENT_RANGES = {
-    "seed": _COUNT,
-    "interactions": _COUNT,
-    "requests": _COUNT,
-    "replays": _COUNT,
-    "iterations": _AT_LEAST_1,
-    "requesters": _AT_LEAST_1,
-    "max_requests": _AT_LEAST_1,
-    "reject_streak": _AT_LEAST_1,
-    "trials": _AT_LEAST_1,
-    "perturbation": ("in [0, 0.5)", lambda v: 0 <= v < 0.5),
-    "boundary_bundle_weight": ("in [0, 1]", lambda v: 0 <= v <= 1),
-    "risk_weight_factor": ("a non-negative finite number", lambda v: 0 <= v < math.inf),
-    # the config merge has checked that each entry is a number
-    "h_range": ("two finite numbers [lo, hi] with 0 <= lo <= hi",
-                lambda v: len(v) == 2 and 0 <= v[0] <= v[1] < math.inf),
-    "owner_budget": _POSITIVE,
-    "eps_fix": _POSITIVE,
-    "eps0_values": ("a non-empty list of positive numbers",
-                    lambda v: len(v) > 0 and all(x > 0 for x in v)),
-    "datasets": _NON_EMPTY,
-    "patterns": _NON_EMPTY,
-    "risk_modes": _NON_EMPTY,
-}
+    """The request stream of experiment ``name``: the bundles the config load
+    read, validated afresh so that each run starts with empty outcome memos,
+    and their weights normalized to sum to 1."""
+    bundles = cfg.streams[name]
+    w = np.array([weight for _, weight in bundles], dtype=np.float64)
+    return [validate_request(request, cfg.catalog) for request, _ in bundles], w / w.sum()
 
 
 def experiment(cfg: AppConfig, name: str, **args: Any) -> dict[str, Any]:
-    """The config section ``experiments.<name>`` with each argument that is
-    not None in place of the key it names: the values the runner uses. The
-    config merge has checked the section's keys and types. A value outside
-    its range in ``EXPERIMENT_RANGES`` raises ``BadArgument`` when it came
-    from an argument, else ``BadConfig`` naming its key path."""
+    """The config section ``experiments.<name>``, which the config load has
+    checked, with each argument that is not None in place of the key it
+    names: the values the runner uses. An argument outside its key's range
+    in ``EXPERIMENT_RANGES`` raises ``BadArgument``."""
     given = {key: value for key, value in args.items() if value is not None}
-    exp = {**cfg.experiments[name], **given}
-    for key, (rule, ok) in EXPERIMENT_RANGES.items():
-        if key in exp and not ok(exp[key]):
-            problem = f"must be {rule}, got {exp[key]!r}"
-            if key in given:
-                raise BadArgument(key, problem)
-            raise BadConfig(f"experiments.{name}.{key} {problem}")
-    return exp
+    for key, value in given.items():
+        rule, ok = EXPERIMENT_RANGES[key]
+        if not ok(value):
+            raise BadArgument(key, f"must be {rule}, got {value!r}")
+    return {**cfg.experiments[name], **given}
 
 
 @dataclass
@@ -538,12 +482,8 @@ def run_adversary(
     accounting still caps total leakage at the initial budget."""
     exp = experiment(cfg, "adversary", seed=seed)
     seed = exp["seed"]
-    try:
-        engine_cfg = build_engine_config({**cfg.raw["engine"], "safety_mode": exp["safety_mode"]})
-    except ValueError as exc:
-        raise BadConfig(f"experiments.adversary.safety_mode: {exc}") from exc
-    bundle = {**exp["bundle"], "proposed_epsilon": exp["proposed_epsilon"]}
-    request, _ = parse_bundle(bundle, cfg.catalog, "experiments.adversary.bundle", validate_request)
+    engine_cfg = dc_replace(cfg.engine, safety_mode=exp["safety_mode"])
+    request = validate_request(cfg.requests["adversary.bundle"], cfg.catalog)
     ledger = BudgetLedger(h_max=exp["owner_budget"])
     store = TrustStore(cfg=cfg.trust)
     trace: list[float] = []
@@ -682,8 +622,7 @@ def run_probe(
     exp = experiment(cfg, "probe", seed=seed, replays=replays)
     seed, n = exp["seed"], exp["replays"]
     validated, weights = read_stream(cfg, "sweep")
-    boundary, _ = parse_bundle(
-        exp["boundary_bundle"], cfg.catalog, "experiments.probe.boundary_bundle", validate_request)
+    boundary = validate_request(cfg.requests["probe.boundary_bundle"], cfg.catalog)
     b_weight = exp["boundary_bundle_weight"]
     lo, hi = exp["h_range"]
     rng = np.random.default_rng(seed)

@@ -588,12 +588,18 @@ def test_bench_with_no_approved_bundle_is_a_bad_config(tmp_path, capsys):
 
 
 def test_experiment_range_is_checked_on_the_value_used(tmp_path, capsys):
-    # a flag replaces an out-of-range config value, and is what gets checked
+    # the config load checks every config value, even one that a flag would
+    # replace, and a flag is checked in the place of the value it replaces
     override = tmp_path / "cfg.json"
-    override.write_text(json.dumps({"experiments": {"sweep": {"interactions": -3}}}))
-    code = main(["--config", str(override), "sweep", "--interactions", "20"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["interactions"] == 20
+    for interactions, flag, line in (
+            (-3, "20", "error: bad config: experiments.sweep.interactions must be at least 0, got -3"),
+            (20, "-3", "error: --interactions must be at least 0, got -3")):
+        override.write_text(json.dumps({"experiments": {"sweep": {"interactions": interactions}}}))
+        code = main(["--config", str(override), "sweep", "--interactions", flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == line + "\n"
+        assert captured.out == ""
 
 
 def test_probe_replays_out_of_range_is_a_bad_config(tmp_path):
@@ -602,9 +608,8 @@ def test_probe_replays_out_of_range_is_a_bad_config(tmp_path):
 
     override = tmp_path / "cfg.json"
     override.write_text(json.dumps({"experiments": {"probe": {"replays": -1}}}))
-    cfg = load_config(override)
     with pytest.raises(BadConfig, match=r"^experiments\.probe\.replays must be at least 0"):
-        simulate.run_probe(cfg)
+        simulate.run_probe(load_config(override))
 
 
 @pytest.mark.parametrize("key,value,problem", [
@@ -1095,6 +1100,8 @@ def test_main_maps_each_error_to_one_line_and_its_exit_code(tmp_path, capsys, mo
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert {p: p.read_bytes() for p in before} == before
+    # a lock file stands only beside the file it locks
+    assert all(lock.with_suffix("").exists() for lock in tmp_path.glob("*.lock"))
 
 
 def test_owner_file_trust_out_of_range_names_the_requester(tmp_path, capsys):
@@ -1113,12 +1120,30 @@ def test_owner_file_trust_out_of_range_names_the_requester(tmp_path, capsys):
     assert not audit.exists()
 
 
+def assert_negotiate_refuses_the_config(tmp_path, capsys, override, line):
+    """``negotiate --settle`` with an audit log under ``override`` exits 1
+    with ``line`` alone on stderr, leaves the owner file byte for byte and
+    writes no audit log."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    audit = tmp_path / "audit.jsonl"
+    argv = ["--config", str(cfg), *_negotiate(tmp_path, None, "--audit-log", str(audit), "--settle")]
+    before = (tmp_path / "owner.json").read_bytes()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == line + "\n"
+    assert captured.out == ""
+    assert (tmp_path / "owner.json").read_bytes() == before
+    assert not audit.exists()
+
+
 @pytest.mark.parametrize("where,bundle,problem", [
     ("sweep.stream.bundles[0]", {"weight": math.nan}, ".weight must be a finite number, got nan"),
     ("full_sim.stream.bundles[0]", {"priority": "high"}, ".priority is an unknown key"),
     ("adversary.bundle", {"features": []}, ": request must name at least one feature"),
-    ("probe.boundary_bundle", {"weight": 0.0}, ".weight must be positive, got 0.0"),
-], ids=["nan-weight", "unknown-key", "adversary-no-features", "probe-zero-weight"])
+    ("probe.boundary_bundle", {"window_hours": 0}, ": window_hours must be >= 1, got 0"),
+], ids=["nan-weight", "unknown-key", "adversary-no-features", "probe-zero-window"])
 def test_negotiate_reads_every_bundle_of_the_config(tmp_path, capsys, where, bundle, problem):
     # only the runner that read a bundle refused it before, so negotiate
     # decided under a config that sweep refuses
@@ -1130,13 +1155,90 @@ def test_negotiate_reads_every_bundle_of_the_config(tmp_path, capsys, where, bun
         override["experiments"][name]["stream"] = {"bundles": bundles}
     else:
         override["experiments"][name][key] = {**default[name][key], **bundle}
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(override))
-    argv = ["--config", str(cfg), *_negotiate(tmp_path, None, "--settle")]
-    before = (tmp_path / "owner.json").read_bytes()
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == f"error: bad config: experiments.{where}{problem}\n"
-    assert captured.out == ""
-    assert (tmp_path / "owner.json").read_bytes() == before
+    assert_negotiate_refuses_the_config(tmp_path, capsys, override,
+                                        f"error: bad config: experiments.{where}{problem}")
+
+
+def _at(key_path, value):
+    """The override document that sets ``key_path`` to ``value``."""
+    for key in reversed(key_path.split(".")):
+        value = {key: value}
+    return value
+
+
+# One config value out of range for each key of EXPERIMENT_RANGES, each
+# stream rule, the adversary's engine and request, and the other sections
+# whose values a command, not the load, refused before; with the message.
+OUT_OF_RANGE = [
+    ("experiments.sweep.seed", -1, "experiments.sweep.seed must be at least 0, got -1"),
+    ("experiments.full_sim.interactions", -3,
+     "experiments.full_sim.interactions must be at least 0, got -3"),
+    ("experiments.baseline.requests", -2,
+     "experiments.baseline.requests must be at least 0, got -2"),
+    ("experiments.probe.replays", -1, "experiments.probe.replays must be at least 0, got -1"),
+    ("experiments.bench.iterations", 0, "experiments.bench.iterations must be at least 1, got 0"),
+    ("experiments.full_sim.requesters", 0,
+     "experiments.full_sim.requesters must be at least 1, got 0"),
+    ("experiments.adversary.max_requests", 0,
+     "experiments.adversary.max_requests must be at least 1, got 0"),
+    ("experiments.adversary.reject_streak", 0,
+     "experiments.adversary.reject_streak must be at least 1, got 0"),
+    ("experiments.probe.trials", 0, "experiments.probe.trials must be at least 1, got 0"),
+    ("experiments.probe.perturbation", 0.9,
+     "experiments.probe.perturbation must be in [0, 0.5), got 0.9"),
+    ("experiments.probe.boundary_bundle_weight", 1.5,
+     "experiments.probe.boundary_bundle_weight must be in [0, 1], got 1.5"),
+    ("experiments.cross_dataset.risk_weight_factor", -0.5,
+     "experiments.cross_dataset.risk_weight_factor must be a non-negative finite number, "
+     "got -0.5"),
+    ("experiments.probe.h_range", [8.0, 0.5],
+     "experiments.probe.h_range must be two finite numbers [lo, hi] with 0 <= lo <= hi, "
+     "got [8.0, 0.5]"),
+    ("experiments.cross_dataset.owner_budget", 0.0,
+     "experiments.cross_dataset.owner_budget must be a positive finite number, got 0.0"),
+    ("experiments.baseline.eps_fix", -0.1,
+     "experiments.baseline.eps_fix must be a positive finite number, got -0.1"),
+    ("experiments.sweep.eps0_values", [2, 0],
+     "experiments.sweep.eps0_values must be a non-empty list of positive numbers, got [2, 0]"),
+    ("experiments.cross_dataset.datasets", [],
+     "experiments.cross_dataset.datasets must be a non-empty list, got []"),
+    ("experiments.cross_dataset.patterns", [],
+     "experiments.cross_dataset.patterns must be a non-empty list, got []"),
+    ("experiments.cross_dataset.risk_modes", [],
+     "experiments.cross_dataset.risk_modes must be a non-empty list, got []"),
+    ("experiments.sweep.stream.bundles", [],
+     "experiments.sweep.stream.bundles must be a non-empty list of bundles with positive "
+     "weights, got []"),
+    ("experiments.sweep.stream.trust.lo", 1.5,
+     "experiments.sweep.stream.trust.lo must be a number in [0, 1], got 1.5"),
+    ("experiments.cross_dataset.stream.trust.hi", -0.1,
+     "experiments.cross_dataset.stream.trust.hi must be a number in [0, 1], got -0.1"),
+    ("experiments.full_sim.stream.counter_accept_prob", 1.5,
+     "experiments.full_sim.stream.counter_accept_prob must be a number in [0, 1], got 1.5"),
+    ("experiments.cross_dataset.stream.trust", {"lo": 0.9, "hi": 0.2},
+     "experiments.cross_dataset.stream.trust.lo must not be above trust.hi, got 0.9 > 0.2"),
+    ("experiments.adversary.safety_mode", "lenient",
+     "experiments.adversary.safety_mode: unknown safety mode: lenient"),
+    ("experiments.adversary.proposed_epsilon", 0.0,
+     "experiments.adversary.bundle: proposed_epsilon must be a positive finite number when "
+     "present, got 0.0"),
+    ("tss.k", 9, "tss.k must be at least 1 and at most tss.n = 5, got 9"),
+    ("cities.rome.noise_sd_kw", -0.07, "cities.rome.noise_sd_kw must be at least 0, got -0.07"),
+]
+
+
+@pytest.mark.parametrize("key_path,value,message", OUT_OF_RANGE, ids=[r[0] for r in OUT_OF_RANGE])
+def test_negotiate_refuses_a_config_value_any_command_would(tmp_path, capsys, key_path, value,
+                                                            message):
+    # each of these let negotiate decide and settle, and only the runner (or
+    # the command) that used the value refused it
+    assert_negotiate_refuses_the_config(tmp_path, capsys, _at(key_path, value),
+                                        f"error: bad config: {message}")
+
+
+def test_every_experiment_range_has_a_refusal_row():
+    from dpnego.config import EXPERIMENT_RANGES
+
+    checked = {key_path.rsplit(".", 1)[1] for key_path, _, _ in OUT_OF_RANGE
+               if key_path.startswith("experiments.")}
+    assert set(EXPERIMENT_RANGES) <= checked

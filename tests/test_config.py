@@ -15,6 +15,7 @@ from dpnego.config import (
     TssConfig,
     build_engine_config,
     default_document,
+    from_document,
     load_config,
 )
 from dpnego.explain import ExplainConfig
@@ -105,6 +106,20 @@ def test_eps_min_outside_zero_to_eps_max_raises(tmp_path, engine):
 def test_eps_min_at_eps_max_loads(tmp_path):
     cfg = load_config(write_config(tmp_path, {"engine": {"eps_min_default": 10.0}}))
     assert cfg.engine.eps_min_default == cfg.engine.eps_max
+
+
+@pytest.mark.parametrize("where", ["adversary.bundle", "probe.boundary_bundle"])
+@pytest.mark.parametrize("key,value", [("weight", 1.0), ("name", "single")])
+def test_a_single_request_is_a_request_document(tmp_path, where, key, value):
+    # the adversary's and the probe's request take no weight or name: each
+    # was checked and then discarded
+    name, entry = where.split(".")
+    with pytest.raises(BadConfig, match=f"^unknown key experiments\\.{where}\\.{key}$"):
+        load_config(write_config(tmp_path, {"experiments": {name: {entry: {key: value}}}}))
+    doc = default_document()
+    doc["experiments"][name][entry][key] = value
+    with pytest.raises(BadConfig, match=f"^experiments\\.{where}\\.{key} is an unknown key$"):
+        from_document(doc)
 
 
 def float_paths(doc, path=()):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from doc_mutations import mutated
 
-from dpnego.config import BadConfig, _deep_merge, from_document, load_config
+from dpnego.config import BadConfig, _deep_merge, from_document, load_config, parse_bundle
 from dpnego import simulate
 from dpnego.contracts import Decision
 from dpnego.simulate import (
@@ -78,11 +78,11 @@ bundles = st.fixed_dictionaries(
 @given(st.data(), bundles)
 def test_any_one_mutation_of_a_bundle_is_refused_with_its_key_path(data, bundle):
     where = "experiments.sweep.stream.bundles[4]"
-    simulate.parse_bundle(bundle, CFG.catalog, where)
+    parse_bundle(bundle, CFG.catalog, where)
     required = [(key,) for key in ("weight", "window_hours", "resolution", "purpose")]
     bad, path = data.draw(mutated(bundle, required, [("proposed_epsilon",), ("max_noise",)]))
     with pytest.raises(BadConfig) as info:
-        simulate.parse_bundle(bad, CFG.catalog, where)
+        parse_bundle(bad, CFG.catalog, where)
     assert str(info.value).startswith(f"{where}.{path} "), (bad, str(info.value))
 
 
@@ -211,8 +211,8 @@ def test_cross_dataset_empty_list_is_a_bad_config(tmp_path, key):
     # an empty list ran no scenario, and the aggregate's np.min raised
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiments": {"cross_dataset": {key: [], "interactions": 5}}}))
-    cfg = load_config(path)
     with pytest.raises(BadConfig, match=re.escape(f"experiments.cross_dataset.{key} must")):
+        cfg = load_config(path)
         simulate.run_cross_dataset(cfg, simulate.load_datasets(cfg, DATA_DIR))
 
 
