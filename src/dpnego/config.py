@@ -267,6 +267,32 @@ EXPERIMENT_RANGES = {
 }
 
 
+# The cross-dataset experiment's CSV sources by dataset name: (file in the
+# data directory, schema). ``simulate.load_datasets`` loads these, and one
+# synthetic series per ``cities`` key.
+CSV_SOURCES = {
+    "uci": ("uci_household.csv", "household"),
+    "de": ("national_de.csv", "national"),
+    "fr": ("national_fr.csv", "national"),
+    "it": ("national_it.csv", "national"),
+}
+RISK_MODES = ("mild", "moderate")
+
+
+def _check_cross_dataset(exp: dict, cities: dict) -> None:
+    """Each dataset the cross-dataset experiment ``exp`` names must be a CSV
+    source or a city, and each risk mode one of ``RISK_MODES``."""
+    where = "experiments.cross_dataset"
+    for name in exp["datasets"]:
+        if name not in CSV_SOURCES and name not in cities:
+            raise BadConfig(f"{where}.datasets must name a CSV source ({', '.join(CSV_SOURCES)}) "
+                            f"or a city ({', '.join(sorted(cities))}), got {name!r}")
+    for mode in exp["risk_modes"]:
+        if mode not in RISK_MODES:
+            raise BadConfig(f"{where}.risk_modes must each be {' or '.join(map(repr, RISK_MODES))}, "
+                            f"got {mode!r}")
+
+
 def _check_ranges(doc: dict, where: str) -> None:
     """Each value in ``doc``, the object at key path ``where``, against its
     key's range in ``EXPERIMENT_RANGES``, and a ``lo`` against its ``hi``."""
@@ -283,7 +309,8 @@ def from_document(doc: dict) -> AppConfig:
     """The application config a merged document describes, each value checked
     once, here: keys and types by ``_deep_merge``, the sections by their
     dataclasses, the experiments' requests by their schemas, their other
-    values by ``_check_ranges`` and the adversary's ``safety_mode`` as an
+    values by ``_check_ranges``, the cross-dataset names by
+    ``_check_cross_dataset`` and the adversary's ``safety_mode`` as an
     engine setting."""
     catalog = _build_catalog(doc["catalog"])
     experiments = doc["experiments"]
@@ -316,6 +343,7 @@ def from_document(doc: dict) -> AppConfig:
         raw=doc,
     )
     _check_ranges(experiments, "experiments")
+    _check_cross_dataset(experiments["cross_dataset"], cfg.cities)
     try:
         replace(cfg.engine, safety_mode=adversary["safety_mode"])
     except ValueError as exc:

@@ -243,9 +243,10 @@ class NegotiationEngine:
     objective it grants from, found without building the grid.
 
     Pure with respect to its config: identical inputs give identical outputs,
-    so (sensitivity, upper-bound) argmax results are memoized on the engine
-    and each request's outcomes on the request (see ``negotiate``); each memo
-    is cleared at ``MEMO_LIMIT`` entries.
+    so (sensitivity, upper-bound) argmax results and each sensitivity's peak
+    over the whole grid are memoized on the engine, and each request's
+    outcomes on the request (see ``negotiate``); each memo is cleared at
+    ``MEMO_LIMIT`` entries.
     """
 
     def __init__(self, cfg: EngineConfig):
@@ -253,6 +254,7 @@ class NegotiationEngine:
         l1, l2, _, _, l5 = cfg.lambdas
         self._weights = (l1, l2, l5)
         self._argmax_cache: dict[tuple[float, float, type], float | None] = {}
+        self._peaks: dict[float, tuple[int, float]] = {}
 
     def _stationary(self, sensitivity: float) -> float:
         """Root of f'(e) = l1/sqrt(e) - 1.7*l2*1.8*S*e^0.7 - 0.15*l5.
@@ -278,14 +280,14 @@ class NegotiationEngine:
                 break
         return e
 
-    def _grid_argmax(self, m: int, sensitivity: float) -> tuple[int, float]:
-        """(k, score) of the first maximum over grid points 1..m.
+    def _grid_argmax(self, sensitivity: float) -> tuple[int, float]:
+        """(k, score) of the first maximum over the whole grid 1..grid_points.
 
         Starts at the grid point nearest the stationary point and climbs: down
         while the left neighbour is at least as high, else up while the right
         one is higher, which keeps the smaller epsilon on ties.
         """
-        step, cfg = self.cfg.grid_step, self.cfg
+        step, cfg, m = self.cfg.grid_step, self.cfg, self.cfg.grid_points
 
         def score(k: int) -> float:
             return objective(k * step, sensitivity, 0.0, 0.0, cfg)
@@ -305,6 +307,12 @@ class NegotiationEngine:
         The interval endpoint is always a candidate even when it is not a
         grid multiple, so an increasing objective is clamped exactly at the
         bound. Ties break toward the smaller epsilon.
+
+        For S >= 0 the objective is concave in epsilon (``EngineConfig``
+        keeps the lambdas non-negative), so on the grid it rises strictly up
+        to the whole grid's first maximum k*: the first maximum over grid
+        points 1..m is min(m, k*). k* and its score are memoized per
+        sensitivity in ``_peaks``.
         """
         upper = min(self.cfg.eps_max, upper)
         if upper <= 0:
@@ -323,7 +331,14 @@ class NegotiationEngine:
         best: float | None = None
         best_score = -math.inf
         if m >= 1:
-            k, best_score = self._grid_argmax(m, sensitivity)
+            peak = self._peaks.get(sensitivity)
+            if peak is None:
+                if len(self._peaks) >= MEMO_LIMIT:
+                    self._peaks.clear()
+                peak = self._peaks[sensitivity] = self._grid_argmax(sensitivity)
+            k, best_score = peak
+            if k > m:
+                k, best_score = m, objective(m * step, sensitivity, 0.0, 0.0, self.cfg)
             best = k * step
         if m == 0 or upper > m * step + _TOL:
             end_score = objective(upper, sensitivity, 0.0, 0.0, self.cfg)

@@ -184,7 +184,7 @@ def execute_plan(plan: QueryPlan, data: LoadSeries) -> tuple[float, ...]:
             values = values.reshape(-1, factor).mean(axis=1)
             spacing = target
         elif name == "clip":
-            values = np.clip(values, op["lo"], op["hi"])
+            values = values.clip(op["lo"], op["hi"])
         elif name == "aggregate":
             if len(values) == 0:
                 raise DataGap("aggregate over empty window")
@@ -192,7 +192,8 @@ def execute_plan(plan: QueryPlan, data: LoadSeries) -> tuple[float, ...]:
             if fn == "sum":
                 outputs.append(float(values.sum()))
             elif fn == "mean":
-                outputs.append(float(values.mean()))
+                # the reduction and division np.mean makes, without its wrappers
+                outputs.append(float(np.add.reduce(values) / len(values)))
             elif fn == "max":
                 outputs.append(float(values.max()))
             else:
@@ -269,11 +270,11 @@ def dp_noise(
     arr = list(values)
     if mechanism is Mechanism.LAPLACE:
         noise = sample_laplace(rng, laplace_scale(delta_q, eps_star), len(arr))
-        noisy: tuple[float | int, ...] = tuple(float(v + e) for v, e in zip(arr, noise))
+        noisy: tuple[float | int, ...] = tuple(np.add(arr, noise).tolist())
     elif mechanism is Mechanism.GAUSSIAN:
         sigma = gaussian_sigma(delta_q, eps_star, dp_cfg.gaussian_delta)
         noise = rng.normal(0.0, sigma, len(arr))
-        noisy = tuple(float(v + e) for v, e in zip(arr, noise))
+        noisy = tuple(np.add(arr, noise).tolist())
     else:
         if categories is None or categories < 2:
             raise ValueError("randomized rounding needs a category count >= 2")

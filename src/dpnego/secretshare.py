@@ -11,7 +11,7 @@ import secrets as _secrets
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .contracts import ValidationError, canonical_json, reader
+from .contracts import MEMO_LIMIT, ValidationError, canonical_json, reader
 
 # The secp256k1 base-field prime: a fixed, well-known 256-bit prime.
 FIELD_PRIME = 2**256 - 2**32 - 977
@@ -169,7 +169,7 @@ def reconstruct(shares: Sequence[KeyShare]) -> int:
     scheme = shares[0].scheme
     if any(s.scheme != scheme for s in shares):
         raise MixedScheme("shares belong to different schemes")
-    indices = [s.index for s in shares]
+    indices = tuple(s.index for s in shares)
     if len(set(indices)) != len(indices):
         raise DuplicateIndex("duplicate share indices")
     if len(shares) < scheme.k:
@@ -177,17 +177,32 @@ def reconstruct(shares: Sequence[KeyShare]) -> int:
             f"{len(shares)} shares cannot reach threshold {scheme.k}"
         )
     p = scheme.modulus
-    total = 0
-    for i, share in enumerate(shares):
-        num = 1
-        den = 1
-        for j, other in enumerate(shares):
-            if i == j:
-                continue
-            num = (num * other.index) % p
-            den = (den * (other.index - share.index)) % p
-        total = (total + share.value * num * pow(den, -1, p)) % p
-    return total
+    weights = _lagrange_weights(p, indices)
+    return sum(share.value * w for share, w in zip(shares, weights)) % p
+
+
+# The Lagrange weights at zero by (modulus, share indices in the order
+# given). They are public values, fixed by the share indices alone.
+_WEIGHTS: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+
+
+def _lagrange_weights(p: int, indices: tuple[int, ...]) -> tuple[int, ...]:
+    """Each index i's weight prod over j != i of x_j / (x_j - x_i) mod p."""
+    key = (p, indices)
+    weights = _WEIGHTS.get(key)
+    if weights is None:
+        out = []
+        for i in indices:
+            num = den = 1
+            for j in indices:
+                if j != i:
+                    num = num * j % p
+                    den = den * (j - i) % p
+            out.append(num * pow(den, -1, p) % p)
+        if len(_WEIGHTS) >= MEMO_LIMIT:
+            _WEIGHTS.clear()
+        weights = _WEIGHTS[key] = tuple(out)
+    return weights
 
 
 @dataclass
@@ -248,9 +263,8 @@ class ReleaseAuthority:
             raise MixedScheme("shares do not match the enrolled scheme")
         secret = reconstruct(shares)
         buf = bytearray(secret.to_bytes(32, "big"))
-        digest = hashlib.sha256(bytes(buf)).hexdigest()
-        for i in range(len(buf)):  # zeroize the reconstruction buffer
-            buf[i] = 0
+        digest = hashlib.sha256(buf).hexdigest()
+        buf[:] = bytes(len(buf))  # zeroize the reconstruction buffer
         del secret
         if digest != expected_digest:
             raise MixedScheme("reconstructed secret does not match enrollment")

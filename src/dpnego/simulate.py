@@ -12,7 +12,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import EXPERIMENT_RANGES, AppConfig, BadArgument, BadConfig
+from .config import CSV_SOURCES, EXPERIMENT_RANGES, AppConfig, BadArgument, BadConfig
 from .contracts import (
     APPROVE,
     COUNTER_OFFER,
@@ -299,13 +299,7 @@ def load_datasets(cfg: AppConfig, data_dir: str | Path) -> dict[str, LoadSeries]
     to household magnitude, and four synthetic city series."""
     data_dir = Path(data_dir)
     datasets: dict[str, LoadSeries] = {}
-    files = {
-        "uci": ("uci_household.csv", "household"),
-        "de": ("national_de.csv", "national"),
-        "fr": ("national_fr.csv", "national"),
-        "it": ("national_it.csv", "national"),
-    }
-    for name, (fname, schema) in files.items():
+    for name, (fname, schema) in CSV_SOURCES.items():
         path = data_dir / fname
         if not path.exists():
             raise MissingDataset(f"dataset file missing: {path}")

@@ -1236,6 +1236,25 @@ def test_negotiate_refuses_a_config_value_any_command_would(tmp_path, capsys, ke
                                         f"error: bad config: {message}")
 
 
+# A cross-dataset name the runner cannot use: an unknown risk mode ran as
+# "mild" under its own label, and an unknown dataset failed only the runner.
+UNKNOWN_NAMES = [
+    ("experiments.cross_dataset.risk_modes", ["mild", "extreme"],
+     "experiments.cross_dataset.risk_modes must each be 'mild' or 'moderate', got 'extreme'"),
+    ("experiments.cross_dataset.datasets", ["uci", "mars"],
+     "experiments.cross_dataset.datasets must name a CSV source (uci, de, fr, it) or a city "
+     "(berlin, oslo, paris, rome), got 'mars'"),
+]
+
+
+@pytest.mark.parametrize("key_path,value,message", UNKNOWN_NAMES,
+                         ids=[r[0].rsplit(".", 1)[1] for r in UNKNOWN_NAMES])
+def test_negotiate_refuses_an_unknown_cross_dataset_name(tmp_path, capsys, key_path, value,
+                                                         message):
+    assert_negotiate_refuses_the_config(tmp_path, capsys, _at(key_path, value),
+                                        f"error: bad config: {message}")
+
+
 def test_every_experiment_range_has_a_refusal_row():
     from dpnego.config import EXPERIMENT_RANGES
 

@@ -235,6 +235,117 @@ def test_optimize_equals_numpy_grid_oracle(cfg):
     assert not mismatches
 
 
+def climb_optimize(cfg, sensitivity, upper):
+    """The reference for ``NegotiationEngine.optimize``, with no memo:
+    Newton's method for the stationary point, then a climb bounded by the
+    bound's top grid point m, on every call."""
+    upper = min(cfg.eps_max, upper)
+    if upper <= 0:
+        return None
+    step = cfg.grid_step
+    m = min(int(math.floor(upper / step + 1e-9)), cfg.grid_points)
+    if m >= 1 and m * step > upper:
+        m -= 1
+    best, best_score = None, -math.inf
+    if m >= 1:
+        k, best_score = climb_argmax(cfg, m, sensitivity)
+        best = k * step
+    if m == 0 or upper > m * step + 1e-9:
+        if objective(upper, sensitivity, 0.0, 0.0, cfg) > best_score:
+            best = upper
+    return best
+
+
+def climb_argmax(cfg, m, sensitivity):
+    step = cfg.grid_step
+    l1, l2, _, _, l5 = cfg.lambdas
+    a, c = 1.7 * l2 * 1.8 * sensitivity, 0.15 * l5
+    if l1 <= 0:
+        root = 0.0
+    else:
+        root = min((l1 / a) ** (1 / 1.2) if a > 0 else math.inf,
+                   (l1 / c) ** 2 if c > 0 else math.inf)
+        while root < math.inf:
+            p, q = a * root**1.2, c * math.sqrt(root)
+            newton = (p + q - l1) / (1.2 * p + 0.5 * q)
+            root *= math.exp(-newton)
+            if newton <= 1e-12:
+                break
+
+    def score(k):
+        return objective(k * step, sensitivity, 0.0, 0.0, cfg)
+
+    k = round(min(m, max(1, root / step)))
+    here = score(k)
+    while k > 1 and (left := score(k - 1)) >= here:
+        k, here = k - 1, left
+    while k < m and (right := score(k + 1)) > here:
+        k, here = k + 1, right
+    return k, here
+
+
+PEAK_CONFIGS = [
+    ENGINE,
+    EngineConfig(grid_step=0.05, eps_max=2.0),
+    EngineConfig(lambdas=(2.5, 0.3, 0.0, 0.0, 0.7), eps_max=7.3, grid_step=0.01),
+    EngineConfig(lambdas=(1.0, 0.0, 1.0, 0.8, 1.0), grid_step=0.02, eps_max=3.0),
+    EngineConfig(lambdas=(0.4, 2.0, 1.0, 0.8, 0.0), grid_step=0.25, eps_max=6.0),
+]
+
+
+@pytest.mark.parametrize("cfg", PEAK_CONFIGS, ids=lambda cfg: f"{cfg.grid_points}-{cfg.lambdas}")
+def test_optimize_equals_the_bounded_climb(cfg):
+    """The grant from the per-sensitivity peak equals the climb bounded by
+    each bound, fresh and from the memos, in value and in type: every bound
+    of a grid of up to 600 points, on and between its points, and sampled
+    bounds on a larger one; sensitivities of 0, of the catalog, with the
+    stationary point past eps_max, and large enough that the risk term
+    overflows."""
+    rng = np.random.default_rng(7)
+    step, m_max = cfg.grid_step, cfg.grid_points
+    if m_max <= 600:
+        ks = range(1, m_max + 1)
+    else:
+        ks = rng.integers(1, m_max + 1, 150).tolist()
+    uppers = [cfg.eps_max + 0.5, float(math.ceil(cfg.eps_max)) + 1, -1.0, 0, 1, 2, 3]
+    for k in ks:
+        uppers += [k * step, k * step + step / 2, k * step - 1e-12]
+    sensitivities = [0.0, *catalog_sensitivities(), 1e-7, 1e308]
+    engine = NegotiationEngine(cfg)
+    assert engine._stationary(1e-7) > cfg.eps_max
+    assert 1.8 * 1e308 * step**1.7 == math.inf
+    mismatches = []
+    for s in sensitivities:
+        expected = [climb_optimize(cfg, s, upper) for upper in uppers]
+        for _ in range(2):  # the second pass reads the argmax memo
+            for upper, want in zip(uppers, expected):
+                got = engine.optimize(s, upper)
+                if got != want or type(got) is not type(want):
+                    mismatches.append((s, upper, got, want))
+    # a fresh engine per call fills the peak memo from the bounded calls first
+    for s in (0.0, 0.35, 1.2):
+        for upper in uppers[:40]:
+            got = NegotiationEngine(cfg).optimize(s, upper)
+            if got != climb_optimize(cfg, s, upper):
+                mismatches.append((s, upper, got))
+    assert not mismatches
+
+
+def test_peak_memo_stays_bounded():
+    engine = NegotiationEngine(ENGINE)
+    largest = 0
+    for i in range(MEMO_LIMIT + 100):
+        s = 0.05 + i * 1e-4
+        assert engine.optimize(s, 2.0 + i * 1e-6) == climb_optimize(ENGINE, s, 2.0 + i * 1e-6)
+        largest = max(largest, len(engine._peaks))
+        assert len(engine._peaks) <= MEMO_LIMIT
+    assert largest == MEMO_LIMIT
+    # a bound that is new for a known sensitivity reads its peak
+    engine._argmax_cache.clear()
+    engine.optimize(0.05 + (MEMO_LIMIT + 99) * 1e-4, 3.5)
+    assert len(engine._peaks) == 100
+
+
 # --- effective sensitivity -------------------------------------------------
 
 def test_effective_sensitivity_finest_resolution():

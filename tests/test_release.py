@@ -187,6 +187,43 @@ def test_count_aggregate():
     assert execute_plan(plan, series([1.0] * 7)) == (7.0,)
 
 
+@pytest.mark.parametrize("days", [60, 600])
+@pytest.mark.parametrize("hours", [1, 7, 168])
+def test_clip_and_mean_are_the_bits_of_np_clip_mean(days, hours):
+    # execute_plan clips with ndarray.clip and divides np.add.reduce by the
+    # length, which is what np.clip and np.mean do; the output must not move
+    # by one bit
+    rng = np.random.default_rng([days, hours])
+    data = series(rng.normal(1.5, 2.0, days * 24))
+    lo, hi = 0.0, 4.0
+    for offset in rng.integers(0, days * 24 - hours + 1, 25).tolist():
+        plan = mean_plan(ops=[
+            {"op": "window", "hours": hours, "offset_hours": offset},
+            {"op": "clip", "lo": lo, "hi": hi},
+            {"op": "aggregate", "fn": "mean"},
+            {"op": "aggregate", "fn": "max"},
+        ], output_arity=2)
+        window = data.values[offset:offset + hours]
+        mean, top = execute_plan(plan, data)
+        assert mean.hex() == float(np.clip(window, lo, hi).mean()).hex()
+        assert top.hex() == float(np.clip(window, lo, hi).max()).hex()
+
+
+@pytest.mark.parametrize("mechanism", [Mechanism.LAPLACE, Mechanism.GAUSSIAN])
+def test_dp_noise_adds_each_value_as_one_float_addition(mechanism):
+    # the noise vector is added in one array operation; each output must be
+    # the bits of the value plus its draw, for float and int values
+    values = (0.1, 3, -2.5e-7, 1e15 + 1, 7)
+    out = dp_noise(values, 0.7, 4.0, mechanism, 99, consumed_token())
+    rng = np.random.default_rng(99)
+    if mechanism is Mechanism.LAPLACE:
+        noise = sample_laplace(rng, laplace_scale(4.0, 0.7), len(values))
+    else:
+        noise = rng.normal(0.0, gaussian_sigma(4.0, 0.7, CFG.dp.gaussian_delta), len(values))
+    assert [v.hex() for v in out.values] == [float(v + e).hex() for v, e in zip(values, noise)]
+    assert all(type(v) is float for v in out.values)
+
+
 # --- noise mechanisms ---------------------------------------------------------
 
 def test_laplace_scale_formula():

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from doc_mutations import mutated
 
+from dpnego.contracts import MEMO_LIMIT
+
 from dpnego.secretshare import (
     FIELD_PRIME,
     AlreadyAuthorized,
@@ -35,6 +37,35 @@ def test_three_of_five_reconstruct():
     assert len(shares) == 5
     for combo in itertools.combinations(shares, 3):
         assert reconstruct(list(combo)) == 42
+
+
+@pytest.mark.parametrize("k,n", [(3, 5), (4, 7)])
+def test_every_subset_and_order_reconstructs_under_two_moduli(k, n):
+    # the Lagrange weights are memoized by (modulus, indices in the order
+    # given): two fields share every index set, and each order is its own key
+    secret = 2**120 + 12345
+    schemes = [split(secret, k, n, seed=5, prime=prime) for prime in (FIELD_PRIME, 2**127 - 1)]
+    for combo in itertools.combinations(range(n), k):
+        for order in itertools.permutations(combo):
+            for shares in schemes:
+                assert reconstruct([shares[i] for i in order]) == secret
+    for combo in itertools.combinations(range(n), k + 1):
+        for order in (combo, combo[::-1], combo[1:] + combo[:1]):
+            for shares in schemes:
+                assert reconstruct([shares[i] for i in order]) == secret
+
+
+def test_lagrange_memo_stays_bounded():
+    from dpnego import secretshare
+
+    secretshare._WEIGHTS.clear()
+    shares = split(77, k=5, n=8, seed=2, prime=2**61 - 1)
+    largest = 0
+    for order in itertools.islice(itertools.permutations(shares, 5), MEMO_LIMIT + 100):
+        assert reconstruct(list(order)) == 77
+        largest = max(largest, len(secretshare._WEIGHTS))
+        assert len(secretshare._WEIGHTS) <= MEMO_LIMIT
+    assert largest == MEMO_LIMIT
 
 
 def test_threshold_guard():

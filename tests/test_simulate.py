@@ -216,6 +216,33 @@ def test_cross_dataset_empty_list_is_a_bad_config(tmp_path, key):
         simulate.run_cross_dataset(cfg, simulate.load_datasets(cfg, DATA_DIR))
 
 
+@pytest.mark.parametrize("key,value,problem", [
+    ("risk_modes", ["moderate", "extreme"], "must each be 'mild' or 'moderate', got 'extreme'"),
+    ("risk_modes", ["Mild"], "must each be 'mild' or 'moderate', got 'Mild'"),
+    ("datasets", ["mars"], "must name a CSV source (uci, de, fr, it) or a city "
+                           "(berlin, oslo, paris, rome), got 'mars'"),
+    ("datasets", ["oslo", "UCI"], "must name a CSV source (uci, de, fr, it) or a city "
+                                  "(berlin, oslo, paris, rome), got 'UCI'"),
+], ids=["extreme", "capitalized-mode", "mars", "capitalized-dataset"])
+def test_cross_dataset_unknown_name_is_a_bad_config(tmp_path, key, value, problem):
+    # an unknown risk mode ran as "mild" under its own label, and an unknown
+    # dataset failed only the runner, with MissingDataset and no key path
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": {"cross_dataset": {key: value}}}))
+    with pytest.raises(BadConfig) as info:
+        load_config(path)
+    assert str(info.value) == f"experiments.cross_dataset.{key} {problem}"
+
+
+def test_every_configurable_dataset_is_loaded():
+    from dpnego.config import CSV_SOURCES, RISK_MODES
+
+    cfg = load_config()
+    assert set(simulate.load_datasets(cfg, DATA_DIR)) == {*CSV_SOURCES, *cfg.cities}
+    assert set(cfg.experiments["cross_dataset"]["datasets"]) == {*CSV_SOURCES, *cfg.cities}
+    assert tuple(cfg.experiments["cross_dataset"]["risk_modes"]) == RISK_MODES
+
+
 @pytest.mark.parametrize("section,run", [
     ("sweep", lambda cfg: simulate.run_sweep(cfg, interactions=5)),
     ("sweep", lambda cfg: simulate.bench_latency(cfg, iterations=5)),
