@@ -14,7 +14,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, fields
-from operator import itemgetter
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -31,6 +31,36 @@ class ChainCorrupt(ValueError):
 
 def _digest(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+# ``float.__repr__`` of a non-finite float, and what ``canonical_json`` writes.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _timestamp_json(value: Any) -> str:
+    """``canonical_json(value)`` for an int or a float, written as the encoder
+    writes it. Any other type, a bool included, raises ValueError: ``_record``
+    would refuse it."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    raise ValueError(f"audit timestamp must be an int or a float, got {value!r}")
+
+
+def _body_text(outcome_text: str, sequence: int, timestamp: float, request_digest: str,
+               explanation_digest: str, prev_hash: str) -> str:
+    """``canonical_json`` of the body of a record whose outcome encodes to
+    ``outcome_text``, put together in the body's sorted key order. The digests
+    must be hex (``append``'s are SHA-256 hex digests, or a tail's
+    ``record_hash`` that ``_check_tail`` has matched to one), which JSON writes
+    as they are. A sequence that is not an int raises ValueError."""
+    if type(sequence) is not int:
+        raise ValueError(f"audit record sequence must be an int, got {sequence!r}")
+    return (f'{{"explanation_digest": "{explanation_digest}", "outcome": {outcome_text}, '
+            f'"prev_hash": "{prev_hash}", "request_digest": "{request_digest}", '
+            f'"sequence": {int.__repr__(sequence)}, "timestamp": {_timestamp_json(timestamp)}}}')
 
 
 @dataclass(frozen=True)
@@ -52,17 +82,13 @@ class AuditRecord:
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in RECORD_FIELDS}
 
-    @classmethod
-    def build(cls, **body: Any) -> "AuditRecord":
-        """The record of the six body fields, under the hash of ``body``."""
-        return cls(record_hash=_digest(body), **body)
-
 
 # A record's fields in their declared order: the six the hash covers, then
 # the hash itself.
 RECORD_FIELDS = tuple(f.name for f in fields(AuditRecord))
 BODY_FIELDS = RECORD_FIELDS[:-1]
 _field_values = itemgetter(*RECORD_FIELDS)
+_record_values = attrgetter(*RECORD_FIELDS)
 
 
 def _follows(rec: AuditRecord, before: AuditRecord | None, line: str | None = None,
@@ -100,6 +126,9 @@ class AuditLog:
         self._read_tail: tuple[AuditRecord | None, str | None] = (None, None)
         # The records ``load`` read and checked, each against its own line.
         self._loaded: tuple[AuditRecord, ...] = ()
+        # The last record ``append`` built, its field values and the outcome
+        # text its hash covers (``_check_tail``).
+        self._built: tuple[AuditRecord | None, tuple, str] = (None, (), "")
 
     def _first_index(self) -> int:
         """Index in the file of records[0]; a tail counts the lines before it."""
@@ -110,12 +139,24 @@ class AuditLog:
         return sum(1 for line in lines if line.strip(_JSON_SPACE_BYTES))
 
     def _check_tail(self) -> None:
-        """Raise ChainCorrupt unless the last record follows the one before it;
-        one read from the file has its hash checked from its line."""
+        """Raise ChainCorrupt unless the last record follows the one before it
+        (``_follows``). Its hash is checked from its line if it was read from
+        one. The record ``append`` last built needs no re-hash while it is the
+        same object, holding the same field objects, and its outcome still
+        encodes to the hashed text: its other fields are immutable, so its body
+        text is the one hashed, and an in-place edit of the outcome fails the
+        comparison. Any other record is re-encoded.
+        """
         i = len(self.records) - 1
+        if i < 0:
+            return
+        rec = self.records[i]
         read, line = self._read_tail
-        if i >= 0 and not _follows(self.records[i], self.records[i - 1] if i else None,
-                                   line if self.records[i] is read else None):
+        built, values, outcome_text = self._built
+        vouched = (rec is built and all(map(is_, _record_values(rec), values))
+                   and canonical_json(rec.outcome) == outcome_text)
+        if not _follows(rec, self.records[i - 1] if i else None,
+                        line if rec is read else None, vouched):
             raise ChainCorrupt(self._first_index() + i)
 
     def append(
@@ -125,17 +166,32 @@ class AuditLog:
         explanation_doc: dict,
         timestamp: float | None = None,
     ) -> AuditRecord:
+        """Chain a record of this decision to the checked tail and return it.
+
+        The request, the explanation and the outcome are each encoded once;
+        the hash covers the body text composed around the outcome's encoding
+        (``_body_text``), byte for byte ``canonical_json`` of the body. An
+        outcome that is not a dict, or a timestamp that is not an int or a
+        float, raises ValueError and appends nothing: ``load`` would refuse it.
+        """
         self._check_tail()
+        if not isinstance(outcome_doc, dict):
+            raise ValueError(f"audit outcome must be a dict, got {type(outcome_doc).__name__}")
         tail = self.records[-1] if self.records else None
-        record = AuditRecord.build(
-            sequence=0 if tail is None else tail.sequence + 1,
-            timestamp=time.time() if timestamp is None else timestamp,
-            request_digest=_digest(request_doc),
-            outcome=outcome_doc,
-            explanation_digest=_digest(explanation_doc),
-            prev_hash=GENESIS_HASH if tail is None else tail.record_hash,
-        )
+        if tail is None:
+            sequence, prev_hash = 0, GENESIS_HASH
+        else:
+            sequence, prev_hash = tail.sequence + 1, tail.record_hash
+        if timestamp is None:
+            timestamp = time.time()
+        request_digest, explanation_digest = _digest(request_doc), _digest(explanation_doc)
+        outcome_text = canonical_json(outcome_doc)
+        text = _body_text(outcome_text, sequence, timestamp, request_digest, explanation_digest,
+                          prev_hash)
+        record = AuditRecord(sequence, timestamp, request_digest, outcome_doc, explanation_digest,
+                             prev_hash, hashlib.sha256(text.encode()).hexdigest())
         self.records.append(record)
+        self._built = (record, _record_values(record), outcome_text)
         return record
 
     def verify(self) -> int | None:

@@ -266,7 +266,8 @@ def dp_noise(
         raise NonPositiveEpsilon("epsilon must be positive")
     if delta_q <= 0:
         raise NonPositiveSensitivity("sensitivity must be positive")
-    rng = np.random.default_rng(seed)
+    # default_rng builds this same generator inside numpy's errstate wrapper
+    rng = np.random.Generator(np.random.PCG64(seed))
     arr = list(values)
     if mechanism is Mechanism.LAPLACE:
         noise = sample_laplace(rng, laplace_scale(delta_q, eps_star), len(arr))

@@ -9,7 +9,7 @@ import random
 import re
 import secrets as _secrets
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .contracts import MEMO_LIMIT, ValidationError, canonical_json, reader
 
@@ -75,19 +75,12 @@ class KeyShare:
             },
         }
 
-    @classmethod
-    def from_dict(cls, doc: Any) -> "KeyShare":
-        """The share ``to_dict`` writes, read by ``SHARE_SCHEMA`` and checked
-        by ``_share``; anything else raises ValidationError."""
-        return _share(_read_share(doc))
-
 
 SHARE_SCHEMA = {
     "index": int,
     "value": str,
     "scheme": {"k": int, "n": int, "modulus": str, "tag": str},
 }
-_read_share = reader(SHARE_SCHEMA)
 _read_shares = reader([SHARE_SCHEMA])
 
 

@@ -2,17 +2,25 @@ import dataclasses
 import hashlib
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpnego.audit import GENESIS_HASH, AuditLog, AuditRecord, ChainCorrupt, verify_file
+from dpnego.audit import GENESIS_HASH, AuditLog, AuditRecord, ChainCorrupt, _digest, verify_file
 from dpnego.contracts import canonical_json
 
 
 REQ = {"requester_id": "r", "features": ["load_curve"]}
 OUT = {"decision": "approve", "epsilon_star": 1.5}
 EXP = {"text": "approved", "trace_id": "abc"}
+
+
+def sealed(**body):
+    """The record of the six body fields under the hash of their canonical
+    encoding: the reference for the body text ``append`` composes."""
+    return AuditRecord(record_hash=_digest(body), **body)
 
 
 def build_log(n, t0=1700000000.0):
@@ -398,10 +406,10 @@ def test_canonical_log_loads_without_re_encoding(tmp_path, monkeypatch):
 def rehash_line(path, index, **fields):
     """Set ``fields`` on record ``index`` and give it the hash of its new body,
     so the line is canonical and carries its own hash."""
-    from dpnego.audit import AuditRecord, _line, _record
+    from dpnego.audit import _line, _record
 
     lines = path.read_text().splitlines(keepends=True)
-    lines[index] = _line(AuditRecord.build(**{**_record(lines[index]).body(), **fields}))
+    lines[index] = _line(sealed(**{**_record(lines[index]).body(), **fields}))
     path.write_text("".join(lines))
 
 
@@ -505,7 +513,7 @@ def test_save_never_writes_a_chain_that_verify_file_rejects(tmp_path):
 
 def test_save_refuses_a_record_that_does_not_follow_its_predecessor(tmp_path):
     log = build_log(3)
-    log.records[2] = AuditRecord.build(**{**log.records[2].body(), "sequence": 1})
+    log.records[2] = sealed(**{**log.records[2].body(), "sequence": 1})
     with pytest.raises(ValueError, match="audit record 1 would not verify once written"):
         log.save(tmp_path / "audit.jsonl")
     assert not (tmp_path / "audit.jsonl").exists()
@@ -548,7 +556,7 @@ def test_negotiate_refuses_a_tail_whose_sequence_does_not_rise(tmp_path, capsys)
 
 def test_in_memory_append_refuses_a_sequence_that_does_not_rise():
     log = build_log(4)
-    log.records[-1] = AuditRecord.build(**{**log.records[-1].body(), "sequence": 2})
+    log.records[-1] = sealed(**{**log.records[-1].body(), "sequence": 2})
     assert log.verify() == 3
     with pytest.raises(ChainCorrupt) as exc:
         log.append(REQ, OUT, EXP, timestamp=9.0)
@@ -723,3 +731,91 @@ def test_last_line_with_two_records_is_corrupt(tmp_path):
     with pytest.raises(ChainCorrupt) as exc:
         AuditLog.open_tail(path)
     assert exc.value.index == 2
+
+
+# --- the composed body text and the tail check --------------------------------
+
+outcome_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**53, max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0]) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=16,
+)
+timestamps = (st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+              | st.sampled_from([-0.0, 0.0, 1.7e9, float("nan"), float("inf"), -float("inf")]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.dictionaries(st.text(), outcome_values, max_size=5), timestamps),
+                min_size=1, max_size=4))
+def test_composed_body_hashes_as_its_canonical_encoding(entries):
+    log = AuditLog()
+    for outcome, timestamp in entries:
+        record = log.append(REQ, outcome, EXP, timestamp=timestamp)
+        assert record.record_hash == _digest(record.body())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "audit.jsonl"
+        log.save(path)
+        assert verify_file(path) is None
+
+
+@pytest.mark.parametrize("outcome,timestamp", [
+    (OUT, True), (OUT, False), (OUT, "x"), (["not", "a", "dict"], 1.0),
+], ids=["timestamp-true", "timestamp-false", "timestamp-str", "outcome-list"])
+def test_append_refuses_a_field_load_would_refuse(tmp_path, outcome, timestamp):
+    log = build_log(2)
+    before = list(log.records)
+    with pytest.raises(ValueError):
+        log.append(REQ, outcome, EXP, timestamp=timestamp)
+    assert log.records == before
+    log.save(tmp_path / "audit.jsonl")
+    assert verify_file(tmp_path / "audit.jsonl") is None
+
+
+def edit_top_level(log, passed):
+    log.records[-1].outcome["epsilon_star"] = 9.9
+
+
+def edit_nested(log, passed):
+    log.records[-1].outcome["modified_request"]["features"][0] = "aggregate"
+
+
+def edit_passed_dict(log, passed):
+    passed["decision"] = "reject"
+
+
+def set_equal_timestamp(log, passed):
+    # 1.0 == 1, but it encodes as 1: the body the hash covered changed
+    object.__setattr__(log.records[-1], "timestamp", 1)
+
+
+@pytest.mark.parametrize("edit", [edit_top_level, edit_nested, edit_passed_dict,
+                                  set_equal_timestamp])
+def test_an_edit_to_the_record_append_built_is_caught(edit):
+    log = build_log(2)
+    passed = {**OUT, "modified_request": {"features": ["load_curve"]}}
+    log.append(REQ, passed, EXP, timestamp=1.0)
+    edit(log, passed)
+    before = list(log.records)
+    with pytest.raises(ChainCorrupt) as exc:
+        log.append(REQ, OUT, EXP, timestamp=2.0)
+    assert exc.value.index == 2
+    assert log.records == before
+
+
+def test_only_the_record_append_built_skips_the_re_encoding(monkeypatch):
+    from dpnego import audit
+
+    bodies = []
+    real = audit._digest
+    monkeypatch.setattr(audit, "_digest", lambda payload: (
+        bodies.append(1) if "prev_hash" in payload else None) or real(payload))
+    log = build_log(3)
+    assert bodies == []
+    log.records[-1] = dataclasses.replace(log.records[-1])
+    log.append(REQ, OUT, EXP, timestamp=9.0)
+    assert bodies == [1]
+    log.records[-1] = dataclasses.replace(log.records[-1], outcome={"decision": "reject"})
+    with pytest.raises(ChainCorrupt) as exc:
+        log.append(REQ, OUT, EXP, timestamp=10.0)
+    assert exc.value.index == 3 and len(log.records) == 4

@@ -224,6 +224,15 @@ def test_dp_noise_adds_each_value_as_one_float_addition(mechanism):
     assert all(type(v) is float for v in out.values)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 99, 2**32 + 7, 2**40 + 3])
+def test_dp_noise_draws_what_default_rng_draws(seed):
+    # dp_noise builds its generator from PCG64 directly, without default_rng
+    values = (1.0, 2.0, 3.0)
+    out = dp_noise(values, 0.7, 4.0, Mechanism.LAPLACE, seed, consumed_token())
+    noise = sample_laplace(np.random.default_rng(seed), laplace_scale(4.0, 0.7), len(values))
+    assert [v.hex() for v in out.values] == [float(v + e).hex() for v, e in zip(values, noise)]
+
+
 # --- noise mechanisms ---------------------------------------------------------
 
 def test_laplace_scale_formula():
