@@ -55,9 +55,7 @@ def _body_text(outcome_text: str, sequence: int, timestamp: float, request_diges
     ``outcome_text``, put together in the body's sorted key order. The digests
     must be hex (``append``'s are SHA-256 hex digests, or a tail's
     ``record_hash`` that ``_check_tail`` has matched to one), which JSON writes
-    as they are. A sequence that is not an int raises ValueError."""
-    if type(sequence) is not int:
-        raise ValueError(f"audit record sequence must be an int, got {sequence!r}")
+    as they are, and the sequence an int (one above a checked tail's)."""
     return (f'{{"explanation_digest": "{explanation_digest}", "outcome": {outcome_text}, '
             f'"prev_hash": "{prev_hash}", "request_digest": "{request_digest}", '
             f'"sequence": {int.__repr__(sequence)}, "timestamp": {_timestamp_json(timestamp)}}}')
@@ -91,12 +89,25 @@ _field_values = itemgetter(*RECORD_FIELDS)
 _record_values = attrgetter(*RECORD_FIELDS)
 
 
+def _well_formed(rec: AuditRecord) -> bool:
+    """Whether ``rec``'s fields have the types its line reads back as: an int
+    sequence, an int or float timestamp (not a bool), a dict outcome, str hashes."""
+    ts = rec.timestamp
+    return (type(rec.sequence) is int and isinstance(ts, (int, float)) and type(ts) is not bool
+            and isinstance(rec.outcome, dict) and isinstance(rec.request_digest, str)
+            and isinstance(rec.explanation_digest, str) and isinstance(rec.prev_hash, str)
+            and isinstance(rec.record_hash, str))
+
+
 def _follows(rec: AuditRecord, before: AuditRecord | None, line: str | None = None,
              checked: bool = False) -> bool:
     """Whether ``rec`` may follow ``before`` in a chain (None: ``rec`` is its
-    first record). It must link to ``before``'s hash (the genesis hash), have a
-    sequence above ``before``'s (above -1), and carry its own hash, checked from
-    ``line`` if it was read from one (``_stored_hash_ok``) or already ``checked``."""
+    first record). It must be ``_well_formed``, link to ``before``'s hash (the
+    genesis hash), have a sequence above ``before``'s (above -1), and carry its
+    own hash, checked from ``line`` if it was read from one (``_stored_hash_ok``)
+    or already ``checked`` with its types."""
+    if not (checked or _well_formed(rec)):
+        return False
     if before is None:
         link, last_seq = GENESIS_HASH, -1
     else:
@@ -244,8 +255,8 @@ class AuditLog:
     def load(cls, path: str | Path) -> "AuditLog":
         """Every record of a JSON-lines audit file, each checked as it is read.
 
-        Record i must be well formed (the field types of ``_record``) and
-        follow record i-1 (``_follows``). The first record that fails raises
+        Record i must parse (``_record``) and follow record i-1 (``_follows``,
+        which checks its field types). The first record that fails raises
         ChainCorrupt(i).
         """
         log = cls()
@@ -274,8 +285,8 @@ class AuditLog:
         checks and ``save`` extends, read without parsing the rest.
 
         Reads a block from the end of the file and doubles it until it holds
-        two whole records or the whole file. A malformed one of the two raises
-        ChainCorrupt.
+        two whole records or the whole file. A malformed one of the two
+        (``_record``, ``_well_formed``) raises ChainCorrupt.
         """
         with open(path, "rb") as fh:
             size = fh.seek(0, os.SEEK_END)
@@ -293,10 +304,13 @@ class AuditLog:
         for k, (_, raw) in enumerate(lines):
             line = raw.decode("utf-8", "surrogateescape")
             try:
-                log.records.append(_record(line))
+                rec = _record(line)
             except _MALFORMED:
-                raise ChainCorrupt(log._first_index() + k) from None
-            log._read_tail = log.records[-1], line
+                rec = None
+            if rec is None or not _well_formed(rec):
+                raise ChainCorrupt(log._first_index() + k)
+            log.records.append(rec)
+            log._read_tail = rec, line
         log._stored = len(log.records)
         return log
 
@@ -314,21 +328,13 @@ _JSON_SPACE_BYTES = _JSON_SPACE.encode()
 
 def _record(line: str) -> AuditRecord:
     """The record on ``line``. As for ``json.loads``, only JSON whitespace may
-    surround the one value; a missing field or a field of the wrong type also
-    makes the line malformed."""
+    surround the one value; a missing field also makes the line malformed.
+    Its field types are ``_well_formed``'s to check."""
     text = line.strip(_JSON_SPACE)
     doc, end = _decode(text)
     if end != len(text):
         raise ValueError("audit line has data after its JSON value")
-    rec = AuditRecord(*_field_values(doc))
-    # JSON decodes to exact types, so comparing type() also keeps a bool from
-    # passing as a number.
-    if (type(rec.sequence) is not int or type(rec.timestamp) not in (float, int)
-            or type(rec.outcome) is not dict or type(rec.request_digest) is not str
-            or type(rec.explanation_digest) is not str or type(rec.prev_hash) is not str
-            or type(rec.record_hash) is not str):
-        raise ValueError("audit record field of the wrong type")
-    return rec
+    return AuditRecord(*_field_values(doc))
 
 
 def _line(record: AuditRecord) -> str:
@@ -338,8 +344,9 @@ def _line(record: AuditRecord) -> str:
 def _lines(records: list[AuditRecord], before: AuditRecord | None) -> Iterator[str]:
     """The line of each record, which must follow the one before it (the
     first, ``before``) with its hash checked from that line (``_follows``), so
-    that what is written is a chain ``verify_file`` accepts. A record whose
-    writer hashed other bytes than its canonical line raises ValueError."""
+    that what is written is a chain ``verify_file`` accepts. A record of a
+    wrong field type, or whose writer hashed other bytes than its canonical
+    line, raises ValueError."""
     for rec in records:
         line = _line(rec)
         if not _follows(rec, before, line):

@@ -64,14 +64,16 @@ class ResolutionKind(Enum):
     DAILY = "daily"
 
 
-# Coarse-to-fine order used by the counter-offer pipeline.
-RESOLUTION_ORDER = (
-    ResolutionKind.MIN5,
-    ResolutionKind.MIN15,
-    ResolutionKind.MIN30,
-    ResolutionKind.HOUR1,
-    ResolutionKind.DAILY,
-)
+# The resolution ladder, finest first, with each step's sample spacing in
+# seconds: a counter-offer coarsens up it, and a plan never resamples down it.
+RESOLUTION_SECONDS = {
+    ResolutionKind.MIN5: 300,
+    ResolutionKind.MIN15: 900,
+    ResolutionKind.MIN30: 1800,
+    ResolutionKind.HOUR1: 3600,
+    ResolutionKind.DAILY: 86400,
+}
+RESOLUTION_ORDER = tuple(RESOLUTION_SECONDS)
 
 
 class PurposeKind(Enum):
@@ -127,7 +129,8 @@ MEMO_LIMIT = 4096  # entries every memo, of the catalog or an engine, holds befo
 @dataclass(frozen=True)
 class Catalog:
     """The owner-side lookup tables: feature coefficients, resolution
-    attenuations, and the fixed purpose-compatibility table.
+    attenuations, and the fixed purpose-compatibility table; ``price`` is the
+    one sensitivity of a request shape computed from them.
 
     Construction checks every entry: alphas and purpose scores in [0, 1], and
     an attenuation in (0, 1] for every ``ResolutionKind``, any of which the
@@ -160,6 +163,11 @@ class Catalog:
                     raise ValueError(
                         f"catalog.{table}.{kind.value} must be in {bounds}, got {value!r}"
                     )
+
+    def price(self, features: Iterable[FeatureKind], resolution: ResolutionKind) -> float:
+        """The effective sensitivity of a request shape: the attenuation times
+        the coefficients added left to right. An unknown feature raises KeyError."""
+        return self.attenuations[resolution] * left_sum(map(self.alphas.__getitem__, features))
 
 
 @dataclass(frozen=True)
@@ -373,10 +381,9 @@ def request_from_dict(doc: Any) -> ContractRequest:
 class ValidatedRequest:
     """A request and the catalog that scores it.
 
-    The three numbers a decision reads are fixed at construction:
-    ``sensitivity``, the sum of the feature coefficients (``sum`` from int 0,
-    left to right); ``effective_sensitivity``, that sum times the requested
-    resolution's attenuation; and ``purpose_score``. A feature the catalog
+    The two numbers a decision reads are fixed at construction:
+    ``effective_sensitivity``, the price of the request's shape
+    (``Catalog.price``), and ``purpose_score``. A feature the catalog
     lacks raises ``UnknownFeature``, before a missing purpose raises
     ``UnknownPurpose``. ``outcomes`` memoizes ``NegotiationEngine.negotiate``
     by (engine, remaining budget, whether the trust reaches the engine's
@@ -387,7 +394,6 @@ class ValidatedRequest:
 
     request: ContractRequest
     catalog: Catalog
-    sensitivity: float = field(init=False, repr=False, compare=False)
     effective_sensitivity: float = field(init=False, repr=False, compare=False)
     purpose_score: float = field(init=False, repr=False, compare=False)
     outcomes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -395,15 +401,14 @@ class ValidatedRequest:
     def __post_init__(self) -> None:
         req, catalog = self.request, self.catalog
         try:
-            s = left_sum(map(catalog.alphas.__getitem__, req.features))
+            s_eff = catalog.price(req.features, req.resolution)
         except KeyError as exc:
             missing = exc.args[0].value
             raise UnknownFeature(f"feature not exposed by owner catalog: {missing}") from None
         score = catalog.purpose_scores.get(req.purpose)
         if score is None:
             raise UnknownPurpose(f"purpose not in compatibility table: {req.purpose.value}")
-        object.__setattr__(self, "sensitivity", s)
-        object.__setattr__(self, "effective_sensitivity", catalog.attenuations[req.resolution] * s)
+        object.__setattr__(self, "effective_sensitivity", s_eff)
         object.__setattr__(self, "purpose_score", score)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import CityProfile, EcosystemConfig
-from .contracts import Catalog, ResolutionKind
+from .contracts import RESOLUTION_SECONDS, Catalog, ResolutionKind
 from .negotiation import BudgetLedger
 from .scoring import TrustConfig, TrustStore
 
@@ -34,14 +34,7 @@ SCHEMAS = {
     "national": ("timestamp", "load_mw"),
 }
 
-_SPACING_TO_RESOLUTION = {
-    300: ResolutionKind.MIN5,
-    900: ResolutionKind.MIN15,
-    1800: ResolutionKind.MIN30,
-    3600: ResolutionKind.HOUR1,
-    86400: ResolutionKind.DAILY,
-}
-RESOLUTION_SECONDS = {v: k for k, v in _SPACING_TO_RESOLUTION.items()}
+_SPACING_TO_RESOLUTION = {seconds: res for res, seconds in RESOLUTION_SECONDS.items()}
 
 
 @dataclass

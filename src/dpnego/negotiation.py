@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from .contracts import (
     APPROVE,
@@ -175,16 +176,10 @@ class BudgetLedger:
 def derive_counter_offer(
     req: ValidatedRequest, cfg: EngineConfig
 ) -> tuple[tuple[FeatureKind, ...], ResolutionKind, float] | None:
-    """Reduce a request until its effective sensitivity falls to at most
-    counter_factor times the original: the reduced (features, resolution,
-    effective sensitivity), or None when even the floor state stays above it.
-
-    Transformations apply in fixed order: coarsen the resolution one step at a
-    time, then swap features for their aggregate form in descending
-    coefficient, then drop features in descending coefficient (never the last
-    one), stopping at the first state under the target. The sensitivity is
-    computed as ``ValidatedRequest`` computes it, so it equals, to the bit,
-    that of the counter-offer's request once validated.
+    """The first reduction of a request (``_shapes``) whose price
+    (``Catalog.price``) is at most counter_factor times the request's, as
+    (features, resolution, price), or None when none is that cheap. The
+    price is the counter-offer's ``effective_sensitivity`` once validated.
 
     The search depends only on the request's shape, so its result is memoized
     on the catalog per (features, resolution, counter_factor).
@@ -203,39 +198,37 @@ def derive_counter_offer(
 def _reduce_shape(
     catalog: Catalog, features: tuple[FeatureKind, ...], resolution: ResolutionKind, factor: float
 ) -> tuple[tuple[FeatureKind, ...], ResolutionKind, float] | None:
-    """The counter-offer search on a request's shape: the reduced (features,
-    resolution, effective sensitivity), or None."""
-    features = list(features)
-
-    def current() -> float:
-        return catalog.attenuations[resolution] * left_sum(map(catalog.alphas.__getitem__, features))
-
-    original = current()
+    """The counter-offer search on a request's shape: the first shape
+    ``_shapes`` yields priced within the target, with its price, or None."""
+    original = catalog.price(features, resolution)
     if original <= 0:
         return None
-    target = factor * original
+    target = factor * original + _TOL
+    for shape in _shapes(catalog, features, resolution):
+        if (price := catalog.price(*shape)) <= target:
+            return *shape, price
+    return None
 
-    for step in RESOLUTION_ORDER[RESOLUTION_ORDER.index(resolution) :]:
-        resolution = step
-        if (s := current()) <= target + _TOL:
-            return tuple(features), resolution, s
 
-    # a stable sort keeps equal coefficients in request order
+def _shapes(
+    catalog: Catalog, features: tuple[FeatureKind, ...], resolution: ResolutionKind
+) -> Iterator[tuple[tuple[FeatureKind, ...], ResolutionKind]]:
+    """The reductions of a request shape as (features, resolution), in the
+    order a counter-offer tries them: the shape at its own resolution and at
+    each coarser one up the ladder; then, at the coarsest, each feature
+    swapped for the aggregate form in descending coefficient (a stable sort
+    keeps equal coefficients in request order); then the aggregates dropped
+    one at a time down to one."""
+    for resolution in RESOLUTION_ORDER[RESOLUTION_ORDER.index(resolution):]:
+        yield features, resolution
+    reduced = list(features)
     alphas = [catalog.alphas[f] for f in features]
     for i in sorted(range(len(features)), key=alphas.__getitem__, reverse=True):
-        if features[i] is FeatureKind.AGGREGATE:
-            continue
-        features[i] = FeatureKind.AGGREGATE
-        if (s := current()) <= target + _TOL:
-            return tuple(features), resolution, s
-
-    while len(features) > 1:
-        alphas = [catalog.alphas[f] for f in features]
-        del features[alphas.index(max(alphas))]
-        if (s := current()) <= target + _TOL:
-            return tuple(features), resolution, s
-
-    return None
+        if reduced[i] is not FeatureKind.AGGREGATE:
+            reduced[i] = FeatureKind.AGGREGATE
+            yield tuple(reduced), resolution
+    for n in range(len(features) - 1, 0, -1):
+        yield (FeatureKind.AGGREGATE,) * n, resolution
 
 
 class NegotiationEngine:

@@ -12,8 +12,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import DpConfig
-from .contracts import FeatureKind, RESOLUTION_ORDER, ResolutionKind, ValidatedRequest
-from .ingest import LoadSeries, RESOLUTION_SECONDS
+from .contracts import RESOLUTION_SECONDS, FeatureKind, ResolutionKind, ValidatedRequest, _is_number
+from .ingest import LoadSeries
 from .negotiation import NonPositiveEpsilon
 from .secretshare import ReleaseToken
 
@@ -71,11 +71,6 @@ class QueryPlan:
     mechanism: Mechanism = Mechanism.LAPLACE
 
 
-def _coarser_or_equal(requested: ResolutionKind, contracted: ResolutionKind) -> bool:
-    order = list(RESOLUTION_ORDER)
-    return order.index(requested) >= order.index(contracted)
-
-
 def validate_plan(
     plan: QueryPlan,
     contract: ValidatedRequest,
@@ -114,14 +109,14 @@ def validate_plan(
                 )
         elif name == "window":
             hours = op.get("hours")
-            if not isinstance(hours, int) or hours < 1:
+            if type(hours) is not int or hours < 1:
                 raise ScopeViolation("window hours must be a positive integer")
             if hours > contract.request.window_hours:
                 raise ScopeViolation(
                     f"window {hours}h exceeds contracted {contract.request.window_hours}h"
                 )
             offset = op.get("offset_hours", 0)
-            if not isinstance(offset, int) or offset < 0:
+            if type(offset) is not int or offset < 0:
                 raise ScopeViolation(
                     f"window offset_hours must be a non-negative integer, got {offset!r}"
                 )
@@ -130,15 +125,15 @@ def validate_plan(
                 res = ResolutionKind(op.get("resolution"))
             except ValueError:
                 raise ScopeViolation(f"bad resolution {op.get('resolution')!r}") from None
-            if not _coarser_or_equal(res, contract.request.resolution):
+            if RESOLUTION_SECONDS[res] < RESOLUTION_SECONDS[contract.request.resolution]:
                 raise ScopeViolation(
                     f"resample to {res.value} is finer than contracted "
                     f"{contract.request.resolution.value}"
                 )
         elif name == "clip":
             lo, hi = op.get("lo"), op.get("hi")
-            if lo is None or hi is None or not lo < hi:
-                raise ScopeViolation("clip needs lo < hi")
+            if not (_is_number(lo) and _is_number(hi) and lo < hi):
+                raise ScopeViolation(f"clip needs finite numbers lo < hi, got {lo!r}, {hi!r}")
         elif name == "aggregate":
             if op.get("fn") not in AGGREGATE_FNS:
                 raise NonWhitelistedOp(f"aggregate fn {op.get('fn')!r} not whitelisted")

@@ -819,3 +819,92 @@ def test_only_the_record_append_built_skips_the_re_encoding(monkeypatch):
     with pytest.raises(ChainCorrupt) as exc:
         log.append(REQ, OUT, EXP, timestamp=10.0)
     assert exc.value.index == 3 and len(log.records) == 4
+
+
+# --- one rule for the field types: reading, verify, save and append ----------
+
+WRONG_TYPES = {
+    "sequence-float": {"sequence": 1.5},
+    "sequence-bool": {"sequence": True},
+    "sequence-str": {"sequence": "1"},
+    "timestamp-bool": {"timestamp": True},
+    "timestamp-str": {"timestamp": "1.0"},
+    "timestamp-none": {"timestamp": None},
+    "outcome-list": {"outcome": ["approve"]},
+    "request-digest-int": {"request_digest": 7},
+    "explanation-digest-none": {"explanation_digest": None},
+}
+
+
+def with_wrong_typed_record(log, fields):
+    """``log`` with a record of ``fields`` appended by the caller, sealed
+    under its own hash and linked to the last record."""
+    last = log.records[-1]
+    body = {**last.body(), "sequence": last.sequence + 1, "prev_hash": last.record_hash, **fields}
+    log.records.append(sealed(**body))
+    return log
+
+
+@pytest.mark.parametrize("fields", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_verify_and_save_refuse_a_record_of_a_wrong_field_type(tmp_path, fields):
+    log = with_wrong_typed_record(build_log(1), fields)
+    assert log.verify() == 1
+    path = tmp_path / "audit.jsonl"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match="would not verify once written"):
+        log.save(path)
+    assert path.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["audit.jsonl"]
+
+
+@pytest.mark.parametrize("fields", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_save_to_its_own_file_refuses_a_record_of_a_wrong_field_type(tmp_path, fields):
+    path = tmp_path / "audit.jsonl"
+    build_log(2).save(path)
+    before = path.read_bytes()
+    log = with_wrong_typed_record(AuditLog.load(path), fields)
+    assert log.verify() == 2
+    with pytest.raises(ValueError, match="would not verify once written"):
+        log.save(path)
+    assert path.read_bytes() == before
+    assert verify_file(path) is None
+
+
+@pytest.mark.parametrize("fields", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_append_refuses_a_tail_of_a_wrong_field_type(fields):
+    log = with_wrong_typed_record(build_log(1), fields)
+    before = list(log.records)
+    with pytest.raises(ChainCorrupt) as exc:
+        log.append(REQ, OUT, EXP, timestamp=9.0)
+    assert exc.value.index == 1
+    assert log.records == before
+
+
+@pytest.mark.parametrize("fields", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_readers_refuse_a_line_of_a_wrong_field_type(tmp_path, fields):
+    from dpnego.audit import _line
+
+    path = tmp_path / "audit.jsonl"
+    log = build_log(2)
+    body = {**log.records[1].body(), **fields}
+    path.write_text(_line(log.records[0]) + _line(sealed(**body)))
+    assert verify_file(path) == 1
+    for read in (AuditLog.load, AuditLog.open_tail):
+        with pytest.raises(ChainCorrupt) as exc:
+            read(path)
+        assert exc.value.index == 1
+
+
+def test_the_append_path_checks_no_field_types(tmp_path, monkeypatch):
+    from dpnego import audit
+
+    calls = []
+    real = audit._well_formed
+    monkeypatch.setattr(audit, "_well_formed", lambda rec: calls.append(1) or real(rec))
+    log = build_log(50)
+    assert calls == []
+    path = tmp_path / "audit.jsonl"
+    log.save(path)
+    assert len(calls) == 50
+    assert AuditLog.load(path).verify() is None
+    assert len(calls) == 100

@@ -54,7 +54,7 @@ def make_request(**overrides):
 def test_validate_billing_load_curve(cfg):
     validated = validate_request(make_request(), cfg.catalog)
     assert validated.purpose_score == 1.0
-    assert validated.sensitivity == pytest.approx(0.4)
+    assert cfg.catalog.price(validated.request.features, ResolutionKind.MIN5) == pytest.approx(0.4)
 
 
 def test_sensitivity_is_summed_left_to_right(cfg):
@@ -66,8 +66,24 @@ def test_sensitivity_is_summed_left_to_right(cfg):
         resolution=ResolutionKind.MIN5,
     )
     validated = validate_request(req, cfg.catalog)
-    assert validated.sensitivity.hex() == "0x1.4ccccccccccccp+0"
+    assert cfg.catalog.price(req.features, ResolutionKind.MIN5).hex() == "0x1.4ccccccccccccp+0"
     assert validated.effective_sensitivity.hex() == "0x1.4ccccccccccccp+0"
+
+
+@given(st.lists(st.sampled_from(list(FeatureKind)), min_size=1, max_size=6),
+       st.sampled_from(list(ResolutionKind)),
+       st.fixed_dictionaries({kind: st.floats(0.0, 1.0) for kind in FeatureKind}))
+def test_price_is_the_coefficients_added_left_to_right_times_the_attenuation(
+        features, resolution, alphas):
+    features = tuple(features)
+    for catalog in (CATALOG, dataclasses.replace(CATALOG, alphas=alphas)):
+        total = 0
+        for kind in features:
+            total += catalog.alphas[kind]
+        want = catalog.attenuations[resolution] * total
+        assert catalog.price(features, resolution).hex() == want.hex()
+        request = make_request(features=features, resolution=resolution)
+        assert validate_request(request, catalog).effective_sensitivity.hex() == want.hex()
 
 
 def test_empty_feature_set_rejected(cfg):
@@ -424,7 +440,8 @@ def test_warm_catalog_matches_a_cold_one(cfg):
                     got = validate_request(req, warm)
                     want = validate_request(req, cold)
                     assert got == want
-                    assert got.sensitivity.hex() == want.sensitivity.hex()
+                    assert (warm.price(features, ResolutionKind.MIN5).hex()
+                            == cold.price(features, ResolutionKind.MIN5).hex())
                     assert got.effective_sensitivity.hex() == want.effective_sensitivity.hex()
                     total = 0
                     for k in features:
@@ -469,21 +486,22 @@ def test_failed_lookups_raise_every_time(cfg):
             validate_request(make_request(features=()), catalog)
         with pytest.raises(NonPositiveWindow):
             validate_request(make_request(window_hours=0), catalog)
-    assert validate_request(make_request(), catalog).sensitivity == pytest.approx(0.4)
+    min5 = make_request(resolution=ResolutionKind.MIN5)
+    assert validate_request(min5, catalog).effective_sensitivity == pytest.approx(0.4)
 
 
 def test_replaced_catalog_starts_with_empty_memos(cfg):
     warm = load_config().catalog
-    req = make_request()
+    req = make_request(resolution=ResolutionKind.MIN5)
     before = validate_request(req, warm)
     derive_counter_offer(before, cfg.engine)
     assert warm._reductions
     changed = dataclasses.replace(warm, alphas={**warm.alphas, FeatureKind.LOAD_CURVE: 0.9})
     assert changed._reductions == {}
     after = validate_request(req, changed)
-    assert before.sensitivity == pytest.approx(0.4)
-    assert after.sensitivity == pytest.approx(0.9)
-    assert validate_request(req, warm).sensitivity == pytest.approx(0.4)
+    assert before.effective_sensitivity == pytest.approx(0.4)
+    assert after.effective_sensitivity == pytest.approx(0.9)
+    assert validate_request(req, warm).effective_sensitivity == pytest.approx(0.4)
 
 
 def test_memos_leave_catalog_eq_and_repr_alone(cfg):
@@ -528,9 +546,11 @@ def test_catalog_bounds_are_inclusive_except_a_zero_attenuation():
     low = validate_request(
         make_request(features=(FeatureKind.AGGREGATE,), purpose=PurposeKind.PROFILING), catalog
     )
-    assert low.sensitivity == low.effective_sensitivity == low.purpose_score == 0.0
+    assert catalog.price(low.request.features, ResolutionKind.MIN5) == 0.0
+    assert low.effective_sensitivity == low.purpose_score == 0.0
     high = validate_request(make_request(features=(FeatureKind.LOCATION,)), catalog)
-    assert high.sensitivity == high.effective_sensitivity == high.purpose_score == 1.0
+    assert catalog.price(high.request.features, ResolutionKind.MIN5) == 1.0
+    assert high.effective_sensitivity == high.purpose_score == 1.0
 
 
 def test_catalog_missing_an_attenuation_raises():
@@ -544,7 +564,7 @@ def test_catalog_kinds_hash_by_identity(cfg):
     Enum hash runs Python code on every lookup). Members are singletons that
     compare by identity, so every table and memo keyed by them still
     resolves a member however it was obtained."""
-    from dpnego.ingest import RESOLUTION_SECONDS
+    from dpnego.contracts import RESOLUTION_SECONDS
 
     raw = cfg.raw["catalog"]
     catalog = load_config().catalog

@@ -448,6 +448,86 @@ def test_counter_target_always_met(features, resolution):
         assert validate_request(reduced, CATALOG).effective_sensitivity.hex() == s_new.hex()
 
 
+def reference_reduce_shape(catalog, features, resolution, factor):
+    """The counter-offer search as one function with its price written inline
+    and three test-and-return steps: the reference ``derive_counter_offer``
+    must match to the bit."""
+    order = (ResolutionKind.MIN5, ResolutionKind.MIN15, ResolutionKind.MIN30,
+             ResolutionKind.HOUR1, ResolutionKind.DAILY)
+    features = list(features)
+
+    def current():
+        total = 0
+        for f in features:
+            total += catalog.alphas[f]
+        return catalog.attenuations[resolution] * total
+
+    original = current()
+    if original <= 0:
+        return None
+    target = factor * original
+
+    for step in order[order.index(resolution):]:
+        resolution = step
+        if (s := current()) <= target + 1e-9:
+            return tuple(features), resolution, s
+
+    alphas = [catalog.alphas[f] for f in features]
+    for i in sorted(range(len(features)), key=alphas.__getitem__, reverse=True):
+        if features[i] is FeatureKind.AGGREGATE:
+            continue
+        features[i] = FeatureKind.AGGREGATE
+        if (s := current()) <= target + 1e-9:
+            return tuple(features), resolution, s
+
+    while len(features) > 1:
+        alphas = [catalog.alphas[f] for f in features]
+        del features[alphas.index(max(alphas))]
+        if (s := current()) <= target + 1e-9:
+            return tuple(features), resolution, s
+
+    return None
+
+
+TIED_ALPHAS = {FeatureKind.LOCATION: 0.5, FeatureKind.APPLIANCE_LEVEL: 0.5,
+               FeatureKind.LOAD_CURVE: 0.5, FeatureKind.AGGREGATE: 0.1}
+
+
+# a free aggregate prices its shapes at 0, and a near-free location lets a
+# shape meet its target at its own resolution
+TINY_ALPHAS = {**TIED_ALPHAS, FeatureKind.LOCATION: 1e-10, FeatureKind.AGGREGATE: 0.0}
+
+
+@pytest.mark.parametrize("alphas", [None, TIED_ALPHAS, TINY_ALPHAS],
+                         ids=["shipped", "tied", "tiny"])
+def test_counter_offer_matches_the_reference_search_on_every_small_shape(alphas):
+    catalog = load_config().catalog
+    if alphas is not None:
+        catalog = dataclasses.replace(catalog, alphas=alphas)
+    shapes = [s for n in range(1, 5) for s in itertools.product(FeatureKind, repeat=n)]
+    assert len(shapes) * len(ResolutionKind) == 1700
+    kinds = set()
+    for factor in (0.05, 0.25, 0.5, 0.9):
+        engine = EngineConfig(counter_factor=factor)
+        for features in shapes:
+            for resolution in ResolutionKind:
+                request = ContractRequest("r", "o", features, 24, resolution, PurposeKind.BILLING)
+                got = derive_counter_offer(validate_request(request, catalog), engine)
+                want = reference_reduce_shape(catalog, features, resolution, factor)
+                assert got == want, (features, resolution, factor)
+                if got is None:
+                    kinds.add("none")
+                    continue
+                assert got[2].hex() == want[2].hex()
+                kinds.add("as asked" if got[:2] == (features, resolution)
+                          else "coarsened" if got[0] == features
+                          else "swapped" if len(got[0]) == len(features) else "dropped")
+    if alphas is TINY_ALPHAS:
+        assert {"none", "as asked"} <= kinds
+    else:
+        assert kinds == {"none", "coarsened", "swapped", "dropped"}
+
+
 # --- counter-offer memo on the catalog -----------------------------------------
 
 def test_counter_memo_repeats_and_matches_fresh_validation():
@@ -592,7 +672,7 @@ def test_negotiate_safety_rejection_at_low_budget():
 def test_negotiate_zero_sensitivity_takes_whole_budget():
     free = dataclasses.replace(CATALOG, alphas={**CATALOG.alphas, FeatureKind.AGGREGATE: 0.0})
     req = validate_request(validated([FeatureKind.AGGREGATE], ResolutionKind.MIN5), free)
-    assert req.sensitivity == req.effective_sensitivity == 0.0
+    assert free.price(req.request.features, ResolutionKind.MIN5) == req.effective_sensitivity == 0.0
     outcome = negotiate(req, BudgetLedger(h_max=8.0), 0.5, ENGINE)
     assert outcome.decision is Decision.APPROVE
     assert outcome.epsilon_star == pytest.approx(8.0)

@@ -141,6 +141,55 @@ def test_resample_finer_than_contract_rejected():
         validate_plan(plan, contract(resolution=ResolutionKind.HOUR1))
 
 
+@pytest.mark.parametrize("contracted", list(ResolutionKind))
+@pytest.mark.parametrize("requested", list(ResolutionKind))
+def test_resample_refuses_exactly_a_finer_resolution(requested, contracted):
+    plan = mean_plan(ops=[
+        {"op": "resample", "resolution": requested.value},
+        {"op": "aggregate", "fn": "mean"},
+    ])
+    ladder = list(ResolutionKind)  # finest first
+    if ladder.index(requested) < ladder.index(contracted):
+        with pytest.raises(ScopeViolation, match="finer than contracted"):
+            validate_plan(plan, contract(resolution=contracted))
+    else:
+        validate_plan(plan, contract(resolution=contracted))
+
+
+MALFORMED_OPS = {
+    "bool-hours": {"op": "window", "hours": True},
+    "float-hours": {"op": "window", "hours": 24.0},
+    "bool-offset": {"op": "window", "hours": 24, "offset_hours": True},
+    "str-clip": {"op": "clip", "lo": "a", "hi": "b"},
+    "bool-clip": {"op": "clip", "lo": False, "hi": True},
+    "bool-lo": {"op": "clip", "lo": False, "hi": 4.0},
+    "bool-hi": {"op": "clip", "lo": 0.0, "hi": True},
+    "none-lo": {"op": "clip", "lo": None, "hi": 4.0},
+    "nan-hi": {"op": "clip", "lo": 0.0, "hi": float("nan")},
+    "inf-hi": {"op": "clip", "lo": 0.0, "hi": float("inf")},
+    "tuple-clip": {"op": "clip", "lo": (0,), "hi": (1,)},
+    "inverted-clip": {"op": "clip", "lo": 4.0, "hi": 0.0},
+}
+
+
+@pytest.mark.parametrize("op", MALFORMED_OPS.values(), ids=MALFORMED_OPS.keys())
+def test_malformed_op_arguments_are_scope_violations(op):
+    plan = mean_plan(ops=[op, {"op": "aggregate", "fn": "mean"}])
+    with pytest.raises(ScopeViolation):
+        validate_plan(plan, contract(window=24))
+
+
+def test_an_int_window_and_a_numeric_clip_pass():
+    plan = mean_plan(ops=[
+        {"op": "window", "hours": 24, "offset_hours": 0},
+        {"op": "clip", "lo": 0.0, "hi": 4.0},
+        {"op": "clip", "lo": -1, "hi": 3},
+        {"op": "aggregate", "fn": "mean"},
+        {"op": "aggregate", "fn": "max"},
+    ], output_arity=2)
+    validate_plan(plan, contract(window=24))
+
+
 def test_arity_over_cap():
     ops = [{"op": "aggregate", "fn": "mean"}] * 10
     plan = mean_plan(ops=ops, output_arity=10)

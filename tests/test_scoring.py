@@ -6,13 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from dpnego import scoring
 from dpnego.config import load_config
-from dpnego.contracts import (
-    ContractRequest,
-    FeatureKind,
-    PurposeKind,
-    ResolutionKind,
-    ValidatedRequest,
-)
+from dpnego.contracts import FeatureKind, PurposeKind, ResolutionKind
 from dpnego.scoring import (
     OutOfRange,
     TrustConfig,
@@ -27,10 +21,10 @@ CATALOG = load_config().catalog
 
 
 def sensitivity(*kinds):
-    """``ValidatedRequest.sensitivity`` of a request naming ``kinds``, built
-    directly so that an empty set (which validation refuses) has a value."""
-    req = ContractRequest("r", "o", kinds, 24, ResolutionKind.MIN5, PurposeKind.BILLING)
-    return ValidatedRequest(req, CATALOG).sensitivity
+    """The price of ``kinds`` at 5-minute resolution (attenuation 1.0, so the
+    coefficients' sum), priced directly so that an empty set (which
+    validation refuses) has a value."""
+    return CATALOG.price(kinds, ResolutionKind.MIN5)
 
 
 def test_sensitivity_single_load_curve():
