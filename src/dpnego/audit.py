@@ -103,16 +103,18 @@ def _follows(rec: AuditRecord, before: AuditRecord | None, line: str | None = No
              checked: bool = False) -> bool:
     """Whether ``rec`` may follow ``before`` in a chain (None: ``rec`` is its
     first record). It must be ``_well_formed``, link to ``before``'s hash (the
-    genesis hash), have a sequence above ``before``'s (above -1), and carry its
-    own hash, checked from ``line`` if it was read from one (``_stored_hash_ok``)
-    or already ``checked`` with its types."""
+    genesis hash), have a sequence above ``before``'s int sequence (above -1),
+    and carry its own hash, checked from ``line`` if it was read from one
+    (``_stored_hash_ok``) or already ``checked`` with its types. A ``before``
+    no reader checked (the one before an append's tail) may hold any sequence:
+    one that is not an int fails."""
     if not (checked or _well_formed(rec)):
         return False
     if before is None:
         link, last_seq = GENESIS_HASH, -1
     else:
         link, last_seq = before.record_hash, before.sequence
-    return rec.prev_hash == link and rec.sequence > last_seq and (
+    return rec.prev_hash == link and type(last_seq) is int and rec.sequence > last_seq and (
         checked or _stored_hash_ok(rec, line))
 
 
@@ -346,9 +348,12 @@ def _lines(records: list[AuditRecord], before: AuditRecord | None) -> Iterator[s
     first, ``before``) with its hash checked from that line (``_follows``), so
     that what is written is a chain ``verify_file`` accepts. A record of a
     wrong field type, or whose writer hashed other bytes than its canonical
-    line, raises ValueError."""
+    line, or whose outcome JSON cannot encode, raises ValueError."""
     for rec in records:
-        line = _line(rec)
+        try:
+            line = _line(rec)
+        except TypeError as exc:
+            raise ValueError(f"audit record {rec.sequence} is not JSON: {exc}") from None
         if not _follows(rec, before, line):
             raise ValueError(f"audit record {rec.sequence} would not verify once written")
         before = rec

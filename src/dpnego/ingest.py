@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +52,9 @@ class LoadSeries:
     def __post_init__(self) -> None:
         if len(self.timestamps) != len(self.values):
             raise ValueError("timestamps and values must align")
-        if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
+        # compare neighbours: their int64 difference can wrap
+        ts = self.timestamps
+        if len(ts) > 1 and not (ts[1:] > ts[:-1]).all():
             raise NonMonotoneTimestamps(f"series {self.source_id} is not increasing")
 
     def __len__(self) -> int:
@@ -177,6 +181,26 @@ def _winter_temperatures(rng: np.random.Generator, hours: int, cfg: EcosystemCon
     return cfg.temp_mean_c + daily + noise
 
 
+def uniform_draw(rng: np.random.Generator, lo: float, hi: float) -> Callable[[], float]:
+    """A function whose every call returns the float ``rng.uniform(lo, hi)``
+    would, to the bit, and advances ``rng`` as that call does.
+
+    numpy draws a uniform as ``lo + (hi - lo) * u`` in doubles, with ``u``
+    the next ``rng.random()``; this does the same sum without numpy's
+    per-call argument handling. The range is checked here, once, as numpy
+    checks it on every call: a non-finite one raises OverflowError and a
+    negative one ValueError. ``test_uniform_draw_is_numpy_uniform`` pins the
+    identity over seeds and bounds."""
+    lo = float(lo)
+    span = float(hi) - lo
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if span < 0:
+        raise ValueError("high - low < 0")
+    random = rng.random
+    return lambda: lo + span * random()
+
+
 def gen_ecosystem(
     seed: int,
     catalog: Catalog,
@@ -199,13 +223,19 @@ def gen_ecosystem(
     hour_of_day = np.arange(hours) % 24
     diurnal_shape = 0.5 + 0.5 * np.sin(2 * np.pi * (hour_of_day - 7) / 24) ** 2
     heating_deficit = np.maximum(0.0, cfg.heating_setpoint_c - temps)
+    # each prosumer's four parameters as lo + (hi - lo) * rng.random(): the
+    # float rng.uniform(lo, hi) returns, to the bit, from the same stream
+    # (test_uniform_draw_is_numpy_uniform). The spike sizes stay one sized
+    # rng.uniform call, which costs less than lo + span * rng.random(n).
+    draw_base = uniform_draw(rng, *cfg.base_kw)
+    draw_amp = uniform_draw(rng, *cfg.diurnal_amp_kw)
+    draw_heat = uniform_draw(rng, *cfg.heating_coeff_kw_per_degc)
+    draw_rate = uniform_draw(rng, *cfg.appliance_events_per_day)
     for i in range(cfg.n_prosumers):
-        # four scalar calls: one uniform(lows, highs) call draws the same
-        # values but costs more, in numpy's broadcasting of array bounds
-        base = rng.uniform(*cfg.base_kw)
-        amp = rng.uniform(*cfg.diurnal_amp_kw)
-        heat = rng.uniform(*cfg.heating_coeff_kw_per_degc)
-        rate = rng.uniform(*cfg.appliance_events_per_day)
+        base = draw_base()
+        amp = draw_amp()
+        heat = draw_heat()
+        rate = draw_rate()
         load = base + amp * diurnal_shape
         load = load + heat * heating_deficit
         n_events = rng.poisson(rate * cfg.days)

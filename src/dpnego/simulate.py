@@ -30,6 +30,7 @@ from .ingest import (
     gen_ecosystem,
     load_csv,
     normalize_to_household,
+    uniform_draw,
 )
 from .negotiation import BudgetLedger, EngineConfig, negotiate
 from .release import QueryPlan, execute_plan
@@ -251,6 +252,9 @@ def run_full_sim(
     owners = rng.integers(0, len(prosumers), size=n).tolist()
     requesters = rng.integers(0, n_req, size=n).tolist()
     draws = rng.choice(len(validated), size=n, p=weights).tolist() if n else []
+    # each approval's quality and alignment reports, as rng.uniform(0.7, 1.0)
+    # would draw them one after the other
+    report = uniform_draw(rng, 0.7, 1.0)
     # settlement and the exhaustion index follow each decision; the counts
     # and the granted total are taken once, from the run in order
     outcomes: list[NegotiationOutcome] = []
@@ -264,7 +268,7 @@ def run_full_sim(
         if outcome.decision is APPROVE:
             prosumer.ledger.settle(f"c{i}", outcome.epsilon_star)
             granted.append(outcome.epsilon_star)
-            quality, alignment = rng.uniform(0.7, 1.0, 2).tolist()
+            quality, alignment = report(), report()
             prosumer.trust.extend(requester, (("completed", None), ("quality_report", quality),
                                               ("alignment_report", alignment)))
         elif outcome.decision is COUNTER_OFFER and rng.random() < accept_prob:

@@ -908,3 +908,44 @@ def test_the_append_path_checks_no_field_types(tmp_path, monkeypatch):
     assert len(calls) == 50
     assert AuditLog.load(path).verify() is None
     assert len(calls) == 100
+
+
+@pytest.mark.parametrize("sequence", ["7", None, [7], 7.0])
+def test_append_refuses_a_tail_whose_predecessor_holds_a_non_int_sequence(sequence):
+    """append re-checks only its tail; the record before it, which a caller
+    put there, may hold any sequence. One that is not an int makes the tail
+    corrupt instead of failing the comparison with a TypeError."""
+    log = with_wrong_typed_record(build_log(1), {"sequence": sequence})
+    last = log.records[-1]
+    log.records.append(sealed(**{**last.body(), "sequence": 8, "prev_hash": last.record_hash}))
+    assert log.verify() == 1
+    before = list(log.records)
+    with pytest.raises(ChainCorrupt) as exc:
+        log.append(REQ, OUT, EXP, timestamp=9.0)
+    assert exc.value.index == 2
+    assert log.records == before
+
+
+UNENCODABLE = {"set": {1, 2}, "bytes": b"x", "object": object(), "tuple-key": {("a",): 1}}
+
+
+@pytest.mark.parametrize("value", UNENCODABLE.values(), ids=UNENCODABLE.keys())
+def test_save_refuses_an_outcome_json_cannot_encode(tmp_path, value):
+    path = tmp_path / "audit.jsonl"
+    path.write_text("kept\n")
+    log = build_log(2)
+    log.records[1].outcome["x"] = value
+    with pytest.raises(ValueError, match="is not JSON"):
+        log.save(path)
+    assert path.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["audit.jsonl"]
+
+    own = tmp_path / "own.jsonl"
+    build_log(2).save(own)
+    before = own.read_bytes()
+    log = AuditLog.load(own)
+    log.append(REQ, {"x": None}, EXP, timestamp=9.0)
+    log.records[-1].outcome["x"] = value
+    with pytest.raises(ValueError, match="is not JSON"):
+        log.save(own)
+    assert own.read_bytes() == before

@@ -1,14 +1,17 @@
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpnego.config import load_config
 from dpnego.contracts import ResolutionKind
 from dpnego.ingest import (
     EcosystemConfig,
+    LoadSeries,
     NonMonotoneTimestamps,
     ParseError,
     SchemaMismatch,
@@ -16,6 +19,7 @@ from dpnego.ingest import (
     gen_ecosystem,
     load_csv,
     normalize_to_household,
+    uniform_draw,
     write_csv,
 )
 
@@ -51,6 +55,26 @@ def test_duplicate_timestamp_rejected(tmp_path):
     )
     with pytest.raises(NonMonotoneTimestamps):
         load_csv(path, "household")
+
+
+def stamped(timestamps):
+    return LoadSeries(
+        source_id="wrap",
+        timestamps=np.array(timestamps, dtype=np.int64),
+        values=np.zeros(len(timestamps)),
+        resolution=ResolutionKind.HOUR1,
+    )
+
+
+def test_decreasing_stamps_whose_difference_wraps_are_refused():
+    # 2**62 - (-2**62 - 2) wraps to a negative int64 difference
+    with pytest.raises(NonMonotoneTimestamps):
+        stamped([2**62, -2**62 - 2])
+
+
+def test_increasing_stamps_whose_difference_wraps_are_kept():
+    series = stamped([-2**62 - 2, 2**62])
+    assert series.timestamps.tolist() == [-2**62 - 2, 2**62]
 
 
 def test_bad_value_reports_line_number(tmp_path):
@@ -155,6 +179,66 @@ def test_ecosystem_values_pinned():
     assert digest.hexdigest() == (
         "2b56f88544a61b23b026320acac58545de5b8e03d61191cc99d137b0804e5b7f"
     )
+
+
+@pytest.mark.parametrize("seed, n_prosumers, days, digest", [
+    (0, 100, 60, "987eecdddbb27a766b6928b3d1afec83be519d918f80c3aafd02dd6aa67dfbb5"),
+    (1, 40, 600, "b5636819e1c5e3875c9418c16ef70446293c227265436d8ba8766dafb1464a0a"),
+    (2, 1, 60, "ad2005369e72dd33995d81eccdc0b1ec63a3c831a00d639f07520f097e53c26f"),
+])
+def test_ecosystem_series_pinned(seed, n_prosumers, days, digest):
+    # the sha256 of the shared grid's bytes, then each prosumer's values, as
+    # drawn when each prosumer's parameters were four scalar rng.uniform calls
+    cfg = dataclasses.replace(CFG.ecosystem, n_prosumers=n_prosumers, days=days)
+    eco = gen_ecosystem(seed, CFG.catalog, cfg)
+    sha = hashlib.sha256(eco.prosumers[0].series.timestamps.tobytes())
+    for p in eco.prosumers:
+        sha.update(p.series.values.tobytes())
+    assert sha.hexdigest() == digest
+
+
+def bits(values):
+    assert all(type(x) is float for x in values)
+    return [x.hex() for x in values]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**128), a=FINITE, b=FINITE, equal=st.booleans(),
+       k=st.integers(1, 20))
+def test_uniform_draw_is_numpy_uniform(seed, a, b, equal, k):
+    """k uniform_draw calls return what k scalar rng.uniform calls return, and
+    then what one rng.uniform call of size k returns, bit for bit, leaving the
+    generator where numpy's calls leave it. A range too wide for a double is
+    refused by both."""
+    lo, hi = (a, a) if equal else sorted((a, b))
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    if not math.isfinite(hi - lo):
+        with pytest.raises(OverflowError):
+            uniform_draw(ours, lo, hi)
+        with pytest.raises(OverflowError):
+            theirs.uniform(lo, hi)
+        return
+    draw = uniform_draw(ours, lo, hi)
+    assert bits([draw() for _ in range(k)]) == bits([theirs.uniform(lo, hi) for _ in range(k)])
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert bits([draw() for _ in range(k)]) == bits(theirs.uniform(lo, hi, k).tolist())
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("lo, hi, error", [
+    (1.0, 0.0, ValueError), (0.0, math.inf, OverflowError), (math.nan, 1.0, OverflowError),
+    (-math.inf, math.inf, OverflowError), (-1e308, 1e308, OverflowError),
+])
+def test_uniform_draw_refuses_the_ranges_numpy_refuses(lo, hi, error):
+    rng = np.random.default_rng(0)
+    with pytest.raises(error):
+        rng.uniform(lo, hi)
+    with pytest.raises(error):
+        uniform_draw(rng, lo, hi)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_ecosystem_holds_one_grid_and_one_values_array_per_prosumer():

@@ -509,6 +509,23 @@ def test_full_sim_approval_trust_matches_one_record_per_event(cfg, digest, monke
     assert calls and calls[:3] == ["completed", "quality_report", "alignment_report"]
 
 
+def test_full_size_full_sim_trust_pinned():
+    """The trust ledgers of the shipped full simulation, as left when each
+    approval drew its quality and alignment reports with one
+    rng.uniform(0.7, 1.0, 2) call."""
+    import hashlib
+    from dpnego.ingest import gen_ecosystem
+
+    exp = CFG.experiments["full_sim"]
+    ecosystem = gen_ecosystem(exp["seed"] + 1, CFG.catalog, CFG.ecosystem, CFG.trust)
+    metrics = simulate.run_full_sim(CFG, ecosystem=ecosystem)
+    assert metrics.interactions == 2500 and metrics.accepts == 2180
+    text = json.dumps(trust_bits(ecosystem), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cc8a104b3936c2f44da4c6fce4f6909ea33a1d4a1db8e4b56ce85716ab89c5ea"
+    )
+
+
 def bits(values):
     assert all(type(x) is float for x in values)
     return [x.hex() for x in values]
@@ -516,10 +533,11 @@ def bits(values):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 20240606, 2**64 - 1])
 def test_one_uniform_call_draws_as_scalar_calls(seed):
-    """run_full_sim and robustness_probe draw runs of uniform values in one
-    call. That call takes one word per value, in order, and computes each
-    value as a scalar call does. So does a call with array bounds, which
-    gen_ecosystem does not use: it costs more than four scalar calls."""
+    """run_full_sim's seeding and robustness_probe draw runs of uniform
+    values in one call. That call takes one word per value, in order, and
+    computes each value as a scalar call does. So does a call with array
+    bounds, which gen_ecosystem does not use: it costs more than four
+    uniform_draw calls."""
     def pair():
         return np.random.default_rng(seed), np.random.default_rng(seed)
 
