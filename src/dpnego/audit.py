@@ -33,6 +33,16 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
+def _document_json(name: str, doc: Any) -> str:
+    """``canonical_json(doc)`` of the document ``append`` calls ``name``; a
+    value JSON cannot encode (a set, bytes, a tuple key) raises ValueError
+    naming the document, as ``_lines`` does for a record."""
+    try:
+        return canonical_json(doc)
+    except TypeError as exc:
+        raise ValueError(f"audit {name} is not JSON: {exc}") from None
+
+
 # ``float.__repr__`` of a non-finite float, and what ``canonical_json`` writes.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -184,8 +194,9 @@ class AuditLog:
         The request, the explanation and the outcome are each encoded once;
         the hash covers the body text composed around the outcome's encoding
         (``_body_text``), byte for byte ``canonical_json`` of the body. An
-        outcome that is not a dict, or a timestamp that is not an int or a
-        float, raises ValueError and appends nothing: ``load`` would refuse it.
+        outcome that is not a dict, a document JSON cannot encode, or a
+        timestamp that is not an int or a float, raises ValueError and appends
+        nothing: ``load`` would refuse it.
         """
         self._check_tail()
         if not isinstance(outcome_doc, dict):
@@ -197,8 +208,11 @@ class AuditLog:
             sequence, prev_hash = tail.sequence + 1, tail.record_hash
         if timestamp is None:
             timestamp = time.time()
-        request_digest, explanation_digest = _digest(request_doc), _digest(explanation_doc)
-        outcome_text = canonical_json(outcome_doc)
+        request_text = _document_json("request", request_doc)
+        explanation_text = _document_json("explanation", explanation_doc)
+        outcome_text = _document_json("outcome", outcome_doc)
+        request_digest = hashlib.sha256(request_text.encode()).hexdigest()
+        explanation_digest = hashlib.sha256(explanation_text.encode()).hexdigest()
         text = _body_text(outcome_text, sequence, timestamp, request_digest, explanation_digest,
                           prev_hash)
         record = AuditRecord(sequence, timestamp, request_digest, outcome_doc, explanation_digest,

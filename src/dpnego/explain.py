@@ -308,7 +308,7 @@ def robustness_probe(
         cap = case.request.request.proposed_epsilon
         purpose = case.request.request.purpose.value
         base_label, base_eps, _, base_preds = engine._decide(
-            s_eff, counter_s, case.trust >= engine_cfg.trusted_min_trust,
+            s_eff, counter_s, engine_cfg.trusted(case.trust),
             case.h_remaining, cap, purpose,
             want_predicates=True,
         )
@@ -318,7 +318,7 @@ def robustness_probe(
             label, eps, _, preds = engine._decide(
                 s_eff * u,
                 counter_s * u if counter_s is not None else None,
-                min(1.0, case.trust * v) >= engine_cfg.trusted_min_trust,
+                engine_cfg.trusted(min(1.0, case.trust * v)),
                 case.h_remaining,
                 cap,
                 purpose,

@@ -100,6 +100,12 @@ class EngineConfig:
         """Number of grid points k*grid_step in (0, eps_max]."""
         return int(math.floor(self.eps_max / self.grid_step + _TOL))
 
+    def trusted(self, trust):
+        """Whether a requester of ``trust`` is trusted: ``trust >=
+        trusted_min_trust``, the only form in which a decision reads trust.
+        On a numpy array of trusts, the answer for each."""
+        return trust >= self.trusted_min_trust
+
     def eps_min(self, sensitivity: float, purpose: str) -> float:
         for rule in self.eps_min_rules:
             if sensitivity <= rule.band_max and rule.purpose in ("*", purpose):
@@ -349,14 +355,14 @@ class NegotiationEngine:
 
         The outcome depends on the request only through fields fixed at its
         validation, on the ledger only through ``h_remaining`` (a float) and
-        on the trust only through ``trust >= trusted_min_trust``, so
+        on the trust only through ``EngineConfig.trusted``, so
         ``req.outcomes`` keys it by (engine, h_remaining, trusted) and the
         engine decides only on a miss. Each decision takes the counter-offer
         from ``derive_counter_offer``, and the modified request is built and
         validated only for a COUNTER_OFFER verdict.
         """
         h_remaining = ledger.h_remaining
-        trusted = trust >= self.cfg.trusted_min_trust
+        trusted = self.cfg.trusted(trust)
         key = (self, h_remaining, trusted)
         outcomes = req.outcomes
         outcome = outcomes.get(key)
@@ -402,8 +408,8 @@ class NegotiationEngine:
         a trusted requester at the minimum, else reject.
 
         ``counter_s`` is the counter-offer's effective sensitivity, or None
-        when there is none. ``trusted`` is ``trust >= cfg.trusted_min_trust``,
-        the only form in which a decision reads the requester's trust.
+        when there is none. ``trusted`` is ``cfg.trusted(trust)``, the only
+        form in which a decision reads the requester's trust.
         Returns (decision, eps_star, violated, predicates).
         """
         cfg = self.cfg

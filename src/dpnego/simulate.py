@@ -155,6 +155,33 @@ def _write_outputs(
             writer.writerows(rows)
 
 
+def fresh_owner_outcomes(
+    table: dict[int, NegotiationOutcome],
+    validated: Sequence[ValidatedRequest],
+    ledger: BudgetLedger,
+    engine_cfg: EngineConfig,
+    idx: np.ndarray,
+    trusts: np.ndarray,
+) -> list[NegotiationOutcome]:
+    """The outcomes of a stream of draws (request indices ``idx`` into
+    ``validated``, requester trusts ``trusts``) against an owner holding
+    ``ledger``, which never settles, in draw order.
+
+    The outcome of such a draw depends only on its state: its request and
+    its trust class (``EngineConfig.trusted``), which is how the request's
+    outcome memo keys it (``NegotiationEngine.negotiate``). ``table`` maps
+    states, as ``2 * index + trusted``, to outcomes; a state it lacks is
+    negotiated once, at the trust of its first draw, and entered. That is
+    the outcome object the memo returns for every later draw in the state,
+    so the stream costs one negotiation per new state, not one per draw.
+    """
+    states = (2 * idx + engine_cfg.trusted(trusts)).tolist()
+    for state in sorted(set(states).difference(table)):
+        first = states.index(state)
+        table[state] = negotiate(validated[state // 2], ledger, float(trusts[first]), engine_cfg)
+    return list(map(table.__getitem__, states))
+
+
 # ---------------------------------------------------------------------------
 # Experiment 3: privacy-budget sweep
 # ---------------------------------------------------------------------------
@@ -179,21 +206,22 @@ def run_sweep(
 
     Every interaction negotiates against a fresh owner holding exactly eps0,
     and the identical request stream is reused at every budget level so the
-    acceptance curve is comparable point to point.
+    acceptance curve is comparable point to point. Each level decides the
+    stream through its own table (``fresh_owner_outcomes``).
     """
     exp = experiment(cfg, "sweep", seed=seed, interactions=interactions)
     seed, n = exp["seed"], exp["interactions"]
     validated, weights = read_stream(cfg, "sweep")
     trust = exp["stream"]["trust"]
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(validated), size=n, p=weights).tolist() if n else []
-    trusts = rng.uniform(trust["lo"], trust["hi"], size=n).tolist()
+    idx = rng.choice(len(validated), size=n, p=weights)
+    trusts = rng.uniform(trust["lo"], trust["hi"], size=n)
 
     rows = []
     for eps0 in exp["eps0_values"]:
         ledger = BudgetLedger(h_max=float(eps0))
         metrics = ScenarioMetrics(interactions=n)
-        metrics.count([negotiate(validated[i], ledger, t, cfg.engine) for i, t in zip(idx, trusts)])
+        metrics.count(fresh_owner_outcomes({}, validated, ledger, cfg.engine, idx, trusts))
         rows.append(
             {
                 "eps0": eps0,
@@ -360,7 +388,8 @@ def run_cross_dataset(
     outdir: str | Path | None = None,
 ) -> dict[str, Any]:
     """All dataset x pattern x risk-mode scenarios with fresh-owner
-    negotiations; per-scenario streams are independently seeded."""
+    negotiations; per-scenario streams are independently seeded, and decided
+    through one table (``fresh_owner_outcomes``) shared by every scenario."""
     exp = experiment(cfg, "cross_dataset", seed=seed, interactions=interactions)
     seed, n = exp["seed"], exp["interactions"]
     validated, base_weights = read_stream(cfg, "cross_dataset")
@@ -393,6 +422,10 @@ def run_cross_dataset(
     children = np.random.SeedSequence(seed).spawn(
         len(names) * len(exp["patterns"]) * len(exp["risk_modes"])
     )
+    # every scenario draws the same requests against the same fresh owner,
+    # so one table serves them all
+    ledger = BudgetLedger(h_max=owner_budget)
+    table: dict[int, NegotiationOutcome] = {}
     scenarios = []
     k = 0
     for dataset in names:
@@ -401,12 +434,11 @@ def run_cross_dataset(
                 rng = np.random.default_rng(children[k])
                 k += 1
                 weights = scenario_weights[dataset, risk_mode]
-                idx = rng.choice(len(validated), size=n, p=weights).tolist()
-                trusts = rng.uniform(trust["lo"], trust["hi"], size=n).tolist()
-                ledger = BudgetLedger(h_max=owner_budget)
+                idx = rng.choice(len(validated), size=n, p=weights)
+                trusts = rng.uniform(trust["lo"], trust["hi"], size=n)
                 metrics = ScenarioMetrics(interactions=n)
-                metrics.count([negotiate(validated[i], ledger, t, cfg.engine)
-                               for i, t in zip(idx, trusts)])
+                metrics.count(fresh_owner_outcomes(table, validated, ledger, cfg.engine,
+                                                   idx, trusts))
                 scenarios.append(
                     {
                         "dataset": dataset,

@@ -949,3 +949,17 @@ def test_save_refuses_an_outcome_json_cannot_encode(tmp_path, value):
     with pytest.raises(ValueError, match="is not JSON"):
         log.save(own)
     assert own.read_bytes() == before
+
+
+@pytest.mark.parametrize("document", ["request", "outcome", "explanation"])
+@pytest.mark.parametrize("value", [{1, 2}, b"x", {("a",): 1}], ids=["set", "bytes", "tuple-key"])
+def test_append_refuses_a_document_json_cannot_encode(document, value):
+    log = build_log(2)
+    before = list(log.records)
+    docs = {"request": REQ, "outcome": OUT, "explanation": EXP}
+    docs[document] = {**docs[document], "x": value}
+    with pytest.raises(ValueError, match=f"audit {document} is not JSON"):
+        log.append(docs["request"], docs["outcome"], docs["explanation"], timestamp=9.0)
+    assert log.records == before
+    log.append(REQ, OUT, EXP, timestamp=9.0)
+    assert log.verify() is None

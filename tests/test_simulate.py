@@ -1,16 +1,20 @@
 import json
 import re
+from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doc_mutations import mutated
 
 from dpnego.config import BadConfig, _deep_merge, from_document, load_config, parse_bundle
 from dpnego import simulate
-from dpnego.contracts import Decision
+from dpnego.contracts import Decision, validate_request
+from dpnego.negotiation import BudgetLedger, negotiate
 from dpnego.simulate import (
     MissingDataset,
     ScenarioMetrics,
@@ -449,29 +453,244 @@ def test_full_sim_counts_as_one_decision_at_a_time(seed, monkeypatch):
     assert approvals_first.hex() != want["total_granted"]
 
 
-def test_sweep_counts_as_one_decision_at_a_time(monkeypatch):
-    seen = record_outcomes(monkeypatch)
+@contextmanager
+def counted_metrics():
+    """Every ``ScenarioMetrics`` a runner counts into, in the order counted."""
+    seen = []
+    count = ScenarioMetrics.count
+
+    def recording(self, outcomes, granted=None):
+        count(self, outcomes, granted)
+        seen.append(self)
+
+    with mock.patch.object(ScenarioMetrics, "count", recording):
+        yield seen
+
+
+def sweep_runs(cfg, n):
+    """The sweep's runs as (owner budget, request indices, trusts), one per
+    budget level, drawn from its seed as the sweep draws them."""
+    exp = simulate.experiment(cfg, "sweep", interactions=n)
+    _, weights = read_stream(cfg, "sweep")
+    trust = exp["stream"]["trust"]
+    rng = np.random.default_rng(exp["seed"])
+    idx = rng.choice(len(weights), size=n, p=weights).tolist()
+    trusts = rng.uniform(trust["lo"], trust["hi"], size=n).tolist()
+    return [(float(eps0), idx, trusts) for eps0 in exp["eps0_values"]]
+
+
+def cross_dataset_runs(cfg, datasets, n):
+    """The cross-dataset scenarios' runs as (owner budget, request indices,
+    trusts), in scenario order, each drawn from its own child seed with its
+    (dataset, risk mode) weights, as the benchmark draws them."""
+    exp = simulate.experiment(cfg, "cross_dataset", interactions=n)
+    validated, base = read_stream(cfg, "cross_dataset")
+    names, modes, trust = exp["datasets"], exp["risk_modes"], exp["stream"]["trust"]
+    by_volatility = sorted(names, key=lambda name: dataset_volatility(datasets[name]))
+    children = iter(np.random.SeedSequence(exp["seed"]).spawn(
+        len(names) * len(exp["patterns"]) * len(modes)))
+    runs = []
+    for name in names:
+        tilt = (by_volatility.index(name) / max(1, len(names) - 1) - 0.5) * exp["calibration_tilt"]
+        for _ in exp["patterns"]:
+            for mode in modes:
+                weights = simulate._scenario_weights(
+                    base, validated, cfg.engine, exp["owner_budget"], mode,
+                    exp["risk_weight_factor"], tilt)
+                rng = np.random.default_rng(next(children))
+                idx = rng.choice(len(base), size=n, p=weights).tolist()
+                trusts = rng.uniform(trust["lo"], trust["hi"], size=n).tolist()
+                runs.append((exp["owner_budget"], idx, trusts))
+    return runs
+
+
+def decided_alone(cfg, stream, budget, idx, trusts):
+    """Each draw of a run decided on its own, with no decision table and no
+    outcome memo: its bundle validated afresh and negotiated against a fresh
+    owner holding ``budget``."""
+    bundles = [request for request, _ in cfg.streams[stream]]
+    return [negotiate(validate_request(bundles[i], cfg.catalog), BudgetLedger(h_max=budget),
+                      trust, cfg.engine)
+            for i, trust in zip(idx, trusts)]
+
+
+def assert_counted_as_decided_alone(cfg, runs, metrics):
+    """Each run's counts and granted total, to the bit, are those of its
+    draws decided alone and counted one at a time; returns those outcomes."""
+    assert len(metrics) == len(runs)
+    outcomes = []
+    for (stream, run), got in zip(runs, metrics):
+        alone = decided_alone(cfg, stream, *run)
+        assert counted(got.to_dict()) == one_at_a_time(alone)
+        outcomes += alone
+    return outcomes
+
+
+def test_sweep_counts_as_one_decision_at_a_time():
     n = 150
-    result = run_sweep(STAGED, interactions=n)
-    rows = result["rows"]
-    assert len(seen) == n * len(rows)
-    assert any(o.decision is Decision.COUNTER_OFFER for o in seen)
-    for k, row in enumerate(rows):
-        want = one_at_a_time(seen[k * n:(k + 1) * n])
-        got = {key: row[key] for key in ("accept", "reject", "counter")}
-        assert got == {"accept": want["accepts"] / n, "reject": want["rejects"] / n,
-                       "counter": want["counters"] / n}
+    with counted_metrics() as seen:
+        rows = run_sweep(STAGED, interactions=n)["rows"]
+    runs = [("sweep", run) for run in sweep_runs(STAGED, n)]
+    outcomes = assert_counted_as_decided_alone(STAGED, runs, seen)
+    assert any(o.decision is Decision.COUNTER_OFFER for o in outcomes)
+    for row, metrics in zip(rows, seen):
+        assert {key: row[key] for key in ("accept", "reject", "counter")} == {
+            "accept": metrics.accepts / n, "reject": metrics.rejects / n,
+            "counter": metrics.counters / n}
 
 
-def test_cross_dataset_counts_as_one_decision_at_a_time(monkeypatch):
+def test_cross_dataset_counts_as_one_decision_at_a_time():
     datasets = simulate.load_datasets(STAGED, DATA_DIR)
-    seen = record_outcomes(monkeypatch)
     n = 60
-    scenarios = simulate.run_cross_dataset(STAGED, datasets, interactions=n)["scenarios"]
-    assert len(seen) == n * len(scenarios)
-    assert any(o.decision is Decision.COUNTER_OFFER for o in seen)
-    for k, scenario in enumerate(scenarios):
-        assert counted(scenario) == one_at_a_time(seen[k * n:(k + 1) * n])
+    with counted_metrics() as seen:
+        scenarios = simulate.run_cross_dataset(STAGED, datasets, interactions=n)["scenarios"]
+    runs = [("cross_dataset", run) for run in cross_dataset_runs(STAGED, datasets, n)]
+    outcomes = assert_counted_as_decided_alone(STAGED, runs, seen)
+    assert any(o.decision is Decision.COUNTER_OFFER for o in outcomes)
+    assert [counted(s) for s in scenarios] == [counted(m.to_dict()) for m in seen]
+
+
+@cache
+def property_datasets():
+    return simulate.load_datasets(CFG, DATA_DIR)
+
+
+def stream_config(weights, lo, hi, eps0_values, owner_budget, safety_mode, rule, aggregate_alpha):
+    """A config whose sweep and cross-dataset streams take ``weights`` (the
+    cross-dataset stream the first eight) and requester trusts uniform in
+    [lo, hi], with the sweep's budget levels, the cross-dataset owner's
+    budget, the engine's safety mode, one ``eps_min_rules`` entry and the
+    aggregate feature's coefficient; the cross-dataset benchmark runs two
+    datasets and one pattern."""
+    def stream(name):
+        bundles = CFG.raw["experiments"][name]["stream"]["bundles"]
+        return {"trust": {"lo": lo, "hi": hi},
+                "bundles": [{**b, "weight": w} for b, w in zip(bundles, weights)]}
+
+    return from_document(_deep_merge(CFG.raw, {
+        "catalog": {"alphas": {"aggregate": aggregate_alpha}},
+        "engine": {"safety_mode": safety_mode, "eps_min_rules": [rule]},
+        "experiments": {
+            "sweep": {"eps0_values": eps0_values, "stream": stream("sweep")},
+            "cross_dataset": {"owner_budget": owner_budget, "datasets": ["uci", "oslo"],
+                              "patterns": ["natural"], "stream": stream("cross_dataset")},
+        },
+    }))
+
+
+def decided_paths(cfg, runs):
+    """Which decision paths the runs' draws take: approve as asked,
+    counter-offer, the trusted fallback (an approval that an untrusted
+    requester would not get) or a rejection, by its violated constraint."""
+    paths = set()
+    for stream, (budget, idx, trusts) in runs:
+        untrusted = decided_alone(cfg, stream, budget, idx, [0.0] * len(idx))
+        for outcome, other in zip(decided_alone(cfg, stream, budget, idx, trusts), untrusted):
+            if outcome.decision is Decision.REJECT:
+                paths.add(outcome.violated)
+            elif outcome.decision is Decision.COUNTER_OFFER:
+                paths.add("counter_offer")
+            else:
+                paths.add("approve" if other.decision is Decision.APPROVE else "trusted_fallback")
+    return paths
+
+
+def fresh_owner_runs(cfg, n):
+    return ([("sweep", run) for run in sweep_runs(cfg, n)]
+            + [("cross_dataset", run) for run in cross_dataset_runs(cfg, property_datasets(), n)])
+
+
+STREAM_INPUTS = {
+    "weights": st.lists(st.floats(1.0, 10.0), min_size=11, max_size=11),
+    # trust ranges that straddle the trusted threshold, 0.8
+    "lo": st.floats(0.0, 0.8),
+    "hi": st.floats(0.8, 1.0),
+    # sweep levels of 1 and 2 lie below safety_factor * s for most bundles
+    "eps0_values": st.lists(st.integers(1, 10), min_size=1, max_size=3),
+    # 1e-10 is below the ledger's tolerance, so the owner reads as spent
+    "owner_budget": st.one_of(st.just(1e-10), st.floats(0.05, 12.0)),
+    "safety_mode": st.sampled_from(["upfront", "staged"]),
+    "rule": st.fixed_dictionaries({
+        "band_max": st.floats(0.0, 2.5),
+        "purpose": st.sampled_from(["*", "billing", "forecasting", "profiling"]),
+        "value": st.floats(0.01, 6.0),
+    }),
+    # a zero coefficient prices the aggregate bundles at 0
+    "aggregate_alpha": st.sampled_from([0.2, 0.0]),
+}
+
+
+def with_examples(examples):
+    """Run a property over STREAM_INPUTS on each of ``examples`` too."""
+    def wrap(test):
+        for args in reversed(examples):
+            test = example(**dict(zip(STREAM_INPUTS, args)))(test)
+        return test
+    return wrap
+
+
+# inputs from STREAM_INPUTS that together take every decision path
+PATH_EXAMPLES = [
+    ([1.0] * 11, 0.2, 0.9, [1, 8], 2.0, "upfront", {"band_max": 0.5, "purpose": "*", "value": 5.0}, 0.2),
+    ([1.0] * 11, 0.2, 0.9, [1, 3], 3.0, "staged", {"band_max": 1.0, "purpose": "profiling", "value": 1.0}, 0.2),
+    ([1.0] * 11, 0.2, 0.9, [2], 1e-10, "upfront", {"band_max": 0.0, "purpose": "*", "value": 0.05}, 0.0),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(**STREAM_INPUTS)
+@with_examples(PATH_EXAMPLES)
+def test_fresh_owner_runs_count_as_their_draws_decided_alone(**inputs):
+    cfg = stream_config(**inputs)
+    n = 40
+    with counted_metrics() as seen:
+        run_sweep(cfg, interactions=n)
+        simulate.run_cross_dataset(cfg, property_datasets(), interactions=n)
+    assert_counted_as_decided_alone(cfg, fresh_owner_runs(cfg, n), seen)
+
+
+def test_stream_inputs_reach_every_decision_path():
+    paths = set()
+    for args in PATH_EXAMPLES:
+        cfg = stream_config(*args)
+        paths |= decided_paths(cfg, fresh_owner_runs(cfg, 40))
+    assert paths == {"approve", "counter_offer", "trusted_fallback",
+                     "safety_condition", "below_minimum", "budget_exceeded"}
+
+
+def record_states(monkeypatch, engine_cfg):
+    """Each state the runners negotiate, as (request, trusted, h_remaining)."""
+    seen = []
+
+    def negotiate(req, ledger, trust, cfg):
+        seen.append((id(req), engine_cfg.trusted(trust), ledger.h_remaining))
+        return real(req, ledger, trust, cfg)
+
+    real = simulate.negotiate
+    monkeypatch.setattr(simulate, "negotiate", negotiate)
+    return seen
+
+
+def distinct_states(cfg, run):
+    _, idx, trusts = run
+    return set(zip(idx, (cfg.engine.trusted(t) for t in trusts)))
+
+
+def test_fresh_owner_runs_negotiate_each_state_once(monkeypatch):
+    n = 200
+    seen = record_states(monkeypatch, STAGED.engine)
+    run_sweep(STAGED, interactions=n)
+    levels = sweep_runs(STAGED, n)
+    assert len(seen) == len(set(seen)) == len(levels) * len(distinct_states(STAGED, levels[0]))
+
+    seen.clear()
+    datasets = simulate.load_datasets(STAGED, DATA_DIR)
+    simulate.run_cross_dataset(STAGED, datasets, interactions=n)
+    scenarios = cross_dataset_runs(STAGED, datasets, n)
+    assert len(seen) == len(set(seen)) == len(set().union(
+        *(distinct_states(STAGED, run) for run in scenarios)))
+    # one table spans the scenarios: a table per scenario would negotiate more
+    assert len(seen) < sum(len(distinct_states(STAGED, run)) for run in scenarios)
 
 
 @pytest.mark.parametrize("cfg,digest", [
