@@ -222,12 +222,19 @@ class AuditLog:
         return record
 
     def verify(self) -> int | None:
-        """Walk the whole chain; return the first corrupt index, or None. A record
-        ``load`` checked from its line keeps that hash verdict until replaced."""
+        """Walk the whole chain; return the first corrupt index, or None. A
+        record ``load`` read, not since replaced, is checked from line i of
+        its file while that line still ``_holds`` it; any other record, or
+        one edited in place, is re-encoded."""
         if self._first_index():
             raise ValueError("a log opened from its tail holds no whole chain")
+        lines = []
+        if self._loaded:
+            with open(self._path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+                lines = [line for line in fh if line.strip(_JSON_SPACE)]
         for i, rec in enumerate(self.records):
-            checked = i < len(self._loaded) and rec is self._loaded[i]
+            checked = (i < min(len(self._loaded), len(lines)) and rec is self._loaded[i]
+                       and _holds(lines[i], rec))
             if not _follows(rec, self.records[i - 1] if i else None, checked=checked):
                 return i
         return None
@@ -372,6 +379,15 @@ def _lines(records: list[AuditRecord], before: AuditRecord | None) -> Iterator[s
             raise ValueError(f"audit record {rec.sequence} would not verify once written")
         before = rec
         yield line
+
+
+def _holds(line: str, rec: AuditRecord) -> bool:
+    """Whether ``line`` still holds ``rec``: it reads as ``rec`` encodes, and
+    carries ``rec``'s hash (``_stored_hash_ok``)."""
+    try:
+        return _line(_record(line)) == _line(rec) and _stored_hash_ok(rec, line)
+    except _MALFORMED:
+        return False
 
 
 def _stored_hash_ok(rec: AuditRecord, line: str | None = None) -> bool:

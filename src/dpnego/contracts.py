@@ -385,18 +385,13 @@ class ValidatedRequest:
     ``effective_sensitivity``, the price of the request's shape
     (``Catalog.price``), and ``purpose_score``. A feature the catalog
     lacks raises ``UnknownFeature``, before a missing purpose raises
-    ``UnknownPurpose``. ``outcomes`` memoizes ``NegotiationEngine.negotiate``
-    by (engine, remaining budget, whether the trust reaches the engine's
-    ``trusted_min_trust``), sound because neither the request nor the catalog
-    changes. It takes no part in eq or repr, a ``dataclasses.replace`` copy
-    starts with it empty, and it is cleared at ``MEMO_LIMIT`` entries.
+    ``UnknownPurpose``.
     """
 
     request: ContractRequest
     catalog: Catalog
     effective_sensitivity: float = field(init=False, repr=False, compare=False)
     purpose_score: float = field(init=False, repr=False, compare=False)
-    outcomes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         req, catalog = self.request, self.catalog

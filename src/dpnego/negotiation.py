@@ -130,10 +130,8 @@ class BudgetLedger:
     grants are never removed. Single-writer per owner. ``h_max`` and every
     grant are positive finite numbers: a negative grant would add budget, and
     an infinite or NaN one would hide an overdraft from every check.
-    ``h_max`` and the running total are kept as plain floats, so
-    ``h_remaining`` is one even for numpy inputs: the outcome memo of
-    ``NegotiationEngine.negotiate`` keys on its value, and a grant at the
-    budget's end takes its type.
+    ``h_max`` and the running total are plain floats, so ``h_remaining``, and
+    a grant at the budget's end, are floats even for numpy inputs.
     """
 
     h_max: float
@@ -243,8 +241,7 @@ class NegotiationEngine:
 
     Pure with respect to its config: identical inputs give identical outputs,
     so (sensitivity, upper-bound) argmax results and each sensitivity's peak
-    over the whole grid are memoized on the engine, and each request's
-    outcomes on the request (see ``negotiate``); each memo is cleared at
+    over the whole grid are memoized on the engine; each memo is cleared at
     ``MEMO_LIMIT`` entries.
     """
 
@@ -351,35 +348,17 @@ class NegotiationEngine:
     def negotiate(
         self, req: ValidatedRequest, ledger: BudgetLedger, trust: float
     ) -> NegotiationOutcome:
-        """The outcome of ``_decide`` for ``req``, memoized on the request.
-
-        The outcome depends on the request only through fields fixed at its
-        validation, on the ledger only through ``h_remaining`` (a float) and
-        on the trust only through ``EngineConfig.trusted``, so
-        ``req.outcomes`` keys it by (engine, h_remaining, trusted) and the
-        engine decides only on a miss. Each decision takes the counter-offer
-        from ``derive_counter_offer``, and the modified request is built and
-        validated only for a COUNTER_OFFER verdict.
+        """The outcome of ``_decide`` for ``req``: a function of the request,
+        the ledger's ``h_remaining`` and ``EngineConfig.trusted(trust)`` alone.
+        The counter-offer comes from ``derive_counter_offer``, and the modified
+        request is built and validated only for a COUNTER_OFFER verdict.
         """
-        h_remaining = ledger.h_remaining
-        trusted = self.cfg.trusted(trust)
-        key = (self, h_remaining, trusted)
-        outcomes = req.outcomes
-        outcome = outcomes.get(key)
-        if outcome is None:
-            if len(outcomes) >= MEMO_LIMIT:
-                outcomes.clear()
-            outcome = outcomes[key] = self._negotiate(req, h_remaining, trusted)
-        return outcome
-
-    def _negotiate(
-        self, req: ValidatedRequest, h_remaining: float, trusted: bool
-    ) -> NegotiationOutcome:
         base = req.request
         shape = derive_counter_offer(req, self.cfg)
         label, eps_star, violated, _ = self._decide(
-            req.effective_sensitivity, None if shape is None else shape[2], trusted,
-            h_remaining, base.proposed_epsilon, base.purpose.value,
+            req.effective_sensitivity, None if shape is None else shape[2],
+            self.cfg.trusted(trust), ledger.h_remaining, base.proposed_epsilon,
+            base.purpose.value,
         )
         if label is APPROVE:
             return NegotiationOutcome(APPROVE, epsilon_star=eps_star)

@@ -43,8 +43,8 @@ class MissingDataset(FileNotFoundError):
 
 def read_stream(cfg: AppConfig, name: str) -> tuple[list[ValidatedRequest], np.ndarray]:
     """The request stream of experiment ``name``: the bundles the config load
-    read, validated afresh so that each run starts with empty outcome memos,
-    and their weights normalized to sum to 1."""
+    read, validated again so that each run's trace counts its stream's
+    validation, and their weights normalized to sum to 1."""
     bundles = cfg.streams[name]
     w = np.array([weight for _, weight in bundles], dtype=np.float64)
     return [validate_request(request, cfg.catalog) for request, _ in bundles], w / w.sum()
@@ -116,22 +116,8 @@ class ScenarioMetrics:
         return self.counters / self.interactions if self.rates_defined else None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "interactions": self.interactions,
-            "accepts": self.accepts,
-            "rejects": self.rejects,
-            "counters": self.counters,
-            "counters_accepted": self.counters_accepted,
-            "accept_rate": self.accept_rate,
-            "reject_rate": self.reject_rate,
-            "counter_rate": self.counter_rate,
-            "rates_defined": self.rates_defined,
-            "total_granted": self.total_granted,
-            "mean_remaining_fraction": self.mean_remaining_fraction,
-            "min_remaining": self.min_remaining,
-            "exhaustion_index": self.exhaustion_index,
-            "decision_log": self.decision_log,
-        }
+        return {**vars(self), "accept_rate": self.accept_rate, "reject_rate": self.reject_rate,
+                "counter_rate": self.counter_rate, "rates_defined": self.rates_defined}
 
 
 def _write_outputs(
@@ -167,13 +153,12 @@ def fresh_owner_outcomes(
     ``validated``, requester trusts ``trusts``) against an owner holding
     ``ledger``, which never settles, in draw order.
 
-    The outcome of such a draw depends only on its state: its request and
-    its trust class (``EngineConfig.trusted``), which is how the request's
-    outcome memo keys it (``NegotiationEngine.negotiate``). ``table`` maps
-    states, as ``2 * index + trusted``, to outcomes; a state it lacks is
-    negotiated once, at the trust of its first draw, and entered. That is
-    the outcome object the memo returns for every later draw in the state,
-    so the stream costs one negotiation per new state, not one per draw.
+    ``negotiate`` decides from the request, the ledger's ``h_remaining`` and
+    the trust class (``EngineConfig.trusted``) alone, so a draw's outcome
+    depends only on its state, which a new decision input must join. ``table``
+    maps states, as ``2 * index + trusted``, to outcomes; a state it lacks is
+    negotiated once, at the trust of its first draw, and entered, so the
+    stream costs one negotiation per new state, not one per draw.
     """
     states = (2 * idx + engine_cfg.trusted(trusts)).tolist()
     for state in sorted(set(states).difference(table)):

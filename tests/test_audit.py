@@ -528,6 +528,28 @@ def test_record_replaced_after_load_is_re_encoded(tmp_path):
     assert log.verify() == 2
 
 
+@pytest.mark.parametrize("self_hashed", [False, True], ids=["canonical", "self-hashed"])
+@pytest.mark.parametrize("edit", [
+    lambda outcome: outcome.__setitem__("epsilon_star", 9.9),
+    lambda outcome: outcome.pop("decision"),
+], ids=["value", "key"])
+def test_loaded_record_edited_in_place_fails_verify(tmp_path, self_hashed, edit):
+    # the line vouches for the record as it was read, not for its dict after
+    path = tmp_path / "audit.jsonl"
+    if self_hashed:
+        self_hashed_chain(path, 4)
+    else:
+        build_log(4).save(path)
+    log = AuditLog.load(path)
+    assert log.verify() is None
+    edit(log.records[1].outcome)
+    assert log.verify() == 1
+    assert verify_file(path) is None
+    appended = build_log(4)
+    edit(appended.records[1].outcome)
+    assert appended.verify() == 1
+
+
 def test_tail_append_refuses_a_sequence_that_does_not_rise(tmp_path):
     path = tmp_path / "audit.jsonl"
     build_log(4).save(path)

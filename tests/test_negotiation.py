@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import json
@@ -28,6 +29,7 @@ from dpnego.negotiation import (
     BudgetLedger,
     BudgetOverdraft,
     EngineConfig,
+    EpsMinRule,
     NegotiationEngine,
     NonPositiveEpsilon,
     derive_counter_offer,
@@ -397,8 +399,6 @@ def test_feasibility_below_minimum():
 
 
 def test_eps_min_rules_override():
-    from dpnego.negotiation import EpsMinRule
-
     cfg = EngineConfig(eps_min_rules=(EpsMinRule(band_max=1.0, purpose="profiling", value=0.5),))
     assert cfg.eps_min(0.8, "profiling") == 0.5
     assert cfg.eps_min(0.8, "billing") == cfg.eps_min_default
@@ -610,15 +610,12 @@ def test_catalog_memos_stay_bounded():
     assert derive_counter_offer(fresh, ENGINE) == last
 
 
-def test_validation_idempotent_with_filled_memo():
+def test_validation_idempotent_after_negotiating():
     req = validated([FeatureKind.LOAD_CURVE], ResolutionKind.MIN15)
     blank = validate_request(req.request, CATALOG)
     negotiate(req, BudgetLedger(h_max=1.0), 0.3, ENGINE)
-    assert req.outcomes and not blank.outcomes
     assert req == blank == validate_request(req, CATALOG)
     assert repr(req) == repr(blank)
-    assert "outcomes" not in repr(req)
-    assert dataclasses.replace(req).outcomes == {}
 
 
 def test_probe_unchanged_by_memo():
@@ -815,10 +812,9 @@ _AT = EngineConfig().trusted_min_trust
 def test_engine_decides_as_the_reference(
     features, resolution, purpose, trust, h, spent, cap, which
 ):
-    """``negotiate``, fresh and from its memo, and ``_decide`` with
-    predicates decide as the reference does; a fresh decision derives the
-    counter-offer once and an answer from the memo not at all, and a
-    counter-offer's request validates to the sensitivity it was derived at."""
+    """``negotiate``, called twice, and ``_decide`` with predicates decide as
+    the reference does; each call derives the counter-offer exactly once, and
+    a counter-offer's request validates to the sensitivity it was derived at."""
     cfg = ORACLE_ENGINES[which]
     req = validated(features, resolution, purpose, proposed=cap)
     ledger = BudgetLedger(h_max=h)
@@ -831,9 +827,9 @@ def test_engine_decides_as_the_reference(
         calls = counting_derivations(mp)
         fresh = engine.negotiate(req, ledger, trust)
         assert calls == [req]
-        memoized = engine.negotiate(req, ledger, trust)
-        assert calls == [req]
-    for got in (fresh, memoized):
+        again = engine.negotiate(req, ledger, trust)
+        assert calls == [req, req]
+    for got in (fresh, again):
         # repr also compares the grant's type
         assert repr((got.decision, got.epsilon_star, got.modified_request, got.violated)) == repr(
             want)
@@ -951,13 +947,11 @@ def test_shared_outcomes_equal_freshly_built_ones(features, resolution, h, trust
     cfg = EngineConfig(safety_mode=mode)
     req = validated(features, resolution, proposed=proposed)
     ledger = BudgetLedger(h_max=h)
-    shared = negotiate(req, ledger, trust, cfg)  # the engine_for engine, memo warm
+    shared = negotiate(req, ledger, trust, cfg)  # the engine_for engine, its memos warm
     fresh = NegotiationEngine(cfg).negotiate(req, ledger, trust)
     assert shared == fresh
     assert repr(shared) == repr(fresh)  # same field types too
     assert shared.to_dict() == fresh.to_dict()
-    if shared.decision is not Decision.COUNTER_OFFER:
-        assert negotiate(req, ledger, trust, cfg) is shared
 
 
 def test_approvals_are_not_shared_between_engines():
@@ -968,14 +962,12 @@ def test_approvals_are_not_shared_between_engines():
     theirs = negotiate(req, ledger, 0.9, other)
     assert mine.decision is Decision.APPROVE
     assert mine == theirs and mine is not theirs
-    assert negotiate(req, ledger, 0.9, ENGINE) is mine
-    assert negotiate(req, ledger, 0.9, other) is theirs
 
 
-def test_grant_keeps_its_type_through_negotiate_and_the_outcome_memo():
+def test_grant_keeps_its_type_through_repeated_negotiation():
     # off-grid caps make the interval endpoint the grant, in the cap's own
-    # type: an int grant must not come back as an equal float one, fresh or
-    # from the outcome memo
+    # type: an int grant must not come back as an equal float one, first or
+    # from the engine's warm argmax memo
     engine = NegotiationEngine(EngineConfig(grid_step=0.3))
     ledger = BudgetLedger(h_max=8.0)
     float_req = validated([FeatureKind.AGGREGATE], ResolutionKind.HOUR1, proposed=2.0)
@@ -1022,13 +1014,13 @@ def test_engine_for_alternating_configs():
         assert negotiate(req, ledger, 0.9, upfront_copy).decision is Decision.REJECT
 
 
-# --- outcome memo on the validated request -------------------------------------
+# --- negotiate keeps no state between calls ------------------------------------
 
 # (features, resolution, proposed_epsilon): approvals as asked, clamped at an
 # int or a float cap, a staged counter-offer (LOAD_CURVE at MIN15 under a
 # budget of 1.0), a trusted-minimal approval (AGGREGATE at DAILY under 0.2)
 # and rejections
-MEMO_BUNDLES = [
+HISTORY_BUNDLES = [
     ((FeatureKind.AGGREGATE,), ResolutionKind.HOUR1, None),
     ((FeatureKind.AGGREGATE,), ResolutionKind.HOUR1, 2),
     ((FeatureKind.AGGREGATE,), ResolutionKind.HOUR1, 2.0),
@@ -1037,53 +1029,54 @@ MEMO_BUNDLES = [
     ((FeatureKind.LOCATION, FeatureKind.APPLIANCE_LEVEL), ResolutionKind.MIN5, 0.7),
 ]
 # an off-grid step makes the interval's end, and so the cap's type, the grant
-MEMO_ENGINES = [
+HISTORY_ENGINES = [
     NegotiationEngine(EngineConfig(safety_mode=mode, grid_step=step))
     for mode in ("upfront", "staged")
     for step in (1e-3, 0.3)
 ]
-# int, float and numpy budgets of one value share a key
-MEMO_BUDGETS = [0.2, 1, 1.0, np.float64(1.0), 1.59, 8.0]
+# int, float and numpy budgets of one value
+HISTORY_BUDGETS = [0.2, 1, 1.0, np.float64(1.0), 1.59, 8.0]
 _TRUSTED = ENGINE.trusted_min_trust
-MEMO_TRUSTS = [0.0, 0.3, math.nextafter(_TRUSTED, 0.0), _TRUSTED, 0.95]
+HISTORY_TRUSTS = [0.0, 0.3, math.nextafter(_TRUSTED, 0.0), _TRUSTED, 0.95]
 
 
 @given(
     # a few (bundle, budget) pairs, each negotiated again and again under
     # any engine and trust
     pairs=st.lists(
-        st.tuples(st.sampled_from(range(len(MEMO_BUNDLES))), st.sampled_from(MEMO_BUDGETS)),
+        st.tuples(st.sampled_from(range(len(HISTORY_BUNDLES))), st.sampled_from(HISTORY_BUDGETS)),
         min_size=1, max_size=3,
     ),
     steps=st.lists(
         st.tuples(
             st.integers(0, 2),
-            st.sampled_from(range(len(MEMO_ENGINES))),
-            st.sampled_from(MEMO_TRUSTS),
+            st.sampled_from(range(len(HISTORY_ENGINES))),
+            st.sampled_from(HISTORY_TRUSTS),
         ),
         min_size=1, max_size=30,
     ),
 )
 @settings(max_examples=200, deadline=None)
-def test_outcome_memo_matches_a_fresh_request_per_call(pairs, steps):
-    requests = [validated(f, r, proposed=p) for f, r, p in MEMO_BUNDLES]
+def test_negotiate_is_independent_of_history(pairs, steps):
+    # shared requests and engines, negotiated in any order, decide each call
+    # as a fresh request does
+    requests = [validated(f, r, proposed=p) for f, r, p in HISTORY_BUNDLES]
     for pair, engine, trust in steps:
         bundle, h = pairs[pair % len(pairs)]
-        req, engine = requests[bundle], MEMO_ENGINES[engine]
+        req, engine = requests[bundle], HISTORY_ENGINES[engine]
         ledger = BudgetLedger(h_max=h)
         got = engine.negotiate(req, ledger, trust)
         want = engine.negotiate(validate_request(req.request, CATALOG), ledger, trust)
         assert got == want
         assert type(got.epsilon_star) is type(want.epsilon_star)
-        assert len(req.outcomes) <= MEMO_LIMIT
 
 
-def test_outcome_memo_sequences_reach_every_path():
+def test_history_sequences_reach_every_path():
     # the property above draws from inputs that reach every decision path,
     # both trust classes and both grant types
     seen = set()
     for (f, r, p), engine, h, trust in itertools.product(
-        MEMO_BUNDLES, MEMO_ENGINES, MEMO_BUDGETS, MEMO_TRUSTS
+        HISTORY_BUNDLES, HISTORY_ENGINES, HISTORY_BUDGETS, HISTORY_TRUSTS
     ):
         outcome = engine.negotiate(validated(f, r, proposed=p), BudgetLedger(h_max=h), trust)
         seen.add((outcome.decision, type(outcome.epsilon_star)))
@@ -1093,37 +1086,30 @@ def test_outcome_memo_sequences_reach_every_path():
     }
     req = validated([FeatureKind.AGGREGATE], ResolutionKind.DAILY)
     staged = NegotiationEngine(EngineConfig(safety_mode="staged"))
-    at, below = MEMO_TRUSTS[3], MEMO_TRUSTS[2]
+    at, below = HISTORY_TRUSTS[3], HISTORY_TRUSTS[2]
     assert staged.negotiate(req, BudgetLedger(h_max=0.2), at).decision is Decision.APPROVE
     assert staged.negotiate(req, BudgetLedger(h_max=0.2), below).decision is Decision.REJECT
 
 
-def test_outcome_memo_stays_bounded():
-    engine = NegotiationEngine(ENGINE)
-    req = validated([FeatureKind.AGGREGATE], ResolutionKind.HOUR1)
-    largest = 0
-    for i in range(MEMO_LIMIT + 300):
-        engine.negotiate(req, BudgetLedger(h_max=1.0 + i * 1e-4), 0.5)
-        largest = max(largest, len(req.outcomes))
-        assert len(req.outcomes) <= MEMO_LIMIT
-    assert largest == MEMO_LIMIT
-    ledger = BudgetLedger(h_max=1.0)
-    fresh = engine.negotiate(validate_request(req.request, CATALOG), ledger, 0.5)
-    assert engine.negotiate(req, ledger, 0.5) == fresh
+# a floor out of reach above sensitivity 0.1 turns an upfront approval as
+# asked into a counter-offer
+_FLOORED = dict(eps_min_default=5.0, eps_min_rules=(EpsMinRule(0.1, "*", 0.05),))
 
 
-def test_outcome_memo_keeps_engines_apart():
-    # one request and budget: the upfront engine rejects on safety, the
-    # staged one counter-offers
-    req = validated([FeatureKind.LOAD_CURVE], ResolutionKind.MIN15)
-    ledger = BudgetLedger(h_max=1.0)
-    upfront = NegotiationEngine(ENGINE)
-    staged = NegotiationEngine(EngineConfig(safety_mode="staged"))
-    assert upfront.negotiate(req, ledger, 0.3).decision is Decision.REJECT
-    assert staged.negotiate(req, ledger, 0.3).decision is Decision.COUNTER_OFFER
-    assert len(req.outcomes) == 2
-    assert {engine for engine, _, _ in req.outcomes} == {upfront, staged}
-    assert upfront.negotiate(req, ledger, 0.3).decision is Decision.REJECT
+def test_negotiating_leaves_the_request_as_it_was():
+    # a validated request is a plain value: no decision, on any path, in
+    # either safety mode, writes to it
+    seen = set()
+    for (f, r, p), mode, floored, h, trust in itertools.product(
+        HISTORY_BUNDLES, ("upfront", "staged"), (False, True), (0.2, 1.0, 8.0), (0.3, 0.95)
+    ):
+        engine = NegotiationEngine(EngineConfig(safety_mode=mode, **(_FLOORED if floored else {})))
+        req = validated(f, r, proposed=p)
+        before = copy.deepcopy(vars(req))
+        outcome = engine.negotiate(req, BudgetLedger(h_max=h), trust)
+        assert vars(req) == before
+        seen.add((mode, outcome.decision))
+    assert seen == set(itertools.product(("upfront", "staged"), Decision))
 
 
 def test_ledger_keeps_plain_floats():

@@ -505,9 +505,9 @@ def cross_dataset_runs(cfg, datasets, n):
 
 
 def decided_alone(cfg, stream, budget, idx, trusts):
-    """Each draw of a run decided on its own, with no decision table and no
-    outcome memo: its bundle validated afresh and negotiated against a fresh
-    owner holding ``budget``."""
+    """Each draw of a run decided on its own, with no decision table: its
+    bundle validated afresh and negotiated against a fresh owner holding
+    ``budget``."""
     bundles = [request for request, _ in cfg.streams[stream]]
     return [negotiate(validate_request(bundles[i], cfg.catalog), BudgetLedger(h_max=budget),
                       trust, cfg.engine)
