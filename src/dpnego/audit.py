@@ -163,12 +163,14 @@ class AuditLog:
 
     def _check_tail(self) -> None:
         """Raise ChainCorrupt unless the last record follows the one before it
-        (``_follows``). Its hash is checked from its line if it was read from
-        one. The record ``append`` last built needs no re-hash while it is the
-        same object, holding the same field objects, and its outcome still
-        encodes to the hashed text: its other fields are immutable, so its body
-        text is the one hashed, and an in-place edit of the outcome fails the
-        comparison. Any other record is re-encoded.
+        (``_follows``). A record read from a file is checked from its line
+        while that line still ``_holds`` it, as ``verify`` checks a loaded
+        record, so an in-place edit of its outcome fails. The record ``append``
+        last built needs no re-hash while it is the same object, holding the
+        same field objects, and its outcome still encodes to the hashed text:
+        its other fields are immutable, so its body text is the one hashed,
+        and an in-place edit of the outcome fails the comparison. Any other
+        record, or one edited in place, is re-encoded.
         """
         i = len(self.records) - 1
         if i < 0:
@@ -176,10 +178,12 @@ class AuditLog:
         rec = self.records[i]
         read, line = self._read_tail
         built, values, outcome_text = self._built
-        vouched = (rec is built and all(map(is_, _record_values(rec), values))
-                   and canonical_json(rec.outcome) == outcome_text)
-        if not _follows(rec, self.records[i - 1] if i else None,
-                        line if rec is read else None, vouched):
+        if rec is read:
+            vouched = _holds(line, rec)
+        else:
+            vouched = (rec is built and all(map(is_, _record_values(rec), values))
+                       and canonical_json(rec.outcome) == outcome_text)
+        if not _follows(rec, self.records[i - 1] if i else None, checked=vouched):
             raise ChainCorrupt(self._first_index() + i)
 
     def append(

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -201,6 +201,52 @@ def uniform_draw(rng: np.random.Generator, lo: float, hi: float) -> Callable[[],
     return lambda: lo + span * random()
 
 
+# numpy's tolerance on the sum of float64 weights
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def choice_draw(rng: np.random.Generator,
+                p: np.ndarray | Sequence[float]) -> Callable[[int], np.ndarray]:
+    """A function whose call with ``size`` returns the int64 indices
+    ``rng.choice(len(p), size, p=p)`` would, to the bit, and advances ``rng``
+    as that call does.
+
+    numpy inverts the weights' CDF, ``cdf = p.cumsum(); cdf /= cdf[-1]``, at
+    ``rng.random(size)`` with ``cdf.searchsorted(..., side="right")``; this
+    builds that CDF once. ``p`` is checked here, once, as numpy checks it on
+    every call and with its errors: it must be one-dimensional and not empty,
+    and its Kahan-compensated sum must not be NaN, no weight may be negative,
+    and the sum must be 1 within sqrt(eps) (the larger of float64's and, for
+    a float array, its own dtype's), else ValueError.
+    ``test_choice_draw_is_numpy_choice`` pins the identity over seeds, sizes
+    and weightings."""
+    atol = _SUM_ATOL
+    if isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating):
+        atol = max(atol, math.sqrt(np.finfo(p.dtype).eps))
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    if not p.size:
+        raise ValueError("a must be a positive integer unless no samples are taken")
+    weights = p.tolist()
+    total, carry = weights[0], 0.0
+    for weight in weights[1:]:
+        y = weight - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if min(weights) < 0:
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > atol:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    random, search = rng.random, cdf.searchsorted
+    return lambda size: search(random(size), side="right").astype(np.int64, copy=False)
+
+
 def gen_ecosystem(
     seed: int,
     catalog: Catalog,
@@ -213,7 +259,11 @@ def gen_ecosystem(
 
     Every prosumer's series holds the same hourly grid, so they share one
     read-only timestamps array: a write to it raises ``ValueError`` instead
-    of moving another owner's samples."""
+    of moving another owner's samples. Each load is one array, built in place
+    (``+=``, ``np.maximum(..., out=load)``) with the values and bits of the
+    same sums into new arrays, and the spike hours are drawn with
+    ``rng.integers(hours, size=n)``, the call numpy makes for
+    ``integers(0, hours, size=n)``."""
     rng = np.random.default_rng(seed)
     hours = cfg.days * 24
     timestamps = cfg.start_epoch + 3600 * np.arange(hours, dtype=np.int64)
@@ -237,13 +287,13 @@ def gen_ecosystem(
         heat = draw_heat()
         rate = draw_rate()
         load = base + amp * diurnal_shape
-        load = load + heat * heating_deficit
+        load += heat * heating_deficit
         n_events = rng.poisson(rate * cfg.days)
         if n_events > 0:
-            starts = rng.integers(0, hours, size=n_events)
+            starts = rng.integers(hours, size=n_events)
             sizes = rng.uniform(*cfg.appliance_kw, size=n_events)
-            load = load + np.bincount(starts, weights=sizes, minlength=hours)  # adds in draw order
-        load = np.maximum(load, 0.0)
+            load += np.bincount(starts, weights=sizes, minlength=hours)  # adds in draw order
+        np.maximum(load, 0.0, out=load)
         series = LoadSeries(
             source_id=f"prosumer-{i:03d}",
             timestamps=timestamps,

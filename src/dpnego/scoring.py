@@ -134,21 +134,27 @@ class TrustStore:
         self.ledgers[requester_id] = updated
         return updated
 
-    def seed_history(self, requester_id: str, completions: int,
-                     quality: float, alignment: float) -> TrustLedger:
-        """Fold ``completions`` completed events, then one quality and one
-        alignment report, into one requester's ledger, bit for bit as
-        ``extend`` folds that run: a completion changes only the count, and
-        each average takes exactly one report, so the run is one EMA step
-        from the current ledger. All or nothing, with ``fold_trust``'s checks."""
-        if completions < 0:
-            raise OutOfRange(f"completions must be non-negative, got {completions}")
-        _check_report("quality_report", quality)
-        _check_report("alignment_report", alignment)
-        base = self.ledger(requester_id)
-        w = self.cfg.ewma_weight
-        seeded = TrustLedger(base.succ_count + completions,
-                             base.quality + w * (quality - base.quality),
-                             base.alignment + w * (alignment - base.alignment))
-        self.ledgers[requester_id] = seeded
-        return seeded
+    def seed_history(self, requester_ids: Sequence[str], completions: Sequence[int],
+                     reports: Sequence[tuple[float, float]]) -> None:
+        """Seed the ledgers of ``requester_ids``: fold into the k-th one's
+        ledger ``completions[k]`` completed events, then one quality and one
+        alignment report, ``reports[k]``, bit for bit as ``extend`` folds that
+        run. A completion changes only the count, and each average takes
+        exactly one report, so each run is one EMA step from the ledger it
+        starts from (the one an earlier run of the same requester left). All
+        or nothing for the store, with ``fold_trust``'s checks: a negative
+        count, a report outside [0, 1] or columns of unequal length raise
+        before any ledger is written."""
+        ledgers, w = self.ledgers, self.cfg.ewma_weight
+        seeded: dict[str, TrustLedger] = {}
+        runs = zip(requester_ids, completions, reports, strict=True)
+        for requester_id, count, (quality, alignment) in runs:
+            if count < 0:
+                raise OutOfRange(f"completions must be non-negative, got {count}")
+            _check_report("quality_report", quality)
+            _check_report("alignment_report", alignment)
+            base = seeded.get(requester_id) or ledgers.get(requester_id, _BLANK)
+            seeded[requester_id] = TrustLedger(base.succ_count + count,
+                                               base.quality + w * (quality - base.quality),
+                                               base.alignment + w * (alignment - base.alignment))
+        ledgers.update(seeded)

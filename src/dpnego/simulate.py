@@ -7,6 +7,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, replace as dc_replace
+from itertools import compress
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -26,6 +27,7 @@ from .explain import ReplayCase, explain, factors_for, robustness_probe
 from .ingest import (
     Ecosystem,
     LoadSeries,
+    choice_draw,
     gen_city_series,
     gen_ecosystem,
     load_csv,
@@ -199,7 +201,7 @@ def run_sweep(
     validated, weights = read_stream(cfg, "sweep")
     trust = exp["stream"]["trust"]
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(validated), size=n, p=weights)
+    idx = choice_draw(rng, weights)(n)
     trusts = rng.uniform(trust["lo"], trust["hi"], size=n)
 
     rows = []
@@ -250,21 +252,23 @@ def run_full_sim(
     names = [f"req-{r:03d}" for r in range(n_req)]
     rng = np.random.default_rng(seed)
 
-    # heterogeneous starting reputations: every pair's count of completions
-    # in one call, then one (quality, alignment) row per pair with a non-zero
-    # count, in pair order; that run is one EMA step from the pair's ledger,
-    # written by seed_history as extend would fold it
-    counts = rng.integers(0, 12, size=len(prosumers) * n_req).tolist()
-    reports = iter(rng.uniform(0.5, 1.0, (len(counts) - counts.count(0), 2)).tolist())
-    pairs = ((prosumer, name) for prosumer in prosumers for name in names)
-    for (prosumer, name), completions in zip(pairs, counts):
-        if completions:
-            prosumer.trust.seed_history(name, completions, *next(reports))
+    # heterogeneous starting reputations: every (prosumer, requester) pair's
+    # count of completions in one call, then one (quality, alignment) row per
+    # pair with a non-zero count, in pair order; each owner's pairs with a
+    # count are seeded in one seed_history call, as extend would fold them
+    counts = rng.integers(0, 12, size=(len(prosumers), n_req))
+    seeded = counts != 0
+    reports = rng.uniform(0.5, 1.0, (int(seeded.sum()), 2)).tolist()
+    end = 0
+    for prosumer, owner_counts, owner_seeded in zip(prosumers, counts.tolist(), seeded.tolist()):
+        start, end = end, end + owner_seeded.count(True)
+        prosumer.trust.seed_history(list(compress(names, owner_seeded)),
+                                    list(compress(owner_counts, owner_seeded)), reports[start:end])
 
     metrics = ScenarioMetrics(interactions=n)
     owners = rng.integers(0, len(prosumers), size=n).tolist()
     requesters = rng.integers(0, n_req, size=n).tolist()
-    draws = rng.choice(len(validated), size=n, p=weights).tolist() if n else []
+    draws = choice_draw(rng, weights)(n).tolist()
     # each approval's quality and alignment reports, as rng.uniform(0.7, 1.0)
     # would draw them one after the other
     report = uniform_draw(rng, 0.7, 1.0)
@@ -327,42 +331,28 @@ def load_datasets(cfg: AppConfig, data_dir: str | Path) -> dict[str, LoadSeries]
     return datasets
 
 
-def _scenario_weights(
+def _risk_weights(
     base: np.ndarray,
-    validated: list[ValidatedRequest],
-    engine_cfg: EngineConfig,
-    owner_budget: float,
+    s_eff: np.ndarray,
+    feasible: np.ndarray,
     risk_mode: str,
     risk_factor: float,
-    tilt: float,
 ) -> np.ndarray:
-    """Per-scenario bundle weights.
-
-    The dataset calibration tilts probability between the feasible and the
-    infeasible class; the moderate risk mode tilts weight toward the more
-    sensitive half within each class, stressing the sensitivity mix without
-    collapsing the feasible share.
-    """
-    s_eff = np.array([v.effective_sensitivity for v in validated])
-    feasible = owner_budget >= engine_cfg.safety_factor * s_eff
+    """The stream's weights ``base`` under ``risk_mode``: the moderate mode
+    tilts weight toward the more sensitive half (``s_eff`` above the median)
+    within each of the feasible and the infeasible class, keeping each class's
+    mass, which stresses the sensitivity mix without collapsing the feasible
+    share; any other mode keeps ``base``."""
     weights = base.copy()
     if risk_mode == "moderate":
-        for cls in (True, False):
-            mask = feasible == cls
+        for mask in (feasible, ~feasible):
             if mask.sum() < 2:
                 continue
             class_mass = weights[mask].sum()
-            median_s = float(np.median(s_eff[mask]))
-            boost = mask & (s_eff > median_s)
+            boost = mask & (s_eff > float(np.median(s_eff[mask])))
             weights[boost] *= risk_factor
             weights[mask] *= class_mass / weights[mask].sum()
-    if tilt != 0.0:
-        low_mass = weights[feasible].sum()
-        high_mass = weights[~feasible].sum()
-        if 0 < low_mass < 1 and high_mass > 0:
-            weights[feasible] *= (low_mass + tilt) / low_mass
-            weights[~feasible] *= (high_mass - tilt) / high_mass
-    return weights / weights.sum()
+    return weights
 
 
 def run_cross_dataset(
@@ -374,7 +364,16 @@ def run_cross_dataset(
 ) -> dict[str, Any]:
     """All dataset x pattern x risk-mode scenarios with fresh-owner
     negotiations; per-scenario streams are independently seeded, and decided
-    through one table (``fresh_owner_outcomes``) shared by every scenario."""
+    through one table (``fresh_owner_outcomes``) shared by every scenario.
+
+    The bundles' prices and feasibility (``safety_factor * s_eff`` within
+    the owner's budget) are computed once. A scenario's weights are the
+    stream's reweighted by its risk mode (``_risk_weights``, once per mode),
+    then tilted by its dataset's calibration, which moves
+    ``(rank / (datasets - 1) - 0.5) * calibration_tilt`` of mass, ``rank``
+    the dataset's volatility rank, from the infeasible class to the feasible
+    one, and normalized. Each scenario draws its requests with
+    ``choice_draw``: the indices ``rng.choice`` would draw."""
     exp = experiment(cfg, "cross_dataset", seed=seed, interactions=interactions)
     seed, n = exp["seed"], exp["interactions"]
     validated, base_weights = read_stream(cfg, "cross_dataset")
@@ -389,21 +388,31 @@ def run_cross_dataset(
     rank = {name: i for i, name in enumerate(sorted(names, key=lambda d: vol[d]))}
     denominator = max(1, len(names) - 1)
     tilt = exp["calibration_tilt"]
-    # The pattern does not enter the weights, so each (dataset, risk mode)
-    # pair is weighted once, and a tilt that breaks any of them fails first.
-    scenario_weights = {
-        (dataset, risk_mode): _scenario_weights(
-            base_weights, validated, cfg.engine, owner_budget,
-            risk_mode, exp["risk_weight_factor"], (rank[dataset] / denominator - 0.5) * tilt,
-        )
-        for dataset in names for risk_mode in exp["risk_modes"]
-    }
-    if not all(np.all(w >= 0) for w in scenario_weights.values()):
-        raise BadConfig(
-            f"experiments.cross_dataset.calibration_tilt must keep every scenario weight "
-            f"non-negative, got {tilt!r}"
-        )
+    # the pattern does not enter the weights, and a tilt that breaks any
+    # weighting fails before a draw
+    s_eff = np.array([v.effective_sensitivity for v in validated])
+    feasible = owner_budget >= cfg.engine.safety_factor * s_eff
+    scenario_weights = {}
+    for risk_mode in exp["risk_modes"]:
+        weights = _risk_weights(base_weights, s_eff, feasible, risk_mode,
+                                exp["risk_weight_factor"])
+        low_mass, high_mass = weights[feasible].sum(), weights[~feasible].sum()
+        for dataset in names:
+            shift = (rank[dataset] / denominator - 0.5) * tilt
+            tilted = weights
+            if shift != 0.0 and 0 < low_mass < 1 and high_mass > 0:
+                tilted = weights * np.where(feasible, (low_mass + shift) / low_mass,
+                                            (high_mass - shift) / high_mass)
+            tilted = tilted / tilted.sum()
+            if not (tilted >= 0).all():
+                raise BadConfig(
+                    f"experiments.cross_dataset.calibration_tilt must keep every scenario "
+                    f"weight non-negative, got {tilt!r}"
+                )
+            scenario_weights[dataset, risk_mode] = tilted
 
+    # each scenario's generator is the one default_rng(child) returns, built
+    # without default_rng's errstate wrapper
     children = np.random.SeedSequence(seed).spawn(
         len(names) * len(exp["patterns"]) * len(exp["risk_modes"])
     )
@@ -416,10 +425,9 @@ def run_cross_dataset(
     for dataset in names:
         for pattern in exp["patterns"]:
             for risk_mode in exp["risk_modes"]:
-                rng = np.random.default_rng(children[k])
+                rng = np.random.Generator(np.random.PCG64(children[k]))
                 k += 1
-                weights = scenario_weights[dataset, risk_mode]
-                idx = rng.choice(len(validated), size=n, p=weights)
+                idx = choice_draw(rng, scenario_weights[dataset, risk_mode])(n)
                 trusts = rng.uniform(trust["lo"], trust["hi"], size=n)
                 metrics = ScenarioMetrics(interactions=n)
                 metrics.count(fresh_owner_outcomes(table, validated, ledger, cfg.engine,
@@ -555,7 +563,7 @@ def bench_latency(
     stream = cfg.experiments["sweep"]["stream"]
     validated, weights = read_stream(cfg, "sweep")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(validated), size=n, p=weights)
+    idx = choice_draw(rng, weights)(n)
     trusts = rng.uniform(stream["trust"]["lo"], stream["trust"]["hi"], size=n)
     ledger = BudgetLedger(h_max=8.0)
 
@@ -644,7 +652,7 @@ def run_probe(
     weights = weights * (1.0 - b_weight)
     pool = validated + [boundary]
     all_weights = np.concatenate([weights, [b_weight]])
-    idx = rng.choice(len(pool), size=n, p=all_weights)
+    idx = choice_draw(rng, all_weights)(n)
     hs = rng.uniform(lo, hi, size=n)
     trusts = rng.uniform(0.0, 1.0, size=n)
     cases = [

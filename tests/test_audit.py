@@ -550,6 +550,32 @@ def test_loaded_record_edited_in_place_fails_verify(tmp_path, self_hashed, edit)
     assert appended.verify() == 1
 
 
+@pytest.mark.parametrize("self_hashed", [False, True], ids=["canonical", "self-hashed"])
+@pytest.mark.parametrize("read", [AuditLog.load, AuditLog.open_tail], ids=["load", "open_tail"])
+@pytest.mark.parametrize("edit", [
+    lambda outcome: outcome.__setitem__("epsilon_star", 9.9),
+    lambda outcome: outcome.pop("decision"),
+], ids=["value", "key"])
+def test_append_refuses_a_read_tail_edited_in_place(tmp_path, self_hashed, read, edit):
+    # the tail's line vouches for the record as it was read, not for its
+    # dict after an edit; an unedited tail still takes the append
+    path = tmp_path / "audit.jsonl"
+    if self_hashed:
+        self_hashed_chain(path, 4)
+    else:
+        build_log(4).save(path)
+    before = path.read_bytes()
+    read(path).append(REQ, OUT, EXP, timestamp=9.0)
+    log = read(path)
+    edit(log.records[-1].outcome)
+    with pytest.raises(ChainCorrupt) as exc:
+        log.append(REQ, OUT, EXP, timestamp=9.0)
+    assert exc.value.index == 3
+    assert len(log.records) == (4 if read == AuditLog.load else 2)
+    log.save(path)
+    assert path.read_bytes() == before and verify_file(path) is None
+
+
 def test_tail_append_refuses_a_sequence_that_does_not_rise(tmp_path):
     path = tmp_path / "audit.jsonl"
     build_log(4).save(path)

@@ -15,6 +15,7 @@ from dpnego.ingest import (
     NonMonotoneTimestamps,
     ParseError,
     SchemaMismatch,
+    choice_draw,
     gen_city_series,
     gen_ecosystem,
     load_csv,
@@ -238,6 +239,49 @@ def test_uniform_draw_refuses_the_ranges_numpy_refuses(lo, hi, error):
         rng.uniform(lo, hi)
     with pytest.raises(error):
         uniform_draw(rng, lo, hi)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+# numpy's tolerance on the sum of float64 weights
+ATOL = math.sqrt(np.finfo(np.float64).eps)
+# bundle weights as a config gives them, zeros among them
+WEIGHTS = st.lists(st.just(0.0) | st.floats(1e-3, 10.0), min_size=1, max_size=12).filter(any)
+
+
+@settings(max_examples=250, deadline=None)
+@given(seed=st.integers(0, 2**128), raw=WEIGHTS, size=st.integers(0, 500),
+       off=st.floats(-0.9, 0.9), boundary=st.floats(0.0, 1.0))
+def test_choice_draw_is_numpy_choice(seed, raw, size, off, boundary):
+    """Two calls of one choice_draw return what two rng.choice(len(p), size,
+    p=p) calls return, indices and dtype, leaving the generator where
+    numpy's calls leave it: for normalized weights, for the same weights
+    with a sum off 1 within numpy's tolerance, for the probe's pool, whose
+    weights are scaled by 1 - b with b appended, and for float32 weights
+    whose sum is off 1 within float32's wider tolerance, which only the
+    CDF's division by its last entry brings back to 1."""
+    w = np.array(raw) / sum(raw)
+    f32_atol = math.sqrt(np.finfo(np.float32).eps)
+    for p in (w, w * (1.0 + off * ATOL), np.concatenate([w * (1.0 - boundary), [boundary]]),
+              (w * (1.0 + off * f32_atol)).astype(np.float32)):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = choice_draw(ours, p)
+        for _ in range(2):
+            got, want = draw(size), theirs.choice(len(p), size, p=p)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [
+    [0.5, math.nan, 0.5], [0.6, -0.1, 0.5], [0.5, 0.5 + 2 * ATOL], [0.5, 0.5 - 2 * ATOL],
+    [math.inf, -math.inf], [], [[0.5, 0.5]], np.array([0.5, 0.5 + 1e-3], dtype=np.float32),
+], ids=["nan", "negative", "sum-high", "sum-low", "inf-minus-inf", "empty", "2-d", "float32-sum"])
+def test_choice_draw_refuses_the_weights_numpy_refuses(p):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        rng.choice(len(p), 5, p=np.asarray(p))
+    with pytest.raises(ValueError):
+        choice_draw(rng, p)
     assert rng.random() == np.random.default_rng(0).random()
 
 

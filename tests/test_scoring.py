@@ -317,16 +317,21 @@ def test_extend_of_no_events_changes_nothing():
     assert store.ledgers == {}
 
 
-# --- seeding a ledger with one run of completions and reports ---------------
+# --- seeding an owner's ledgers, each with one run of completions and reports
 
 UNIT = st.floats(min_value=0, max_value=1)
-START = st.none() | st.builds(TrustLedger, st.integers(min_value=0, max_value=50), UNIT, UNIT)
+REQUESTERS = st.sampled_from(["req-a", "req-b", "req-c"])
+START = st.dictionaries(
+    REQUESTERS, st.builds(TrustLedger, st.integers(min_value=0, max_value=50), UNIT, UNIT))
+# one owner's pairs: (requester, completions, quality, alignment), a
+# requester possibly more than once
+PAIRS = st.lists(st.tuples(REQUESTERS, st.integers(min_value=0, max_value=20), UNIT, UNIT),
+                 max_size=8)
 
 
 def stores(cfg, start):
-    """Two equal stores holding ``start`` for req-a, or nothing if None."""
-    ledgers = {} if start is None else {"req-a": start}
-    return TrustStore(cfg=cfg, ledgers=dict(ledgers)), TrustStore(cfg=cfg, ledgers=dict(ledgers))
+    """Two equal stores holding the ledgers ``start``."""
+    return TrustStore(cfg=cfg, ledgers=dict(start)), TrustStore(cfg=cfg, ledgers=dict(start))
 
 
 def seeding_run(completions, quality, alignment):
@@ -334,36 +339,48 @@ def seeding_run(completions, quality, alignment):
         ("quality_report", quality), ("alignment_report", alignment)]
 
 
-@given(half_life=st.integers(min_value=1, max_value=20), start=START,
-       completions=st.integers(min_value=0, max_value=20), quality=UNIT, alignment=UNIT)
-@example(half_life=1, start=TrustLedger(50, 1.0, 0.0), completions=0, quality=0.0, alignment=1.0)
-@example(half_life=20, start=None, completions=20, quality=1.0, alignment=0.0)
-def test_seed_history_matches_extend(half_life, start, completions, quality, alignment):
+def seed(store, pairs):
+    """``seed_history`` of ``pairs``, split into its three columns."""
+    return store.seed_history([rid for rid, *_ in pairs], [count for _, count, *_ in pairs],
+                              [(quality, alignment) for *_, quality, alignment in pairs])
+
+
+@given(half_life=st.integers(min_value=1, max_value=20), start=START, pairs=PAIRS)
+@example(half_life=1, start={"req-a": TrustLedger(50, 1.0, 0.0)},
+         pairs=[("req-a", 0, 0.0, 1.0), ("req-b", 3, 1.0, 1.0)])
+@example(half_life=20, start={}, pairs=[("req-a", 20, 1.0, 0.0), ("req-a", 0, 0.5, 0.25)])
+def test_seed_history_matches_extend(half_life, start, pairs):
     seeded, extended = stores(TrustConfig(half_life_events=half_life), start)
-    returned = seeded.seed_history("req-a", completions, quality, alignment)
-    extended.extend("req-a", seeding_run(completions, quality, alignment))
+    seed(seeded, pairs)
+    for rid, completions, quality, alignment in pairs:
+        extended.extend(rid, seeding_run(completions, quality, alignment))
     assert ledger_bits(seeded) == ledger_bits(extended)
-    assert returned == seeded.ledger("req-a")
 
 
 BAD_REPORT = (st.none() | st.just(float("nan")) | st.floats(max_value=0, exclude_max=True)
               | st.floats(min_value=1, exclude_min=True))
 
 
-@given(start=START, completions=st.integers(min_value=0, max_value=20),
+@given(start=START, pairs=PAIRS, rid=REQUESTERS, completions=st.integers(min_value=0, max_value=20),
        bad=BAD_REPORT, slot=st.sampled_from(["quality", "alignment"]))
-def test_seed_history_with_a_bad_report_changes_nothing(start, completions, bad, slot):
+def test_seed_history_with_a_bad_report_changes_nothing(start, pairs, rid, completions, bad, slot):
+    """A bad report on the owner's last pair raises what ``extend`` raises on
+    that pair's run, and leaves every ledger of the store as it was, the
+    ledgers the earlier pairs would have seeded included."""
     reports = {"quality": 0.5, "alignment": 0.5, slot: bad}
     seeded, extended = stores(TrustConfig(), start)
     with pytest.raises(OutOfRange) as extend_error:
-        extended.extend("req-a", seeding_run(completions, **reports))
+        extended.extend(rid, seeding_run(completions, **reports))
     with pytest.raises(OutOfRange, match=re.escape(str(extend_error.value))):
-        seeded.seed_history("req-a", completions, **reports)
-    assert seeded.ledgers == extended.ledgers == ({} if start is None else {"req-a": start})
+        seed(seeded, [*pairs, (rid, completions, reports["quality"], reports["alignment"])])
+    assert seeded.ledgers == extended.ledgers == start
 
 
 def test_seed_history_refuses_negative_completions():
-    store = TrustStore(ledgers={"req-a": TrustLedger(3, 0.5, 0.5)})
+    start = {"req-a": TrustLedger(3, 0.5, 0.5)}
+    store = TrustStore(ledgers=dict(start))
     with pytest.raises(OutOfRange, match="completions must be non-negative"):
-        store.seed_history("req-a", -1, 0.5, 0.5)
-    assert store.ledgers == {"req-a": TrustLedger(3, 0.5, 0.5)}
+        seed(store, [("req-b", 2, 0.5, 0.5), ("req-a", -1, 0.5, 0.5)])
+    with pytest.raises(ValueError):
+        store.seed_history(["req-a", "req-b"], [1, 1], [(0.5, 0.5)])
+    assert store.ledgers == start

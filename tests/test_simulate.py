@@ -315,12 +315,13 @@ def trust_bits(ecosystem):
     ]
 
 
-def seed_per_event(self, rid, completions, quality, alignment):
+def seed_per_event(self, rids, completions, reports):
     """``TrustStore.seed_history`` as one ``record`` call per event."""
-    for _ in range(completions):
-        self.record(rid, "completed")
-    self.record(rid, "quality_report", quality)
-    return self.record(rid, "alignment_report", alignment)
+    for rid, count, (quality, alignment) in zip(rids, completions, reports, strict=True):
+        for _ in range(count):
+            self.record(rid, "completed")
+        self.record(rid, "quality_report", quality)
+        self.record(rid, "alignment_report", alignment)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -479,10 +480,39 @@ def sweep_runs(cfg, n):
     return [(float(eps0), idx, trusts) for eps0 in exp["eps0_values"]]
 
 
+def scenario_weights(base, validated, engine_cfg, owner_budget, risk_mode, risk_factor, tilt):
+    """One scenario's bundle weights, computed from scratch: the moderate risk
+    mode boosts the more sensitive half of each of the feasible and the
+    infeasible class by ``risk_factor``, keeping each class's mass, then the
+    dataset's calibration ``tilt`` moves mass from the infeasible class to the
+    feasible one, and the weights are normalized."""
+    s_eff = np.array([v.effective_sensitivity for v in validated])
+    feasible = owner_budget >= engine_cfg.safety_factor * s_eff
+    weights = base.copy()
+    if risk_mode == "moderate":
+        for cls in (True, False):
+            mask = feasible == cls
+            if mask.sum() < 2:
+                continue
+            class_mass = weights[mask].sum()
+            median_s = float(np.median(s_eff[mask]))
+            boost = mask & (s_eff > median_s)
+            weights[boost] *= risk_factor
+            weights[mask] *= class_mass / weights[mask].sum()
+    if tilt != 0.0:
+        low_mass = weights[feasible].sum()
+        high_mass = weights[~feasible].sum()
+        if 0 < low_mass < 1 and high_mass > 0:
+            weights[feasible] *= (low_mass + tilt) / low_mass
+            weights[~feasible] *= (high_mass - tilt) / high_mass
+    return weights / weights.sum()
+
+
 def cross_dataset_runs(cfg, datasets, n):
     """The cross-dataset scenarios' runs as (owner budget, request indices,
-    trusts), in scenario order, each drawn from its own child seed with its
-    (dataset, risk mode) weights, as the benchmark draws them."""
+    trusts), in scenario order, each drawn with ``rng.choice`` from its own
+    child seed with its (dataset, risk mode) weights, as the benchmark draws
+    them."""
     exp = simulate.experiment(cfg, "cross_dataset", interactions=n)
     validated, base = read_stream(cfg, "cross_dataset")
     names, modes, trust = exp["datasets"], exp["risk_modes"], exp["stream"]["trust"]
@@ -494,7 +524,7 @@ def cross_dataset_runs(cfg, datasets, n):
         tilt = (by_volatility.index(name) / max(1, len(names) - 1) - 0.5) * exp["calibration_tilt"]
         for _ in exp["patterns"]:
             for mode in modes:
-                weights = simulate._scenario_weights(
+                weights = scenario_weights(
                     base, validated, cfg.engine, exp["owner_budget"], mode,
                     exp["risk_weight_factor"], tilt)
                 rng = np.random.default_rng(next(children))
