@@ -13,8 +13,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, fields
-from operator import attrgetter, is_, itemgetter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -29,103 +28,112 @@ class ChainCorrupt(ValueError):
         super().__init__(message or f"audit chain corrupt at record {index}")
 
 
-def _digest(payload: Any) -> str:
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-
 def _document_json(name: str, doc: Any) -> str:
-    """``canonical_json(doc)`` of the document ``append`` calls ``name``; a
-    value JSON cannot encode (a set, bytes, a tuple key) raises ValueError
-    naming the document, as ``_lines`` does for a record."""
+    """``canonical_json(doc)``; a value JSON cannot encode (a set, bytes, a
+    tuple key) raises ValueError naming the document."""
     try:
         return canonical_json(doc)
     except TypeError as exc:
         raise ValueError(f"audit {name} is not JSON: {exc}") from None
 
 
+def _hash(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # ``float.__repr__`` of a non-finite float, and what ``canonical_json`` writes.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The members of a record's body, which its hash covers, in canonical order.
+_BODY = ("explanation_digest", "outcome", "prev_hash", "request_digest", "sequence", "timestamp")
 
 
-def _timestamp_json(value: Any) -> str:
-    """``canonical_json(value)`` for an int or a float, written as the encoder
-    writes it. Any other type, a bool included, raises ValueError: ``_record``
-    would refuse it."""
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    raise ValueError(f"audit timestamp must be an int or a float, got {value!r}")
+def _well_formed(doc: dict) -> bool:
+    """Whether ``doc`` holds a record's fields with the types its line reads
+    back as: an int sequence, an int or float timestamp (not a bool), a dict
+    outcome, str digests and hashes. A missing field raises KeyError."""
+    ts = doc["timestamp"]
+    return (type(doc["sequence"]) is int and isinstance(ts, (int, float)) and type(ts) is not bool
+            and isinstance(doc["outcome"], dict) and isinstance(doc["request_digest"], str)
+            and isinstance(doc["explanation_digest"], str) and isinstance(doc["prev_hash"], str)
+            and isinstance(doc["record_hash"], str))
 
 
-def _body_text(outcome_text: str, sequence: int, timestamp: float, request_digest: str,
-               explanation_digest: str, prev_hash: str) -> str:
-    """``canonical_json`` of the body of a record whose outcome encodes to
-    ``outcome_text``, put together in the body's sorted key order. The digests
-    must be hex (``append``'s are SHA-256 hex digests, or a tail's
-    ``record_hash`` that ``_check_tail`` has matched to one), which JSON writes
-    as they are, and the sequence an int (one above a checked tail's)."""
-    return (f'{{"explanation_digest": "{explanation_digest}", "outcome": {outcome_text}, '
-            f'"prev_hash": "{prev_hash}", "request_digest": "{request_digest}", '
-            f'"sequence": {int.__repr__(sequence)}, "timestamp": {_timestamp_json(timestamp)}}}')
+class _Outcome:
+    """``AuditRecord.outcome``: read, a fresh parse of the record's text. Set
+    (by the constructor and ``dataclasses.replace``), the text becomes the
+    canonical encoding of the body with this outcome and the record's own
+    sequence and ``prev_hash``, under the hash the record was given."""
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            raise AttributeError("outcome")  # the field has no default
+        return rec.body()["outcome"]
+
+    def __set__(self, rec, outcome):
+        try:
+            body = {**json.loads(rec.text), "outcome": outcome, "sequence": rec.sequence,
+                    "prev_hash": rec.prev_hash}
+            body = {name: body[name] for name in _BODY}
+            if not _well_formed({**body, "record_hash": rec.record_hash}):
+                raise ValueError("a field has the wrong type")
+            object.__setattr__(rec, "text", canonical_json(body))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"not an audit record: {exc}") from None
 
 
 @dataclass(frozen=True)
 class AuditRecord:
-    """One chained decision record. The record hash covers every other field,
-    the previous record's hash included."""
+    """One chained decision record: the body text its hash covers (the
+    previous record's hash included) and the three fields the chain reads.
+    ``outcome``, ``body()`` and ``to_dict()`` parse the text on every read, so
+    no edit of what they return reaches the record. A record built with a
+    changed field (``_Outcome``) no longer matches its hash; a field of a
+    wrong type raises ValueError.
+    """
 
+    # Slots, not a dict per record: a loaded log holds one record per line.
+    __slots__ = ("sequence", "prev_hash", "record_hash", "text")
     sequence: int
-    timestamp: float
-    request_digest: str
-    outcome: dict
-    explanation_digest: str
     prev_hash: str
     record_hash: str
+    text: str
+    outcome: dict = _Outcome()
+
+    @classmethod
+    def _of(cls, sequence: int, prev_hash: str, record_hash: str, text: str) -> "AuditRecord":
+        """The record of ``text``, whose fields the caller has read from it
+        or checked."""
+        rec = object.__new__(cls)
+        init = object.__setattr__
+        init(rec, "sequence", sequence)
+        init(rec, "prev_hash", prev_hash)
+        init(rec, "record_hash", record_hash)
+        init(rec, "text", text)
+        return rec
+
+    def __reduce__(self):
+        # copy and pickle would set the slots through the frozen __setattr__
+        return AuditRecord._of, (self.sequence, self.prev_hash, self.record_hash, self.text)
 
     def body(self) -> dict:
-        return {name: getattr(self, name) for name in BODY_FIELDS}
+        return json.loads(self.text)
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in RECORD_FIELDS}
+        return {**json.loads(self.text), "record_hash": self.record_hash}
 
 
-# A record's fields in their declared order: the six the hash covers, then
-# the hash itself.
-RECORD_FIELDS = tuple(f.name for f in fields(AuditRecord))
-BODY_FIELDS = RECORD_FIELDS[:-1]
-_field_values = itemgetter(*RECORD_FIELDS)
-_record_values = attrgetter(*RECORD_FIELDS)
+def _sealed(rec: AuditRecord) -> bool:
+    """Whether ``rec``'s text hashes to its ``record_hash``."""
+    return _hash(rec.text) == rec.record_hash
 
 
-def _well_formed(rec: AuditRecord) -> bool:
-    """Whether ``rec``'s fields have the types its line reads back as: an int
-    sequence, an int or float timestamp (not a bool), a dict outcome, str hashes."""
-    ts = rec.timestamp
-    return (type(rec.sequence) is int and isinstance(ts, (int, float)) and type(ts) is not bool
-            and isinstance(rec.outcome, dict) and isinstance(rec.request_digest, str)
-            and isinstance(rec.explanation_digest, str) and isinstance(rec.prev_hash, str)
-            and isinstance(rec.record_hash, str))
-
-
-def _follows(rec: AuditRecord, before: AuditRecord | None, line: str | None = None,
-             checked: bool = False) -> bool:
+def _follows(rec: AuditRecord, before: AuditRecord | None) -> bool:
     """Whether ``rec`` may follow ``before`` in a chain (None: ``rec`` is its
-    first record). It must be ``_well_formed``, link to ``before``'s hash (the
-    genesis hash), have a sequence above ``before``'s int sequence (above -1),
-    and carry its own hash, checked from ``line`` if it was read from one
-    (``_stored_hash_ok``) or already ``checked`` with its types. A ``before``
-    no reader checked (the one before an append's tail) may hold any sequence:
-    one that is not an int fails."""
-    if not (checked or _well_formed(rec)):
-        return False
+    first record): it links to ``before``'s hash (the genesis hash) and has a
+    sequence above ``before``'s (above -1)."""
     if before is None:
-        link, last_seq = GENESIS_HASH, -1
-    else:
-        link, last_seq = before.record_hash, before.sequence
-    return rec.prev_hash == link and type(last_seq) is int and rec.sequence > last_seq and (
-        checked or _stored_hash_ok(rec, line))
+        return rec.prev_hash == GENESIS_HASH and rec.sequence > -1
+    return rec.prev_hash == before.record_hash and rec.sequence > before.sequence
 
 
 class AuditLog:
@@ -145,13 +153,6 @@ class AuditLog:
         self._size = 0
         self._stored = 0
         self._head = 0
-        # The last record read from the file and the line that holds it.
-        self._read_tail: tuple[AuditRecord | None, str | None] = (None, None)
-        # The records ``load`` read and checked, each against its own line.
-        self._loaded: tuple[AuditRecord, ...] = ()
-        # The last record ``append`` built, its field values and the outcome
-        # text its hash covers (``_check_tail``).
-        self._built: tuple[AuditRecord | None, tuple, str] = (None, (), "")
 
     def _first_index(self) -> int:
         """Index in the file of records[0]; a tail counts the lines before it."""
@@ -162,29 +163,13 @@ class AuditLog:
         return sum(1 for line in lines if line.strip(_JSON_SPACE_BYTES))
 
     def _check_tail(self) -> None:
-        """Raise ChainCorrupt unless the last record follows the one before it
-        (``_follows``). A record read from a file is checked from its line
-        while that line still ``_holds`` it, as ``verify`` checks a loaded
-        record, so an in-place edit of its outcome fails. The record ``append``
-        last built needs no re-hash while it is the same object, holding the
-        same field objects, and its outcome still encodes to the hashed text:
-        its other fields are immutable, so its body text is the one hashed,
-        and an in-place edit of the outcome fails the comparison. Any other
-        record, or one edited in place, is re-encoded.
-        """
+        """Raise ChainCorrupt unless the last record is sealed by its hash and
+        follows the one before it."""
         i = len(self.records) - 1
-        if i < 0:
-            return
-        rec = self.records[i]
-        read, line = self._read_tail
-        built, values, outcome_text = self._built
-        if rec is read:
-            vouched = _holds(line, rec)
-        else:
-            vouched = (rec is built and all(map(is_, _record_values(rec), values))
-                       and canonical_json(rec.outcome) == outcome_text)
-        if not _follows(rec, self.records[i - 1] if i else None, checked=vouched):
-            raise ChainCorrupt(self._first_index() + i)
+        if i >= 0:
+            rec = self.records[i]
+            if not (_sealed(rec) and _follows(rec, self.records[i - 1] if i else None)):
+                raise ChainCorrupt(self._first_index() + i)
 
     def append(
         self,
@@ -195,51 +180,46 @@ class AuditLog:
     ) -> AuditRecord:
         """Chain a record of this decision to the checked tail and return it.
 
-        The request, the explanation and the outcome are each encoded once;
-        the hash covers the body text composed around the outcome's encoding
-        (``_body_text``), byte for byte ``canonical_json`` of the body. An
-        outcome that is not a dict, a document JSON cannot encode, or a
-        timestamp that is not an int or a float, raises ValueError and appends
-        nothing: ``load`` would refuse it.
+        The request and the explanation enter the body as digests of their
+        canonical encodings. The record keeps the body's canonical text, put
+        together around the outcome's encoding in the body's key order, so no
+        later edit of the documents reaches it. An outcome that is not a dict,
+        a document JSON cannot encode, or a timestamp that is not an int or a
+        float, raises ValueError and appends nothing: ``load`` would refuse it.
         """
         self._check_tail()
         if not isinstance(outcome_doc, dict):
             raise ValueError(f"audit outcome must be a dict, got {type(outcome_doc).__name__}")
+        if timestamp is None:
+            timestamp = time.time()
+        if isinstance(timestamp, float):
+            stamp = float.__repr__(timestamp)
+            stamp = _NON_FINITE.get(stamp, stamp)
+        elif isinstance(timestamp, int) and not isinstance(timestamp, bool):
+            stamp = int.__repr__(timestamp)
+        else:
+            raise ValueError(f"audit timestamp must be an int or a float, got {timestamp!r}")
         tail = self.records[-1] if self.records else None
         if tail is None:
             sequence, prev_hash = 0, GENESIS_HASH
         else:
             sequence, prev_hash = tail.sequence + 1, tail.record_hash
-        if timestamp is None:
-            timestamp = time.time()
-        request_text = _document_json("request", request_doc)
-        explanation_text = _document_json("explanation", explanation_doc)
-        outcome_text = _document_json("outcome", outcome_doc)
-        request_digest = hashlib.sha256(request_text.encode()).hexdigest()
-        explanation_digest = hashlib.sha256(explanation_text.encode()).hexdigest()
-        text = _body_text(outcome_text, sequence, timestamp, request_digest, explanation_digest,
-                          prev_hash)
-        record = AuditRecord(sequence, timestamp, request_digest, outcome_doc, explanation_digest,
-                             prev_hash, hashlib.sha256(text.encode()).hexdigest())
+        request_digest = _hash(_document_json("request", request_doc))
+        explanation_digest = _hash(_document_json("explanation", explanation_doc))
+        text = (f'{{"explanation_digest": "{explanation_digest}", '
+                f'"outcome": {_document_json("outcome", outcome_doc)}, "prev_hash": "{prev_hash}", '
+                f'"request_digest": "{request_digest}", "sequence": {sequence}, '
+                f'"timestamp": {stamp}}}')
+        record = AuditRecord._of(sequence, prev_hash, _hash(text), text)
         self.records.append(record)
-        self._built = (record, _record_values(record), outcome_text)
         return record
 
     def verify(self) -> int | None:
-        """Walk the whole chain; return the first corrupt index, or None. A
-        record ``load`` read, not since replaced, is checked from line i of
-        its file while that line still ``_holds`` it; any other record, or
-        one edited in place, is re-encoded."""
+        """Walk the whole chain; return the first corrupt index, or None."""
         if self._first_index():
             raise ValueError("a log opened from its tail holds no whole chain")
-        lines = []
-        if self._loaded:
-            with open(self._path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-                lines = [line for line in fh if line.strip(_JSON_SPACE)]
         for i, rec in enumerate(self.records):
-            checked = (i < min(len(self._loaded), len(lines)) and rec is self._loaded[i]
-                       and _holds(lines[i], rec))
-            if not _follows(rec, self.records[i - 1] if i else None, checked=checked):
+            if not (_sealed(rec) and _follows(rec, self.records[i - 1] if i else None)):
                 return i
         return None
 
@@ -249,7 +229,7 @@ class AuditLog:
         To the file the log came from, append the records it lacks in one
         write, then flush and fsync. Any other file gets the whole chain,
         written line by line to a temp file that then replaces it. A record
-        whose line would not verify (``_lines``) raises ValueError and leaves
+        that would not verify there (``_lines``) raises ValueError and leaves
         the target as it was.
         """
         if os.path.realpath(path) == self._path:
@@ -282,9 +262,8 @@ class AuditLog:
     def load(cls, path: str | Path) -> "AuditLog":
         """Every record of a JSON-lines audit file, each checked as it is read.
 
-        Record i must parse (``_record``) and follow record i-1 (``_follows``,
-        which checks its field types). The first record that fails raises
-        ChainCorrupt(i).
+        Record i must read as a sealed record (``_read``) and follow record
+        i-1 (``_follows``). The first record that fails raises ChainCorrupt(i).
         """
         log = cls()
         before = None
@@ -294,16 +273,15 @@ class AuditLog:
                 if not line.strip(_JSON_SPACE):
                     continue
                 try:
-                    rec = _record(line)
+                    rec = _read(line)
                 except _MALFORMED:
                     raise ChainCorrupt(len(log.records)) from None
-                if not _follows(rec, before, line):
+                if not _follows(rec, before):
                     raise ChainCorrupt(len(log.records))
                 log.records.append(rec)
-                before, log._read_tail = rec, (rec, line)
+                before = rec
         log._path = os.path.realpath(path)
         log._stored = len(log.records)
-        log._loaded = tuple(log.records)
         return log
 
     @classmethod
@@ -312,8 +290,8 @@ class AuditLog:
         checks and ``save`` extends, read without parsing the rest.
 
         Reads a block from the end of the file and doubles it until it holds
-        two whole records or the whole file. A malformed one of the two
-        (``_record``, ``_well_formed``) raises ChainCorrupt.
+        two whole records or the whole file. One of the two that does not read
+        as a sealed record (``_read``) raises ChainCorrupt.
         """
         with open(path, "rb") as fh:
             size = fh.seek(0, os.SEEK_END)
@@ -329,20 +307,15 @@ class AuditLog:
         log._path, log._size = os.path.realpath(path), size
         log._head = lines[0][0] if lines else size
         for k, (_, raw) in enumerate(lines):
-            line = raw.decode("utf-8", "surrogateescape")
             try:
-                rec = _record(line)
+                log.records.append(_read(raw.decode("utf-8", "surrogateescape")))
             except _MALFORMED:
-                rec = None
-            if rec is None or not _well_formed(rec):
-                raise ChainCorrupt(log._first_index() + k)
-            log.records.append(rec)
-            log._read_tail = rec, line
+                raise ChainCorrupt(log._first_index() + k) from None
         log._stored = len(log.records)
         return log
 
 
-# What a malformed line raises in ``_record``: JSONDecodeError is a ValueError.
+# What a malformed line raises in ``_read``: JSONDecodeError is a ValueError.
 _MALFORMED = (ValueError, KeyError, TypeError)
 TAIL_BLOCK = 4096
 _decode = json.JSONDecoder().raw_decode
@@ -353,66 +326,52 @@ _JSON_SPACE = " \t\n\r"
 _JSON_SPACE_BYTES = _JSON_SPACE.encode()
 
 
-def _record(line: str) -> AuditRecord:
-    """The record on ``line``. As for ``json.loads``, only JSON whitespace may
-    surround the one value; a missing field also makes the line malformed.
-    Its field types are ``_well_formed``'s to check."""
-    text = line.strip(_JSON_SPACE)
-    doc, end = _decode(text)
-    if end != len(text):
+def _read(line: str) -> AuditRecord:
+    """The record on ``line``, holding the text its hash covers: the line
+    without its ``, "record_hash": "<hash>"`` member, as ``_line`` writes it
+    or a writer hashed its own bytes, or else (other spacing or key order,
+    non-ASCII text) the body's canonical encoding. As for ``json.loads``, only
+    JSON whitespace may surround the one value, whose fields must be
+    ``_well_formed``. A malformed line, or one whose hash covers neither text,
+    raises one of ``_MALFORMED``."""
+    line = line.strip(_JSON_SPACE)
+    doc, end = _decode(line)
+    if end != len(line):
         raise ValueError("audit line has data after its JSON value")
-    return AuditRecord(*_field_values(doc))
+    if not _well_formed(doc):
+        raise ValueError("audit record has a field of a wrong type")
+    digest = doc["record_hash"]
+    member = f', "record_hash": "{digest}"'
+    at = line.rfind(member)
+    text = line[:at] + line[at + len(member):] if at >= 0 and line.isascii() else None
+    if text is None or _hash(text) != digest:
+        text = canonical_json({name: doc[name] for name in _BODY})
+        if _hash(text) != digest:
+            raise ValueError("audit record hash covers neither its line nor its body")
+    return AuditRecord._of(doc["sequence"], doc["prev_hash"], digest, text)
 
 
-def _line(record: AuditRecord) -> str:
-    return canonical_json(record.to_dict()) + "\n"
+def _line(rec: AuditRecord) -> str:
+    """``rec``'s line: its text with the ``record_hash`` member where
+    ``canonical_json`` puts it, before the last three members, so a canonical
+    text gives the canonical line. A text whose last members are others (a
+    writer's own key order) gets the member last."""
+    text = rec.text
+    at = text.rfind(', "request_digest": ')
+    if at < 0 or text.find("}", at, -1) >= 0:
+        at = len(text) - 1
+    return f'{text[:at]}, "record_hash": "{rec.record_hash}"{text[at:]}\n'
 
 
 def _lines(records: list[AuditRecord], before: AuditRecord | None) -> Iterator[str]:
-    """The line of each record, which must follow the one before it (the
-    first, ``before``) with its hash checked from that line (``_follows``), so
-    that what is written is a chain ``verify_file`` accepts. A record of a
-    wrong field type, or whose writer hashed other bytes than its canonical
-    line, or whose outcome JSON cannot encode, raises ValueError."""
+    """The line of each record, which must be sealed by its hash and follow
+    the one before it (the first, ``before``), so that what is written is a
+    chain ``verify_file`` accepts; a record that is not raises ValueError."""
     for rec in records:
-        try:
-            line = _line(rec)
-        except TypeError as exc:
-            raise ValueError(f"audit record {rec.sequence} is not JSON: {exc}") from None
-        if not _follows(rec, before, line):
+        if not (_sealed(rec) and _follows(rec, before)):
             raise ValueError(f"audit record {rec.sequence} would not verify once written")
         before = rec
-        yield line
-
-
-def _holds(line: str, rec: AuditRecord) -> bool:
-    """Whether ``line`` still holds ``rec``: it reads as ``rec`` encodes, and
-    carries ``rec``'s hash (``_stored_hash_ok``)."""
-    try:
-        return _line(_record(line)) == _line(rec) and _stored_hash_ok(rec, line)
-    except _MALFORMED:
-        return False
-
-
-def _stored_hash_ok(rec: AuditRecord, line: str | None = None) -> bool:
-    """Whether ``rec.record_hash`` is the hash of ``rec``'s body, checked from
-    ``line``, the text ``rec`` was read from, if there is one.
-
-    A line ``_line`` wrote is the body's canonical encoding with the member
-    ``, "record_hash": "<hash>"`` inserted, so the line without that member
-    hashes to ``record_hash`` and nothing is re-encoded. Any other line (other
-    spacing or key order, non-ASCII text, a tampered byte), or no line, falls
-    back to re-encoding the record. A line whose writer hashed its own
-    non-canonical bytes also passes here, where re-encoding would reject it.
-    """
-    if line is not None:
-        member = f', "record_hash": "{rec.record_hash}"'
-        at = line.rfind(member)
-        if at >= 0 and line.isascii():
-            stored = line[:at] + line[at + len(member):].rstrip("\n")
-            if hashlib.sha256(stored.encode()).hexdigest() == rec.record_hash:
-                return True
-    return rec.record_hash == _digest(rec.body())
+        yield _line(rec)
 
 
 def _last_lines(data: bytes, start: int, want: int) -> list[tuple[int, bytes]]:

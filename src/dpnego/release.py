@@ -89,8 +89,8 @@ def validate_plan(
         raise ScopeViolation("output_arity must be >= 1")
     if plan.output_arity > cap:
         raise ArityExceeded(f"arity {plan.output_arity} exceeds cap {cap}")
-    if plan.delta <= 0:
-        raise NonPositiveSensitivity("declared sensitivity must be positive")
+    if not 0 < plan.delta < math.inf:
+        raise NonPositiveSensitivity("declared sensitivity must be positive and finite")
     contracted_features = set(contract.request.features)
     aggregates = 0
     for op in plan.ops:
@@ -206,12 +206,18 @@ class SanitizedOutput:
     noise_trace: str
 
 
+def _check_calibration(delta_q: float, eps: float) -> None:
+    """Refuse an epsilon or a sensitivity that is not positive and finite: an
+    infinite epsilon gives zero noise, and a NaN gives NaN noise."""
+    if not 0 < eps < math.inf:
+        raise NonPositiveEpsilon("epsilon must be positive and finite")
+    if not 0 < delta_q < math.inf:
+        raise NonPositiveSensitivity("sensitivity must be positive and finite")
+
+
 def laplace_scale(delta_q: float, eps: float) -> float:
     """Per-coordinate Laplace scale b = delta/eps."""
-    if eps <= 0:
-        raise NonPositiveEpsilon("epsilon must be positive")
-    if delta_q <= 0:
-        raise NonPositiveSensitivity("sensitivity must be positive")
+    _check_calibration(delta_q, eps)
     return delta_q / eps
 
 
@@ -222,10 +228,7 @@ def gaussian_sigma(delta_q: float, eps: float, delta: float = 1e-5) -> float:
     it is not the analytic Gaussian mechanism of Balle & Wang, and the engine
     grants budgets above 1.
     """
-    if eps <= 0:
-        raise NonPositiveEpsilon("epsilon must be positive")
-    if delta_q <= 0:
-        raise NonPositiveSensitivity("sensitivity must be positive")
+    _check_calibration(delta_q, eps)
     return delta_q * math.sqrt(2.0 * math.log(1.25 / delta)) / eps
 
 
@@ -257,10 +260,7 @@ def dp_noise(
     """
     if not token.consumed:
         raise TokenNotConsumed("release token must be consumed before noising")
-    if eps_star <= 0:
-        raise NonPositiveEpsilon("epsilon must be positive")
-    if delta_q <= 0:
-        raise NonPositiveSensitivity("sensitivity must be positive")
+    _check_calibration(delta_q, eps_star)
     # default_rng builds this same generator inside numpy's errstate wrapper
     rng = np.random.Generator(np.random.PCG64(seed))
     arr = list(values)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpnego.audit import GENESIS_HASH, AuditLog, AuditRecord, ChainCorrupt, _digest, verify_file
+from dpnego.audit import GENESIS_HASH, AuditLog, AuditRecord, ChainCorrupt, verify_file
 from dpnego.contracts import canonical_json
 
 
@@ -17,10 +17,15 @@ OUT = {"decision": "approve", "epsilon_star": 1.5}
 EXP = {"text": "approved", "trace_id": "abc"}
 
 
-def sealed(**body):
-    """The record of the six body fields under the hash of their canonical
-    encoding: the reference for the body text ``append`` composes."""
-    return AuditRecord(record_hash=_digest(body), **body)
+def digest(payload):
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def sealed(body):
+    """The record of ``body``, built from its canonical text and sealed under
+    that text's hash."""
+    return AuditRecord(body["sequence"], body["prev_hash"], digest(body), canonical_json(body),
+                       body["outcome"])
 
 
 def build_log(n, t0=1700000000.0):
@@ -225,6 +230,17 @@ def test_tampered_tail_raises_at_its_index(tmp_path):
     assert path.read_bytes() == before
 
 
+def test_tail_reader_checks_the_hash_of_both_records(tmp_path):
+    # a record keeps only a text its hash covers, so the record before the
+    # tail is checked as it is read, as load checks it
+    path = tmp_path / "audit.jsonl"
+    build_log(4).save(path)
+    tamper_line(path, 2, epsilon_star=9.9)
+    with pytest.raises(ChainCorrupt) as exc:
+        AuditLog.open_tail(path)
+    assert exc.value.index == 2 == verify_file(path)
+
+
 def test_tail_with_broken_link_raises(tmp_path):
     path = tmp_path / "audit.jsonl"
     build_log(4).save(path)
@@ -321,18 +337,23 @@ def test_negotiate_appends_past_a_tampered_middle_record(tmp_path, capsys):
     assert "audit chain corrupt at record 5000" in capsys.readouterr().out
 
 
+def reference_record(doc):
+    """The record of a line's document rebuilt from its fields, which
+    re-encodes its body; a field of a wrong type raises ValueError."""
+    return AuditRecord(doc["sequence"], doc["prev_hash"], doc["record_hash"], json.dumps(doc),
+                       doc["outcome"])
+
+
 def reference_index(path):
     """The first corrupt record of ``path`` found by re-encoding every record:
     parse each line, and on a malformed line report the first bad record of
     the ones before it, or the line itself."""
-    from dpnego.audit import _MALFORMED, _record
-
     records = []
     for line in path.read_bytes().decode("utf-8", "surrogateescape").split("\n"):
         if line.strip():
             try:
-                records.append(_record(line))
-            except _MALFORMED:
+                records.append(reference_record(json.loads(line)))
+            except (ValueError, KeyError, TypeError):
                 bad = AuditLog(records).verify()
                 return len(records) if bad is None else bad
     return AuditLog(records).verify()
@@ -394,8 +415,8 @@ def test_canonical_log_loads_without_re_encoding(tmp_path, monkeypatch):
     path = tmp_path / "audit.jsonl"
     build_log(1000).save(path)
     calls = []
-    real = audit._digest
-    monkeypatch.setattr(audit, "_digest", lambda payload: calls.append(1) or real(payload))
+    real = audit.canonical_json
+    monkeypatch.setattr(audit, "canonical_json", lambda payload: calls.append(1) or real(payload))
     assert len(AuditLog.load(path).records) == 1000
     assert calls == []
     rewrite_line(path, 500)
@@ -406,10 +427,10 @@ def test_canonical_log_loads_without_re_encoding(tmp_path, monkeypatch):
 def rehash_line(path, index, **fields):
     """Set ``fields`` on record ``index`` and give it the hash of its new body,
     so the line is canonical and carries its own hash."""
-    from dpnego.audit import _line, _record
-
     lines = path.read_text().splitlines(keepends=True)
-    lines[index] = _line(sealed(**{**_record(lines[index]).body(), **fields}))
+    body = {**json.loads(lines[index]), **fields}
+    del body["record_hash"]
+    lines[index] = canonical_json({**body, "record_hash": digest(body)}) + "\n"
     path.write_text("".join(lines))
 
 
@@ -495,16 +516,19 @@ def test_loaded_self_hashed_chain_verifies_as_the_file_does(tmp_path):
 
 
 def test_save_never_writes_a_chain_that_verify_file_rejects(tmp_path):
-    # a self-hashed record verifies from its stored line only; re-encoded into
-    # another file it would not, so that save is refused and writes nothing
+    # a self-hashed record keeps the text its writer hashed; written to
+    # another file with its hash member last, it reads back as the same text
     path, other = tmp_path / "audit.jsonl", tmp_path / "other.jsonl"
     self_hashed_chain(path, 4)
     other.write_text("kept\n")
     log = AuditLog.load(path)
-    with pytest.raises(ValueError, match="audit record 0 would not verify once written"):
-        log.save(other)
-    assert other.read_text() == "kept\n"
+    log.save(other)
+    assert verify_file(other) is None
+    assert [r.text for r in AuditLog.load(other).records] == [r.text for r in log.records]
+    assert all(line.endswith(f', "record_hash": "{r.record_hash}"}}')
+               for line, r in zip(other.read_text().splitlines(), log.records))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.jsonl", "other.jsonl"]
+    log = AuditLog.load(path)
     # its own file keeps the stored lines and gains one canonical line
     log.append(REQ, OUT, EXP, timestamp=9.0)
     log.save(path)
@@ -513,14 +537,15 @@ def test_save_never_writes_a_chain_that_verify_file_rejects(tmp_path):
 
 def test_save_refuses_a_record_that_does_not_follow_its_predecessor(tmp_path):
     log = build_log(3)
-    log.records[2] = sealed(**{**log.records[2].body(), "sequence": 1})
+    log.records[2] = sealed({**log.records[2].body(), "sequence": 1})
     with pytest.raises(ValueError, match="audit record 1 would not verify once written"):
         log.save(tmp_path / "audit.jsonl")
     assert not (tmp_path / "audit.jsonl").exists()
 
 
 def test_record_replaced_after_load_is_re_encoded(tmp_path):
-    # the stored line vouches only for the record object read from it
+    # a replaced record holds the canonical encoding of its body, which is not
+    # the text a self-hashed record's writer hashed
     path = tmp_path / "audit.jsonl"
     self_hashed_chain(path, 4)
     log = AuditLog.load(path)
@@ -528,52 +553,76 @@ def test_record_replaced_after_load_is_re_encoded(tmp_path):
     assert log.verify() == 2
 
 
-@pytest.mark.parametrize("self_hashed", [False, True], ids=["canonical", "self-hashed"])
-@pytest.mark.parametrize("edit", [
-    lambda outcome: outcome.__setitem__("epsilon_star", 9.9),
-    lambda outcome: outcome.pop("decision"),
-], ids=["value", "key"])
-def test_loaded_record_edited_in_place_fails_verify(tmp_path, self_hashed, edit):
-    # the line vouches for the record as it was read, not for its dict after
-    path = tmp_path / "audit.jsonl"
+IN_PLACE_EDITS = {
+    "value": lambda outcome: outcome.__setitem__("epsilon_star", 9.9),
+    "key": lambda outcome: outcome.pop("decision"),
+}
+
+
+def chain_file(path, self_hashed):
     if self_hashed:
         self_hashed_chain(path, 4)
     else:
         build_log(4).save(path)
-    log = AuditLog.load(path)
-    assert log.verify() is None
-    edit(log.records[1].outcome)
-    assert log.verify() == 1
+
+
+@pytest.mark.parametrize("self_hashed", [False, True], ids=["canonical", "self-hashed"])
+@pytest.mark.parametrize("edit", IN_PLACE_EDITS.values(), ids=IN_PLACE_EDITS.keys())
+def test_an_edit_of_a_record_s_outcome_reaches_nothing(tmp_path, self_hashed, edit):
+    # outcome is a fresh parse of the record's text: editing what it returns
+    # leaves the record, verify's answer and the saved bytes as they were
+    path = tmp_path / "audit.jsonl"
+    chain_file(path, self_hashed)
+    for k, log in enumerate((AuditLog.load(path), build_log(4))):
+        before, after = tmp_path / f"before{k}.jsonl", tmp_path / f"after{k}.jsonl"
+        log.save(before)
+        want = json.loads(json.dumps(log.records[1].outcome))
+        edit(log.records[1].outcome)
+        assert log.records[1].outcome == want
+        assert log.verify() is None
+        log.save(after)
+        assert after.read_bytes() == before.read_bytes()
     assert verify_file(path) is None
-    appended = build_log(4)
-    edit(appended.records[1].outcome)
-    assert appended.verify() == 1
 
 
 @pytest.mark.parametrize("self_hashed", [False, True], ids=["canonical", "self-hashed"])
 @pytest.mark.parametrize("read", [AuditLog.load, AuditLog.open_tail], ids=["load", "open_tail"])
-@pytest.mark.parametrize("edit", [
-    lambda outcome: outcome.__setitem__("epsilon_star", 9.9),
-    lambda outcome: outcome.pop("decision"),
-], ids=["value", "key"])
-def test_append_refuses_a_read_tail_edited_in_place(tmp_path, self_hashed, read, edit):
-    # the tail's line vouches for the record as it was read, not for its
-    # dict after an edit; an unedited tail still takes the append
-    path = tmp_path / "audit.jsonl"
-    if self_hashed:
-        self_hashed_chain(path, 4)
-    else:
-        build_log(4).save(path)
-    before = path.read_bytes()
-    read(path).append(REQ, OUT, EXP, timestamp=9.0)
+@pytest.mark.parametrize("edit", IN_PLACE_EDITS.values(), ids=IN_PLACE_EDITS.keys())
+def test_an_edit_of_a_read_tail_s_outcome_reaches_nothing(tmp_path, self_hashed, read, edit):
+    # the tail read from a file keeps its text: after an edit of its outcome
+    # the append goes ahead and writes what an unedited tail gives
+    path, reference = tmp_path / "audit.jsonl", tmp_path / "reference.jsonl"
+    chain_file(path, self_hashed)
+    reference.write_bytes(path.read_bytes())
+    twin = read(reference)
+    twin.append(REQ, OUT, EXP, timestamp=9.0)
+    twin.save(reference)
     log = read(path)
+    want = json.loads(json.dumps(log.records[-1].outcome))
     edit(log.records[-1].outcome)
-    with pytest.raises(ChainCorrupt) as exc:
-        log.append(REQ, OUT, EXP, timestamp=9.0)
-    assert exc.value.index == 3
-    assert len(log.records) == (4 if read == AuditLog.load else 2)
+    assert log.records[-1].outcome == want
+    log.append(REQ, OUT, EXP, timestamp=9.0)
+    if read == AuditLog.load:
+        assert log.verify() is None
     log.save(path)
-    assert path.read_bytes() == before and verify_file(path) is None
+    assert path.read_bytes() == reference.read_bytes() and verify_file(path) is None
+
+
+def test_a_record_copies_and_pickles_as_itself():
+    import copy
+    import pickle
+
+    record = build_log(2).records[1]
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and twin.text == record.text
+
+
+def test_verify_of_a_loaded_log_reads_no_file(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    build_log(5).save(path)
+    log = AuditLog.load(path)
+    path.unlink()
+    assert log.verify() is None
 
 
 def test_tail_append_refuses_a_sequence_that_does_not_rise(tmp_path):
@@ -604,7 +653,7 @@ def test_negotiate_refuses_a_tail_whose_sequence_does_not_rise(tmp_path, capsys)
 
 def test_in_memory_append_refuses_a_sequence_that_does_not_rise():
     log = build_log(4)
-    log.records[-1] = sealed(**{**log.records[-1].body(), "sequence": 2})
+    log.records[-1] = sealed({**log.records[-1].body(), "sequence": 2})
     assert log.verify() == 3
     with pytest.raises(ChainCorrupt) as exc:
         log.append(REQ, OUT, EXP, timestamp=9.0)
@@ -612,7 +661,7 @@ def test_in_memory_append_refuses_a_sequence_that_does_not_rise():
 
 
 def test_tail_replaced_after_reading_is_checked_by_re_encoding(tmp_path):
-    # the stored line vouches only for the record read from it
+    # the replaced record holds its re-encoded body under the old hash
     path = tmp_path / "audit.jsonl"
     build_log(3).save(path)
     log = AuditLog.open_tail(path)
@@ -717,21 +766,20 @@ def test_decision_log_bytes_and_trace_ids_are_pinned(tmp_path):
 
 
 def json_loads_index(path):
-    """``reference_index`` with each line read by ``json.loads`` and the
-    record built by keyword, the reading ``_record`` replaced. A blank line
-    holds JSON whitespace only."""
+    """``reference_index`` with the field types checked from each line's
+    document, and a blank line holding JSON whitespace only."""
     records = []
     for line in path.read_bytes().decode("utf-8", "surrogateescape").split("\n"):
         if not line.strip(" \t\r"):
             continue
         try:
             doc = json.loads(line)
-            rec = AuditRecord(**{name: doc[name] for name in AuditRecord.__dataclass_fields__})
-            if (type(rec.sequence) is not int or type(rec.timestamp) not in (float, int)
-                    or type(rec.outcome) is not dict or not all(type(v) is str for v in (
-                        rec.request_digest, rec.explanation_digest, rec.prev_hash,
-                        rec.record_hash))):
+            strings = ("request_digest", "explanation_digest", "prev_hash", "record_hash")
+            if (type(doc["sequence"]) is not int or type(doc["timestamp"]) not in (float, int)
+                    or type(doc["outcome"]) is not dict
+                    or not all(type(doc[name]) is str for name in strings)):
                 raise ValueError("wrong type")
+            rec = reference_record(doc)
         except (ValueError, KeyError, TypeError):
             bad = AuditLog(records).verify()
             return len(records) if bad is None else bad
@@ -800,7 +848,7 @@ def test_composed_body_hashes_as_its_canonical_encoding(entries):
     log = AuditLog()
     for outcome, timestamp in entries:
         record = log.append(REQ, outcome, EXP, timestamp=timestamp)
-        assert record.record_hash == _digest(record.body())
+        assert record.record_hash == digest(record.body())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "audit.jsonl"
         log.save(path)
@@ -832,41 +880,83 @@ def edit_passed_dict(log, passed):
     passed["decision"] = "reject"
 
 
-def set_equal_timestamp(log, passed):
-    # 1.0 == 1, but it encodes as 1: the body the hash covered changed
-    object.__setattr__(log.records[-1], "timestamp", 1)
+def edit_body(log, passed):
+    log.records[-1].body()["outcome"]["decision"] = "reject"
 
 
-@pytest.mark.parametrize("edit", [edit_top_level, edit_nested, edit_passed_dict,
-                                  set_equal_timestamp])
-def test_an_edit_to_the_record_append_built_is_caught(edit):
-    log = build_log(2)
-    passed = {**OUT, "modified_request": {"features": ["load_curve"]}}
-    log.append(REQ, passed, EXP, timestamp=1.0)
-    edit(log, passed)
-    before = list(log.records)
-    with pytest.raises(ChainCorrupt) as exc:
+def edit_to_dict(log, passed):
+    log.records[-1].to_dict()["outcome"]["modified_request"]["features"].append("aggregate")
+
+
+@pytest.mark.parametrize("edit", [edit_top_level, edit_nested, edit_passed_dict, edit_body,
+                                  edit_to_dict])
+def test_an_edit_of_what_append_took_or_returned_reaches_nothing(tmp_path, edit):
+    logs, passed = [], {**OUT, "modified_request": {"features": ["load_curve"]}}
+    for k in range(2):
+        log = build_log(2)
+        log.append(REQ, passed if k else json.loads(json.dumps(passed)), EXP, timestamp=1.0)
+        logs.append(log)
+    want = logs[0].records[-1].to_dict()
+    edit(logs[1], passed)
+    assert logs[1].records[-1].to_dict() == want
+    for k, log in enumerate(logs):
         log.append(REQ, OUT, EXP, timestamp=2.0)
-    assert exc.value.index == 2
-    assert log.records == before
+        assert log.verify() is None
+        log.save(tmp_path / f"{k}.jsonl")
+    assert (tmp_path / "0.jsonl").read_bytes() == (tmp_path / "1.jsonl").read_bytes()
 
 
-def test_only_the_record_append_built_skips_the_re_encoding(monkeypatch):
+def open_as(opener, path):
+    """A log of 4 records saved to ``path``, as ``opener`` gives it."""
+    log = build_log(4)
+    log.save(path)
+    return {"built": lambda: log, "load": lambda: AuditLog.load(path),
+            "open_tail": lambda: AuditLog.open_tail(path)}[opener]()
+
+
+OPENERS = ["built", "load", "open_tail"]
+
+
+@pytest.mark.parametrize("opener", OPENERS)
+def test_append_never_re_encodes_its_tail(tmp_path, monkeypatch, opener):
+    # each tail is checked by hashing the text it keeps; an append encodes its
+    # three documents, nothing more
     from dpnego import audit
 
-    bodies = []
-    real = audit._digest
-    monkeypatch.setattr(audit, "_digest", lambda payload: (
-        bodies.append(1) if "prev_hash" in payload else None) or real(payload))
-    log = build_log(3)
-    assert bodies == []
-    log.records[-1] = dataclasses.replace(log.records[-1])
+    log = open_as(opener, tmp_path / "audit.jsonl")
+    encoded = []
+    real = audit.canonical_json
+    monkeypatch.setattr(audit, "canonical_json", lambda doc: encoded.append(doc) or real(doc))
     log.append(REQ, OUT, EXP, timestamp=9.0)
-    assert bodies == [1]
-    log.records[-1] = dataclasses.replace(log.records[-1], outcome={"decision": "reject"})
+    log.append(REQ, OUT, EXP, timestamp=10.0)
+    assert encoded == [REQ, EXP, OUT] * 2
+
+
+REPLACEMENTS = {
+    "outcome": lambda rec: dataclasses.replace(rec, outcome={**rec.outcome, "epsilon_star": 9.9}),
+    "sequence": lambda rec: dataclasses.replace(rec, sequence=rec.sequence + 5),
+    "prev-hash": lambda rec: dataclasses.replace(rec, prev_hash="1" * 64),
+    "record-hash": lambda rec: dataclasses.replace(rec, record_hash="1" * 64),
+    "text": lambda rec: dataclasses.replace(
+        rec, text=rec.text.replace('"timestamp": ', '"timestamp": 1')),
+}
+
+
+@pytest.mark.parametrize("replace", REPLACEMENTS.values(), ids=REPLACEMENTS.keys())
+@pytest.mark.parametrize("opener", OPENERS)
+def test_append_and_verify_refuse_a_replaced_tail(tmp_path, opener, replace):
+    # a replaced record holds the canonical text of its new fields under the
+    # hash it was given, so no field can change and keep the hash
+    log = open_as(opener, tmp_path / "audit.jsonl")
+    log.records[-1] = replace(log.records[-1])
+    before = list(log.records)
     with pytest.raises(ChainCorrupt) as exc:
-        log.append(REQ, OUT, EXP, timestamp=10.0)
-    assert exc.value.index == 3 and len(log.records) == 4
+        log.append(REQ, OUT, EXP, timestamp=9.0)
+    assert exc.value.index == 3 and log.records == before
+    if opener != "open_tail":
+        assert log.verify() == 3
+    unchanged = dataclasses.replace(before[-2])
+    assert unchanged == before[-2] and unchanged.text == before[-2].text
 
 
 # --- one rule for the field types: reading, verify, save and append ----------
@@ -884,58 +974,31 @@ WRONG_TYPES = {
 }
 
 
-def with_wrong_typed_record(log, fields):
-    """``log`` with a record of ``fields`` appended by the caller, sealed
-    under its own hash and linked to the last record."""
+@pytest.mark.parametrize("fields", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_a_record_of_a_wrong_field_type_cannot_be_built(tmp_path, fields):
+    # the constructor, dataclasses.replace included, checks the types a line
+    # reads back as, so verify, save and append never meet a wrong one
+    log = build_log(2)
     last = log.records[-1]
     body = {**last.body(), "sequence": last.sequence + 1, "prev_hash": last.record_hash, **fields}
-    log.records.append(sealed(**body))
-    return log
-
-
-@pytest.mark.parametrize("fields", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
-def test_verify_and_save_refuse_a_record_of_a_wrong_field_type(tmp_path, fields):
-    log = with_wrong_typed_record(build_log(1), fields)
-    assert log.verify() == 1
-    path = tmp_path / "audit.jsonl"
-    path.write_text("kept\n")
-    with pytest.raises(ValueError, match="would not verify once written"):
-        log.save(path)
-    assert path.read_text() == "kept\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["audit.jsonl"]
-
-
-@pytest.mark.parametrize("fields", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
-def test_save_to_its_own_file_refuses_a_record_of_a_wrong_field_type(tmp_path, fields):
-    path = tmp_path / "audit.jsonl"
-    build_log(2).save(path)
-    before = path.read_bytes()
-    log = with_wrong_typed_record(AuditLog.load(path), fields)
-    assert log.verify() == 2
-    with pytest.raises(ValueError, match="would not verify once written"):
-        log.save(path)
-    assert path.read_bytes() == before
-    assert verify_file(path) is None
-
-
-@pytest.mark.parametrize("fields", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
-def test_append_refuses_a_tail_of_a_wrong_field_type(fields):
-    log = with_wrong_typed_record(build_log(1), fields)
-    before = list(log.records)
-    with pytest.raises(ChainCorrupt) as exc:
-        log.append(REQ, OUT, EXP, timestamp=9.0)
-    assert exc.value.index == 1
-    assert log.records == before
+    with pytest.raises(ValueError, match="not an audit record"):
+        sealed(body)
+    with pytest.raises(ValueError, match="not an audit record"):
+        dataclasses.replace(last, text=canonical_json(body), sequence=body["sequence"],
+                            outcome=body["outcome"])
+    assert log.verify() is None
+    log.save(tmp_path / "audit.jsonl")
+    assert verify_file(tmp_path / "audit.jsonl") is None
 
 
 @pytest.mark.parametrize("fields", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
 def test_readers_refuse_a_line_of_a_wrong_field_type(tmp_path, fields):
-    from dpnego.audit import _line
-
     path = tmp_path / "audit.jsonl"
     log = build_log(2)
-    body = {**log.records[1].body(), **fields}
-    path.write_text(_line(log.records[0]) + _line(sealed(**body)))
+    body = {**log.records[1].to_dict(), **fields}
+    del body["record_hash"]
+    path.write_text(canonical_json(log.records[0].to_dict()) + "\n"
+                    + canonical_json({**body, "record_hash": digest(body)}) + "\n")
     assert verify_file(path) == 1
     for read in (AuditLog.load, AuditLog.open_tail):
         with pytest.raises(ChainCorrupt) as exc:
@@ -948,55 +1011,27 @@ def test_the_append_path_checks_no_field_types(tmp_path, monkeypatch):
 
     calls = []
     real = audit._well_formed
-    monkeypatch.setattr(audit, "_well_formed", lambda rec: calls.append(1) or real(rec))
+    monkeypatch.setattr(audit, "_well_formed", lambda doc: calls.append(1) or real(doc))
     log = build_log(50)
-    assert calls == []
     path = tmp_path / "audit.jsonl"
     log.save(path)
-    assert len(calls) == 50
+    assert log.verify() is None and calls == []
     assert AuditLog.load(path).verify() is None
-    assert len(calls) == 100
-
-
-@pytest.mark.parametrize("sequence", ["7", None, [7], 7.0])
-def test_append_refuses_a_tail_whose_predecessor_holds_a_non_int_sequence(sequence):
-    """append re-checks only its tail; the record before it, which a caller
-    put there, may hold any sequence. One that is not an int makes the tail
-    corrupt instead of failing the comparison with a TypeError."""
-    log = with_wrong_typed_record(build_log(1), {"sequence": sequence})
-    last = log.records[-1]
-    log.records.append(sealed(**{**last.body(), "sequence": 8, "prev_hash": last.record_hash}))
-    assert log.verify() == 1
-    before = list(log.records)
-    with pytest.raises(ChainCorrupt) as exc:
-        log.append(REQ, OUT, EXP, timestamp=9.0)
-    assert exc.value.index == 2
-    assert log.records == before
+    assert len(calls) == 50
 
 
 UNENCODABLE = {"set": {1, 2}, "bytes": b"x", "object": object(), "tuple-key": {("a",): 1}}
 
 
 @pytest.mark.parametrize("value", UNENCODABLE.values(), ids=UNENCODABLE.keys())
-def test_save_refuses_an_outcome_json_cannot_encode(tmp_path, value):
-    path = tmp_path / "audit.jsonl"
-    path.write_text("kept\n")
+def test_an_outcome_json_cannot_encode_never_reaches_a_record(tmp_path, value):
     log = build_log(2)
     log.records[1].outcome["x"] = value
-    with pytest.raises(ValueError, match="is not JSON"):
-        log.save(path)
-    assert path.read_text() == "kept\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["audit.jsonl"]
-
-    own = tmp_path / "own.jsonl"
-    build_log(2).save(own)
-    before = own.read_bytes()
-    log = AuditLog.load(own)
-    log.append(REQ, {"x": None}, EXP, timestamp=9.0)
-    log.records[-1].outcome["x"] = value
-    with pytest.raises(ValueError, match="is not JSON"):
-        log.save(own)
-    assert own.read_bytes() == before
+    with pytest.raises(ValueError, match="not an audit record"):
+        dataclasses.replace(log.records[1], outcome={"x": value})
+    path = tmp_path / "audit.jsonl"
+    log.save(path)
+    assert verify_file(path) is None and "x" not in AuditLog.load(path).records[1].outcome
 
 
 @pytest.mark.parametrize("document", ["request", "outcome", "explanation"])
@@ -1011,3 +1046,89 @@ def test_append_refuses_a_document_json_cannot_encode(document, value):
     assert log.records == before
     log.append(REQ, OUT, EXP, timestamp=9.0)
     assert log.verify() is None
+
+
+# --- nothing a caller can reach edits the chain ------------------------------
+
+SOURCES = ["built", "load", "load-self-hashed", "open_tail", "open_tail-self-hashed"]
+NESTED_OUT = {**OUT,
+              "modified_request": {"features": ["load_curve", "aggregate"], "window": [1, 2]}}
+
+
+def open_source(source, path):
+    """A log of 3 records as ``source`` gives it, the last appended with the
+    nested outcome; a file-backed source reads ``path``."""
+    if source == "built":
+        log = build_log(2)
+    else:
+        if source.endswith("self-hashed"):
+            self_hashed_chain(path, 2)
+        else:
+            build_log(2).save(path)
+        log = (AuditLog.open_tail if source.startswith("open_tail") else AuditLog.load)(path)
+    log.append(REQ, json.loads(json.dumps(NESTED_OUT)), EXP, timestamp=5.0)
+    return log
+
+
+def containers(value):
+    found = [value]
+    for child in value.values() if isinstance(value, dict) else value:
+        if isinstance(child, (dict, list)):
+            found += containers(child)
+    return found
+
+
+edit_values = json_values | st.sampled_from([{1, 2}, b"x", object(), {("a",): 1}])
+
+
+def edit_somewhere(data, value):
+    """One drawn edit of a dict or list anywhere inside ``value``."""
+    target = data.draw(st.sampled_from(containers(value)))
+    keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+    op = data.draw(st.sampled_from(["set", "delete", "clear"] if keys else ["set"]))
+    if op == "clear":
+        target.clear()
+    elif op == "delete":
+        del target[data.draw(st.sampled_from(keys))]
+    elif isinstance(target, dict):
+        target[data.draw(st.sampled_from(keys) | st.text(max_size=3)) if keys
+               else data.draw(st.text(max_size=3))] = data.draw(edit_values)
+    elif keys and data.draw(st.booleans()):
+        target[data.draw(st.sampled_from(keys))] = data.draw(edit_values)
+    else:
+        target.append(data.draw(edit_values))
+
+
+def saved(log, path):
+    """The bytes ``save`` leaves: a whole log goes to a new file, a tail
+    extends its own."""
+    if log._head:
+        log.save(path)
+        return path.read_bytes()
+    out = path.with_name(path.name + ".saved")
+    log.save(out)
+    return out.read_bytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SOURCES), st.data())
+def test_no_edit_of_a_reachable_value_changes_a_hash_or_a_saved_line(source, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        docs = [json.loads(json.dumps(doc)) for doc in (REQ, NESTED_OUT, EXP)]
+        logs = [open_source(source, Path(tmp) / name) for name in ("edited", "twin")]
+        logs[0].append(*docs, timestamp=6.0)
+        logs[1].append(REQ, json.loads(json.dumps(NESTED_OUT)), EXP, timestamp=6.0)
+        for _ in range(data.draw(st.integers(1, 4))):
+            reach = data.draw(st.sampled_from(["outcome", "body", "to_dict", "passed"]))
+            if reach == "passed":
+                value = data.draw(st.sampled_from(docs))
+            else:
+                record = data.draw(st.sampled_from(logs[0].records))
+                value = getattr(record, reach) if reach == "outcome" else getattr(record, reach)()
+            edit_somewhere(data, value)
+        edited, twin = logs
+        assert [r.record_hash for r in edited.records] == [r.record_hash for r in twin.records]
+        assert [r.outcome for r in edited.records] == [r.outcome for r in twin.records]
+        if not edited._head:
+            assert edited.verify() is None
+        assert saved(edited, Path(tmp) / "edited") == saved(twin, Path(tmp) / "twin")

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import math
@@ -742,7 +743,8 @@ def test_bundle_window_hours_is_required_and_an_integer(tmp_path, capsys, window
 def write_log_with_bad_field(tmp_path, index, field, value, n=3):
     """An ``n``-record audit log whose record ``index`` has ``field`` set to
     ``value`` and its hash recomputed, so only the field's type is wrong."""
-    from dpnego.audit import AuditLog, _digest
+    from dpnego.audit import AuditLog
+    from dpnego.contracts import canonical_json
 
     log = AuditLog()
     for i in range(n):
@@ -753,7 +755,8 @@ def write_log_with_bad_field(tmp_path, index, field, value, n=3):
     doc = json.loads(lines[index])
     doc[field] = value
     if field != "record_hash":
-        doc["record_hash"] = _digest({k: v for k, v in doc.items() if k != "record_hash"})
+        body = canonical_json({k: v for k, v in doc.items() if k != "record_hash"})
+        doc["record_hash"] = hashlib.sha256(body.encode()).hexdigest()
     lines[index] = json.dumps(doc, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
     return path

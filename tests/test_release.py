@@ -334,6 +334,38 @@ def test_dp_noise_epsilon_and_sensitivity_guards():
         dp_noise([1.0], 1.0, 0.0, Mechanism.LAPLACE, seed=1, token=token)
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+# Which argument gets the bad value, and what refusing it raises.
+CALIBRATION = pytest.mark.parametrize("which", ["epsilon", "sensitivity"])
+REFUSAL = {"epsilon": NonPositiveEpsilon, "sensitivity": NonPositiveSensitivity}
+
+
+@NON_FINITE
+@CALIBRATION
+@pytest.mark.parametrize("mechanism", list(Mechanism), ids=[m.value for m in Mechanism])
+def test_dp_noise_refuses_a_non_finite_epsilon_or_sensitivity(mechanism, which, bad):
+    # an infinite epsilon would release the exact values, a NaN one NaN noise
+    eps, delta_q = (bad, 20.0) if which == "epsilon" else (1.0, bad)
+    with pytest.raises(REFUSAL[which]):
+        dp_noise([120.0, 3.0], eps, delta_q, mechanism, seed=7, token=consumed_token(),
+                 categories=200)
+
+
+@NON_FINITE
+@CALIBRATION
+@pytest.mark.parametrize("calibrate", [laplace_scale, gaussian_sigma])
+def test_noise_scales_refuse_a_non_finite_epsilon_or_sensitivity(calibrate, which, bad):
+    with pytest.raises(REFUSAL[which]):
+        calibrate(*((20.0, bad) if which == "epsilon" else (bad, 1.0)))
+
+
+@NON_FINITE
+def test_validate_plan_refuses_a_non_finite_sensitivity(bad):
+    plan = mean_plan()
+    with pytest.raises(NonPositiveSensitivity):
+        validate_plan(QueryPlan(plan.ops, delta=bad, output_arity=plan.output_arity), contract())
+
+
 def test_dp_noise_reproducible():
     token = consumed_token()
     a = dp_noise([1.0, 2.0], 1.0, 1.0, Mechanism.LAPLACE, seed=42, token=token)
